@@ -9,8 +9,6 @@
 //	cfbench -repeats 3            # best-of-3 per cell
 //	cfbench -json BENCH_fig10.json # also write machine-readable results
 //	cfbench -java-ablation        # Java rows, translation engine on vs off
-//	cfbench -snapshot both        # fresh vs fork-server throughput ablation
-//	cfbench -snapshot on          # snapshot arm only (off: fresh arm only)
 //	cfbench -fuse both            # trace-fusion crossing ablation, both arms
 //	cfbench -fuse on              # fused arm only (off: unfused arm only)
 //	cfbench -cache both           # service cache ablation: uncached + cold/warm/sharedlib
@@ -35,8 +33,6 @@ func main() {
 	repeats := flag.Int("repeats", 3, "measurements per cell (best kept)")
 	jsonPath := flag.String("json", "", "write results as JSON to this file (e.g. BENCH_fig10.json)")
 	javaAblation := flag.Bool("java-ablation", false, "run only the Java rows, translation engine on vs off")
-	snapshot := flag.String("snapshot", "both", "throughput ablation arms: both, on, off, or none")
-	snapRounds := flag.Int("snapshot-rounds", 3, "corpus sweeps per throughput arm")
 	fuse := flag.String("fuse", "both", "trace-fusion ablation arms: both, on, off, or none")
 	cache := flag.String("cache", "both", "service cache ablation arms: both, on, off, or none")
 	cacheDir := flag.String("cache-dir", "", "artifact store directory for -cache (default: a temp dir)")
@@ -56,7 +52,12 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(res.Report())
-	res.Verdicts = cfbench.VerdictSweep(0)
+	verdicts, err := cfbench.VerdictSweep(0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cfbench: verdict sweep:", err)
+		os.Exit(1)
+	}
+	res.Verdicts = verdicts
 	fmt.Println("Contained corpus sweep:", res.Verdicts)
 	pins, err := cfbench.PinSweep(0)
 	if err != nil {
@@ -66,24 +67,8 @@ func main() {
 	res.Pins = pins
 	fmt.Println("Static pin precision:")
 	fmt.Println(cfbench.PinReport(pins))
+	// Each sweep prints its own parity mismatch; the exit status reports any.
 	parityFailed := false
-	if *snapshot != "none" {
-		withFresh := *snapshot == "both" || *snapshot == "off"
-		withSnap := *snapshot == "both" || *snapshot == "on"
-		if !withFresh && !withSnap {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -snapshot value %q (both, on, off, none)\n", *snapshot)
-			os.Exit(2)
-		}
-		tp, err := cfbench.ThroughputSweep(0, *snapRounds, withFresh, withSnap)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Throughput = tp
-		fmt.Println("Corpus throughput (snapshot ablation):")
-		fmt.Println(tp.String())
-		parityFailed = !tp.ParityOK
-	}
 	if *fuse != "none" {
 		withOn := *fuse == "both" || *fuse == "on"
 		withOff := *fuse == "both" || *fuse == "off"
@@ -178,21 +163,6 @@ func main() {
 	fmt.Println("Absolute factors compress on this substrate (interpreter baseline vs QEMU-")
 	fmt.Println("translated code); the orderings are the reproduced result — see EXPERIMENTS.md.")
 	if parityFailed {
-		if res.Throughput != nil && !res.Throughput.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: snapshot/fresh parity mismatch:", res.Throughput.ParityDetail)
-		}
-		if res.Fuse != nil && !res.Fuse.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: fused/unfused parity mismatch:", res.Fuse.ParityDetail)
-		}
-		if res.Cache != nil && !res.Cache.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: cache-regime parity mismatch:", res.Cache.ParityDetail)
-		}
-		if res.Surface != nil && !res.Surface.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: surface observer parity mismatch:", res.Surface.ParityDetail)
-		}
-		if res.Summary != nil && !res.Summary.ParityOK {
-			fmt.Fprintln(os.Stderr, "cfbench: summary ablation parity mismatch:", res.Summary.ParityDetail)
-		}
 		os.Exit(1)
 	}
 }

@@ -4,9 +4,10 @@
 // category distribution, and the library-popularity inventory.
 //
 // It then runs the dynamic corpus — the Table I evaluation apps plus the
-// hostile robustness apps — under full fault containment: every app gets a
-// fresh System per attempt, watchdog instruction budgets bound runaway
-// guests, and native-side analysis faults degrade one mode down
+// hostile robustness apps — through the analysis service under full fault
+// containment: -workers shards each serve attempts from a fork server that
+// rewinds to the post-boot state per attempt, watchdog instruction budgets
+// bound runaway guests, and native-side analysis faults degrade one mode down
 // (NDroid -> TaintDroid -> vanilla) with the chain recorded. A hostile app
 // ends as a per-app Fault or Timeout row, never as a crash of the study.
 //
@@ -16,11 +17,8 @@
 //	marketstudy -scale 10      # 1/10th-size market, same proportions
 //	marketstudy -dynamic=false # static study only
 //	marketstudy -budget 1000000 # tighter watchdog budget (instructions)
-//	marketstudy -snapshot      # serve the dynamic corpus from per-worker
-//	                           # fork servers (boot once, reset in O(dirty))
-//	marketstudy -cache DIR     # run the dynamic corpus through the analysis
-//	                           # service over a persistent artifact store; a
-//	                           # second run replays every verdict
+//	marketstudy -cache DIR     # persist the service's artifacts and verdicts;
+//	                           # a second run replays every verdict
 //	marketstudy -surface       # print the per-app JNI surface map table:
 //	                           # discovered natives, registration events,
 //	                           # dedup-throttled call counts, truncation flags
@@ -47,11 +45,10 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "divide the market size by this factor")
 	seed := flag.Int64("seed", 1, "market generator seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent classification workers")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent classification workers and dynamic-corpus service shards")
 	dynamic := flag.Bool("dynamic", true, "run the dynamic corpus under contained analysis")
 	budget := flag.Uint64("budget", 0, "watchdog instruction budget per run (0 = default)")
-	snapshot := flag.Bool("snapshot", false, "serve dynamic attempts from per-worker snapshot clones")
-	cacheDir := flag.String("cache", "", "persistent artifact/verdict store; runs the dynamic corpus through the analysis service")
+	cacheDir := flag.String("cache", "", "persistent artifact/verdict store for the dynamic corpus (default: none)")
 	surfaceTable := flag.Bool("surface", false, "print the per-app JNI surface map table after the dynamic sweep")
 	summaries := flag.String("summaries", "off", "native taint summaries: off, static, or validated")
 	flag.Parse()
@@ -85,50 +82,38 @@ func main() {
 
 	fmt.Printf("\nDynamic corpus under contained analysis (mode ndroid, budget %d):\n\n",
 		effectiveBudget(*budget))
-	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.PinLevel,
-		Snapshot: *snapshot, Summaries: sumMode}
-	dynWorkers := 1
-	if *snapshot || *cacheDir != "" {
-		dynWorkers = *workers
-	}
-	var rep *apps.StudyReport
+	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.PinLevel, Summaries: sumMode}
+	var store *cas.Store
 	if *cacheDir != "" {
-		store, err := cas.Open(*cacheDir)
-		if err != nil {
+		if store, err = cas.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "marketstudy:", err)
 			os.Exit(1)
 		}
 		opts.Cache = store
-		svcRep, st, err := apps.RunStudyService(opts, dynWorkers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "marketstudy:", err)
-			os.Exit(1)
-		}
-		rep = svcRep
-		fmt.Print(rep.String())
-		rs := st.Runner
-		fmt.Printf("\nAnalysis service: %d submitted, %d computed, %d verdict-cache hits, %d deduped (%d workers).\n",
-			st.Submitted, st.Computed, st.VerdictHits, st.Deduped, dynWorkers)
-		fmt.Printf("Artifacts: %d static runs, %d static disk hits, %d assembles, %d asm cache hits, %d dex validations, %d dex-check hits, %d cache faults absorbed.\n",
-			rs.StaticRuns, rs.StaticDiskHits, rs.AsmAssembles, rs.AsmCacheHits,
-			rs.DexValidations, rs.DexCheckHits, rs.CacheFaults)
+	}
+	rep, st, err := apps.RunStudy(opts, *workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "marketstudy:", err)
+		os.Exit(1)
+	}
+	fmt.Print(rep.String())
+	rs := st.Runner
+	fmt.Printf("\nAnalysis service: %d submitted, %d computed, %d verdict-cache hits, %d deduped (%d workers).\n",
+		st.Submitted, st.Computed, st.VerdictHits, st.Deduped, rep.Workers)
+	perReset, taintPerReset := 0.0, 0.0
+	if rs.Resets > 0 {
+		perReset = float64(rs.GuestPagesReset) / float64(rs.Resets)
+		taintPerReset = float64(rs.TaintPagesReset) / float64(rs.Resets)
+	}
+	fmt.Printf("Fork servers: %d boots, %d resets; per-reset cost %.1f guest pages + %.1f taint pages copied.\n",
+		rs.Boots, rs.Resets, perReset, taintPerReset)
+	fmt.Printf("Artifacts: %d static runs, %d static disk hits, %d assembles, %d asm cache hits, %d dex validations, %d dex-check hits, %d cache faults absorbed.\n",
+		rs.StaticRuns, rs.StaticDiskHits, rs.AsmAssembles, rs.AsmCacheHits,
+		rs.DexValidations, rs.DexCheckHits, rs.CacheFaults)
+	if store != nil {
 		cs := store.Stats()
 		fmt.Printf("Store %s: %d hits, %d misses, %d puts, %d corrupt, %d evicted.\n",
 			store.Dir(), cs.Hits, cs.Misses, cs.Puts, cs.Corrupt, cs.Evictions)
-	} else {
-		rep = apps.RunStudyParallel(opts, dynWorkers)
-		fmt.Print(rep.String())
-	}
-	if *snapshot {
-		rs := rep.RunnerStats
-		perReset := 0.0
-		taintPerReset := 0.0
-		if rs.Resets > 0 {
-			perReset = float64(rs.GuestPagesReset) / float64(rs.Resets)
-			taintPerReset = float64(rs.TaintPagesReset) / float64(rs.Resets)
-		}
-		fmt.Printf("\nFork servers: %d workers, %d boots, %d resets; per-reset cost %.1f guest pages + %.1f taint pages copied.\n",
-			rep.Workers, rs.Boots, rs.Resets, perReset, taintPerReset)
 	}
 	if *surfaceTable {
 		fmt.Println("\nJNI surface maps (dynamic observation, dedup + count-bucket throttled):")

@@ -60,6 +60,12 @@ func main() {
 	}
 	summaryMode = sumMode
 
+	analysisMode, ok := core.ModeFromName(*mode)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "ndroid: unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)\n", *mode)
+		os.Exit(2)
+	}
+
 	if *list {
 		for _, a := range apps.Registry() {
 			fmt.Printf("%-14s case %-7s %s\n", a.Name, a.Case, a.Desc)
@@ -67,7 +73,7 @@ func main() {
 		return
 	}
 	if *serve {
-		if err := runServe(*serveDir, *cacheDir, *workers, parseMode(*mode), level); err != nil {
+		if err := runServe(*serveDir, *cacheDir, *workers, analysisMode, level); err != nil {
 			fmt.Fprintln(os.Stderr, "ndroid:", err)
 			os.Exit(1)
 		}
@@ -84,22 +90,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := runOne(*appName, parseMode(*mode), !*quiet); err != nil {
+	if err := runOne(*appName, analysisMode, !*quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(1)
-	}
-}
-
-func parseMode(s string) core.Mode {
-	switch s {
-	case "vanilla":
-		return core.ModeVanilla
-	case "taintdroid":
-		return core.ModeTaintDroid
-	case "droidscope":
-		return core.ModeDroidScope
-	default:
-		return core.ModeNDroid
 	}
 }
 

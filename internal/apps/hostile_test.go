@@ -116,7 +116,7 @@ func TestHostileDexFaultsWithoutDegrading(t *testing.T) {
 // TestStudySurvivesHostileCorpus: one sweep over benign + hostile apps
 // completes with every verdict as expected and the statistics consistent.
 func TestStudySurvivesHostileCorpus(t *testing.T) {
-	rep := apps.RunStudy(apps.StudyOptions{Budget: testBudget, FlowLog: true})
+	rep, _ := runStudy(t, apps.StudyOptions{Budget: testBudget, FlowLog: true}, 1)
 	if len(rep.Rows) != len(apps.AllApps()) {
 		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(apps.AllApps()))
 	}

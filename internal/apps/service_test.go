@@ -7,8 +7,20 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/service"
 	"repro/internal/static"
 )
+
+// runStudy sweeps the corpus through apps.RunStudy, failing the test on a
+// submission error.
+func runStudy(t *testing.T, opts apps.StudyOptions, workers int) (*apps.StudyReport, service.Stats) {
+	t.Helper()
+	rep, st, err := apps.RunStudy(opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, st
+}
 
 func rowOutcome(row apps.StudyRow) appOutcome {
 	return appOutcome{
@@ -20,15 +32,15 @@ func rowOutcome(row apps.StudyRow) appOutcome {
 // TestServiceParity is the service-mode isolation proof: the full corpus
 // (benign + hostile), swept under every analysis mode, must produce
 // byte-identical flow logs, verdicts, chains, and tallies whether it runs
-// through RunStudyParallel, a cold-cache service, or a warm-cache service
-// that answers everything from verdict records.
+// through a service with no store, a cold-cache service, or a warm-cache
+// service that answers everything from verdict records.
 func TestServiceParity(t *testing.T) {
 	modes := []core.Mode{core.ModeNDroid, core.ModeTaintDroid, core.ModeVanilla, core.ModeDroidScope}
 	for _, mode := range modes {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			opts := apps.StudyOptions{Mode: mode, Budget: testBudget, FlowLog: true}
-			base := apps.RunStudyParallel(opts, 2)
+			base, _ := runStudy(t, opts, 2)
 
 			store, err := cas.Open(t.TempDir())
 			if err != nil {
@@ -36,14 +48,8 @@ func TestServiceParity(t *testing.T) {
 			}
 			cached := opts
 			cached.Cache = store
-			cold, coldStats, err := apps.RunStudyService(cached, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm, warmStats, err := apps.RunStudyService(cached, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold, coldStats := runStudy(t, cached, 3)
+			warm, warmStats := runStudy(t, cached, 3)
 
 			for name, rep := range map[string]*apps.StudyReport{"cold": cold, "warm": warm} {
 				if len(rep.Rows) != len(base.Rows) {
@@ -104,28 +110,28 @@ func TestSharedLibVariantReusesAssembledImages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := apps.RunStudy(apps.StudyOptions{
+	cold, coldStats := runStudy(t, apps.StudyOptions{
 		Budget: testBudget, FlowLog: true, Static: static.PinLevel,
-		Cache: store, Apps: []*apps.App{base}})
-	if cold.RunnerStats.AsmAssembles == 0 {
+		Cache: store, Apps: []*apps.App{base}}, 1)
+	if coldStats.Runner.AsmAssembles == 0 {
 		t.Fatal("cold run assembled nothing; the ablation has no baseline")
 	}
 
 	variant := apps.SharedLibVariant(base)
-	rep := apps.RunStudy(apps.StudyOptions{
+	rep, st := runStudy(t, apps.StudyOptions{
 		Budget: testBudget, FlowLog: true, Static: static.PinLevel,
-		Cache: store, Apps: []*apps.App{variant}})
+		Cache: store, Apps: []*apps.App{variant}}, 1)
 
-	if rep.RunnerStats.AsmAssembles != 0 {
-		t.Errorf("shared-lib variant ran the assembler %d times, want 0", rep.RunnerStats.AsmAssembles)
+	if st.Runner.AsmAssembles != 0 {
+		t.Errorf("shared-lib variant ran the assembler %d times, want 0", st.Runner.AsmAssembles)
 	}
-	if rep.RunnerStats.AsmCacheHits == 0 {
+	if st.Runner.AsmCacheHits == 0 {
 		t.Error("shared-lib variant never hit the assembled-image store")
 	}
-	if rep.RunnerStats.StaticDiskHits != 0 {
+	if st.Runner.StaticDiskHits != 0 {
 		t.Error("variant resolved a static result for a different app digest")
 	}
-	if rep.RunnerStats.StaticRuns == 0 {
+	if st.Runner.StaticRuns == 0 {
 		t.Error("variant never ran its own static analysis")
 	}
 	if got, want := rep.Rows[0].Report.Verdict(), cold.Rows[0].Report.Verdict(); got != want {

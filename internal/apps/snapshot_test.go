@@ -142,12 +142,12 @@ func TestSnapshotResetCost(t *testing.T) {
 	}
 }
 
-// TestRunStudyParallelDeterminism checks the per-worker-clone sweep: any
-// worker count produces the same per-app verdicts and flow logs as the
-// sequential fresh-System sweep, with rows in corpus order.
-func TestRunStudyParallelDeterminism(t *testing.T) {
-	seq := apps.RunStudy(apps.StudyOptions{Budget: testBudget, FlowLog: true})
-	par := apps.RunStudyParallel(apps.StudyOptions{Budget: testBudget, FlowLog: true, Snapshot: true}, 3)
+// TestRunStudyWorkerDeterminism checks the sharded sweep: three service
+// workers produce the same per-app verdicts and flow logs as one, with rows
+// in corpus order.
+func TestRunStudyWorkerDeterminism(t *testing.T) {
+	seq, _ := runStudy(t, apps.StudyOptions{Budget: testBudget, FlowLog: true}, 1)
+	par, parStats := runStudy(t, apps.StudyOptions{Budget: testBudget, FlowLog: true}, 3)
 
 	if len(seq.Rows) != len(par.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(seq.Rows), len(par.Rows))
@@ -161,10 +161,10 @@ func TestRunStudyParallelDeterminism(t *testing.T) {
 			t.Errorf("%s: verdict %v vs %v", s.App.Name, s.Report.Verdict(), p.Report.Verdict())
 		}
 		if logOf(s.Report) != logOf(p.Report) {
-			t.Errorf("%s: parallel snapshot flow log diverged", s.App.Name)
+			t.Errorf("%s: 3-worker flow log diverged from 1-worker", s.App.Name)
 		}
 	}
-	if par.RunnerStats.Resets == 0 {
-		t.Error("parallel snapshot sweep served no resets")
+	if parStats.Runner.Resets == 0 {
+		t.Error("3-worker sweep served no resets")
 	}
 }

@@ -3,7 +3,6 @@ package apps
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/cas"
 	"repro/internal/core"
@@ -30,13 +29,11 @@ type StudyOptions struct {
 	Summaries core.SummaryMode
 	// Apps is the corpus; nil means AllApps() (benign + hostile).
 	Apps []*App
-	// Snapshot serves attempts from a boot-once fork server (core.Runner)
-	// instead of a fresh System per attempt. Verdicts and flow logs are
-	// byte-identical either way; only throughput changes.
-	Snapshot bool
-	// Cache wires the per-worker fork servers to a persistent artifact store
-	// (static results, assembled libraries, validation verdicts). Setting it
-	// implies Snapshot. Artifacts never change outcomes — only cost.
+	// Cache attaches a persistent artifact and verdict store to the service
+	// (static results, assembled libraries, validation verdicts, final
+	// reports); a second sweep over the same corpus then replays every
+	// verdict. Nil runs the sweep in memory. Artifacts never change
+	// outcomes — only cost.
 	Cache *cas.Store
 }
 
@@ -61,124 +58,18 @@ type StudyReport struct {
 	Degraded int
 	Attempts int
 
-	// RunnerStats aggregates fork-server work (boots, resets, pages copied)
-	// across all workers when the sweep ran with Snapshot; zero otherwise.
-	RunnerStats core.RunnerStats
-	// Workers is how many parallel workers served the sweep (1 = sequential).
+	// Workers is how many service shards served the sweep.
 	Workers int
 }
 
-// RunStudy analyzes every app in the corpus under per-app isolation: each
-// app (and each attempt within an app) gets a fresh System, and any fault it
-// raises is contained to its own report. A corpus with hostile members
-// always completes.
-func RunStudy(opts StudyOptions) *StudyReport {
-	return RunStudyParallel(opts, 1)
-}
-
-// RunStudyParallel runs the sweep across workers, each serving its share of
-// the corpus from its own fork server (per-worker System clone) when
-// opts.Snapshot is set. Rows keep corpus order and every app's outcome is
-// independent of worker assignment, so the report is deterministic for any
-// worker count.
-func RunStudyParallel(opts StudyOptions, workers int) *StudyReport {
-	corpus := opts.Apps
-	if corpus == nil {
-		corpus = AllApps()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(corpus) && len(corpus) > 0 {
-		workers = len(corpus)
-	}
-
-	rows := make([]StudyRow, len(corpus))
-	stats := make([]core.RunnerStats, workers)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var runner *core.Runner
-			if opts.Snapshot || opts.Cache != nil {
-				// A failed warm boot falls back to fresh-System attempts; the
-				// per-attempt path reports any recurring boot fault itself.
-				runner, _ = core.NewCachedRunner(opts.Cache)
-			}
-			for i := range idx {
-				rows[i] = StudyRow{App: corpus[i], Report: core.AnalyzeApp(corpus[i].Spec(), core.AnalyzeOptions{
-					Mode:      opts.Mode,
-					Budget:    opts.Budget,
-					FlowLog:   opts.FlowLog,
-					Static:    opts.Static,
-					Summaries: opts.Summaries,
-					Runner:    runner,
-				})}
-			}
-			if runner != nil {
-				stats[w] = runner.Stats
-			}
-		}(w)
-	}
-	for i := range corpus {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	rep := &StudyReport{Rows: rows, Workers: workers}
-	for _, s := range stats {
-		rep.RunnerStats.Boots += s.Boots
-		rep.RunnerStats.Resets += s.Resets
-		rep.RunnerStats.GuestPagesReset += s.GuestPagesReset
-		rep.RunnerStats.TaintPagesReset += s.TaintPagesReset
-		rep.RunnerStats.StaticRuns += s.StaticRuns
-		rep.RunnerStats.StaticReuses += s.StaticReuses
-		rep.RunnerStats.StaticDiskHits += s.StaticDiskHits
-		rep.RunnerStats.DexValidations += s.DexValidations
-		rep.RunnerStats.DexCheckHits += s.DexCheckHits
-		rep.RunnerStats.AsmCacheHits += s.AsmCacheHits
-		rep.RunnerStats.AsmAssembles += s.AsmAssembles
-		rep.RunnerStats.CacheFaults += s.CacheFaults
-		rep.RunnerStats.JNICrossings += s.JNICrossings
-		rep.RunnerStats.SummarySynths += s.SummarySynths
-		rep.RunnerStats.SummaryReuses += s.SummaryReuses
-		rep.RunnerStats.SummaryDiskHits += s.SummaryDiskHits
-	}
-	rep.tally()
-	return rep
-}
-
-// tally derives the aggregate verdict/degradation counters from Rows.
-func (rep *StudyReport) tally() {
-	for _, row := range rep.Rows {
-		r := row.Report
-		rep.Attempts += len(r.Chain)
-		if r.Degraded {
-			rep.Degraded++
-		}
-		switch r.Verdict() {
-		case core.VerdictClean:
-			rep.Clean++
-		case core.VerdictLeak:
-			rep.Leaks++
-		case core.VerdictFault:
-			rep.Faults++
-		case core.VerdictTimeout:
-			rep.Timeouts++
-		}
-	}
-}
-
-// RunStudyService runs the sweep through an analysis service: every app is
-// Submitted, sharded by content digest across workers, and collected back in
-// corpus order. With opts.Cache set, artifacts and verdict records persist in
-// the store — a second sweep over the same corpus short-circuits entirely.
-// Verdicts and flow logs are byte-identical to RunStudy/RunStudyParallel in
-// every cache mode (the service parity suite holds this).
-func RunStudyService(opts StudyOptions, workers int) (*StudyReport, service.Stats, error) {
+// RunStudy analyzes every app in the corpus through an analysis service:
+// each app is Submitted, sharded by content digest across workers, and
+// collected back in corpus order. Every attempt starts from the warm
+// post-boot state, and any fault an app raises is contained to its own
+// report, so a corpus with hostile members always completes. Rows keep
+// corpus order and every outcome is independent of worker assignment and of
+// opts.Cache (the service parity suite holds this).
+func RunStudy(opts StudyOptions, workers int) (*StudyReport, service.Stats, error) {
 	corpus := opts.Apps
 	if corpus == nil {
 		corpus = AllApps()
@@ -214,10 +105,29 @@ func RunStudyService(opts StudyOptions, workers int) (*StudyReport, service.Stat
 		rep.Rows[i] = StudyRow{App: corpus[i], Report: res.Report}
 	}
 	svc.Close()
-	st := svc.Stats()
-	rep.RunnerStats = st.Runner
 	rep.tally()
-	return rep, st, nil
+	return rep, svc.Stats(), nil
+}
+
+// tally derives the aggregate verdict/degradation counters from Rows.
+func (rep *StudyReport) tally() {
+	for _, row := range rep.Rows {
+		r := row.Report
+		rep.Attempts += len(r.Chain)
+		if r.Degraded {
+			rep.Degraded++
+		}
+		switch r.Verdict() {
+		case core.VerdictClean:
+			rep.Clean++
+		case core.VerdictLeak:
+			rep.Leaks++
+		case core.VerdictFault:
+			rep.Faults++
+		case core.VerdictTimeout:
+			rep.Timeouts++
+		}
+	}
 }
 
 // SharedLibVariant derives an app shipping byte-identical native libraries

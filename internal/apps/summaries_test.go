@@ -201,11 +201,12 @@ func TestSummaryParityUnderRunner(t *testing.T) {
 
 // TestSummaryParityParallelAndService holds summary parity under parallel
 // study workers and under the analysis service with a warm artifact store:
-// every row matches a sequential summaries-off sweep, on both the cold and
-// the warm (verdict-replay) service pass.
+// every row matches a one-worker summaries-off sweep, on the uncached pass
+// and on both the cold and the warm (verdict-replay) cached pass.
 func TestSummaryParityParallelAndService(t *testing.T) {
 	base := map[string]appOutcome{}
-	for _, row := range apps.RunStudy(apps.StudyOptions{Budget: testBudget, FlowLog: true}).Rows {
+	seq, _ := runStudy(t, apps.StudyOptions{Budget: testBudget, FlowLog: true}, 1)
+	for _, row := range seq.Rows {
 		base[row.App.Name] = appOutcome{
 			verdict: row.Report.Verdict(),
 			log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
@@ -227,8 +228,8 @@ func TestSummaryParityParallelAndService(t *testing.T) {
 		}
 	}
 
-	rep := apps.RunStudyParallel(apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Snapshot: true, Summaries: core.SummaryValidated,
+	rep, _ := runStudy(t, apps.StudyOptions{
+		Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
 	}, 4)
 	check(t, rep, "parallel")
 
@@ -239,15 +240,9 @@ func TestSummaryParityParallelAndService(t *testing.T) {
 	opts := apps.StudyOptions{
 		Budget: testBudget, FlowLog: true, Cache: store, Summaries: core.SummaryValidated,
 	}
-	cold, _, err := apps.RunStudyService(opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, _ := runStudy(t, opts, 3)
 	check(t, cold, "service-cold")
-	warm, stats, err := apps.RunStudyService(opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, stats := runStudy(t, opts, 3)
 	check(t, warm, "service-warm")
 	if stats.VerdictHits == 0 {
 		t.Error("warm service pass replayed no verdicts")

@@ -227,11 +227,11 @@ func TestSurfaceMapSnapshotParity(t *testing.T) {
 	}
 }
 
-// TestSurfaceMapWorkerInvariance: RunStudyParallel emits identical per-app
-// maps for any worker count.
+// TestSurfaceMapWorkerInvariance: RunStudy emits identical per-app maps for
+// any worker count.
 func TestSurfaceMapWorkerInvariance(t *testing.T) {
-	base := apps.RunStudyParallel(apps.StudyOptions{Budget: testBudget}, 1)
-	wide := apps.RunStudyParallel(apps.StudyOptions{Budget: testBudget, Snapshot: true}, 3)
+	base, _ := runStudy(t, apps.StudyOptions{Budget: testBudget}, 1)
+	wide, _ := runStudy(t, apps.StudyOptions{Budget: testBudget}, 3)
 	if len(base.Rows) != len(wide.Rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(base.Rows), len(wide.Rows))
 	}
@@ -255,18 +255,12 @@ func TestSurfaceMapServiceReplay(t *testing.T) {
 	}
 	opts := apps.StudyOptions{Budget: testBudget, FlowLog: true, Cache: store}
 
-	cold, coldStats, err := apps.RunStudyService(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, coldStats := runStudy(t, opts, 2)
 	if coldStats.Runner.JNICrossings == 0 {
 		t.Fatal("cold sweep observed no JNI crossings; the counter-assert below would be vacuous")
 	}
 
-	warm, warmStats, err := apps.RunStudyService(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warm, warmStats := runStudy(t, opts, 2)
 	if warmStats.VerdictHits != len(warm.Rows) {
 		t.Fatalf("warm sweep verdict hits = %d, want %d (full short-circuit)",
 			warmStats.VerdictHits, len(warm.Rows))

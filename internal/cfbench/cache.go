@@ -90,7 +90,7 @@ type CacheSweepResult struct {
 // cacheSweepArm submits the corpus to a fresh service over store (nil for the
 // uncached regime), timing each submission, and returns the arm counters plus
 // per-app outcomes for the parity check.
-func cacheSweepArm(name string, budget uint64, store *cas.Store, corpus []*apps.App) (*CacheArm, map[string]throughputOutcome, error) {
+func cacheSweepArm(name string, budget uint64, store *cas.Store, corpus []*apps.App) (*CacheArm, map[string]cellOutcome, error) {
 	var pre cas.Stats
 	if store != nil {
 		pre = store.Stats()
@@ -108,7 +108,7 @@ func cacheSweepArm(name string, budget uint64, store *cas.Store, corpus []*apps.
 		return nil, nil, fmt.Errorf("cfbench: boot %s service: %w", name, err)
 	}
 	arm := &CacheArm{Name: name}
-	outcomes := map[string]throughputOutcome{}
+	outcomes := map[string]cellOutcome{}
 	for _, app := range corpus {
 		start := time.Now()
 		res := <-svc.Submit(app.Spec())
@@ -124,7 +124,7 @@ func cacheSweepArm(name string, budget uint64, store *cas.Store, corpus []*apps.
 			arm.Apps++
 			arm.Seconds += elapsed
 		}
-		outcomes[app.Name] = throughputOutcome{verdict: res.Report.Verdict(), log: joinLog(res.Report)}
+		outcomes[app.Name] = cellOutcome{verdict: res.Report.Verdict(), log: joinLog(res.Report)}
 	}
 	svc.Close()
 	if arm.Seconds > 0 {
@@ -159,9 +159,9 @@ func cacheSweepArm(name string, budget uint64, store *cas.Store, corpus []*apps.
 func CacheSweep(budget uint64, withOff, withOn bool, dir string) (*CacheSweepResult, error) {
 	res := &CacheSweepResult{ParityOK: true}
 	corpus := apps.AllApps()
-	var base map[string]throughputOutcome
+	var base map[string]cellOutcome
 
-	compare := func(name string, got map[string]throughputOutcome) {
+	compare := func(name string, got map[string]cellOutcome) {
 		if base == nil || !res.ParityOK {
 			return
 		}

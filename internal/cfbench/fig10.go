@@ -31,10 +31,6 @@ type Result struct {
 	// PinSweep alongside the benchmark (cfbench -json).
 	Pins []PinRow
 
-	// Throughput carries the snapshot-ablation numbers when the caller ran a
-	// ThroughputSweep alongside the benchmark (cfbench -snapshot).
-	Throughput *ThroughputResult
-
 	// Fuse carries the crossing-ablation numbers when the caller ran a
 	// FuseSweep alongside the benchmark (cfbench -fuse).
 	Fuse *FuseSweepResult
@@ -182,20 +178,18 @@ func (r *Result) JSON() ([]byte, error) {
 		Gate     map[string]GateStats `json:"gate,omitempty"`
 	}
 	var out struct {
-		Modes      []string            `json:"modes"`
-		Rows       []jsonRow           `json:"rows"`
-		Verdicts   *VerdictCounts      `json:"verdicts,omitempty"`
-		Pins       []PinRow            `json:"pins,omitempty"`
-		Throughput *ThroughputResult   `json:"throughput,omitempty"`
-		Fuse       *FuseSweepResult    `json:"fuse,omitempty"`
-		Cache      *CacheSweepResult   `json:"cache,omitempty"`
-		Surface    *SurfaceSweepResult `json:"surface,omitempty"`
-		Summary    *SummarySweepResult `json:"summary,omitempty"`
+		Modes    []string            `json:"modes"`
+		Rows     []jsonRow           `json:"rows"`
+		Verdicts *VerdictCounts      `json:"verdicts,omitempty"`
+		Pins     []PinRow            `json:"pins,omitempty"`
+		Fuse     *FuseSweepResult    `json:"fuse,omitempty"`
+		Cache    *CacheSweepResult   `json:"cache,omitempty"`
+		Surface  *SurfaceSweepResult `json:"surface,omitempty"`
+		Summary  *SummarySweepResult `json:"summary,omitempty"`
 	}
 	out.Summary = r.Summary
 	out.Verdicts = r.Verdicts
 	out.Pins = r.Pins
-	out.Throughput = r.Throughput
 	out.Fuse = r.Fuse
 	out.Cache = r.Cache
 	out.Surface = r.Surface

@@ -63,7 +63,7 @@ func FuseSweep(budget uint64, withOn, withOff bool) (*FuseSweepResult, error) {
 		})
 		return rep, time.Since(start).Seconds()
 	}
-	for _, mode := range throughputModes() {
+	for _, mode := range sweepModes() {
 		for _, app := range apps.AllApps() {
 			cell := FuseCell{App: app.Name, Mode: mode.String()}
 			var on, off outcome

@@ -98,7 +98,7 @@ func SummarySweep(budget uint64) (*SummarySweepResult, error) {
 		return rep, outcome{rep.Verdict(), joinLog(rep), rep.Final.Result.TracedInsns},
 			time.Since(start).Seconds()
 	}
-	for _, mode := range throughputModes() {
+	for _, mode := range sweepModes() {
 		for _, app := range apps.AllApps() {
 			cell := SummaryCell{App: app.Name, Mode: mode.String()}
 

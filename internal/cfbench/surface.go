@@ -86,7 +86,7 @@ func SurfaceSweep(budget uint64, withOn, withOff bool) (*SurfaceSweepResult, err
 		})
 		return rep, time.Since(start).Seconds()
 	}
-	for _, mode := range throughputModes() {
+	for _, mode := range sweepModes() {
 		for _, app := range apps.AllApps() {
 			cell := SurfaceCell{App: app.Name, Mode: mode.String()}
 			var on, off outcome

@@ -2,8 +2,10 @@ package cfbench
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 )
 
 // VerdictCounts summarizes one contained sweep over the full evaluation
@@ -22,10 +24,13 @@ type VerdictCounts struct {
 	Attempts int `json:"attempts"`
 }
 
-// VerdictSweep runs the corpus under contained analysis (fresh System per
-// attempt) and counts verdicts. budget 0 uses core.DefaultBudget.
-func VerdictSweep(budget uint64) *VerdictCounts {
-	rep := apps.RunStudy(apps.StudyOptions{Budget: budget})
+// VerdictSweep runs the corpus under contained analysis (one uncached
+// service worker) and counts verdicts. budget 0 uses core.DefaultBudget.
+func VerdictSweep(budget uint64) (*VerdictCounts, error) {
+	rep, _, err := apps.RunStudy(apps.StudyOptions{Budget: budget}, 1)
+	if err != nil {
+		return nil, err
+	}
 	return &VerdictCounts{
 		Apps:     len(rep.Rows),
 		Clean:    rep.Clean,
@@ -34,11 +39,30 @@ func VerdictSweep(budget uint64) *VerdictCounts {
 		Timeout:  rep.Timeouts,
 		Degraded: rep.Degraded,
 		Attempts: rep.Attempts,
-	}
+	}, nil
 }
 
 // String renders the counters on one line.
 func (v *VerdictCounts) String() string {
 	return fmt.Sprintf("apps=%d clean=%d leak=%d fault=%d timeout=%d degraded=%d attempts=%d",
 		v.Apps, v.Clean, v.Leak, v.Fault, v.Timeout, v.Degraded, v.Attempts)
+}
+
+// sweepModes lists the analysis modes the corpus ablations sweep.
+func sweepModes() []core.Mode {
+	return []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope}
+}
+
+// cellOutcome is the parity unit of a corpus ablation: one app's verdict and
+// flow log under one arm.
+type cellOutcome struct {
+	verdict core.Verdict
+	log     string
+}
+
+// joinLog flattens the flow log for byte-parity comparison. strings.Join,
+// not +=: hostile-rasp's ndroid log runs to ~50k lines, where quadratic
+// concatenation costs over a minute per sweep arm.
+func joinLog(rep core.AppReport) string {
+	return strings.Join(rep.Final.Result.LogLines, "\n")
 }

@@ -270,14 +270,10 @@ type AnalyzeOptions struct {
 	Budget uint64
 	// FlowLog enables flow-log capture on every attempt.
 	FlowLog bool
-	// InternalRetries bounds same-mode retries after an InternalError fault
-	// (a contained host bug may be transient state corruption; one fresh
-	// System is worth trying). Negative disables; zero means the default 1.
-	InternalRetries int
 	// Static selects the pre-analysis level: off, lint (diagnose only), or
-	// pin (also seed taint-reachability pins into the dynamic engines). The
-	// pre-analysis runs per attempt — pins are keyed against the attempt's
-	// fresh System, so degradation retries re-seed them from scratch.
+	// pin (also seed taint-reachability pins into the dynamic engines). Pins
+	// are seeded per attempt against the attempt's System, so degradation
+	// retries re-seed them.
 	Static static.Level
 	// Summaries selects how auto-generated native taint summaries are used:
 	// off (default; trace everything), static (trust sound transfers), or
@@ -285,12 +281,18 @@ type AnalyzeOptions struct {
 	// verdicts are byte-identical across settings; only the traced
 	// instruction count changes.
 	Summaries SummaryMode
-	// Runner, when set, serves attempts from its snapshot-restored System
-	// instead of booting a fresh one per attempt (and re-seeds static pins
-	// from its digest cache). Verdicts and flow logs are byte-identical to
-	// the fresh-System path; only the reset cost changes.
+	// Runner serves every attempt from its snapshot-restored System (and
+	// re-seeds static pins from its digest cache). Nil gives each attempt a
+	// new Runner that boots a fresh System and is never restored: the
+	// reference the snapshot-parity suites compare against. Verdicts and flow
+	// logs are byte-identical either way; only the reset cost changes.
 	Runner *Runner
 }
+
+// internalRetries bounds same-mode retries after an InternalError fault: a
+// contained host bug may be transient state corruption, and one more attempt
+// on a rewound (or, after a failed restore, rebooted) System is worth trying.
+const internalRetries = 1
 
 // Attempt records one run of the degradation ladder.
 type Attempt struct {
@@ -338,16 +340,16 @@ func modeDown(m Mode) (Mode, bool) {
 	}
 }
 
-// AnalyzeApp runs one app under per-app isolation: every attempt gets a
-// fresh System (nothing survives a faulting run), and the outcome decides
-// the next rung:
+// AnalyzeApp runs one app under per-app isolation: every attempt runs on a
+// Runner and starts from the post-boot state (nothing survives a faulting
+// run), and the outcome decides the next rung:
 //
 //   - A Fault raised by the native-side analysis layers ("arm", "core" —
 //     the tracer, syslib models, and CPU only run under the heavier modes)
 //     degrades one mode down and retries, recording the chain. The app may
 //     still complete — with weaker coverage — when the fault was confined
 //     to instrumentation the lower mode does not install.
-//   - An InternalError gets one bounded same-mode retry on a fresh System.
+//   - An InternalError gets one bounded same-mode retry.
 //   - Timeouts and dvm/dex-layer faults are properties of the guest program
 //     itself; no lower mode would change them, so they are final.
 func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
@@ -355,21 +357,15 @@ func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
 	if mode == 0 {
 		mode = ModeNDroid
 	}
-	internalLeft := opts.InternalRetries
-	if internalLeft == 0 {
-		internalLeft = 1
-	} else if internalLeft < 0 {
-		internalLeft = 0
-	}
+	internalLeft := internalRetries
 
 	rep := AppReport{Name: spec.Name}
 	for {
-		var res RunResult
-		if opts.Runner != nil {
-			res = opts.Runner.analyzeOnce(spec, mode, opts)
-		} else {
-			res = analyzeOnce(spec, mode, opts)
+		r := opts.Runner
+		if r == nil {
+			r = newRunner(nil)
 		}
+		res := r.analyzeOnce(spec, mode, opts)
 		att := Attempt{Mode: mode, Result: res}
 		rep.Chain = append(rep.Chain, att)
 		rep.Final = att
@@ -389,55 +385,4 @@ func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
 		}
 		return rep
 	}
-}
-
-// analyzeOnce boots a fresh System, installs the app, and runs it contained.
-// Panics escaping any stage (System construction, class loading, native-lib
-// assembly) are converted to faults here, so a hostile app can never take
-// the study process down.
-func analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res RunResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res.Fault = fault.FromPanic("core", r)
-			res.Verdict = verdictForFault(res.Fault)
-		}
-	}()
-	sys, err := NewSystem()
-	if err != nil {
-		f := fault.AsFault(err, "core")
-		return RunResult{Verdict: verdictForFault(f), Fault: f}
-	}
-	if err := spec.Install(sys); err != nil {
-		f := fault.AsFault(err, "core")
-		return RunResult{Verdict: verdictForFault(f), Fault: f}
-	}
-	a := NewAnalyzer(sys, mode)
-	a.Budget = opts.Budget
-	a.Log.Enabled = opts.FlowLog
-	if opts.Fuse == FuseOff {
-		sys.VM.FuseNative = false
-	}
-	applySurface(a, opts.Surface)
-	if opts.Summaries != SummaryOff {
-		a.EnableSummaries(opts.Summaries, nil)
-	}
-
-	var sr *static.Result
-	if opts.Static != static.Off {
-		sr = static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod)
-		if opts.Static == static.PinLevel {
-			// Pins attach to this attempt's System (method pointers, CPU page
-			// set); a degradation retry boots a fresh System and re-runs this.
-			sr.Apply(sys.VM)
-		}
-	}
-
-	res = a.Run(spec.EntryClass, spec.EntryMethod, nil, nil)
-	if sr != nil {
-		res.Static = sr
-		if opts.FlowLog {
-			res.StaticViolations = sr.CrossValidate(res.LogLines)
-		}
-	}
-	return res
 }

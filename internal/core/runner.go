@@ -6,12 +6,13 @@ package core
 // pages and scalars the previous attempt dirtied, so per-app isolation costs
 // O(dirty pages) instead of O(world).
 //
-// The degradation ladder's semantics are unchanged: every attempt still
-// starts from exactly the post-boot state a fresh NewSystem would provide
-// (the snapshot-parity suite holds the two byte-identical), and a restore
-// that fails — organically or via the core.snapshot.restore injection site —
-// poisons the Runner so the ladder's InternalError retry really does get a
-// freshly booted System.
+// Every attempt of the degradation ladder runs on a Runner. An unbooted
+// Runner (what AnalyzeApp uses per attempt when no Runner is supplied) boots
+// a fresh System on first use and is never restored, which is the reference
+// the snapshot-parity suite holds restored attempts byte-identical to. A
+// restore that fails — organically or via the core.snapshot.restore injection
+// site — poisons the Runner so the ladder's InternalError retry really does
+// get a freshly booted System.
 //
 // A Runner may additionally be wired to the persistent content-addressed
 // artifact store (NewCachedRunner): static pre-analysis results, per-library
@@ -124,11 +125,16 @@ func NewRunner() (*Runner, error) { return NewCachedRunner(nil) }
 // NewCachedRunner is NewRunner wired to a persistent artifact store; a nil
 // store yields a plain uncached Runner.
 func NewCachedRunner(store *cas.Store) (*Runner, error) {
-	r := &Runner{statics: make(map[string]*static.Result), cache: store}
+	r := newRunner(store)
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// newRunner returns an unbooted Runner: its first reset boots the System.
+func newRunner(store *cas.Store) *Runner {
+	return &Runner{statics: make(map[string]*static.Result), cache: store}
 }
 
 func (r *Runner) boot() error {
@@ -150,36 +156,34 @@ func (r *Runner) boot() error {
 	return nil
 }
 
-// System exposes the Runner's current System (tests and throughput probes).
+// System exposes the Runner's current System (nil before the first boot).
 func (r *Runner) System() *System { return r.sys }
 
 // Cache exposes the Runner's artifact store (nil when uncached).
 func (r *Runner) Cache() *cas.Store { return r.cache }
 
-// freshInstall rewinds the System to the warm post-boot state (rebooting if a
-// previous restore failed) and installs the app.
-func (r *Runner) freshInstall(spec AppSpec) error {
+// reset rewinds the System to the warm post-boot state, booting instead when
+// the Runner is unbooted or a previous restore failed.
+func (r *Runner) reset() error {
 	if r.needReboot || r.sys == nil {
-		if err := r.boot(); err != nil {
-			return err
-		}
-	} else {
-		st, err := r.snap.Restore()
-		if err != nil {
-			r.needReboot = true
-			return err
-		}
-		r.Stats.Resets++
-		r.Stats.GuestPagesReset += st.GuestPages
-		r.Stats.TaintPagesReset += st.TaintPages
+		return r.boot()
 	}
-	return spec.Install(r.sys)
+	st, err := r.snap.Restore()
+	if err != nil {
+		r.needReboot = true
+		return err
+	}
+	r.Stats.Resets++
+	r.Stats.GuestPagesReset += st.GuestPages
+	r.Stats.TaintPagesReset += st.TaintPages
+	return nil
 }
 
-// analyzeOnce is the fork-server counterpart of the package-level
-// analyzeOnce: restore (or reboot) instead of NewSystem, and serve static
-// pins from the digest cache (in-memory, then the artifact store) when the
-// installed content is unchanged.
+// analyzeOnce runs one contained attempt: reset and install the app, serve
+// static pins from the digest cache (in-memory, then the artifact store) when
+// the installed content is unchanged, and run the entry point. Panics
+// escaping any stage (boot, class loading, native-lib assembly) are converted
+// to faults here, so a hostile app can never take the study process down.
 func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res RunResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -188,7 +192,11 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 		}
 	}()
 
-	if err := r.freshInstall(spec); err != nil {
+	err := r.reset()
+	if err == nil {
+		err = spec.Install(r.sys)
+	}
+	if err != nil {
 		f := fault.AsFault(err, "core")
 		return RunResult{Verdict: verdictForFault(f), Fault: f}
 	}
@@ -336,7 +344,16 @@ func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err 
 			r.needReboot = true
 		}
 	}()
-	if err := r.freshInstall(spec); err != nil {
+	// A failed restore is the Runner's fault, not the app's: reboot and retry
+	// once, the rule the ladder applies to InternalError, so the service
+	// neither blames the app nor loses its content digest.
+	if err = r.reset(); err != nil {
+		err = r.reset()
+	}
+	if err == nil {
+		err = spec.Install(r.sys)
+	}
+	if err != nil {
 		return Fingerprint{}, nil, fault.AsFault(err, "core")
 	}
 	fp = r.fingerprintInstalled(spec)

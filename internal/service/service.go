@@ -22,8 +22,8 @@
 // Results stream: as each submission completes, one JSON line is written to
 // Options.Out (when set) and the submitter's channel is fulfilled. Caching
 // never changes an outcome — a cached verdict replays the chain, verdict, and
-// flow log byte-for-byte (the parity suite in the apps package holds service
-// runs identical to RunStudyParallel in every cache mode).
+// flow log byte-for-byte (the parity suite in the apps package holds cached
+// service runs identical to uncached ones in every analysis mode).
 package service
 
 import (
@@ -44,9 +44,6 @@ type Options struct {
 	// Workers is the shard count; each shard owns one fork-server Runner.
 	// Defaults to 1.
 	Workers int
-	// QueueDepth bounds each shard's submission queue; a full queue blocks
-	// Submit (backpressure). Defaults to 4.
-	QueueDepth int
 	// Cache is the persistent artifact store shared by every shard and the
 	// fingerprint stage. Nil runs the service fully in-memory: sharding and
 	// dedup still work, verdict short-circuiting does not.
@@ -58,6 +55,10 @@ type Options struct {
 	// completion order.
 	Out io.Writer
 }
+
+// queueDepth bounds each shard's submission queue; a full queue blocks Submit
+// (backpressure).
+const queueDepth = 4
 
 // Stats counts pipeline activity since New.
 type Stats struct {
@@ -141,9 +142,6 @@ func New(opts Options) (*Service, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.QueueDepth < 1 {
-		opts.QueueDepth = 4
-	}
 	digester, err := core.NewCachedRunner(opts.Cache)
 	if err != nil {
 		return nil, err
@@ -154,7 +152,7 @@ func New(opts Options) (*Service, error) {
 		flights:  make(map[string]*flight),
 	}
 	for i := 0; i < opts.Workers; i++ {
-		sh := &shard{queue: make(chan job, opts.QueueDepth)}
+		sh := &shard{queue: make(chan job, queueDepth)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.shardLoop(sh)
@@ -442,7 +440,6 @@ func verdictKey(fp core.Fingerprint, o core.AnalyzeOptions) string {
 		fmt.Sprintf("budget=%d", o.Budget),
 		fmt.Sprintf("flowlog=%t", o.FlowLog),
 		fmt.Sprintf("static=%d", int(o.Static)),
-		fmt.Sprintf("retries=%d", o.InternalRetries),
 		fmt.Sprintf("surface=%d", int(o.Surface)),
 		fmt.Sprintf("summaries=%d", int(o.Summaries)))
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/service"
 )
 
@@ -251,5 +252,49 @@ func TestShardRoutingStable(t *testing.T) {
 	// Exactly one worker Runner (plus the fingerprint Runner) did any resets.
 	if st := svc.Stats(); st.Computed != 3 {
 		t.Fatalf("computed = %d, want 3 (no verdict store attached)", st.Computed)
+	}
+}
+
+// TestFingerprintRestoreFaultNotBlamedOnApp: a snapshot restore that fails in
+// the fingerprint stage is the Runner's fault, not the submission's. The stage
+// reboots and retries, so the app keeps its content digest (and with it dedup
+// and verdict caching) and its diagnostics gain no internal-error. hostile-dex
+// is used because its malformed class gives it diagnostics to compare.
+func TestFingerprintRestoreFaultNotBlamedOnApp(t *testing.T) {
+	defer fault.Reset()
+	app := mustApp(t, "hostile-dex")
+	submit := func() service.Result {
+		t.Helper()
+		svc, err := service.New(service.Options{Analyze: core.AnalyzeOptions{Budget: testBudget}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		res := <-svc.Submit(app.Spec())
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res
+	}
+	fault.Reset()
+	want := submit()
+	if len(want.Diags) == 0 {
+		t.Fatal("hostile-dex has no diagnostics; the comparison below would be vacuous")
+	}
+
+	// The fingerprint stage restores before the shard's first attempt does, so
+	// it consumes the injection.
+	if err := fault.Arm(core.SiteSnapshotRestore, fault.UnmappedAccess); err != nil {
+		t.Fatal(err)
+	}
+	got := submit()
+	if n := fault.Fired(core.SiteSnapshotRestore); n != 1 {
+		t.Fatalf("restore site fired %d times, want 1", n)
+	}
+	if got.Digest != want.Digest {
+		t.Errorf("digest under restore fault = %s, unarmed %s", got.Digest, want.Digest)
+	}
+	if g, w := strings.Join(got.Diags, "\n"), strings.Join(want.Diags, "\n"); g != w {
+		t.Errorf("diags under restore fault:\n%s\nunarmed:\n%s", g, w)
 	}
 }
