@@ -1,6 +1,9 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
-// table (vanilla score plus the slowdown factor of each instrumented mode).
+// table (vanilla score plus the slowdown factor of each instrumented mode),
+// then the contained corpus sweep, the static pin table, and the ablation
+// matrix (fusion, observer, pins, summaries and store arms through the
+// analysis service). It exits 1 if the matrix finds a parity break.
 //
 // Usage:
 //
@@ -9,14 +12,6 @@
 //	cfbench -repeats 3            # best-of-3 per cell
 //	cfbench -json BENCH_fig10.json # also write machine-readable results
 //	cfbench -java-ablation        # Java rows, translation engine on vs off
-//	cfbench -fuse both            # trace-fusion crossing ablation, both arms
-//	cfbench -fuse on              # fused arm only (off: unfused arm only)
-//	cfbench -cache both           # service cache ablation: uncached + cold/warm/sharedlib
-//	cfbench -cache on             # cached arms only (off: uncached arm only)
-//	cfbench -cache-dir DIR        # persist the ablation store instead of a temp dir
-//	cfbench -surface both         # JNI surface-observer ablation + RASP flood leg
-//	cfbench -surface on           # observed arm only (off: unobserved arm only)
-//	cfbench -summaries sweep      # native taint-summary ablation (off/static/validated)
 package main
 
 import (
@@ -33,11 +28,6 @@ func main() {
 	repeats := flag.Int("repeats", 3, "measurements per cell (best kept)")
 	jsonPath := flag.String("json", "", "write results as JSON to this file (e.g. BENCH_fig10.json)")
 	javaAblation := flag.Bool("java-ablation", false, "run only the Java rows, translation engine on vs off")
-	fuse := flag.String("fuse", "both", "trace-fusion ablation arms: both, on, off, or none")
-	cache := flag.String("cache", "both", "service cache ablation arms: both, on, off, or none")
-	cacheDir := flag.String("cache-dir", "", "artifact store directory for -cache (default: a temp dir)")
-	surfaceArms := flag.String("surface", "both", "JNI surface-observer ablation arms: both, on, off, or none")
-	summaries := flag.String("summaries", "sweep", "native taint-summary ablation (runs off/static/validated arms): sweep or none")
 	flag.Parse()
 
 	if *javaAblation {
@@ -67,86 +57,14 @@ func main() {
 	res.Pins = pins
 	fmt.Println("Static pin precision:")
 	fmt.Println(cfbench.PinReport(pins))
-	// Each sweep prints its own parity mismatch; the exit status reports any.
-	parityFailed := false
-	if *fuse != "none" {
-		withOn := *fuse == "both" || *fuse == "on"
-		withOff := *fuse == "both" || *fuse == "off"
-		if !withOn && !withOff {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -fuse value %q (both, on, off, none)\n", *fuse)
-			os.Exit(2)
-		}
-		fs, err := cfbench.FuseSweep(0, withOn, withOff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Fuse = fs
-		fmt.Println("Crossing ablation (trace fusion):")
-		fmt.Println(fs.String())
-		if !fs.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: fused/unfused parity mismatch:", fs.ParityDetail)
-		}
+	m, err := cfbench.RunMatrix(0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cfbench:", err)
+		os.Exit(1)
 	}
-	if *cache != "none" {
-		withOff := *cache == "both" || *cache == "off"
-		withOn := *cache == "both" || *cache == "on"
-		if !withOff && !withOn {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -cache value %q (both, on, off, none)\n", *cache)
-			os.Exit(2)
-		}
-		cs, err := cfbench.CacheSweep(0, withOff, withOn, *cacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Cache = cs
-		fmt.Println("Cache ablation (analysis service):")
-		fmt.Println(cs.String())
-		if !cs.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: cache-regime parity mismatch:", cs.ParityDetail)
-		}
-	}
-	if *surfaceArms != "none" {
-		withOn := *surfaceArms == "both" || *surfaceArms == "on"
-		withOff := *surfaceArms == "both" || *surfaceArms == "off"
-		if !withOn && !withOff {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -surface value %q (both, on, off, none)\n", *surfaceArms)
-			os.Exit(2)
-		}
-		ss, err := cfbench.SurfaceSweep(0, withOn, withOff)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Surface = ss
-		fmt.Println("JNI surface-observer ablation:")
-		fmt.Println(ss.String())
-		if !ss.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: surface observer parity mismatch:", ss.ParityDetail)
-		}
-	}
-	if *summaries != "none" {
-		if *summaries != "sweep" {
-			fmt.Fprintf(os.Stderr, "cfbench: bad -summaries value %q (sweep or none)\n", *summaries)
-			os.Exit(2)
-		}
-		sm, err := cfbench.SummarySweep(0)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfbench:", err)
-			os.Exit(1)
-		}
-		res.Summary = sm
-		fmt.Println("Native taint-summary ablation:")
-		fmt.Println(sm.String())
-		if !sm.ParityOK {
-			parityFailed = true
-			fmt.Fprintln(os.Stderr, "cfbench: summary ablation parity mismatch:", sm.ParityDetail)
-		}
-	}
+	res.Ablation = m
+	fmt.Println("Ablation matrix (every arm through the analysis service):")
+	fmt.Println(m.String())
 	if *jsonPath != "" {
 		data, err := res.JSON()
 		if err != nil {
@@ -162,7 +80,8 @@ func main() {
 	fmt.Println("Paper reference (Fig. 10): NDroid overall 5.45x vs vanilla; DroidScope >= 11x.")
 	fmt.Println("Absolute factors compress on this substrate (interpreter baseline vs QEMU-")
 	fmt.Println("translated code); the orderings are the reproduced result — see EXPERIMENTS.md.")
-	if parityFailed {
+	// The matrix printed its own parity line; the exit status reports it.
+	if !m.ParityOK {
 		os.Exit(1)
 	}
 }

@@ -1,0 +1,388 @@
+package cfbench
+
+// Ablation matrix: every speed-only mechanism with a knob (trace fusion, the
+// JNI surface observer, native taint summaries, the artifact store) is one or
+// more arms of a single list. Each arm runs the evaluation corpus under every
+// analysis mode through the analysis service, and one parity checker holds
+// every (app, mode) cell to the baseline arm's verdict and flow log byte for
+// byte. An arm that is unsound by construction names the cells where it must
+// diverge instead; an arm that exists to prove a claim beyond parity (a warm
+// store computes nothing, summaries cut tracing 5x) carries that claim as its
+// Check. cmd/cfbench exits nonzero on any break (the CI bench-smoke gate).
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"time"
+
+	"repro/internal/apps"
+	"repro/internal/cas"
+	"repro/internal/core"
+	"repro/internal/service"
+	"repro/internal/static"
+)
+
+// matrixArm is one configuration of the ablation matrix.
+type matrixArm struct {
+	Name string
+	// Opts is the analysis configuration; RunMatrix sets Mode, Budget and
+	// FlowLog per run.
+	Opts core.AnalyzeOptions
+	// Store runs the arm over the matrix's artifact store (one per mode).
+	// Store arms share it in list order: the first finds it empty (cold),
+	// later ones find everything earlier ones wrote.
+	Store bool
+	// SharedLib submits apps.SharedLibVariant of every app: the same native
+	// libraries under new dex. Cells keep the base app's name and are
+	// compared against it.
+	SharedLib bool
+	// Diverge lists "app/mode" cells whose flow log must differ from the
+	// baseline's: the arm is unsound there by construction, and a match
+	// means the exhibit that shows it is dead.
+	Diverge []string
+	// Check holds a claim beyond parity, given one run of the arm and the
+	// baseline run under the same mode.
+	Check func(run, base *ArmRun) error
+}
+
+// summaryExhibits are the corpus apps whose hot native function is
+// summarizable; they carry the >= 5x traced-instruction reduction claim.
+var summaryExhibits = []string{"summix", "sumfold", "sumfloat"}
+
+// summaryDivergent is the hostile app whose static-tier summary is wrong by
+// construction (input-value-dependent taint transfer).
+const summaryDivergent = "hostile-sumdodge"
+
+// floodApp is the RASP app whose crossing flood the observer must throttle.
+const floodApp = "hostile-rasp"
+
+// arms is the matrix, baseline first. The baseline runs the production
+// defaults (fusion on, observer on and throttled, static pass off, summaries
+// off, no store); every other arm changes one knob. The store arms also turn
+// static pins on, since the static pass is the heaviest artifact the store
+// caches, so the store's own cost is cache=cold against static=pin.
+var arms = []matrixArm{
+	{Name: "baseline"},
+	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
+	{Name: "surface=off", Opts: core.AnalyzeOptions{Surface: core.SurfaceOff}},
+	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
+	{Name: "summaries=static", Opts: core.AnalyzeOptions{Summaries: core.SummaryStatic},
+		Diverge: []string{summaryDivergent + "/ndroid"}},
+	{Name: "summaries=validated", Opts: core.AnalyzeOptions{Summaries: core.SummaryValidated},
+		Check: summariesPay},
+	{Name: "static=pin", Opts: core.AnalyzeOptions{Static: static.PinLevel}},
+	{Name: "cache=cold", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true},
+	{Name: "cache=warm", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true,
+		Check: func(run, _ *ArmRun) error {
+			if run.Service.Computed != 0 {
+				return fmt.Errorf("recomputed %d apps; every verdict should replay", run.Service.Computed)
+			}
+			return nil
+		}},
+	{Name: "cache=sharedlib", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true, SharedLib: true,
+		Check: func(run, _ *ArmRun) error {
+			if n := run.Service.Runner.AsmAssembles; n != 0 {
+				return fmt.Errorf("ran the assembler %d times; shared images must replay", n)
+			}
+			return nil
+		}},
+}
+
+// matrixModes lists the analysis modes every arm sweeps.
+var matrixModes = []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope}
+
+// summariesPay is the validated arm's claim: under NDroid (the only mode
+// summaries serve) validation rejects the hostile exhibit, and every
+// summarizable exhibit is served by summaries and traces at least 5x fewer
+// native instructions than the baseline.
+func summariesPay(run, base *ArmRun) error {
+	if run.Mode != core.ModeNDroid.String() {
+		return nil
+	}
+	if c := run.cell(summaryDivergent); c == nil || c.SummaryRejected == 0 {
+		return fmt.Errorf("%s: validation rejected nothing", summaryDivergent)
+	}
+	for _, ex := range summaryExhibits {
+		got, full := run.cell(ex), base.cell(ex)
+		switch {
+		case got == nil || full == nil:
+			return fmt.Errorf("%s: exhibit missing from the corpus", ex)
+		case got.SummaryApplied == 0:
+			return fmt.Errorf("%s: no crossing was served by a summary", ex)
+		case got.TracedInsns == 0 || full.TracedInsns < 5*got.TracedInsns:
+			return fmt.Errorf("%s: traced %d full vs %d summarized, below the 5x bar",
+				ex, full.TracedInsns, got.TracedInsns)
+		}
+	}
+	return nil
+}
+
+// Cell is one app's outcome in one run: its verdict, wall clock, and the
+// counters the knobs move.
+type Cell struct {
+	App     string  `json:"app"`
+	Verdict string  `json:"verdict"`
+	Seconds float64 `json:"seconds"`
+
+	Crossings   uint64 `json:"crossings,omitempty"`
+	FusedChains uint64 `json:"fused_chains,omitempty"`
+	FusedCalls  uint64 `json:"fused_calls,omitempty"`
+	FuseDeopts  uint64 `json:"fuse_deopts,omitempty"`
+
+	TracedInsns     uint64 `json:"traced_insns,omitempty"`
+	SummaryApplied  uint64 `json:"summary_applied,omitempty"`
+	SummaryRejected int    `json:"summary_rejected,omitempty"`
+
+	// Surface map: unique boundaries, recorded and dropped events, raw
+	// boundary calls, and whether the event budget ran out.
+	Boundaries int    `json:"boundaries,omitempty"`
+	Events     int    `json:"events,omitempty"`
+	Dropped    uint64 `json:"dropped,omitempty"`
+	Calls      uint64 `json:"calls,omitempty"`
+	Truncated  bool   `json:"truncated,omitempty"`
+}
+
+// ArmRun is one arm over the corpus under one mode, through a new service.
+type ArmRun struct {
+	Arm  string `json:"arm"`
+	Mode string `json:"mode"`
+
+	// Apps and Seconds cover responsive submissions; budget-bound ones
+	// (timeout verdicts) are timed apart, so a spinning app cannot hide the
+	// cost of the rest.
+	Apps               int     `json:"apps"`
+	Seconds            float64 `json:"seconds"`
+	BudgetBoundApps    int     `json:"budget_bound_apps,omitempty"`
+	BudgetBoundSeconds float64 `json:"budget_bound_seconds,omitempty"`
+
+	Service service.Stats `json:"service"`
+	Store   *cas.Stats    `json:"store,omitempty"`
+
+	Cells []Cell `json:"cells"`
+}
+
+// cell returns the named app's cell, or nil.
+func (r *ArmRun) cell(app string) *Cell {
+	for i := range r.Cells {
+		if r.Cells[i].App == app {
+			return &r.Cells[i]
+		}
+	}
+	return nil
+}
+
+// Matrix is the full ablation: every arm under every mode.
+type Matrix struct {
+	Runs []*ArmRun `json:"runs"`
+
+	// ParityOK records the soundness check: every cell matches the baseline
+	// except where its arm must diverge, and every arm's Check holds.
+	ParityOK     bool   `json:"parity_ok"`
+	ParityDetail string `json:"parity_detail,omitempty"`
+}
+
+// find returns the run of the named arm under mode, or nil.
+func (m *Matrix) find(arm string, mode core.Mode) *ArmRun {
+	for _, r := range m.Runs {
+		if r.Arm == arm && r.Mode == mode.String() {
+			return r
+		}
+	}
+	return nil
+}
+
+// cellOutcome is the parity unit: one app's verdict and flow log under one
+// run.
+type cellOutcome struct {
+	app     string
+	verdict core.Verdict
+	log     string
+}
+
+// joinLog flattens the flow log for byte-parity comparison. strings.Join,
+// not +=: hostile-rasp's ndroid log runs to ~50k lines, where quadratic
+// concatenation costs over a minute per arm.
+func joinLog(rep core.AppReport) string {
+	return strings.Join(rep.Final.Result.LogLines, "\n")
+}
+
+// RunMatrix runs every arm under every mode. budget 0 uses
+// core.DefaultBudget. Store arms use per-mode stores in a temporary
+// directory, removed on return.
+func RunMatrix(budget uint64) (*Matrix, error) {
+	dir, err := os.MkdirTemp("", "ndroid-cas-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	m := &Matrix{ParityOK: true}
+	for _, mode := range matrixModes {
+		var base *ArmRun
+		var baseOut []cellOutcome
+		for i, a := range arms {
+			run, out, err := runArm(a, mode, budget, filepath.Join(dir, mode.String()))
+			if err != nil {
+				return nil, err
+			}
+			m.Runs = append(m.Runs, run)
+			if i == 0 {
+				base, baseOut = run, out
+				continue
+			}
+			err = parity(a, mode, baseOut, out)
+			if err == nil && a.Check != nil {
+				err = a.Check(run, base)
+			}
+			if err != nil && m.ParityOK {
+				m.ParityOK = false
+				m.ParityDetail = fmt.Sprintf("%s/%s: %v", a.Name, mode, err)
+			}
+		}
+	}
+	return m, nil
+}
+
+// runArm submits the corpus to a one-shard service configured by a and
+// mode, one app at a time so each submission is timed alone.
+func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRun, []cellOutcome, error) {
+	opts := a.Opts
+	opts.Mode, opts.Budget, opts.FlowLog = mode, budget, true
+	var store *cas.Store
+	if a.Store {
+		var err error
+		if store, err = cas.Open(storeDir); err != nil {
+			return nil, nil, err
+		}
+	}
+	svc, err := service.New(service.Options{Cache: store, Analyze: opts})
+	if err != nil {
+		return nil, nil, fmt.Errorf("cfbench: boot %s/%s service: %w", a.Name, mode, err)
+	}
+	run := &ArmRun{Arm: a.Name, Mode: mode.String()}
+	var out []cellOutcome
+	for _, app := range apps.AllApps() {
+		sub := app
+		if a.SharedLib {
+			sub = apps.SharedLibVariant(app)
+		}
+		start := time.Now()
+		res := <-svc.Submit(sub.Spec())
+		secs := time.Since(start).Round(time.Microsecond).Seconds()
+		if res.Err != nil {
+			svc.Close()
+			return nil, nil, fmt.Errorf("cfbench: %s/%s, %s: %w", a.Name, mode, app.Name, res.Err)
+		}
+		rep := res.Report
+		if rep.Verdict() == core.VerdictTimeout {
+			run.BudgetBoundApps++
+			run.BudgetBoundSeconds += secs
+		} else {
+			run.Apps++
+			run.Seconds += secs
+		}
+		r := rep.Final.Result
+		cell := Cell{
+			App: app.Name, Verdict: rep.Verdict().String(), Seconds: secs,
+			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
+			TracedInsns: r.TracedInsns, SummaryApplied: r.SummaryApplied, SummaryRejected: len(r.SummaryRejections),
+		}
+		if s := r.Surface; s != nil {
+			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =
+				s.UniqueBoundaries, s.Events, s.Dropped, s.Calls, s.Truncated
+		}
+		run.Cells = append(run.Cells, cell)
+		out = append(out, cellOutcome{app.Name, rep.Verdict(), joinLog(rep)})
+	}
+	svc.Close()
+	run.Service = svc.Stats()
+	if store != nil {
+		st := store.Stats()
+		run.Store = &st
+	}
+	return run, out, nil
+}
+
+// parity is the matrix's one soundness check: every cell of got matches the
+// baseline's verdict and flow log, except the arm's Diverge cells, whose flow
+// log must differ. Both runs cover the corpus in the same order.
+func parity(a matrixArm, mode core.Mode, base, got []cellOutcome) error {
+	if len(got) != len(base) {
+		return fmt.Errorf("%d cells, baseline %d", len(got), len(base))
+	}
+	for i, want := range base {
+		g := got[i]
+		if slices.Contains(a.Diverge, want.app+"/"+mode.String()) {
+			if g.log == want.log {
+				return fmt.Errorf("%s: flow log matches the baseline where the arm must diverge", want.app)
+			}
+			continue
+		}
+		switch {
+		case g.verdict != want.verdict:
+			return fmt.Errorf("%s: verdict %v, baseline %v", want.app, g.verdict, want.verdict)
+		case g.log != want.log:
+			return fmt.Errorf("%s: flow log diverged from the baseline", want.app)
+		}
+	}
+	return nil
+}
+
+// String renders one row per run, the summary-reduction and flood headlines,
+// and the parity verdict.
+func (m *Matrix) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-20s %-10s %4s %8s %8s %8s %5s %5s %9s %9s %9s %7s %6s %7s %5s %5s\n",
+		"arm", "mode", "apps", "seconds", "apps/s", "bound_s", "comp", "hits",
+		"crossings", "fused", "traced", "applied", "events", "dropped", "asm", "puts")
+	for _, r := range m.Runs {
+		var crossings, fused, traced, applied, dropped uint64
+		var events int
+		for _, c := range r.Cells {
+			crossings += c.Crossings
+			fused += c.FusedCalls
+			traced += c.TracedInsns
+			applied += c.SummaryApplied
+			events += c.Events
+			dropped += c.Dropped
+		}
+		var puts uint64
+		if r.Store != nil {
+			puts = r.Store.Puts
+		}
+		fmt.Fprintf(&b, "%-20s %-10s %4d %8.3f %8.1f %8.3f %5d %5d %9d %9d %9d %7d %6d %7d %5d %5d\n",
+			r.Arm, r.Mode, r.Apps, r.Seconds, float64(r.Apps)/r.Seconds, r.BudgetBoundSeconds,
+			r.Service.Computed, r.Service.VerdictHits, crossings, fused, traced, applied,
+			events, dropped, r.Service.Runner.AsmAssembles, puts)
+	}
+	nd := core.ModeNDroid
+	for _, ex := range summaryExhibits {
+		full, sum := m.cell("baseline", nd, ex), m.cell("summaries=validated", nd, ex)
+		if full != nil && sum != nil && sum.TracedInsns > 0 {
+			fmt.Fprintf(&b, "reduction (%s): %d traced full vs %d under validated summaries (%.1fx)\n",
+				ex, full.TracedInsns, sum.TracedInsns, float64(full.TracedInsns)/float64(sum.TracedInsns))
+		}
+	}
+	on, un, off := m.cell("baseline", nd, floodApp), m.cell("surface=unthrottled", nd, floodApp), m.cell("surface=off", nd, floodApp)
+	if on != nil && un != nil && off != nil {
+		fmt.Fprintf(&b, "flood (%s): %d calls -> %d attempts throttled vs %d unthrottled; wall clock %.3fs / %.3fs / %.3fs (throttled/unthrottled/off)\n",
+			floodApp, on.Calls, uint64(on.Events)+on.Dropped, uint64(un.Events)+un.Dropped,
+			on.Seconds, un.Seconds, off.Seconds)
+	}
+	if m.ParityOK {
+		b.WriteString("parity: OK (every cell matches the baseline or diverges where its arm must; every arm check holds)\n")
+	} else {
+		b.WriteString("parity: MISMATCH — " + m.ParityDetail + "\n")
+	}
+	return b.String()
+}
+
+// cell returns one app's cell in the named arm's run under mode, or nil.
+func (m *Matrix) cell(arm string, mode core.Mode, app string) *Cell {
+	if r := m.find(arm, mode); r != nil {
+		return r.cell(app)
+	}
+	return nil
+}

@@ -31,21 +31,9 @@ type Result struct {
 	// PinSweep alongside the benchmark (cfbench -json).
 	Pins []PinRow
 
-	// Fuse carries the crossing-ablation numbers when the caller ran a
-	// FuseSweep alongside the benchmark (cfbench -fuse).
-	Fuse *FuseSweepResult
-
-	// Cache carries the service cache-ablation numbers when the caller ran a
-	// CacheSweep alongside the benchmark (cfbench -cache).
-	Cache *CacheSweepResult
-
-	// Surface carries the JNI surface-observer ablation when the caller ran
-	// a SurfaceSweep alongside the benchmark (cfbench -surface).
-	Surface *SurfaceSweepResult
-
-	// Summary carries the native taint-summary ablation when the caller ran
-	// a SummarySweep alongside the benchmark (cfbench -summaries).
-	Summary *SummarySweepResult
+	// Ablation carries the ablation matrix when the caller ran RunMatrix
+	// alongside the benchmark (cmd/cfbench always does).
+	Ablation *Matrix
 }
 
 // Run measures every workload under the given modes. scale divides the
@@ -178,21 +166,15 @@ func (r *Result) JSON() ([]byte, error) {
 		Gate     map[string]GateStats `json:"gate,omitempty"`
 	}
 	var out struct {
-		Modes    []string            `json:"modes"`
-		Rows     []jsonRow           `json:"rows"`
-		Verdicts *VerdictCounts      `json:"verdicts,omitempty"`
-		Pins     []PinRow            `json:"pins,omitempty"`
-		Fuse     *FuseSweepResult    `json:"fuse,omitempty"`
-		Cache    *CacheSweepResult   `json:"cache,omitempty"`
-		Surface  *SurfaceSweepResult `json:"surface,omitempty"`
-		Summary  *SummarySweepResult `json:"summary,omitempty"`
+		Modes    []string       `json:"modes"`
+		Rows     []jsonRow      `json:"rows"`
+		Verdicts *VerdictCounts `json:"verdicts,omitempty"`
+		Pins     []PinRow       `json:"pins,omitempty"`
+		Ablation *Matrix        `json:"ablation,omitempty"`
 	}
-	out.Summary = r.Summary
 	out.Verdicts = r.Verdicts
 	out.Pins = r.Pins
-	out.Fuse = r.Fuse
-	out.Cache = r.Cache
-	out.Surface = r.Surface
+	out.Ablation = r.Ablation
 	for _, m := range r.Modes {
 		out.Modes = append(out.Modes, m.String())
 	}

@@ -2,10 +2,8 @@ package cfbench
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 )
 
 // VerdictCounts summarizes one contained sweep over the full evaluation
@@ -46,23 +44,4 @@ func VerdictSweep(budget uint64) (*VerdictCounts, error) {
 func (v *VerdictCounts) String() string {
 	return fmt.Sprintf("apps=%d clean=%d leak=%d fault=%d timeout=%d degraded=%d attempts=%d",
 		v.Apps, v.Clean, v.Leak, v.Fault, v.Timeout, v.Degraded, v.Attempts)
-}
-
-// sweepModes lists the analysis modes the corpus ablations sweep.
-func sweepModes() []core.Mode {
-	return []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope}
-}
-
-// cellOutcome is the parity unit of a corpus ablation: one app's verdict and
-// flow log under one arm.
-type cellOutcome struct {
-	verdict core.Verdict
-	log     string
-}
-
-// joinLog flattens the flow log for byte-parity comparison. strings.Join,
-// not +=: hostile-rasp's ndroid log runs to ~50k lines, where quadratic
-// concatenation costs over a minute per sweep arm.
-func joinLog(rep core.AppReport) string {
-	return strings.Join(rep.Final.Result.LogLines, "\n")
 }
