@@ -86,7 +86,7 @@ func BenchmarkTable1DetectionMatrix(b *testing.B) {
 					b.Fatal(err)
 				}
 				want := mode == core.ModeNDroid || app.DetectedByTaintDroid
-				if app.ExpectTag != 0 && a.Detected(app.ExpectTag) != want {
+				if app.ExpectTag != 0 && a.Leaks.Detected(app.ExpectTag) != want {
 					b.Fatalf("%s under %s: detection mismatch", app.Name, mode)
 				}
 			}
@@ -115,7 +115,7 @@ func benchCaseStudy(b *testing.B, name string) {
 		if err := app.Run(sys); err != nil {
 			b.Fatal(err)
 		}
-		if !a.Detected(app.ExpectTag) {
+		if !a.Leaks.Detected(app.ExpectTag) {
 			b.Fatal("leak not detected")
 		}
 	}

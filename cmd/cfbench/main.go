@@ -1,9 +1,10 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the contained corpus sweep, the static pin table, and the ablation
-// matrix (fusion, observer, pins, summaries and store arms through the
-// analysis service). It exits 1 if the matrix finds a parity break.
+// then the ablation matrix (fusion, observer, pins, summaries and store arms
+// through the analysis service) with two views of it: the contained corpus
+// verdict counts and the static pin table. It exits 1 if the matrix finds a
+// parity break.
 //
 // Usage:
 //
@@ -42,27 +43,15 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(res.Report())
-	verdicts, err := cfbench.VerdictSweep(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfbench: verdict sweep:", err)
-		os.Exit(1)
-	}
-	res.Verdicts = verdicts
-	fmt.Println("Contained corpus sweep:", res.Verdicts)
-	pins, err := cfbench.PinSweep(0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfbench: pin sweep:", err)
-		os.Exit(1)
-	}
-	res.Pins = pins
-	fmt.Println("Static pin precision:")
-	fmt.Println(cfbench.PinReport(pins))
 	m, err := cfbench.RunMatrix(0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cfbench:", err)
 		os.Exit(1)
 	}
 	res.Ablation = m
+	fmt.Println("Contained corpus sweep (baseline arm, ndroid):", m.Verdicts())
+	fmt.Println("Static pin precision (static=pin arm, ndroid):")
+	fmt.Println(cfbench.PinReport(m.Pins()))
 	fmt.Println("Ablation matrix (every arm through the analysis service):")
 	fmt.Println(m.String())
 	if *jsonPath != "" {

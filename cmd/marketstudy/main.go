@@ -24,7 +24,7 @@
 //	                           # dedup-throttled call counts, truncation flags
 //	marketstudy -summaries validated
 //	                           # analyze with auto-generated native taint
-//	                           # summaries (off|static|validated) and print the
+//	                           # summaries (off|validated) and print the
 //	                           # per-library synthesis table: functions
 //	                           # summarized / rejected / left on full tracing
 package main
@@ -50,7 +50,7 @@ func main() {
 	budget := flag.Uint64("budget", 0, "watchdog instruction budget per run (0 = default)")
 	cacheDir := flag.String("cache", "", "persistent artifact/verdict store for the dynamic corpus (default: none)")
 	surfaceTable := flag.Bool("surface", false, "print the per-app JNI surface map table after the dynamic sweep")
-	summaries := flag.String("summaries", "off", "native taint summaries: off, static, or validated")
+	summaries := flag.String("summaries", "off", "native taint summaries: off or validated")
 	flag.Parse()
 
 	sumMode, err := core.ParseSummaryMode(*summaries)
@@ -76,12 +76,6 @@ func main() {
 		return
 	}
 
-	fmt.Println("\nStatic JNI lint over the dynamic corpus:")
-	fmt.Println()
-	printLintTable()
-
-	fmt.Printf("\nDynamic corpus under contained analysis (mode ndroid, budget %d):\n\n",
-		effectiveBudget(*budget))
 	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.PinLevel, Summaries: sumMode}
 	var store *cas.Store
 	if *cacheDir != "" {
@@ -96,6 +90,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "marketstudy:", err)
 		os.Exit(1)
 	}
+
+	fmt.Println("\nStatic JNI lint over the dynamic corpus:")
+	fmt.Println()
+	printLintTable(rep)
+
+	fmt.Printf("\nDynamic corpus under contained analysis (mode ndroid, budget %d):\n\n",
+		effectiveBudget(*budget))
 	fmt.Print(rep.String())
 	rs := st.Runner
 	fmt.Printf("\nAnalysis service: %d submitted, %d computed, %d verdict-cache hits, %d deduped (%d workers).\n",
@@ -188,22 +189,18 @@ func printSummaryTable(rep *apps.StudyReport) {
 	}
 }
 
-// printLintTable runs the static pre-analysis over every corpus app and
-// prints the lint verdict beside the pin-precision numbers — the static
-// complement to the dynamic verdict table below it.
-func printLintTable() {
+// printLintTable prints each app's static pre-analysis verdict beside its
+// pin-precision numbers — the static complement to the dynamic verdict table
+// below it. The numbers come from the study's own pinned runs (replayed from
+// the verdict record on a warm -cache), so the pass runs once per app.
+func printLintTable(rep *apps.StudyReport) {
 	fmt.Printf("%-14s %8s %8s %8s  %s\n", "app", "methods", "pinned", "findings", "lint details")
-	for _, app := range apps.AllApps() {
-		sys, err := core.NewSystem()
-		if err != nil {
-			fmt.Printf("%-14s  system boot failed: %v\n", app.Name, err)
+	for _, row := range rep.Rows {
+		r := row.Report.Final.Result.Static
+		if r == nil {
+			fmt.Printf("%-14s  no static result: %v\n", row.App.Name, row.Report.Final.Result.Fault)
 			continue
 		}
-		if err := app.Install(sys); err != nil {
-			fmt.Printf("%-14s  install failed: %v\n", app.Name, err)
-			continue
-		}
-		r := static.Analyze(sys.VM, app.EntryClass, app.EntryMethod)
 		detail := "clean"
 		if len(r.Findings) > 0 {
 			detail = r.Findings[0].Detail
@@ -212,7 +209,7 @@ func printLintTable() {
 			}
 		}
 		fmt.Printf("%-14s %8d %8d %8d  %s\n",
-			app.Name, r.Methods, r.PinnedMethods, len(r.Findings), detail)
+			row.App.Name, r.Methods, r.PinnedMethods, len(r.Findings), detail)
 	}
 }
 

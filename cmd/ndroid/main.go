@@ -1,7 +1,9 @@
 // Command ndroid runs one of the synthetic evaluation apps under a chosen
-// analysis mode and prints the flow log, detected leaks, and the kernel's
-// ground-truth network/filesystem activity — the §VI case-study experience
-// (Figs. 6-9) on the command line.
+// analysis mode and prints its verdict, flow log, detected leaks, and the
+// kernel's ground-truth network/filesystem activity — the §VI case-study
+// experience (Figs. 6-9) on the command line. Every run is a contained
+// core.AnalyzeApp run on a fork-server Runner (watchdog budget, degradation
+// ladder), so a hostile app prints a fault or timeout verdict and exits 0.
 //
 // Usage:
 //
@@ -18,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +38,7 @@ func main() {
 		appName   = flag.String("app", "", "app to analyze (see -list)")
 		mode      = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
 		staticLvl = flag.String("static", "off", "static pre-analysis: off, lint (diagnose), pin (apply pins)")
-		summaries = flag.String("summaries", "off", "native taint summaries: off, static, or validated")
+		summaries = flag.String("summaries", "off", "native taint summaries: off or validated")
 		list      = flag.Bool("list", false, "list available apps")
 		all       = flag.Bool("all", false, "run the full Table I detection matrix")
 		quiet     = flag.Bool("quiet", false, "suppress the flow log")
@@ -51,20 +54,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
 	}
-	staticLevel = level
-
 	sumMode, err := core.ParseSummaryMode(*summaries)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
 	}
-	summaryMode = sumMode
-
 	analysisMode, ok := core.ModeFromName(*mode)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "ndroid: unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)\n", *mode)
 		os.Exit(2)
 	}
+	opts := core.AnalyzeOptions{Mode: analysisMode, FlowLog: !*quiet, Static: level, Summaries: sumMode}
 
 	if *list {
 		for _, a := range apps.Registry() {
@@ -73,14 +73,15 @@ func main() {
 		return
 	}
 	if *serve {
-		if err := runServe(*serveDir, *cacheDir, *workers, analysisMode, level); err != nil {
+		opts.FlowLog = true
+		if err := runServe(*serveDir, *cacheDir, *workers, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "ndroid:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *all {
-		if err := runMatrix(); err != nil {
+		if err := runMatrix(os.Stdout, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "ndroid:", err)
 			os.Exit(1)
 		}
@@ -90,7 +91,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := runOne(*appName, analysisMode, !*quiet); err != nil {
+	if err := runOne(os.Stdout, *appName, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(1)
 	}
@@ -100,7 +101,7 @@ func main() {
 // names, one per line, read from stdin or (with dir set) from every file in a
 // directory in sorted order. One JSON verdict line streams to stdout as each
 // submission completes; a summary of the pipeline's work goes to stderr.
-func runServe(dir, cacheDir string, workers int, mode core.Mode, level static.Level) error {
+func runServe(dir, cacheDir string, workers int, opts core.AnalyzeOptions) error {
 	var store *cas.Store
 	if cacheDir != "" {
 		var err error
@@ -112,7 +113,7 @@ func runServe(dir, cacheDir string, workers int, mode core.Mode, level static.Le
 		Workers: workers,
 		Cache:   store,
 		Out:     os.Stdout,
-		Analyze: core.AnalyzeOptions{Mode: mode, FlowLog: true, Static: level, Summaries: summaryMode},
+		Analyze: opts,
 	})
 	if err != nil {
 		return err
@@ -190,116 +191,106 @@ func serveSubmissions(dir string) ([]string, error) {
 	return names, nil
 }
 
-// staticLevel is the -static flag, applied by analyze to every run.
-var staticLevel static.Level
-
-// summaryMode is the -summaries flag, applied by analyze to every run.
-var summaryMode core.SummaryMode
-
-func analyze(name string, mode core.Mode, logging bool) (*core.Analyzer, *apps.App, error) {
+// runOne analyzes one app on a fork-server Runner through core.AnalyzeApp,
+// the contained path the service and the parity suites use, and prints the
+// verdict and degradation chain, the flow log, the JNI surface map, the
+// static and summary tables (when enabled), the leaks, and the kernel's
+// ground truth from the System the final attempt ran on. Every verdict,
+// fault and timeout included, is a result; only an unknown app is an error.
+func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 	app, ok := apps.ByName(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown app %q (try -list)", name)
+		return fmt.Errorf("unknown app %q (try -list)", name)
 	}
-	sys, err := core.NewSystem()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := app.Install(sys); err != nil {
-		return nil, nil, err
-	}
-	a := core.NewAnalyzer(sys, mode)
-	a.Log.Enabled = logging
-	if summaryMode != core.SummaryOff {
-		a.EnableSummaries(summaryMode, nil)
-	}
-	if staticLevel != static.Off {
-		r := static.Analyze(sys.VM, app.EntryClass, app.EntryMethod)
-		fmt.Println("--", r.Summary())
-		for _, f := range r.Findings {
-			fmt.Println("   lint:", f)
-		}
-		if staticLevel == static.PinLevel {
-			r.Apply(sys.VM)
-		}
-	}
-	if err := app.Run(sys); err != nil {
-		return nil, nil, err
-	}
-	return a, app, nil
-}
-
-func runOne(name string, mode core.Mode, logging bool) error {
-	a, app, err := analyze(name, mode, logging)
+	runner, err := core.NewRunner()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s (case %s) under %s ==\n", app.Name, app.Case, a.Mode)
-	if logging && len(a.Log.Lines) > 0 {
-		fmt.Println("\n-- flow log --")
-		fmt.Println(a.Log.String())
+	opts.Runner = runner
+	rep := core.AnalyzeApp(app.Spec(), opts)
+	res := rep.Final.Result
+	fmt.Fprintf(w, "== %s (case %s) under %s ==\n", app.Name, app.Case, opts.Mode)
+	fmt.Fprintf(w, "verdict: %s (chain %s)\n", rep.Verdict(), rep.ChainString())
+	if res.Fault != nil {
+		fmt.Fprintln(w, "fault:", res.Fault)
 	}
-	if m := a.Surface.Map(); m != nil {
-		fmt.Println("\n-- JNI surface map --")
-		fmt.Print(m.String())
+	if opts.FlowLog && len(res.LogLines) > 0 {
+		fmt.Fprintln(w, "\n-- flow log --")
+		fmt.Fprintln(w, strings.Join(res.LogLines, "\n"))
 	}
-	if summaryMode != core.SummaryOff {
-		fmt.Println("\n-- native taint summaries --")
-		report := a.SummaryReport()
-		if len(report) == 0 {
-			fmt.Println("  (no summarizable libraries)")
+	if m := res.Surface; m != nil {
+		fmt.Fprintln(w, "\n-- JNI surface map --")
+		fmt.Fprint(w, m.String())
+	}
+	if sr := res.Static; sr != nil {
+		fmt.Fprintln(w, "\n-- static pre-analysis --")
+		fmt.Fprintln(w, " ", sr.Summary())
+		for _, f := range sr.Findings {
+			fmt.Fprintln(w, "  lint:", f)
 		}
-		for _, lr := range report {
-			fmt.Println(" ", lr)
+		for _, v := range res.StaticViolations {
+			fmt.Fprintln(w, "  violation:", v)
 		}
-		if a.SummariesVoided > 0 {
-			fmt.Printf("  RegisterNatives churn voided %d summaries\n", a.SummariesVoided)
+	}
+	if opts.Summaries != core.SummaryOff {
+		fmt.Fprintln(w, "\n-- native taint summaries --")
+		if len(res.Summary) == 0 {
+			fmt.Fprintln(w, "  (no summarizable libraries)")
 		}
-		for _, rej := range a.SummaryRejections {
-			fmt.Println(" ", rej)
+		for _, lr := range res.Summary {
+			fmt.Fprintln(w, " ", lr)
 		}
-		fmt.Printf("  crossings served by a summary: %d\n", a.SummaryApplied)
+		if res.SummariesVoided > 0 {
+			fmt.Fprintf(w, "  RegisterNatives churn voided %d summaries\n", res.SummariesVoided)
+		}
+		for _, rej := range res.SummaryRejections {
+			fmt.Fprintln(w, " ", rej)
+		}
+		fmt.Fprintf(w, "  crossings served by a summary: %d\n", res.SummaryApplied)
 	}
-	fmt.Println("\n-- leaks --")
-	if len(a.Leaks) == 0 {
-		fmt.Println("(none detected)")
+	fmt.Fprintln(w, "\n-- leaks --")
+	if len(res.Leaks) == 0 {
+		fmt.Fprintln(w, "(none detected)")
 	}
-	for _, l := range a.Leaks {
-		fmt.Println(" ", l)
+	for _, l := range res.Leaks {
+		fmt.Fprintln(w, " ", l)
 	}
-	fmt.Println("\n-- ground truth: network --")
-	for _, m := range a.Sys.Kern.Net.Log {
-		fmt.Printf("  -> %-28s %q\n", m.Dest, string(m.Data))
+	sys := runner.System()
+	fmt.Fprintln(w, "\n-- ground truth: network --")
+	for _, m := range sys.Kern.Net.Log {
+		fmt.Fprintf(w, "  -> %-28s %q\n", m.Dest, string(m.Data))
 	}
-	fmt.Println("\n-- ground truth: filesystem --")
-	for _, p := range a.Sys.Kern.FS.Paths() {
-		data, _ := a.Sys.Kern.FS.ReadFile(p)
+	fmt.Fprintln(w, "\n-- ground truth: filesystem --")
+	for _, p := range sys.Kern.FS.Paths() {
+		data, _ := sys.Kern.FS.ReadFile(p)
 		if len(data) > 0 {
-			fmt.Printf("  %-28s %d bytes\n", p, len(data))
+			fmt.Fprintf(w, "  %-28s %d bytes\n", p, len(data))
 		}
 	}
 	return nil
 }
 
-func runMatrix() error {
-	fmt.Printf("%-14s %-7s %-22s %10s %10s\n", "app", "case", "expected sink", "taintdroid", "ndroid")
+// runMatrix prints the Table I detection matrix: every registry app under
+// TaintDroid and NDroid, all on one Runner with flow logs off. opts carries
+// the -static and -summaries settings.
+func runMatrix(w io.Writer, opts core.AnalyzeOptions) error {
+	runner, err := core.NewRunner()
+	if err != nil {
+		return err
+	}
+	opts.Runner, opts.FlowLog = runner, false
+	fmt.Fprintf(w, "%-14s %-7s %-22s %10s %10s\n", "app", "case", "expected sink", "taintdroid", "ndroid")
 	for _, app := range apps.Registry() {
-		var row [2]bool
+		var row [2]string
 		for i, mode := range []core.Mode{core.ModeTaintDroid, core.ModeNDroid} {
-			a, _, err := analyze(app.Name, mode, false)
-			if err != nil {
-				return err
+			opts.Mode = mode
+			res := core.AnalyzeApp(app.Spec(), opts).Final.Result
+			row[i] = "-"
+			if app.ExpectTag != 0 && res.Leaks.Detected(app.ExpectTag) {
+				row[i] = "detected"
 			}
-			row[i] = app.ExpectTag != 0 && a.Detected(app.ExpectTag)
 		}
-		mark := func(b bool) string {
-			if b {
-				return "detected"
-			}
-			return "-"
-		}
-		fmt.Printf("%-14s %-7s %-22s %10s %10s\n",
-			app.Name, app.Case, app.ExpectSink, mark(row[0]), mark(row[1]))
+		fmt.Fprintf(w, "%-14s %-7s %-22s %10s %10s\n", app.Name, app.Case, app.ExpectSink, row[0], row[1])
 	}
 	return nil
 }

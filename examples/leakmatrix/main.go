@@ -19,23 +19,19 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-14s %-7s %-52s %-11s %-8s\n", "app", "case", "description", "taintdroid", "ndroid")
 
+	// One fork-server Runner serves every contained run, rewinding to the
+	// post-boot state between apps.
+	runner, err := core.NewRunner()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, app := range apps.Registry() {
 		var detected [2]bool
 		var leaks [2][]core.Leak
 		for i, mode := range []core.Mode{core.ModeTaintDroid, core.ModeNDroid} {
-			sys, err := core.NewSystem()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := app.Install(sys); err != nil {
-				log.Fatal(err)
-			}
-			a := core.NewAnalyzer(sys, mode)
-			if err := app.Run(sys); err != nil {
-				log.Fatal(err)
-			}
-			detected[i] = app.ExpectTag != 0 && a.Detected(app.ExpectTag)
-			leaks[i] = a.Leaks
+			res := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Mode: mode, Runner: runner}).Final.Result
+			detected[i] = app.ExpectTag != 0 && res.Leaks.Detected(app.ExpectTag)
+			leaks[i] = res.Leaks
 		}
 		mark := func(b bool) string {
 			if b {

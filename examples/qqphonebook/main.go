@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -21,33 +22,28 @@ import (
 func main() {
 	app, _ := apps.ByName("qqphonebook")
 
+	runner, err := core.NewRunner()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, mode := range []core.Mode{core.ModeTaintDroid, core.ModeNDroid} {
-		sys, err := core.NewSystem()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := app.Install(sys); err != nil {
-			log.Fatal(err)
-		}
-		a := core.NewAnalyzer(sys, mode)
-		a.Log.Enabled = mode == core.ModeNDroid
-		if err := app.Run(sys); err != nil {
-			log.Fatal(err)
-		}
+		logging := mode == core.ModeNDroid
+		rep := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Mode: mode, FlowLog: logging, Runner: runner})
+		res := rep.Final.Result
 
 		fmt.Printf("==== %s ====\n", mode)
-		if a.Log.Enabled {
-			fmt.Println(a.Log.String())
+		if logging {
+			fmt.Println(strings.Join(res.LogLines, "\n"))
 			fmt.Println()
 		}
-		if len(a.Leaks) == 0 {
+		if len(res.Leaks) == 0 {
 			fmt.Println("no leak detected — the tainted URL slipped through")
 		}
-		for _, l := range a.Leaks {
+		for _, l := range res.Leaks {
 			fmt.Println("LEAK:", l)
 		}
 		fmt.Println("ground truth — data sent to info.3g.qq.com:")
-		for _, m := range sys.Kern.Net.SentTo("info.3g.qq.com") {
+		for _, m := range runner.System().Kern.Net.SentTo("info.3g.qq.com") {
 			fmt.Printf("  %q\n", string(m))
 		}
 		fmt.Println()

@@ -109,7 +109,7 @@ func TestDriverFindsLeakEventually(t *testing.T) {
 	if len(hit) == 0 {
 		t.Fatal("driver hit nothing")
 	}
-	if !a.Detected(app.ExpectTag) {
+	if !a.Leaks.Detected(app.ExpectTag) {
 		t.Error("driver-exercised app should have leaked")
 	}
 }

@@ -9,51 +9,26 @@ import (
 	"repro/internal/core"
 )
 
-// summaryModes are the three settings of the -summaries flag; off is the
-// baseline the other two must match byte for byte (with the one documented
-// hostile-sumdodge static-tier exception).
-var summaryModes = []core.SummaryMode{core.SummaryStatic, core.SummaryValidated}
-
-// sumdodgeStaticDiverges marks the one corpus/mode/setting cell where flow
-// logs are ALLOWED (and required) to differ: hostile-sumdodge's native taint
-// transfer depends on its argument's value, so the unvalidated static
-// summary over-taints a tainted-zero call and fires a spurious early leak.
-// Summaries only activate under NDroid; every other mode is dead parity.
-func sumdodgeStaticDiverges(app *apps.App, mode core.Mode, sm core.SummaryMode) bool {
-	return app.Name == "hostile-sumdodge" && mode == core.ModeNDroid && sm == core.SummaryStatic
-}
-
 // TestSummaryParityAllAppsAllModes is the summary soundness contract: for
-// every corpus app (benign + hostile) under every analysis mode, runs with
-// -summaries=static and -summaries=validated produce byte-identical flow
-// logs and verdicts versus -summaries=off — except the documented
-// hostile-sumdodge static-tier cell, where the divergence must actually
-// occur (otherwise the hostile app is not doing its job).
+// every corpus app (benign + hostile) under every analysis mode, a run with
+// -summaries=validated produces a byte-identical flow log and verdict versus
+// -summaries=off. The unvalidated tier, which must diverge on
+// hostile-sumdodge, is core's test oracle (TestStaticSummaryTierDiverges).
 func TestSummaryParityAllAppsAllModes(t *testing.T) {
 	for _, app := range apps.AllApps() {
 		for _, mode := range allModes {
 			app, mode := app, mode
 			t.Run(app.Name+"/"+mode.String(), func(t *testing.T) {
-				base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
+				want := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
 					Mode: mode, Budget: testBudget, FlowLog: true,
-				})
-				want := outcomeOf(base)
-				for _, sm := range summaryModes {
-					got := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-						Mode: mode, Budget: testBudget, FlowLog: true, Summaries: sm,
-					}))
-					if sumdodgeStaticDiverges(app, mode, sm) {
-						if got.log == want.log {
-							t.Errorf("%v: hostile-sumdodge failed to defeat the static tier (logs identical)", sm)
-						}
-						continue
-					}
-					if got.verdict != want.verdict {
-						t.Errorf("%v: verdict %v, baseline %v", sm, got.verdict, want.verdict)
-					} else if got.log != want.log {
-						t.Errorf("%v: flow log diverged:\n--- off ---\n%s\n--- %v ---\n%s",
-							sm, want.log, sm, got.log)
-					}
+				}))
+				got := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
+					Mode: mode, Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
+				}))
+				if got.verdict != want.verdict {
+					t.Errorf("verdict %v, baseline %v", got.verdict, want.verdict)
+				} else if got.log != want.log {
+					t.Errorf("flow log diverged:\n--- off ---\n%s\n--- validated ---\n%s", want.log, got.log)
 				}
 			})
 		}
@@ -86,14 +61,6 @@ func TestSumdodgeValidationRejects(t *testing.T) {
 	}
 	if res.SummaryApplied != 0 {
 		t.Errorf("SummaryApplied = %d, want 0 (rejected before any application)", res.SummaryApplied)
-	}
-	// Ground truth for the static tier: it really does apply the bogus
-	// summary (spurious early leak), which is what validation prevents.
-	s := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-		Budget: testBudget, FlowLog: true, Summaries: core.SummaryStatic,
-	})
-	if s.Final.Result.SummaryApplied == 0 {
-		t.Error("static tier applied no summary; the divergence exhibit is dead")
 	}
 }
 

@@ -5,16 +5,17 @@ package cfbench
 // more arms of a single list. Each arm runs the evaluation corpus under every
 // analysis mode through the analysis service, and one parity checker holds
 // every (app, mode) cell to the baseline arm's verdict and flow log byte for
-// byte. An arm that is unsound by construction names the cells where it must
-// diverge instead; an arm that exists to prove a claim beyond parity (a warm
-// store computes nothing, summaries cut tracing 5x) carries that claim as its
-// Check. cmd/cfbench exits nonzero on any break (the CI bench-smoke gate).
+// byte. An arm that exists to prove a claim beyond parity (a warm store
+// computes nothing, summaries cut tracing 5x) carries that claim as its
+// Check. The contained-corpus verdict counts and the static pin table are
+// views of the baseline and static=pin runs under NDroid, so cfbench walks
+// the corpus only here. cmd/cfbench exits nonzero on any break (the CI
+// bench-smoke gate).
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"time"
 
@@ -39,10 +40,6 @@ type matrixArm struct {
 	// libraries under new dex. Cells keep the base app's name and are
 	// compared against it.
 	SharedLib bool
-	// Diverge lists "app/mode" cells whose flow log must differ from the
-	// baseline's: the arm is unsound there by construction, and a match
-	// means the exhibit that shows it is dead.
-	Diverge []string
 	// Check holds a claim beyond parity, given one run of the arm and the
 	// baseline run under the same mode.
 	Check func(run, base *ArmRun) error
@@ -52,8 +49,9 @@ type matrixArm struct {
 // summarizable; they carry the >= 5x traced-instruction reduction claim.
 var summaryExhibits = []string{"summix", "sumfold", "sumfloat"}
 
-// summaryDivergent is the hostile app whose static-tier summary is wrong by
-// construction (input-value-dependent taint transfer).
+// summaryDivergent is the hostile app whose candidate summary is wrong by
+// construction (input-value-dependent taint transfer): validation must
+// reject it.
 const summaryDivergent = "hostile-sumdodge"
 
 // floodApp is the RASP app whose crossing flood the observer must throttle.
@@ -69,8 +67,6 @@ var arms = []matrixArm{
 	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
 	{Name: "surface=off", Opts: core.AnalyzeOptions{Surface: core.SurfaceOff}},
 	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
-	{Name: "summaries=static", Opts: core.AnalyzeOptions{Summaries: core.SummaryStatic},
-		Diverge: []string{summaryDivergent + "/ndroid"}},
 	{Name: "summaries=validated", Opts: core.AnalyzeOptions{Summaries: core.SummaryValidated},
 		Check: summariesPay},
 	{Name: "static=pin", Opts: core.AnalyzeOptions{Static: static.PinLevel}},
@@ -120,12 +116,14 @@ func summariesPay(run, base *ArmRun) error {
 	return nil
 }
 
-// Cell is one app's outcome in one run: its verdict, wall clock, and the
-// counters the knobs move.
+// Cell is one app's outcome in one run: its verdict and degradation work,
+// wall clock, and the counters the knobs move.
 type Cell struct {
-	App     string  `json:"app"`
-	Verdict string  `json:"verdict"`
-	Seconds float64 `json:"seconds"`
+	App      string  `json:"app"`
+	Verdict  string  `json:"verdict"`
+	Attempts int     `json:"attempts"`
+	Degraded bool    `json:"degraded,omitempty"`
+	Seconds  float64 `json:"seconds"`
 
 	Crossings   uint64 `json:"crossings,omitempty"`
 	FusedChains uint64 `json:"fused_chains,omitempty"`
@@ -135,6 +133,12 @@ type Cell struct {
 	TracedInsns     uint64 `json:"traced_insns,omitempty"`
 	SummaryApplied  uint64 `json:"summary_applied,omitempty"`
 	SummaryRejected int    `json:"summary_rejected,omitempty"`
+
+	// Static pins: pinned-variant dispatches (Dalvik frames, ARM blocks),
+	// and the pre-analysis result the pin table reads (nil with the pass off).
+	PinnedFrames uint64 `json:"pinned_frames,omitempty"`
+	PinnedBlocks uint64 `json:"pinned_blocks,omitempty"`
+	static       *static.Result
 
 	// Surface map: unique boundaries, recorded and dropped events, raw
 	// boundary calls, and whether the event budget ran out.
@@ -178,8 +182,8 @@ func (r *ArmRun) cell(app string) *Cell {
 type Matrix struct {
 	Runs []*ArmRun `json:"runs"`
 
-	// ParityOK records the soundness check: every cell matches the baseline
-	// except where its arm must diverge, and every arm's Check holds.
+	// ParityOK records the soundness check: every cell matches the baseline,
+	// and every arm's Check holds.
 	ParityOK     bool   `json:"parity_ok"`
 	ParityDetail string `json:"parity_detail,omitempty"`
 }
@@ -232,7 +236,7 @@ func RunMatrix(budget uint64) (*Matrix, error) {
 				base, baseOut = run, out
 				continue
 			}
-			err = parity(a, mode, baseOut, out)
+			err = parity(baseOut, out)
 			if err == nil && a.Check != nil {
 				err = a.Check(run, base)
 			}
@@ -285,9 +289,10 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 		}
 		r := rep.Final.Result
 		cell := Cell{
-			App: app.Name, Verdict: rep.Verdict().String(), Seconds: secs,
+			App: app.Name, Verdict: rep.Verdict().String(), Attempts: len(rep.Chain), Degraded: rep.Degraded, Seconds: secs,
 			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
 			TracedInsns: r.TracedInsns, SummaryApplied: r.SummaryApplied, SummaryRejected: len(r.SummaryRejections),
+			PinnedFrames: r.PinnedFrames, PinnedBlocks: r.PinnedBlocks, static: r.Static,
 		}
 		if s := r.Surface; s != nil {
 			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =
@@ -306,20 +311,14 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 }
 
 // parity is the matrix's one soundness check: every cell of got matches the
-// baseline's verdict and flow log, except the arm's Diverge cells, whose flow
-// log must differ. Both runs cover the corpus in the same order.
-func parity(a matrixArm, mode core.Mode, base, got []cellOutcome) error {
+// baseline's verdict and flow log. Both runs cover the corpus in the same
+// order.
+func parity(base, got []cellOutcome) error {
 	if len(got) != len(base) {
 		return fmt.Errorf("%d cells, baseline %d", len(got), len(base))
 	}
 	for i, want := range base {
 		g := got[i]
-		if slices.Contains(a.Diverge, want.app+"/"+mode.String()) {
-			if g.log == want.log {
-				return fmt.Errorf("%s: flow log matches the baseline where the arm must diverge", want.app)
-			}
-			continue
-		}
 		switch {
 		case g.verdict != want.verdict:
 			return fmt.Errorf("%s: verdict %v, baseline %v", want.app, g.verdict, want.verdict)
@@ -372,7 +371,7 @@ func (m *Matrix) String() string {
 			on.Seconds, un.Seconds, off.Seconds)
 	}
 	if m.ParityOK {
-		b.WriteString("parity: OK (every cell matches the baseline or diverges where its arm must; every arm check holds)\n")
+		b.WriteString("parity: OK (every cell matches the baseline; every arm check holds)\n")
 	} else {
 		b.WriteString("parity: MISMATCH — " + m.ParityDetail + "\n")
 	}

@@ -138,33 +138,23 @@ func TestCacheSweepSingleArm(t *testing.T) {
 }
 
 // TestParityCheckerFailsClosed feeds the one parity checker doctored
-// outcomes: a verdict change, a flow-log change, and a Diverge cell that
-// stopped diverging must each be reported.
+// outcomes: a verdict change, a flow-log change, and a missing cell must each
+// be reported.
 func TestParityCheckerFailsClosed(t *testing.T) {
-	nd := core.ModeNDroid
 	base := []cellOutcome{
 		{"case1", core.VerdictLeak, "a\nb"},
-		{summaryDivergent, core.VerdictLeak, "x"},
+		{"benign", core.VerdictClean, "x"},
 	}
 	clone := func() []cellOutcome { return append([]cellOutcome(nil), base...) }
-	a := matrixArm{Name: "t", Diverge: []string{summaryDivergent + "/ndroid"}}
-
-	diverged := clone()
-	diverged[1].log = "y"
-	if err := parity(a, nd, base, diverged); err != nil {
-		t.Fatalf("declared divergence reported: %v", err)
-	}
-	// Outside the declared mode the divergent app must match like any other.
-	if err := parity(a, core.ModeVanilla, base, diverged); err == nil {
-		t.Error("divergence outside the declared cell went unreported")
+	if err := parity(base, clone()); err != nil {
+		t.Fatalf("identical outcomes reported: %v", err)
 	}
 	for name, got := range map[string]func() []cellOutcome{
 		"verdict": func() []cellOutcome { g := clone(); g[0].verdict = core.VerdictClean; return g },
 		"log":     func() []cellOutcome { g := clone(); g[0].log = "a\nc"; return g },
-		"dead":    clone, // the Diverge cell matches the baseline
 		"missing": func() []cellOutcome { return clone()[:1] },
 	} {
-		if err := parity(a, nd, base, got()); err == nil {
+		if err := parity(base, got()); err == nil {
 			t.Errorf("%s: parity break went unreported", name)
 		}
 	}

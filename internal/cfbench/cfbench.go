@@ -355,6 +355,18 @@ func Workloads() []Workload {
 // returns a function that executes one full run — the testing.B-friendly
 // entry point used by the root bench harness.
 func (w Workload) NewRunner(mode core.Mode, scale int) (func() error, error) {
+	a, err := w.prepare(mode, scale, true)
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return w.invoke(a.Sys) }, nil
+}
+
+// prepare installs the workload on its own System and attaches the mode's
+// analyzer (gated or always-instrumented). Each Fig. 10 cell is one such
+// hand-built System, so a timed run holds the workload loop and nothing
+// else: no service, snapshot restore or degradation ladder.
+func (w Workload) prepare(mode core.Mode, scale int, gate bool) (*core.Analyzer, error) {
 	sys, err := core.NewSystem()
 	if err != nil {
 		return nil, err
@@ -362,27 +374,36 @@ func (w Workload) NewRunner(mode core.Mode, scale int) (func() error, error) {
 	if err := w.install(sys, scale); err != nil {
 		return nil, err
 	}
+	// The disk-read workload needs the data file to exist.
 	sys.Kern.FS.WriteFile("/data/cfbench.dat", make([]byte, 1024*(opsDisk/scale)+1024))
-	core.NewAnalyzer(sys, mode)
-	entry := w.entryClass
-	name := w.Name
-	return func() error {
-		_, _, thrown, err := sys.VM.InvokeByName(entry, "run", nil, nil)
-		if err != nil {
-			return err
-		}
-		if thrown != nil {
-			return fmt.Errorf("cfbench: %s threw", name)
-		}
-		return nil
-	}, nil
+	if gate {
+		return core.NewAnalyzer(sys, mode), nil
+	}
+	return core.NewAnalyzerNoGate(sys, mode), nil
+}
+
+// invoke runs the workload's entry point once.
+func (w Workload) invoke(sys *core.System) error {
+	_, _, thrown, err := sys.VM.InvokeByName(w.entryClass, "run", nil, nil)
+	if err != nil {
+		return err
+	}
+	if thrown != nil {
+		return fmt.Errorf("cfbench: %s threw", w.Name)
+	}
+	return nil
 }
 
 // GateStats captures the taint-presence gate's activity during one measured
 // run: mode flips and how many translated blocks dispatched onto the bare
-// fast path versus the instrumented slow path, plus the DVM translation
-// engine's method/frame/bail/deopt counters for the Java rows.
+// fast path versus the instrumented slow path, the DVM translation engine's
+// method/frame/bail/deopt counters for the Java rows, and the work counts
+// behind the overheads: native instructions retired and instructions that
+// went through a Table V taint handler (0 in modes without a tracer).
 type GateStats struct {
+	NativeInsns uint64 `json:"nativeInsns,omitempty"`
+	Traced      uint64 `json:"traced,omitempty"`
+
 	Flips        uint64 `json:"flips"`
 	FastBlocks   uint64 `json:"fastBlocks"`
 	SlowBlocks   uint64 `json:"slowBlocks"`
@@ -402,12 +423,6 @@ func Measure(w Workload, mode core.Mode, scale int) (float64, GateStats, error) 
 	return measure(w, mode, scale, true, false)
 }
 
-// MeasureNoGate is Measure with the zero-taint fast path disabled — the
-// always-instrumented PR 1 configuration, kept to quantify the gate's win.
-func MeasureNoGate(w Workload, mode core.Mode, scale int) (float64, GateStats, error) {
-	return measure(w, mode, scale, false, false)
-}
-
 // MeasureNoJavaTranslate is Measure with the DVM's method-granular
 // translation engine disabled, forcing the per-instruction interpreter — the
 // Java-row ablation quantifying the translation win (cmd/cfbench
@@ -417,32 +432,24 @@ func MeasureNoJavaTranslate(w Workload, mode core.Mode, scale int) (float64, Gat
 }
 
 func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (float64, GateStats, error) {
-	sys, err := core.NewSystem()
+	a, err := w.prepare(mode, scale, gate)
 	if err != nil {
 		return 0, GateStats{}, err
 	}
-	if err := w.install(sys, scale); err != nil {
-		return 0, GateStats{}, err
-	}
-	// The disk-read workload needs the data file to exist.
-	sys.Kern.FS.WriteFile("/data/cfbench.dat", make([]byte, 1024*(opsDisk/scale)+1024))
-	if gate {
-		core.NewAnalyzer(sys, mode)
-	} else {
-		core.NewAnalyzerNoGate(sys, mode)
-	}
+	sys := a.Sys
 	sys.VM.NoJavaTranslate = noTranslate
+	startInsns := sys.CPU.InsnCount
 	start := time.Now()
-	if _, _, thrown, err := sys.VM.InvokeByName(w.entryClass, "run", nil, nil); err != nil {
+	if err := w.invoke(sys); err != nil {
 		return 0, GateStats{}, err
-	} else if thrown != nil {
-		return 0, GateStats{}, fmt.Errorf("cfbench: %s threw", w.Name)
 	}
 	elapsed := time.Since(start)
 	if elapsed <= 0 {
 		elapsed = time.Nanosecond
 	}
 	gs := GateStats{
+		NativeInsns: sys.CPU.InsnCount - startInsns,
+
 		Flips:        sys.CPU.GateFlips,
 		FastBlocks:   sys.CPU.GateFastBlocks,
 		SlowBlocks:   sys.CPU.GateSlowBlocks,
@@ -454,6 +461,9 @@ func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (flo
 		JavaGateBails:    sys.VM.JavaGateBails,
 		JavaDeopts:       sys.VM.JavaDeopts,
 		JavaPinnedFrames: sys.VM.JavaPinnedFrames,
+	}
+	if a.Tracer != nil {
+		gs.Traced = a.Tracer.Traced
 	}
 	return float64(w.Ops/scale) / elapsed.Seconds(), gs, nil
 }

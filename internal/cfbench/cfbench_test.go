@@ -38,8 +38,10 @@ func TestWorkloadsRunInAllModes(t *testing.T) {
 
 // TestFig10Shape runs a reduced Fig. 10 and checks the qualitative shape the
 // paper reports: native compute loops suffer far more than Java-side rows
-// and modeled rows (MALLOCS, disk), and NDroid stays well below DroidScope
-// overall.
+// and the modeled allocator, and NDroid stays well below DroidScope overall.
+// The two MALLOCS claims are made on work counts (instructions through a
+// taint handler vs instructions retired), which do not move with host load;
+// the remaining claims compare wall-clock overheads.
 func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based")
@@ -54,13 +56,14 @@ func TestFig10Shape(t *testing.T) {
 	}
 	t.Logf("\n%s", res.Report())
 
-	get := func(name string, m core.Mode) float64 {
-		row, ok := res.RowByName(name)
+	row := func(name string) Row {
+		r, ok := res.RowByName(name)
 		if !ok {
 			t.Fatalf("missing row %s", name)
 		}
-		return row.Overhead[m]
+		return r
 	}
+	get := func(name string, m core.Mode) float64 { return row(name).Overhead[m] }
 
 	nd := core.ModeNDroid
 	ds := core.ModeDroidScope
@@ -69,18 +72,27 @@ func TestFig10Shape(t *testing.T) {
 	// is far slower than QEMU-translated code — see DESIGN.md §5; the
 	// assertions below check the orderings the paper's Fig. 10 exhibits.)
 	nativeMIPS := get("Native MIPS", nd)
-	mallocs := get("Native MALLOCS", nd)
 	javaMIPS := get("Java MIPS", nd)
 	if nativeMIPS < 1.2 {
 		t.Errorf("Native MIPS overhead = %.2f, want clearly > 1 (tracer cost)", nativeMIPS)
 	}
-	// Modeled allocator stays near 1x (paper: 1.03x) and well below the
-	// traced compute rows.
-	if mallocs > 1.35 {
-		t.Errorf("modeled MALLOCS overhead = %.2f, want near 1x", mallocs)
+	// The modeled allocator stays near 1x (paper: 1.03x) because NDroid
+	// models malloc/free instead of tracing their bodies: of the native
+	// instructions a row retires under vanilla (allocator bodies included),
+	// NDroid sends a far smaller share through a taint handler on MALLOCS
+	// than on the traced Native MIPS loop.
+	share := func(name string) float64 {
+		r := row(name)
+		work := r.Gate[core.ModeVanilla].NativeInsns
+		if work == 0 {
+			t.Fatalf("%s retired no native instructions under vanilla", name)
+		}
+		return float64(r.Gate[nd].Traced) / float64(work)
 	}
-	if !(nativeMIPS > mallocs) {
-		t.Errorf("Native MIPS (%.2f) should exceed modeled MALLOCS (%.2f)", nativeMIPS, mallocs)
+	mipsShare, mallocShare := share("Native MIPS"), share("Native MALLOCS")
+	if !(2*mallocShare < mipsShare) {
+		t.Errorf("NDroid traces %.2f of MALLOCS' native work vs %.2f of Native MIPS'; want under half the share",
+			mallocShare, mipsShare)
 	}
 	// The Java side pays TaintDroid's factor (paper: 1.0-2.2x).
 	if javaMIPS > 3.0 {
@@ -88,9 +100,8 @@ func TestFig10Shape(t *testing.T) {
 	}
 	// DroidScope pays where NDroid does not: on the modeled allocator (it
 	// traces the allocator body NDroid models away)...
-	if !(get("Native MALLOCS", ds) > mallocs) {
-		t.Errorf("DroidScope MALLOCS (%.2f) should exceed NDroid's (%.2f)",
-			get("Native MALLOCS", ds), mallocs)
+	if dsT, ndT := row("Native MALLOCS").Gate[ds].Traced, row("Native MALLOCS").Gate[nd].Traced; !(dsT > ndT) {
+		t.Errorf("DroidScope traced %d MALLOCS instructions, NDroid %d; DroidScope should trace more", dsT, ndT)
 	}
 	// ...and on the Java side (per-instruction semantic reconstruction).
 	if !(get("Java Score", ds) > get("Java Score", nd)) {

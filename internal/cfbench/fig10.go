@@ -23,16 +23,10 @@ type Result struct {
 	Rows  []Row // thirteen measured rows + Native/Java/Overall scores
 	Modes []core.Mode
 
-	// Verdicts carries the contained-corpus robustness counters when the
-	// caller ran a VerdictSweep alongside the benchmark (cfbench -json).
-	Verdicts *VerdictCounts
-
-	// Pins carries the static pin-precision table when the caller ran a
-	// PinSweep alongside the benchmark (cfbench -json).
-	Pins []PinRow
-
 	// Ablation carries the ablation matrix when the caller ran RunMatrix
-	// alongside the benchmark (cmd/cfbench always does).
+	// alongside the benchmark (cmd/cfbench always does). The JSON form
+	// also carries its two views: the contained-corpus verdict counts and
+	// the static pin table.
 	Ablation *Matrix
 }
 
@@ -172,9 +166,9 @@ func (r *Result) JSON() ([]byte, error) {
 		Pins     []PinRow       `json:"pins,omitempty"`
 		Ablation *Matrix        `json:"ablation,omitempty"`
 	}
-	out.Verdicts = r.Verdicts
-	out.Pins = r.Pins
-	out.Ablation = r.Ablation
+	if r.Ablation != nil {
+		out.Verdicts, out.Pins, out.Ablation = r.Ablation.Verdicts(), r.Ablation.Pins(), r.Ablation
+	}
 	for _, m := range r.Modes {
 		out.Modes = append(out.Modes, m.String())
 	}
@@ -252,10 +246,6 @@ func (r *Result) Report() string {
 				m, total.JavaTransMethods, total.JavaCleanFrames, total.JavaTaintFrames,
 				total.JavaGateBails, total.JavaDeopts, total.JavaPinnedFrames)
 		}
-	}
-	if len(r.Pins) > 0 {
-		b.WriteString("\nStatic pin precision:\n")
-		b.WriteString(PinReport(r.Pins))
 	}
 	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/static"
 )
 
 // PinRow is one app's static pin-precision record: how much of the program
@@ -23,53 +22,45 @@ type PinRow struct {
 	TaintFree     bool `json:"taintFree,omitempty"`
 	LintFindings  int  `json:"lintFindings,omitempty"`
 
-	// Dynamic confirmation: pinned-variant dispatch counts from a gated
+	// Dynamic confirmation: pinned-variant dispatch counts from the gated
 	// NDroid run with the pins applied.
 	PinnedFrames uint64 `json:"pinnedFrames,omitempty"`
 	PinnedBlocks uint64 `json:"pinnedBlocks,omitempty"`
 }
 
-// PinSweep runs the static pre-analysis over the whole evaluation corpus and
-// confirms each pin set dynamically: every app is analyzed, pinned, and run
-// once under gated NDroid, recording how often the pinned variants fired.
-// Hostile apps are analyzed but not run (their dynamic behavior is the
-// robustness sweep's business).
-func PinSweep(budget uint64) ([]PinRow, error) {
+// Pins is the static pin-precision table, a view of the matrix's static=pin
+// run under NDroid: each app's pre-analysis counts beside how often its
+// pinned variants dispatched in that contained run. Hostile apps run like
+// the rest; a final attempt that never reached the pass has no row.
+func (m *Matrix) Pins() []PinRow {
+	run := m.find("static=pin", core.ModeNDroid)
+	if run == nil {
+		return nil
+	}
+	hostile := make(map[string]bool)
+	for _, app := range apps.HostileRegistry() {
+		hostile[app.Name] = true
+	}
 	var rows []PinRow
-	for _, app := range apps.AllApps() {
-		sys, err := core.NewSystem()
-		if err != nil {
-			return nil, err
+	for _, c := range run.Cells {
+		r := c.static
+		if r == nil {
+			continue
 		}
-		if err := app.Install(sys); err != nil {
-			return nil, fmt.Errorf("cfbench: installing %s: %w", app.Name, err)
-		}
-		r := static.Analyze(sys.VM, app.EntryClass, app.EntryMethod)
-		row := PinRow{
-			App:           app.Name,
-			Hostile:       app.Hostile,
+		rows = append(rows, PinRow{
+			App:           c.App,
+			Hostile:       hostile[c.App],
 			Methods:       r.Methods,
 			PinnedMethods: r.PinnedMethods,
 			NativePages:   r.NativePages,
 			PinnedPages:   r.PinnedPages,
 			TaintFree:     r.TaintFree,
 			LintFindings:  len(r.Findings),
-		}
-		if !app.Hostile {
-			a := core.NewAnalyzer(sys, core.ModeNDroid)
-			a.Budget = budget
-			r.Apply(sys.VM)
-			res := a.Run(app.EntryClass, app.EntryMethod, nil, nil)
-			if res.Verdict != core.VerdictClean && res.Verdict != core.VerdictLeak {
-				return nil, fmt.Errorf("cfbench: pin-confirm run of %s: %v (%v)",
-					app.Name, res.Verdict, res.Fault)
-			}
-			row.PinnedFrames = sys.VM.JavaPinnedFrames
-			row.PinnedBlocks = sys.CPU.GatePinnedBlocks
-		}
-		rows = append(rows, row)
+			PinnedFrames:  c.PinnedFrames,
+			PinnedBlocks:  c.PinnedBlocks,
+		})
 	}
-	return rows, nil
+	return rows
 }
 
 // PinReport renders the pin-precision table.
@@ -86,6 +77,6 @@ func PinReport(rows []PinRow) string {
 			name, r.Methods, r.PinnedMethods, r.NativePages, r.PinnedPages,
 			r.LintFindings, r.PinnedFrames, r.PinnedBlocks)
 	}
-	b.WriteString("(* hostile: analyzed statically, not run; frames/blocks are pinned-variant dispatches)\n")
+	b.WriteString("(* hostile; frames/blocks are pinned-variant dispatches in the contained static=pin NDroid run)\n")
 	return b.String()
 }

@@ -1,17 +1,20 @@
 package cfbench
 
-import "testing"
+import (
+	"testing"
 
-// TestPinSweepPrecisionFloor locks the pin-precision acceptance bar: on
-// every benign app the pre-analysis pins at least one method or native
-// page, and the pinned variant actually dispatches during the gated run.
+	"repro/internal/core"
+)
+
+// TestPinSweepPrecisionFloor locks the pin-precision acceptance bar on the
+// matrix's pin table: on every benign app the pre-analysis pins at least one
+// method or native page, and the pinned variant actually dispatches during
+// the gated NDroid run.
 func TestPinSweepPrecisionFloor(t *testing.T) {
-	rows, err := PinSweep(1 << 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) == 0 {
-		t.Fatal("empty pin sweep")
+	m := runTestMatrix(t)
+	rows := m.Pins()
+	if want := len(m.find("static=pin", core.ModeNDroid).Cells); len(rows) != want {
+		t.Fatalf("%d pin rows, want one per corpus app (%d)", len(rows), want)
 	}
 	for _, r := range rows {
 		if r.Hostile {

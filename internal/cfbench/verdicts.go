@@ -3,7 +3,7 @@ package cfbench
 import (
 	"fmt"
 
-	"repro/internal/apps"
+	"repro/internal/core"
 )
 
 // VerdictCounts summarizes one contained sweep over the full evaluation
@@ -22,22 +22,31 @@ type VerdictCounts struct {
 	Attempts int `json:"attempts"`
 }
 
-// VerdictSweep runs the corpus under contained analysis (one uncached
-// service worker) and counts verdicts. budget 0 uses core.DefaultBudget.
-func VerdictSweep(budget uint64) (*VerdictCounts, error) {
-	rep, _, err := apps.RunStudy(apps.StudyOptions{Budget: budget}, 1)
-	if err != nil {
-		return nil, err
+// Verdicts counts the contained verdicts of the matrix's baseline run under
+// NDroid: the production defaults over the whole corpus.
+func (m *Matrix) Verdicts() *VerdictCounts {
+	run := m.find("baseline", core.ModeNDroid)
+	if run == nil {
+		return nil
 	}
-	return &VerdictCounts{
-		Apps:     len(rep.Rows),
-		Clean:    rep.Clean,
-		Leak:     rep.Leaks,
-		Fault:    rep.Faults,
-		Timeout:  rep.Timeouts,
-		Degraded: rep.Degraded,
-		Attempts: rep.Attempts,
-	}, nil
+	v := &VerdictCounts{Apps: len(run.Cells)}
+	for _, c := range run.Cells {
+		v.Attempts += c.Attempts
+		if c.Degraded {
+			v.Degraded++
+		}
+		switch c.Verdict {
+		case core.VerdictClean.String():
+			v.Clean++
+		case core.VerdictLeak.String():
+			v.Leak++
+		case core.VerdictFault.String():
+			v.Fault++
+		case core.VerdictTimeout.String():
+			v.Timeout++
+		}
+	}
+	return v
 }
 
 // String renders the counters on one line.

@@ -76,6 +76,19 @@ func (l Leak) String() string {
 	return fmt.Sprintf("[%s] %s -> %s %v %q", l.Context, l.Sink, l.Dest, l.Tag, data)
 }
 
+// Leaks is a leak list: an analyzer's, or one run's.
+type Leaks []Leak
+
+// Detected reports whether any leak carrying the tag was found.
+func (ls Leaks) Detected(tag taint.Tag) bool {
+	for _, l := range ls {
+		if l.Tag&tag != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // FlowLog accumulates the human-readable trace shown in the paper's Figs 6-9.
 type FlowLog struct {
 	Enabled bool
@@ -135,7 +148,7 @@ type Analyzer struct {
 	// classifies as VerdictTimeout.
 	Budget uint64
 
-	Leaks []Leak
+	Leaks Leaks
 	Log   FlowLog
 
 	// Surface is the JNI surface observer (nil when disabled via
@@ -445,16 +458,6 @@ func (a *Analyzer) LeaksAt(sink string) []Leak {
 		}
 	}
 	return out
-}
-
-// Detected reports whether any leak carrying the tag was found.
-func (a *Analyzer) Detected(tag taint.Tag) bool {
-	for _, l := range a.Leaks {
-		if l.Tag&tag != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // fdDesc describes a descriptor for sink reports.

@@ -44,11 +44,11 @@ func TestTable1DetectionMatrix(t *testing.T) {
 				}
 				return
 			}
-			if got := td.Detected(app.ExpectTag); got != app.DetectedByTaintDroid {
+			if got := td.Leaks.Detected(app.ExpectTag); got != app.DetectedByTaintDroid {
 				t.Errorf("TaintDroid detection = %v, want %v (leaks: %v)",
 					got, app.DetectedByTaintDroid, td.Leaks)
 			}
-			if !nd.Detected(app.ExpectTag) {
+			if !nd.Leaks.Detected(app.ExpectTag) {
 				t.Errorf("NDroid missed the leak (case %s); log:\n%s", app.Case, nd.Log.String())
 			}
 			if app.ExpectSink != "" {
@@ -234,7 +234,7 @@ func TestMultilevelGating(t *testing.T) {
 func TestDroidScopeModeDetectsLikeTaintDroid(t *testing.T) {
 	app, _ := apps.ByName("case1")
 	a := runApp(t, app, core.ModeDroidScope)
-	if !a.Detected(taint.IMEI) {
+	if !a.Leaks.Detected(taint.IMEI) {
 		t.Error("droidscope mode should detect case 1")
 	}
 	if a.Tracer.Traced == 0 {

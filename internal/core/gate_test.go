@@ -59,9 +59,9 @@ func TestGateSoundnessFlowLogs(t *testing.T) {
 					t.Errorf("leaks diverge with gating on:\ngated:\n%s\nungated:\n%s", got, want)
 				}
 				if app.ExpectTag != 0 {
-					if on.Detected(app.ExpectTag) != off.Detected(app.ExpectTag) {
+					if on.Leaks.Detected(app.ExpectTag) != off.Leaks.Detected(app.ExpectTag) {
 						t.Errorf("detection verdict diverges: gated=%v ungated=%v",
-							on.Detected(app.ExpectTag), off.Detected(app.ExpectTag))
+							on.Leaks.Detected(app.ExpectTag), off.Leaks.Detected(app.ExpectTag))
 					}
 				}
 			})
@@ -85,10 +85,10 @@ func TestGateTable1Matrix(t *testing.T) {
 				}
 				return
 			}
-			if got := td.Detected(app.ExpectTag); got != app.DetectedByTaintDroid {
+			if got := td.Leaks.Detected(app.ExpectTag); got != app.DetectedByTaintDroid {
 				t.Errorf("TaintDroid detection = %v, want %v", got, app.DetectedByTaintDroid)
 			}
-			if !nd.Detected(app.ExpectTag) {
+			if !nd.Leaks.Detected(app.ExpectTag) {
 				t.Errorf("NDroid missed the leak (case %s) with gating on; log:\n%s",
 					app.Case, nd.Log.String())
 			}

@@ -56,9 +56,9 @@ func TestJavaTranslationSoundnessFlowLogs(t *testing.T) {
 						t.Errorf("leaks diverge under translation:\ntranslated:\n%s\ninterpreted:\n%s", got, want)
 					}
 					if app.ExpectTag != 0 {
-						if trans.Detected(app.ExpectTag) != interp.Detected(app.ExpectTag) {
+						if trans.Leaks.Detected(app.ExpectTag) != interp.Leaks.Detected(app.ExpectTag) {
 							t.Errorf("detection verdict diverges: translated=%v interpreted=%v",
-								trans.Detected(app.ExpectTag), interp.Detected(app.ExpectTag))
+								trans.Leaks.Detected(app.ExpectTag), interp.Leaks.Detected(app.ExpectTag))
 						}
 					}
 				})

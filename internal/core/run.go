@@ -94,7 +94,7 @@ type RunResult struct {
 	// behavior, not an analyzer fault: the run still completes (Clean/Leak).
 	Thrown bool
 
-	Leaks    []Leak
+	Leaks    Leaks
 	LogLines []string
 
 	JavaInsns   uint64 // Dalvik instructions retired by this run
@@ -114,6 +114,12 @@ type RunResult struct {
 	// built up to the stop point. Surface.Truncated is the typed,
 	// verdict-visible degradation signal for event-budget exhaustion.
 	Surface *surface.Map
+
+	// PinnedFrames / PinnedBlocks count dispatches of static clean-pinned
+	// variants: Dalvik frames that skipped the gate probe and ARM blocks that
+	// skipped the liveness check. Both zero unless static pins were applied.
+	PinnedFrames uint64
+	PinnedBlocks uint64
 
 	// PinsVoided / PinPagesVoided count static clean-pins dropped mid-run
 	// because a dynamic RegisterNatives swap invalidated the binding they
@@ -164,6 +170,8 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 	startChains := vm.JavaFusedChains
 	startFused := vm.JavaFusedCalls
 	startDeopts := vm.JavaFuseDeopts
+	startFrames := vm.JavaPinnedFrames
+	startBlocks := a.Sys.CPU.GatePinnedBlocks
 	defer func() {
 		if r := recover(); r != nil {
 			res.Fault = fault.FromPanic("core", r)
@@ -177,6 +185,8 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 		res.FusedChains = vm.JavaFusedChains - startChains
 		res.FusedCalls = vm.JavaFusedCalls - startFused
 		res.FuseDeopts = vm.JavaFuseDeopts - startDeopts
+		res.PinnedFrames = vm.JavaPinnedFrames - startFrames
+		res.PinnedBlocks = a.Sys.CPU.GatePinnedBlocks - startBlocks
 		res.Surface = a.Surface.Map()
 		res.PinsVoided = a.PinsVoided
 		res.PinPagesVoided = a.PinPagesVoided
@@ -276,10 +286,10 @@ type AnalyzeOptions struct {
 	// retries re-seed them.
 	Static static.Level
 	// Summaries selects how auto-generated native taint summaries are used:
-	// off (default; trace everything), static (trust sound transfers), or
-	// validated (additionally require mutation validation). Flow logs and
-	// verdicts are byte-identical across settings; only the traced
-	// instruction count changes.
+	// off (default; trace everything) or validated (trust a sound transfer
+	// once it survives mutation validation). Flow logs and verdicts are
+	// byte-identical across settings; only the traced instruction count
+	// changes.
 	Summaries SummaryMode
 	// Runner serves every attempt from its snapshot-restored System (and
 	// re-seeds static pins from its digest cache). Nil gives each attempt a

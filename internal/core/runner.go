@@ -210,7 +210,7 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	}
 	applySurface(a, opts.Surface)
 	if opts.Summaries != SummaryOff {
-		a.EnableSummaries(opts.Summaries, r)
+		a.enableSummaries(opts.Summaries, r)
 	}
 
 	var sr *static.Result

@@ -52,11 +52,12 @@ const (
 	// SummaryOff disables summaries entirely: every third-party native
 	// instruction is traced. The parity baseline.
 	SummaryOff SummaryMode = iota
-	// SummaryStatic trusts statically sound, argument-only transfers without
+	// summaryStatic trusts statically sound, argument-only transfers without
 	// dynamic confirmation. Value-dependent transfers the static pass
-	// over-approximates can diverge from tracing; this tier exists as the
-	// ablation arm that demonstrates why validation is required.
-	SummaryStatic
+	// over-approximates can diverge from tracing, so this tier is no user
+	// setting: it is a test oracle (export_test.go) showing why validation
+	// is required.
+	summaryStatic
 	// SummaryValidated additionally requires each transfer to survive
 	// mutation-based validation in the emulator before it is trusted; a
 	// mismatch demotes the function to full tracing with a typed
@@ -66,7 +67,7 @@ const (
 
 var summaryModeNames = map[SummaryMode]string{
 	SummaryOff:       "off",
-	SummaryStatic:    "static",
+	summaryStatic:    "static",
 	SummaryValidated: "validated",
 }
 
@@ -78,14 +79,15 @@ func (m SummaryMode) String() string {
 	return fmt.Sprintf("SummaryMode(%d)", int(m))
 }
 
-// ParseSummaryMode parses a -summaries flag value.
+// ParseSummaryMode parses a -summaries flag value: off or validated.
 func ParseSummaryMode(s string) (SummaryMode, error) {
-	for m, n := range summaryModeNames {
-		if n == s {
-			return m, nil
-		}
+	switch s {
+	case "off":
+		return SummaryOff, nil
+	case "validated":
+		return SummaryValidated, nil
 	}
-	return 0, fmt.Errorf("unknown summaries mode %q (want off|static|validated)", s)
+	return 0, fmt.Errorf("unknown summaries mode %q (want off|validated)", s)
 }
 
 // SummaryCache serves persisted per-library syntheses. The Runner implements
@@ -132,9 +134,9 @@ type sumPending struct {
 	args   [summary.NumArgCells]taint.Tag
 }
 
-// EnableSummaries switches the analyzer's summary mode (default off). Call
+// enableSummaries switches the analyzer's summary mode (default off). Call
 // after NewAnalyzer and any DisableSurface, before Run. cache may be nil.
-func (a *Analyzer) EnableSummaries(mode SummaryMode, cache SummaryCache) {
+func (a *Analyzer) enableSummaries(mode SummaryMode, cache SummaryCache) {
 	a.sumMode = mode
 	a.sumCache = cache
 	a.wireCodeWrite()
@@ -383,12 +385,6 @@ func (a *Analyzer) validationRun(fs *sumFunc, ctx *dvm.CallCtx, mu summary.Mutat
 		return false
 	}
 	return true
-}
-
-// SummaryReport exposes the per-library synthesis table to callers driving
-// an Analyzer directly (cmd/ndroid); AnalyzeApp copies it into RunResult.
-func (a *Analyzer) SummaryReport() []summary.LibReport {
-	return a.summaryReport()
 }
 
 // summaryReport builds the per-library table for RunResult / marketstudy.

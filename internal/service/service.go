@@ -36,6 +36,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/static"
 	"repro/internal/surface"
 )
 
@@ -380,7 +381,7 @@ func shardIndex(digest string, n int) int {
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
 // app digest — mode, budget, fusion, flow-log capture, and static level all
 // change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v2 service.verdictRecord chain,final_log,leaks,counters,surface"}
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v3 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
 
 // addRunnerStats folds one Runner's counters into an aggregate.
 func addRunnerStats(dst *core.RunnerStats, s core.RunnerStats) {
@@ -426,6 +427,10 @@ type verdictRecord struct {
 	// though the replay observes zero live crossings.
 	Surface      *surface.Map `json:"surface,omitempty"`
 	JNICrossings uint64       `json:"jni_crossings,omitempty"`
+	// Static is the final attempt's pre-analysis result (nil with the static
+	// pass off), persisted for the same reason: a replay carries the lint
+	// findings and pin counts without re-running the pass.
+	Static *static.Portable `json:"static,omitempty"`
 }
 
 // verdictKey binds the app digest to every analysis option that can change
@@ -458,6 +463,9 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 		NativeInsns:  rep.Final.Result.NativeInsns,
 		Surface:      rep.Final.Result.Surface,
 		JNICrossings: rep.Final.Result.JNICrossings,
+	}
+	if sr := rep.Final.Result.Static; sr != nil {
+		rec.Static = sr.Portable()
 	}
 	for _, att := range rep.Chain {
 		rec.Chain = append(rec.Chain, attemptRecord{
@@ -507,6 +515,9 @@ func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	final.Result.NativeInsns = rec.NativeInsns
 	final.Result.Surface = rec.Surface
 	final.Result.JNICrossings = rec.JNICrossings
+	if rec.Static != nil {
+		final.Result.Static = rec.Static.Rehydrate()
+	}
 	rep.Final = *final
 	return rep, true
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/service"
+	"repro/internal/static"
 )
 
 const testBudget = 1 << 21
@@ -163,6 +164,50 @@ func TestVerdictShortCircuit(t *testing.T) {
 	}
 	if other.Source != "computed" {
 		t.Errorf("taintdroid-mode source = %q: verdict record leaked across analysis options", other.Source)
+	}
+}
+
+// TestVerdictReplayCarriesStatic: with the static pass on, a warm verdict
+// replay hands back the computed run's pre-analysis result (counts, lint
+// findings, reach and pin sets) without running the pass again.
+func TestVerdictReplayCarriesStatic(t *testing.T) {
+	app := mustApp(t, "poc-case2") // two lint findings
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.PinLevel}
+	submit := func() (service.Result, service.Stats) {
+		svc, err := service.New(service.Options{Cache: store, Analyze: aOpts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := <-svc.Submit(app.Spec())
+		svc.Close()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res, svc.Stats()
+	}
+	cold, _ := submit()
+	warm, st := submit()
+	if warm.Source != "verdict-cache" || st.Runner.StaticRuns != 0 {
+		t.Fatalf("warm source %q with %d static runs, want a replay with none", warm.Source, st.Runner.StaticRuns)
+	}
+	cs, ws := cold.Report.Final.Result.Static, warm.Report.Final.Result.Static
+	if cs == nil || len(cs.Findings) != 2 {
+		t.Fatalf("computed static result %v, want two lint findings", cs)
+	}
+	if ws == nil {
+		t.Fatal("replayed verdict carries no static result")
+	}
+	if ws.Summary() != cs.Summary() {
+		t.Errorf("replayed %q, computed %q", ws.Summary(), cs.Summary())
+	}
+	got, _ := json.Marshal(ws.Portable())
+	want, _ := json.Marshal(cs.Portable())
+	if !bytes.Equal(got, want) {
+		t.Errorf("replayed static result differs from the computed one:\n%s\n%s", got, want)
 	}
 }
 
