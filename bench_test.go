@@ -9,6 +9,7 @@
 //	Table VI        — BenchmarkTable6ModeledVsTraced (ablation E13)
 //	Fig. 5          — BenchmarkMultilevelHookingOnOff (ablation E15)
 //	§V-C cache      — BenchmarkDecodeCacheOnOff (ablation E17)
+//	ARM dispatch    — BenchmarkNativeSpin (budget-bound chained blocks)
 //	§V-E granularity— BenchmarkTaintGranularity (ablation, DESIGN.md §4.4)
 //
 // Run: go test -bench=. -benchmem
@@ -373,6 +374,31 @@ func BenchmarkDecodeCacheOnOff(b *testing.B) {
 	b.Run("insn-cache", func(b *testing.B) { benchDecodeCache(b, true, false, false) })
 	b.Run("block-cache", func(b *testing.B) { benchDecodeCache(b, true, true, false) })
 	b.Run("block-cache+gate", func(b *testing.B) { benchDecodeCache(b, true, true, true) })
+}
+
+// BenchmarkNativeSpin runs hostile-spin — a two-instruction native self-loop
+// that only the watchdog budget stops — through core.AnalyzeApp on one
+// Runner, the path every service submission takes. Nearly all of its time is
+// chained ARM block dispatch, so ns/insn is the engine's per-instruction cost
+// on the budget-bound tail; insns/op must stay DefaultBudget+1.
+func BenchmarkNativeSpin(b *testing.B) {
+	r, err := core.NewRunner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := apps.HostileSpinApp().Spec()
+	var insns uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep := core.AnalyzeApp(spec, core.AnalyzeOptions{Runner: r})
+		if rep.Verdict() != core.VerdictTimeout {
+			b.Fatalf("verdict %s, want timeout", rep.Verdict())
+		}
+		insns += rep.Final.Result.NativeInsns
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insns), "ns/insn")
+	b.ReportMetric(float64(insns)/float64(b.N), "insns/op")
 }
 
 // ---------------------------------------------------------------------------

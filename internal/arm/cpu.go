@@ -60,12 +60,12 @@ type CPU struct {
 	DecodeHook func(pc uint32, thumb bool, insn Insn)
 	// BranchFn, when non-nil, is invoked on every taken control transfer.
 	BranchFn BranchFunc
-	// branchWatchLo/Hi, while branchWatchOn, bound the transfer targets
-	// BranchFn cares about: EmitBranch rejects other targets with two
-	// compares instead of two indirect calls. The multilevel hook engine
-	// narrows the watch to the libdvm entry range while its precondition
-	// chain is at level 0 — the steady state in clean native code.
-	branchWatchOn                bool
+	// branchWatchLo/Hi bound the transfer targets BranchFn cares about
+	// (the whole address space when no watch is set): EmitBranch rejects
+	// other targets with two compares instead of two indirect calls. The
+	// multilevel hook engine narrows the watch to the libdvm entry range
+	// while its precondition chain is at level 0 — the steady state in
+	// clean native code.
 	branchWatchLo, branchWatchHi uint32
 	// SVC handles supervisor calls (the kernel syscall interface).
 	SVC func(c *CPU, num uint32) error
@@ -174,11 +174,12 @@ type decodePage [2048]Insn
 // pages invalidate the decoded-instruction and block caches.
 func New(m *mem.Memory) *CPU {
 	c := &CPU{
-		Mem:         m,
-		addrHooks:   make(map[uint32]AddrHook),
-		decodeCache: make(map[uint32]*decodePage),
-		checkHook:   true,
-		lastPageKey: ^uint32(0),
+		Mem:           m,
+		branchWatchHi: math.MaxUint32,
+		addrHooks:     make(map[uint32]AddrHook),
+		decodeCache:   make(map[uint32]*decodePage),
+		checkHook:     true,
+		lastPageKey:   ^uint32(0),
 	}
 	m.AddWriteNotify(c.onMemWrite)
 	return c
@@ -303,15 +304,12 @@ func (c *CPU) HookedAddrs() int { return len(c.addrHooks) }
 
 // EmitBranch publishes a synthetic control-transfer event. The DVM layer uses
 // this so that calls flowing through host-implemented libdvm functions still
-// appear on the branch stream that multilevel hooking watches.
+// appear on the branch stream that multilevel hooking watches. The filter
+// inlines into every translated branch step; only delivery is a call.
 func (c *CPU) EmitBranch(from, to uint32) {
-	if c.BranchFn == nil {
-		return
+	if c.BranchFn != nil && to >= c.branchWatchLo && to <= c.branchWatchHi {
+		c.BranchFn(c, from, to)
 	}
-	if c.branchWatchOn && (to < c.branchWatchLo || to > c.branchWatchHi) {
-		return
-	}
-	c.BranchFn(c, from, to)
 }
 
 // SetBranchWatch narrows branch-event delivery to targets in [lo, hi]. The
@@ -319,11 +317,11 @@ func (c *CPU) EmitBranch(from, to uint32) {
 // change its state (the multilevel chain at level 0 only reacts to JNI-exit
 // entries, which all live inside the watched range).
 func (c *CPU) SetBranchWatch(lo, hi uint32) {
-	c.branchWatchOn, c.branchWatchLo, c.branchWatchHi = true, lo, hi
+	c.branchWatchLo, c.branchWatchHi = lo, hi
 }
 
 // ClearBranchWatch restores delivery of every branch event.
-func (c *CPU) ClearBranchWatch() { c.branchWatchOn = false }
+func (c *CPU) ClearBranchWatch() { c.branchWatchLo, c.branchWatchHi = 0, math.MaxUint32 }
 
 // Arg returns the i-th AAPCS argument (R0–R3, then the stack).
 func (c *CPU) Arg(i int) uint32 {
@@ -845,12 +843,13 @@ func (c *CPU) Run(maxInsns uint64) error {
 // JNI call bridge uses to run a native method to completion: the bridge sets
 // LR to a return pad and runs until the pad is reached.
 func (c *CPU) RunUntil(stop uint32, maxInsns uint64) error {
-	if maxInsns == 0 {
-		maxInsns = 256 << 20
-	}
-	if c.UseBlockCache {
-		return c.runBlocks(stop, maxInsns)
-	}
+	_, err := c.RunUntilHint(stop, maxInsns, nil)
+	return err
+}
+
+// runInterp is RunUntil on the per-instruction interpreter (block engine off):
+// every instruction is one dispatch.
+func (c *CPU) runInterp(stop uint32, maxInsns uint64) error {
 	start := c.InsnCount
 	for !c.Halted && c.R[PC] != stop {
 		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {

@@ -437,20 +437,6 @@ spin:
 	}
 }
 
-func TestInstructionBudget(t *testing.T) {
-	prog := MustAssemble(`
-_start:
-	B _start
-`, testBase, nil)
-	m := mem.New()
-	m.WriteBytes(prog.Base, prog.Code)
-	c := New(m)
-	c.R[PC] = testBase
-	if err := c.Run(100); err == nil {
-		t.Fatal("expected budget-exhausted error for infinite loop")
-	}
-}
-
 func TestInvalidInstruction(t *testing.T) {
 	m := mem.New()
 	m.Write32(testBase, 0x0f000000) // class 15: unassigned

@@ -11,7 +11,7 @@ package arm
 // and blocks. Restore therefore never flushes the caches wholesale — it only
 // invalidates blocks on pages whose *non-byte* translation inputs changed
 // (address hooks and static pins, both baked into blocks at translation
-// time). Tracer changes are reconciled by runBlocks' boundTracer check, the
+// time). Tracer changes are reconciled by RunUntilHint's boundTracer check, the
 // same path that handles a tracer swap mid-session.
 
 import "repro/internal/taint"
@@ -27,7 +27,6 @@ type CPUSnapshot struct {
 	decodeHook                   func(pc uint32, thumb bool, insn Insn)
 	branchFn                     BranchFunc
 	onCodeWrite                  func(addr uint32)
-	branchWatchOn                bool
 	branchWatchLo, branchWatchHi uint32
 	svc                          func(c *CPU, num uint32) error
 
@@ -72,7 +71,6 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 		decodeHook:    c.DecodeHook,
 		branchFn:      c.BranchFn,
 		onCodeWrite:   c.OnCodeWrite,
-		branchWatchOn: c.branchWatchOn,
 		branchWatchLo: c.branchWatchLo,
 		branchWatchHi: c.branchWatchHi,
 		svc:           c.SVC,
@@ -118,7 +116,7 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 // translation time); everything else in the decode and block caches is kept
 // — pages the attempt wrote were already invalidated by the write-notify
 // path when memory was restored. A restored Tracer that differs from the
-// bound one is reconciled by the next runBlocks dispatch.
+// bound one is reconciled by the next RunUntilHint dispatch.
 func (c *CPU) Restore(s *CPUSnapshot) {
 	// Invalidate blocks on pages whose hook presence changed.
 	changed := make(map[uint32]bool)
@@ -167,7 +165,6 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 	c.DecodeHook = s.decodeHook
 	c.BranchFn = s.branchFn
 	c.OnCodeWrite = s.onCodeWrite
-	c.branchWatchOn = s.branchWatchOn
 	c.branchWatchLo, c.branchWatchHi = s.branchWatchLo, s.branchWatchHi
 	c.SVC = s.svc
 	c.checkHook = s.checkHook

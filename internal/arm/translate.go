@@ -9,7 +9,8 @@ package arm
 // instructions, and the taint-tracer handler pre-bound per instruction at
 // translation time (see InsnBinder). Blocks end at control transfers, SVC,
 // HLT, and hooked addresses; they chain to their taken/fall-through
-// successors so hot loops never touch the cache map.
+// successors so hot loops never touch the cache map, and the dispatch loop
+// runs chained blocks back-to-back until a real dispatch boundary.
 //
 // Correctness against self-modifying code and reloaded library regions comes
 // from page-granular invalidation: every page holding a translation is marked
@@ -199,8 +200,21 @@ func (c *CPU) invalidateAllBlocks() {
 // Hook/Unhook invalidate automatically.
 func (c *CPU) InvalidateBlocks() { c.invalidateAllBlocks() }
 
-// runBlocks is the block-engine execution loop behind Run/RunUntil.
-func (c *CPU) runBlocks(stop uint32, maxInsns uint64) error {
+// RunUntilHint is RunUntil with a translated-block entry hint: the fused JNI
+// bridge caches the entry block of its chain's native method and seeds the
+// first dispatch with it, so the per-call cache-map lookup disappears. The
+// executed entry block is returned for the caller to cache (nil when the run
+// never dispatched a block — immediate stop, hook redirection, or the block
+// engine being off). The hint is only an accelerator: a stale or mismatched
+// hint is re-validated against key and validity exactly like a chained
+// successor, so a wrong hint costs one lookup, never correctness.
+func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, error) {
+	if maxInsns == 0 {
+		maxInsns = 256 << 20
+	}
+	if !c.UseBlockCache {
+		return nil, c.runInterp(stop, maxInsns)
+	}
 	// Blocks capture tracer bindings at translation time; a replaced tracer
 	// invalidates them all (the epoch check QEMU does with tb_flush). The
 	// check runs here and after every addr-hook invocation in stepBlock —
@@ -214,78 +228,62 @@ func (c *CPU) runBlocks(stop uint32, maxInsns uint64) error {
 	// (tests and benchmarks seed RegTaint between runs); force the gate to
 	// re-derive liveness on the first dispatch.
 	c.gateBail = true
-	start := c.InsnCount
-	var hint *Block
-	for !c.Halted && c.R[PC] != stop {
-		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
-			return f
-		}
-		nb, err := c.stepBlock(hint)
-		if err != nil {
-			return err
-		}
-		hint = nb
-		if c.InsnCount-start > maxInsns {
-			return c.budgetFault(maxInsns)
-		}
+	// The budget is an absolute InsnCount limit, saturating on overflow.
+	limit := c.InsnCount + maxInsns
+	if limit < maxInsns {
+		limit = math.MaxUint64
 	}
-	return nil
-}
-
-// RunUntilHint is RunUntil with a translated-block entry hint: the fused JNI
-// bridge caches the entry block of its chain's native method and seeds the
-// first dispatch with it, so the per-call cache-map lookup disappears. The
-// executed entry block is returned for the caller to cache (nil when the run
-// never dispatched a block — immediate stop, hook redirection, or the block
-// engine being off). The hint is only an accelerator: a stale or mismatched
-// hint is re-validated against key and validity exactly like a chained
-// successor, so a wrong hint costs one lookup, never correctness.
-func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, error) {
-	if !c.UseBlockCache {
-		return nil, c.RunUntil(stop, maxInsns)
-	}
-	if maxInsns == 0 {
-		maxInsns = 256 << 20
-	}
-	if c.Tracer != c.boundTracer {
-		c.invalidateAllBlocks()
-		c.boundTracer = c.Tracer
-	}
-	c.gateBail = true
-	start := c.InsnCount
 	entryKey := pcKey(c.R[PC], c.Thumb)
 	if hint != nil && (hint.key != entryKey || !hint.valid) {
 		hint = nil
 	}
-	entry, cur, first := hint, hint, true
+	entry, b, first := hint, hint, true
 	for !c.Halted && c.R[PC] != stop {
 		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
 			return entry, f
 		}
-		nb, err := c.stepBlock(cur)
+		nb, err := c.stepBlock(b)
 		if err != nil {
 			return entry, err
 		}
 		if first {
 			first = false
 			if entry == nil {
-				if b := c.blockCache[entryKey]; b != nil && b.valid {
-					entry = b
+				if eb := c.blockCache[entryKey]; eb != nil && eb.valid {
+					entry = eb
 				}
 			}
 		}
-		cur = nb
-		if c.InsnCount-start > maxInsns {
+		// The chained fast path: run cached successors back-to-back until a
+		// dispatch boundary needs the slow step — a missing successor, the
+		// budget, a stop or halt, an armed injection site (every dispatch must
+		// reach fault.Hit), or a control transfer onto a hooked block start.
+		// It makes the slow step's per-block decisions in the same order, so
+		// counters, budget faults and injections land exactly where they did.
+		for nb != nil && c.InsnCount <= limit && !c.Halted && c.R[PC] != stop && !fault.Armed() {
+			if c.checkHook {
+				if nb.startHooked {
+					break
+				}
+				c.checkHook = false
+			}
+			c.BlockHits++
+			if nb, err = c.execBlock(nb); err != nil {
+				return entry, err
+			}
+		}
+		b = nb
+		if c.InsnCount > limit {
 			return entry, c.budgetFault(maxInsns)
 		}
 	}
 	return entry, nil
 }
 
-// stepBlock runs the hook check at the current PC (same semantics as Step:
-// hooks fire only when the address was reached through a control transfer),
-// then executes one translated block. hint, when it matches the current PC,
-// skips the cache-map lookup — the chaining fast path.
+// stepBlock is the dispatch loop's slow step. It runs the hook check at the
+// current PC (same semantics as Step: hooks fire only when the address was
+// reached through a control transfer), then executes one translated block.
+// hint, when it matches the current PC, skips the cache-map lookup.
 //
 // The block is resolved before the hook check so that the common case — a
 // cached block whose start carries no hook — clears checkHook with a single
@@ -341,12 +339,23 @@ func (c *CPU) stepBlock(hint *Block) (*Block, error) {
 	return c.execBlock(b)
 }
 
-// execBlock runs a block's steps and resolves the successor hint. InsnCount
-// is settled in bulk at every exit — positionally exact (i+1 instructions ran,
-// condition-failed ones included, matching the interpreter's count-then-check
-// order), and nothing reads the counter mid-block: hooks and the RunUntil
-// budget only observe it at dispatch boundaries.
+// execBlock runs a block's steps and resolves the successor hint. The taint
+// gate picks the variant: the instrumented steps, or bare ones (no Table V
+// dispatch) when no taint is live. InsnCount is settled in bulk at every exit
+// — positionally exact (i+1 instructions ran, condition-failed ones included,
+// matching the interpreter's count-then-check order), and nothing reads the
+// counter mid-block: hooks and the budget only observe it at dispatch
+// boundaries.
+//
+// A bare run has one extra bail condition: gateBail, raised edge-triggered by
+// the liveness aggregate when the first taint tag is introduced while this
+// block may be mid-run (a write observer, a syscall model). Bailing
+// materializes PC after the already-executed instruction — which ran against
+// a still taint-free machine, so skipping its Table V dispatch was exact —
+// and the dispatcher resumes on the instrumented variant from the next
+// instruction.
 func (c *CPU) execBlock(b *Block) (*Block, error) {
+	steps, bare := b.steps, false
 	if c.UseTaintGate && b.bare != nil {
 		if b.pinned && !c.gateWasLive && !c.gateBail {
 			// Statically pinned page, no pending taint edge: skip even the
@@ -355,68 +364,31 @@ func (c *CPU) execBlock(b *Block) (*Block, error) {
 			// re-derives liveness — wrong pins cost precision, never
 			// soundness.
 			c.GatePinnedBlocks++
-			return c.execBare(b)
+			steps, bare = b.bare, true
+		} else {
+			live := c.taintLive()
+			if live != c.gateWasLive {
+				c.GateFlips++
+				c.gateWasLive = live
+			}
+			if live {
+				c.GateSlowBlocks++
+			} else {
+				c.GateFastBlocks++
+				steps, bare = b.bare, true
+			}
 		}
-		live := c.taintLive()
-		if live != c.gateWasLive {
-			c.GateFlips++
-			c.gateWasLive = live
-		}
-		if !live {
-			c.GateFastBlocks++
-			return c.execBare(b)
-		}
-		c.GateSlowBlocks++
 	}
-	steps := b.steps
 	for i := 0; i < len(steps); i++ {
 		switch steps[i](c) {
 		case stepNext:
-			if b.valid {
+			if b.valid && !(bare && c.gateBail) {
 				continue
 			}
 			// A store from inside this block invalidated it (self-modifying
-			// code). Materialize PC past the executed instruction and bail to
-			// the dispatcher, which retranslates from the fresh bytes.
-			c.InsnCount += uint64(i + 1)
-			c.R[PC] = b.nexts[i]
-			return nil, nil
-		case stepBranch:
-			c.InsnCount += uint64(i + 1)
-			return c.chase(b, true), nil
-		case stepHalt:
-			c.InsnCount += uint64(i + 1)
-			return nil, nil
-		case stepErr:
-			c.InsnCount += uint64(i + 1)
-			err := c.blockErr
-			c.blockErr = nil
-			return nil, err
-		}
-	}
-	c.InsnCount += uint64(len(steps))
-	c.R[PC] = b.endPC
-	if !b.valid {
-		return nil, nil
-	}
-	return c.chase(b, false), nil
-}
-
-// execBare runs a block's uninstrumented variant. It is execBlock's loop
-// with one extra bail condition: gateBail, raised edge-triggered by the
-// liveness aggregate when the first taint tag is introduced while this block
-// may be mid-run (a write observer, a syscall model). Bailing materializes
-// PC after the already-executed instruction — which ran against a still
-// taint-free machine, so skipping its Table V dispatch was exact — and the
-// dispatcher resumes on the instrumented variant from the next instruction.
-func (c *CPU) execBare(b *Block) (*Block, error) {
-	steps := b.bare
-	for i := 0; i < len(steps); i++ {
-		switch steps[i](c) {
-		case stepNext:
-			if b.valid && !c.gateBail {
-				continue
-			}
+			// code), or a bare run saw a taint edge. Materialize PC past the
+			// executed instruction and bail to the dispatcher, which
+			// retranslates from the fresh bytes or picks the other variant.
 			c.InsnCount += uint64(i + 1)
 			c.R[PC] = b.nexts[i]
 			return nil, nil

@@ -117,13 +117,27 @@ tadd:
 	}
 }
 
-// A hook registered at an address in the middle of an already-cached block
-// must fire on the next branch to that address: Hook invalidates the page's
-// blocks, so retranslation stops at the hooked boundary and records the
-// startHooked flag. Reaching the address by fall-through must NOT fire the
-// hook — same semantics as the interpreter.
+// A hook registered on an already warm CPU must fire exactly where the
+// interpreter's would: only on arrival through a control transfer. Each input
+// runs once unhooked (warming and chaining its blocks), then again with hooks
+// installed:
+//   - mid-block: the hook sits in the middle of a cached block. Hook
+//     invalidates the page's blocks, so retranslation stops at the hooked
+//     boundary and records startHooked; the fall-through arrival must NOT
+//     fire it, the explicit B mid must — exactly one firing.
+//   - bl-loop: a loop BLs a hooked function whose block is the chained
+//     successor of the call: one firing per iteration.
+//   - hook-installs-hook: f1's hook installs a hook on f2 — a block already
+//     chained in the running loop — on its third firing; f2's hook must be
+//     honoured from the very next arrival (10 + 8 firings).
 func TestBlockHookInsideCachedBlock(t *testing.T) {
-	const src = `
+	cases := []struct {
+		name      string
+		src       string
+		hook      func(c *CPU, prog *Program, fired *int)
+		r0, fired uint32
+	}{
+		{"mid-block", `
 _start:
 	MOV R0, #0
 	MOV R5, #0
@@ -137,41 +151,85 @@ mid:
 	B mid
 done:
 	HLT
-`
-	for _, blk := range []bool{false, true} {
-		prog := MustAssemble(src, testBase, nil)
-		m := mem.New()
-		m.WriteBytes(prog.Base, prog.Code)
-		c := New(m)
-		c.UseDecodeCache = true
-		c.UseBlockCache = blk
-		c.SetThumbPC(prog.Base)
-		if err := c.Run(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-		if c.R[0] != 13 {
-			t.Fatalf("blk=%v: first run R0 = %d, want 13", blk, c.R[0])
-		}
+`, func(c *CPU, prog *Program, fired *int) {
+			c.Hook(prog.MustLabel("mid"), func(c *CPU) HookAction { *fired++; return ActionContinue })
+		}, 13, 1},
+		{"bl-loop", `
+_start:
+	MOV R0, #0
+	MOV R5, #10
+loop:
+	BL fn
+	SUB R5, R5, #1
+	CMP R5, #0
+	BNE loop
+	HLT
+fn:
+	ADD R0, R0, #1
+	BX LR
+`, func(c *CPU, prog *Program, fired *int) {
+			c.Hook(prog.MustLabel("fn"), func(c *CPU) HookAction { *fired++; return ActionContinue })
+		}, 10, 10},
+		{"hook-installs-hook", `
+_start:
+	MOV R0, #0
+	MOV R5, #10
+loop:
+	BL f1
+	BL f2
+	SUB R5, R5, #1
+	CMP R5, #0
+	BNE loop
+	HLT
+f1:
+	ADD R0, R0, #1
+	BX LR
+f2:
+	ADD R0, R0, #2
+	BX LR
+`, func(c *CPU, prog *Program, fired *int) {
+			f1 := 0
+			c.Hook(prog.MustLabel("f1"), func(c *CPU) HookAction {
+				*fired++
+				if f1++; f1 == 3 {
+					c.Hook(prog.MustLabel("f2"), func(c *CPU) HookAction { *fired++; return ActionContinue })
+				}
+				return ActionContinue
+			})
+		}, 30, 18},
+	}
+	for _, tc := range cases {
+		for _, blk := range []bool{false, true} {
+			prog := MustAssemble(tc.src, testBase, nil)
+			m := mem.New()
+			m.WriteBytes(prog.Base, prog.Code)
+			c := New(m)
+			c.UseDecodeCache = true
+			c.UseBlockCache = blk
+			c.R[SP] = 0x80000
+			c.SetThumbPC(prog.Base)
+			if err := c.Run(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			if c.R[0] != tc.r0 {
+				t.Fatalf("%s/blk=%v: first run R0 = %d, want %d", tc.name, blk, c.R[0], tc.r0)
+			}
 
-		// Second run on the same (now warm) CPU, with a hook at mid.
-		fired := 0
-		c.Hook(prog.MustLabel("mid"), func(c *CPU) HookAction {
-			fired++
-			return ActionContinue
-		})
-		c.Halted = false
-		c.R = [16]uint32{SP: 0x80000}
-		c.SetThumbPC(prog.Base)
-		if err := c.Run(1 << 20); err != nil {
-			t.Fatal(err)
-		}
-		if c.R[0] != 13 {
-			t.Errorf("blk=%v: hooked run R0 = %d, want 13", blk, c.R[0])
-		}
-		// The first pass reaches mid by fall-through (no hook), the second
-		// by the explicit B mid (hook fires): exactly one firing.
-		if fired != 1 {
-			t.Errorf("blk=%v: hook fired %d times, want 1", blk, fired)
+			// Second run on the same (now warm) CPU, with the hooks installed.
+			fired := 0
+			tc.hook(c, prog, &fired)
+			c.Halted = false
+			c.R = [16]uint32{SP: 0x80000}
+			c.SetThumbPC(prog.Base)
+			if err := c.Run(1 << 20); err != nil {
+				t.Fatal(err)
+			}
+			if c.R[0] != tc.r0 {
+				t.Errorf("%s/blk=%v: hooked run R0 = %d, want %d", tc.name, blk, c.R[0], tc.r0)
+			}
+			if uint32(fired) != tc.fired {
+				t.Errorf("%s/blk=%v: hooks fired %d times, want %d", tc.name, blk, fired, tc.fired)
+			}
 		}
 	}
 }

@@ -35,3 +35,23 @@ func TestNilRunnerNeverRestores(t *testing.T) {
 		t.Errorf("armed chain %s, unarmed %s", got.ChainString(), want.ChainString())
 	}
 }
+
+// TestHostileSpinRetiresExactBudget pins hostile-spin's watchdog stop: its
+// two-instruction native self-loop runs until the default budget is passed at
+// a block boundary, so exactly DefaultBudget+1 native instructions retire
+// (the MOV before the loop plus DefaultBudget/2 iterations), and the verdict
+// is Timeout with no degradation.
+func TestHostileSpinRetiresExactBudget(t *testing.T) {
+	r, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := core.AnalyzeApp(apps.HostileSpinApp().Spec(), core.AnalyzeOptions{Runner: r})
+	res := rep.Final.Result
+	if res.Verdict != core.VerdictTimeout || rep.ChainString() != "ndroid:timeout" {
+		t.Errorf("chain %s, want ndroid:timeout", rep.ChainString())
+	}
+	if res.NativeInsns != core.DefaultBudget+1 {
+		t.Errorf("NativeInsns = %d, want DefaultBudget+1 = %d", res.NativeInsns, core.DefaultBudget+1)
+	}
+}

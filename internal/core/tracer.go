@@ -63,7 +63,7 @@ var (
 // ablation baseline) it falls back to dynamic TraceInsn dispatch.
 func (tr *Tracer) BindInsn(addr uint32, insn arm.Insn) func(c *arm.CPU) {
 	fn := tr.bindInsn(addr, insn)
-	if fault.Enabled() {
+	if fault.Armed() {
 		// Injection armed at translation time: wrap the bound closure with the
 		// probe. The production path (nothing armed when blocks are built)
 		// binds the raw closure and pays nothing per instruction.

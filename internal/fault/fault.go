@@ -261,9 +261,10 @@ func Reset() {
 	armed.Store(false)
 }
 
-// Enabled reports whether any site is currently armed — the cheap pre-check
-// for call sites that want to skip even the Hit call on hot paths.
-func Enabled() bool { return armed.Load() }
+// Armed reports whether any site is currently armed: one inlined atomic
+// load, the pre-check for hot loops that skip their probes while nothing is
+// armed and for code that binds a probe in only when one could fire.
+func Armed() bool { return armed.Load() }
 
 // Fired reports how many times site has fired since the last Reset.
 func Fired(site string) int {
@@ -275,10 +276,15 @@ func Fired(site string) int {
 // Hit is the per-site probe: it returns a fault when this site is armed and
 // its countdown reaches zero (disarming in the same step), nil otherwise.
 // pc carries guest-PC context into the injected fault when the caller has it.
+// The unarmed check inlines into the caller; the locked countdown is hit's.
 func Hit(site string, pc uint32) *Fault {
 	if !armed.Load() {
 		return nil
 	}
+	return hit(site, pc)
+}
+
+func hit(site string, pc uint32) *Fault {
 	mu.Lock()
 	defer mu.Unlock()
 	if site != armedSite {

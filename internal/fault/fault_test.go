@@ -70,7 +70,7 @@ func TestInjectionOnceSemantics(t *testing.T) {
 	RegisterSite("test.site.a", "arm")
 	RegisterSite("test.site.b", "dvm")
 
-	if Enabled() {
+	if Armed() {
 		t.Fatal("registry armed before Arm")
 	}
 	if f := Hit("test.site.a", 0); f != nil {
@@ -79,7 +79,7 @@ func TestInjectionOnceSemantics(t *testing.T) {
 	if err := Arm("test.site.a", UndefInsn); err != nil {
 		t.Fatal(err)
 	}
-	if !Enabled() {
+	if !Armed() {
 		t.Fatal("Enabled false after Arm")
 	}
 	if f := Hit("test.site.b", 0); f != nil {
@@ -90,7 +90,7 @@ func TestInjectionOnceSemantics(t *testing.T) {
 		t.Fatalf("armed Hit = %+v; want UndefInsn at test.site.a pc=0x1234", f)
 	}
 	// Once-semantics: the site disarmed itself.
-	if Enabled() {
+	if Armed() {
 		t.Fatal("still armed after firing")
 	}
 	if f := Hit("test.site.a", 0); f != nil {

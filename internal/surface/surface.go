@@ -101,10 +101,8 @@ func (o *Observer) boundaryFor(name string) *boundary {
 // truncation, absorbed), then charges the budget. Suppressed events are
 // counted in dropped so truncation loss is quantified, never silent.
 func (o *Observer) event() bool {
-	if fault.Enabled() {
-		if f := fault.Hit(SiteOverflow, 0); f != nil {
-			o.truncated = true
-		}
+	if f := fault.Hit(SiteOverflow, 0); f != nil {
+		o.truncated = true
 	}
 	if o.truncated || o.events >= o.Budget {
 		o.truncated = true
