@@ -1,10 +1,10 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the ablation matrix (fusion, observer, pins, summaries and store arms
-// through the analysis service) with two views of it: the contained corpus
-// verdict counts and the static pin table. It exits 1 if the matrix finds a
-// parity break.
+// then the ablation matrix (fusion, observer, static, summaries and store
+// arms through the analysis service) with two views of it: the contained
+// corpus verdict counts and the static reach table. It exits 1 if the
+// matrix finds a parity break.
 //
 // Usage:
 //
@@ -50,8 +50,8 @@ func main() {
 	}
 	res.Ablation = m
 	fmt.Println("Contained corpus sweep (baseline arm, ndroid):", m.Verdicts())
-	fmt.Println("Static pin precision (static=pin arm, ndroid):")
-	fmt.Println(cfbench.PinReport(m.Pins()))
+	fmt.Println("Static reach precision (static=lint arm, ndroid):")
+	fmt.Println(cfbench.ReachReport(m.Reach()))
 	fmt.Println("Ablation matrix (every arm through the analysis service):")
 	fmt.Println(m.String())
 	if *jsonPath != "" {

@@ -76,7 +76,7 @@ func main() {
 		return
 	}
 
-	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.PinLevel, Summaries: sumMode}
+	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.LintOnly, Summaries: sumMode}
 	var store *cas.Store
 	if *cacheDir != "" {
 		if store, err = cas.Open(*cacheDir); err != nil {
@@ -190,11 +190,12 @@ func printSummaryTable(rep *apps.StudyReport) {
 }
 
 // printLintTable prints each app's static pre-analysis verdict beside its
-// pin-precision numbers — the static complement to the dynamic verdict table
-// below it. The numbers come from the study's own pinned runs (replayed from
-// the verdict record on a warm -cache), so the pass runs once per app.
+// reach-precision numbers (methods proven taint-free) — the static complement
+// to the dynamic verdict table below it. The numbers come from the study's
+// own lint runs (replayed from the verdict record on a warm -cache), so the
+// pass runs once per app.
 func printLintTable(rep *apps.StudyReport) {
-	fmt.Printf("%-14s %8s %8s %8s  %s\n", "app", "methods", "pinned", "findings", "lint details")
+	fmt.Printf("%-14s %8s %10s %8s  %s\n", "app", "methods", "taint-free", "findings", "lint details")
 	for _, row := range rep.Rows {
 		r := row.Report.Final.Result.Static
 		if r == nil {
@@ -208,8 +209,8 @@ func printLintTable(rep *apps.StudyReport) {
 				detail = fmt.Sprintf("%s (+%d more)", detail, len(r.Findings)-1)
 			}
 		}
-		fmt.Printf("%-14s %8d %8d %8d  %s\n",
-			row.App.Name, r.Methods, r.PinnedMethods, len(r.Findings), detail)
+		fmt.Printf("%-14s %8d %10d %8d  %s\n",
+			row.App.Name, r.Methods, r.TaintFreeMethods(), len(r.Findings), detail)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 //	ndroid -list
 //	ndroid -app qqphonebook [-mode ndroid|taintdroid|vanilla|droidscope] [-quiet]
-//	ndroid -app case1 -static pin
+//	ndroid -app case1 -static lint
 //	ndroid -app summix -summaries validated   # auto-generated native taint summaries
 //	ndroid -all
 //	ndroid -serve [-cache DIR] [-workers N]     # app names on stdin, JSON lines out
@@ -37,7 +37,7 @@ func main() {
 	var (
 		appName   = flag.String("app", "", "app to analyze (see -list)")
 		mode      = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
-		staticLvl = flag.String("static", "off", "static pre-analysis: off, lint (diagnose), pin (apply pins)")
+		staticLvl = flag.String("static", "off", "static pre-analysis: off or lint (diagnose and cross-validate)")
 		summaries = flag.String("summaries", "off", "native taint summaries: off or validated")
 		list      = flag.Bool("list", false, "list available apps")
 		all       = flag.Bool("all", false, "run the full Table I detection matrix")
@@ -49,22 +49,12 @@ func main() {
 	)
 	flag.Parse()
 
-	level, err := static.ParseLevel(*staticLvl)
+	opts, err := analyzeOptions(*mode, *staticLvl, *summaries)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
 	}
-	sumMode, err := core.ParseSummaryMode(*summaries)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ndroid:", err)
-		os.Exit(2)
-	}
-	analysisMode, ok := core.ModeFromName(*mode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "ndroid: unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)\n", *mode)
-		os.Exit(2)
-	}
-	opts := core.AnalyzeOptions{Mode: analysisMode, FlowLog: !*quiet, Static: level, Summaries: sumMode}
+	opts.FlowLog = !*quiet
 
 	if *list {
 		for _, a := range apps.Registry() {
@@ -95,6 +85,24 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(1)
 	}
+}
+
+// analyzeOptions parses the -mode, -static and -summaries values; main exits
+// 2 on any error it returns.
+func analyzeOptions(mode, staticLvl, summaries string) (core.AnalyzeOptions, error) {
+	level, err := static.ParseLevel(staticLvl)
+	if err != nil {
+		return core.AnalyzeOptions{}, err
+	}
+	sumMode, err := core.ParseSummaryMode(summaries)
+	if err != nil {
+		return core.AnalyzeOptions{}, err
+	}
+	analysisMode, ok := core.ModeFromName(mode)
+	if !ok {
+		return core.AnalyzeOptions{}, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
+	}
+	return core.AnalyzeOptions{Mode: analysisMode, Static: level, Summaries: sumMode}, nil
 }
 
 // runServe runs the analysis-as-a-service mode: submissions are registry app

@@ -9,6 +9,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/service"
+	"repro/internal/static"
 )
 
 // section returns the lines of one "-- name --" section of runOne's output.
@@ -92,5 +93,31 @@ func TestRunMatrixTaintDroidSeesOnlyCase1(t *testing.T) {
 		if want := cs != "benign"; (nd == "detected") != want {
 			t.Errorf("%s (case %s): ndroid %q", name, cs, nd)
 		}
+	}
+}
+
+// TestBadOptionValuesExit2: -static takes off|lint. Any other value, pin
+// included, is an analyzeOptions error, which main turns into exit 2 as it
+// does for an unknown -mode or -summaries value.
+func TestBadOptionValuesExit2(t *testing.T) {
+	for _, bad := range [][3]string{
+		{"ndroid", "pin", "off"},
+		{"bogus", "off", "off"},
+		{"ndroid", "off", "static"},
+	} {
+		if _, err := analyzeOptions(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("-mode %s -static %s -summaries %s: accepted", bad[0], bad[1], bad[2])
+		}
+	}
+	opts, err := analyzeOptions("ndroid", "lint", "off")
+	if err != nil || opts.Static != static.LintOnly || opts.Mode != core.ModeNDroid {
+		t.Fatalf("-static lint: %+v, %v", opts, err)
+	}
+	var out bytes.Buffer
+	if err := runOne(&out, "case1", opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(section(out.String(), "static pre-analysis")) == 0 {
+		t.Errorf("-static lint printed no static section:\n%s", out.String())
 	}
 }

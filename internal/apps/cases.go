@@ -8,9 +8,9 @@ import (
 
 // addChecksum gives the class a pure arithmetic helper with branching
 // control flow: no sources, sinks, heap access, or JNI crossings in its
-// closure, so the static pre-analysis can prove it pinnable. Every benign
-// app carries one (invoked argument-free from run) to exercise the pinned
-// clean-variant dispatch path end to end.
+// closure, so the static pre-analysis can prove it taint-free. Every benign
+// app carries one (invoked argument-free from run), which gives the
+// reach-precision floor a method it must prove in every benign app.
 func addChecksum(cb *dex.ClassBuilder) {
 	cb.Method("checksum", "I", dex.AccStatic, 2).
 		Const(0, 0).

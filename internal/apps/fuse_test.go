@@ -43,21 +43,22 @@ func TestFusionParityAllAppsAllModes(t *testing.T) {
 	}
 }
 
-// TestFusionParityWithStaticSeeds repeats the parity check with the static
-// pre-analysis seeding fusion candidates (chains then build on the first
-// crossing instead of at the heat threshold), which shifts every build point.
+// TestFusionParityWithStaticSeeds (name kept from the static fusion seeds,
+// which are gone) repeats the parity check with the static pass on: the
+// pre-analysis runs before the entry point on the same System, and fused
+// and unfused runs must still agree.
 func TestFusionParityWithStaticSeeds(t *testing.T) {
 	for _, app := range apps.Registry() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseOff, Static: static.PinLevel,
+				Budget: testBudget, FlowLog: true, Fuse: core.FuseOff, Static: static.LintOnly,
 			})
 			fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseOn, Static: static.PinLevel,
+				Budget: testBudget, FlowLog: true, Fuse: core.FuseOn, Static: static.LintOnly,
 			})
 			if got, want := outcomeOf(fused), outcomeOf(base); got != want {
-				t.Errorf("seeded fusion diverged: verdict %v vs %v", got.verdict, want.verdict)
+				t.Errorf("fused run with the static pass diverged: verdict %v vs %v", got.verdict, want.verdict)
 			}
 		})
 	}

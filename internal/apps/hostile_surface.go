@@ -7,7 +7,7 @@ package apps
 // reflection-dispatch leaker whose call target never appears in the dex call
 // graph, a self-modifying library that rewrites live native code before
 // re-registering its hooks, and a mid-run RegisterNatives swap that flips a
-// statically clean-pinned binding into a leaking one.
+// binding the static pass proved taint-free into a leaking one.
 
 import (
 	"repro/internal/core"
@@ -284,19 +284,18 @@ njm:
 	}
 }
 
-// HostilePinswapApp attacks the static clean-pin layer head on. Its checksum
-// helper is provably pure, so a Static=PinLevel pass pins it before the run;
-// its `process` native starts benign. Mid-run a RegisterNatives call swaps
-// `process` to a leaking implementation — at which point every clean-pin
-// derived from the pre-swap world is stale. The analyzer must void the pins
-// (logged as StaticPinVoid, counted in RunResult.PinsVoided), re-derive the
-// post-swap checksum call without the pinned fast path, and still catch the
-// leak on the next crossing.
+// HostilePinswapApp swaps a native binding out from under the static pass.
+// Its checksum helper is provably pure, so the pre-analysis proves it
+// taint-free; its `process` native starts benign. Mid-run a RegisterNatives
+// call swaps `process` to a leaking implementation, so the static reach sets
+// no longer describe the code that runs. The analyzer must still catch the
+// leak on the next crossing, and the cross-validator must relax its
+// address-keyed native checks from the logged RegisterNatives line on.
 func HostilePinswapApp() *App {
 	const cls = "Lcom/hostile/pinswap/Main;"
 	return &App{
 		Name:        "hostile-pinswap",
-		Desc:        "hostile: RegisterNatives swap voids static clean-pins pinned before the run",
+		Desc:        "hostile: mid-run RegisterNatives swap to a leaking native",
 		Case:        "2",
 		EntryClass:  cls,
 		EntryMethod: "run",
@@ -366,7 +365,7 @@ njm:
 			cb.NativeMethod("swap", "V", dex.AccStatic, 0)
 			addChecksum(cb)
 			cb.Method("run", "V", dex.AccStatic, 3).
-				// Pinned-clean checksum runs before the swap...
+				// The taint-free checksum runs before the swap...
 				InvokeStatic(cls, "checksum", "I").
 				InvokeStatic("Landroid/telephony/TelephonyManager;", "getDeviceId", "L").
 				MoveResult(0).
@@ -379,8 +378,7 @@ njm:
 				Goto("loop").
 				Label("swap").
 				InvokeStatic(cls, "swap", "V").
-				// ...and again after: the voided pin must not serve the stale
-				// clean variant, and the next crossing must leak.
+				// ...and again after; the next crossing must leak.
 				InvokeStatic(cls, "checksum", "I").
 				InvokeStatic(cls, "process", "LL", 0).
 				MoveResult(2).

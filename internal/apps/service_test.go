@@ -111,7 +111,7 @@ func TestSharedLibVariantReusesAssembledImages(t *testing.T) {
 	}
 
 	cold, coldStats := runStudy(t, apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Static: static.PinLevel,
+		Budget: testBudget, FlowLog: true, Static: static.LintOnly,
 		Cache: store, Apps: []*apps.App{base}}, 1)
 	if coldStats.Runner.AsmAssembles == 0 {
 		t.Fatal("cold run assembled nothing; the ablation has no baseline")
@@ -119,7 +119,7 @@ func TestSharedLibVariantReusesAssembledImages(t *testing.T) {
 
 	variant := apps.SharedLibVariant(base)
 	rep, st := runStudy(t, apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Static: static.PinLevel,
+		Budget: testBudget, FlowLog: true, Static: static.LintOnly,
 		Cache: store, Apps: []*apps.App{variant}}, 1)
 
 	if st.Runner.AsmAssembles != 0 {

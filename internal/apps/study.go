@@ -20,7 +20,7 @@ type StudyOptions struct {
 	Budget uint64
 	// FlowLog captures per-app flow logs.
 	FlowLog bool
-	// Static selects the pre-analysis level for every app (off/lint/pin).
+	// Static selects the pre-analysis level for every app (off/lint).
 	Static static.Level
 	// Summaries selects the auto-generated native taint summary mode for
 	// every app (off/static/validated). Flow logs and verdicts are

@@ -85,41 +85,21 @@ func TestRaspFloodBoundedUnderThrottling(t *testing.T) {
 	}
 }
 
-// TestPinswapVoidsStalePins: after the mid-run RegisterNatives swap, every
-// clean-pin derived from the pre-swap binding is voided (diagnostic logged,
-// count reported), and the leak is caught under every static level and both
-// fusion settings.
+// TestPinswapVoidsStalePins (name kept from the pin era): the leak behind
+// the mid-run RegisterNatives swap is caught under every static level and
+// both fusion settings.
 func TestPinswapVoidsStalePins(t *testing.T) {
 	app, ok := apps.ByName("hostile-pinswap")
 	if !ok {
 		t.Fatal("hostile-pinswap missing")
 	}
-	for _, lvl := range []static.Level{static.Off, static.LintOnly, static.PinLevel} {
+	for _, lvl := range []static.Level{static.Off, static.LintOnly} {
 		for _, fuse := range []core.FuseMode{core.FuseOn, core.FuseOff} {
 			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
 				Budget: testBudget, FlowLog: true, Static: lvl, Fuse: fuse})
 			if r.Verdict() != core.VerdictLeak {
 				t.Errorf("static=%d fuse=%d: verdict = %v, want leak (chain %s)",
 					lvl, fuse, r.Verdict(), r.ChainString())
-				continue
-			}
-			res := r.Final.Result
-			sawVoid := false
-			for _, line := range res.LogLines {
-				if len(line) >= len("StaticPinVoid") && line[:len("StaticPinVoid")] == "StaticPinVoid" {
-					sawVoid = true
-					break
-				}
-			}
-			if !sawVoid {
-				t.Errorf("static=%d fuse=%d: no StaticPinVoid diagnostic in the flow log", lvl, fuse)
-			}
-			if lvl == static.PinLevel {
-				if res.PinsVoided == 0 {
-					t.Errorf("fuse=%d: PinsVoided = 0, want stale clean-pins voided", fuse)
-				}
-			} else if res.PinsVoided != 0 {
-				t.Errorf("static=%d fuse=%d: PinsVoided = %d with no pins installed", lvl, fuse, res.PinsVoided)
 			}
 		}
 	}

@@ -133,20 +133,9 @@ type CPU struct {
 	GateFlips      uint64
 	GateFastBlocks uint64
 	GateSlowBlocks uint64
-	// pinnedPages marks 4 KiB code pages the static pre-analysis proved can
-	// never execute while taint is live (internal/static): blocks whose
-	// bytes lie entirely on pinned pages dispatch straight onto the bare
-	// variant without even the edge-cached liveness check. The pin is baked
-	// into the Block at translation time (PinPage invalidates existing
-	// translations), and the dispatch still falls back to the full gate when
-	// a taint edge is pending — so a wrong pin degrades to the dynamic gate
-	// instead of dropping taint.
-	pinnedPages map[uint32]bool
-	// GatePinnedBlocks counts block executions dispatched via a static pin.
-	GatePinnedBlocks uint64
 
 	// CodeEpoch increments on every block invalidation — hooks added or
-	// removed, pins, self-modifying stores into code extents, cache resets,
+	// removed, self-modifying stores into code extents, cache resets,
 	// snapshot restores that changed code pages. It is monotonic (never
 	// rewound, even across Restore) so a cached chain that captured an epoch
 	// can validate with one compare: equal epoch ⇒ no translation anywhere
@@ -253,34 +242,6 @@ func (c *CPU) SetRegTaint(i int, t taint.Tag) {
 	if t != 0 {
 		c.gateBail = true
 	}
-}
-
-// PinPage marks one 4 KiB page (page number = addr >> 12) as statically
-// taint-irrelevant. Existing translations on the page are invalidated so the
-// pin takes effect on already-translated code.
-func (c *CPU) PinPage(page uint32) {
-	if c.pinnedPages == nil {
-		c.pinnedPages = make(map[uint32]bool)
-	}
-	c.pinnedPages[page] = true
-	c.invalidatePageBlocks(page)
-}
-
-// PinnedPageCount reports how many pages carry a static pin.
-func (c *CPU) PinnedPageCount() int { return len(c.pinnedPages) }
-
-// UnpinPages drops every static page pin, invalidating the blocks that baked
-// a pin in, and reports how many pins were dropped. Called when a dynamic
-// RegisterNatives swap voids the code layout the static pass proved pins
-// against; unpinned blocks fall back to the dynamic liveness gate, which is
-// always sound.
-func (c *CPU) UnpinPages() int {
-	n := len(c.pinnedPages)
-	for page := range c.pinnedPages {
-		c.invalidatePageBlocks(page)
-	}
-	c.pinnedPages = nil
-	return n
 }
 
 // Hook registers fn at addr (bit 0 ignored). A second registration at the

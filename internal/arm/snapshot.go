@@ -10,9 +10,9 @@ package arm
 // onMemWrite already invalidates exactly those pages' decoded instructions
 // and blocks. Restore therefore never flushes the caches wholesale — it only
 // invalidates blocks on pages whose *non-byte* translation inputs changed
-// (address hooks and static pins, both baked into blocks at translation
-// time). Tracer changes are reconciled by RunUntilHint's boundTracer check, the
-// same path that handles a tracer swap mid-session.
+// (address hooks, baked into blocks at translation time). Tracer changes
+// are reconciled by RunUntilHint's boundTracer check, the same path that
+// handles a tracer swap mid-session.
 
 import "repro/internal/taint"
 
@@ -48,9 +48,6 @@ type CPUSnapshot struct {
 	gateFlips    uint64
 	gateFast     uint64
 	gateSlow     uint64
-	gatePinned   uint64
-
-	pinnedPages map[uint32]bool
 
 	halted    bool
 	exitCode  int32
@@ -58,7 +55,7 @@ type CPUSnapshot struct {
 }
 
 // Snapshot captures the CPU's mutable state. Translation caches are NOT
-// copied — they are forward-valid caches over guest bytes plus hook/pin/
+// copied — they are forward-valid caches over guest bytes plus hook and
 // tracer inputs, and Restore invalidates exactly the entries whose inputs
 // changed instead of recapturing them.
 func (c *CPU) Snapshot() *CPUSnapshot {
@@ -93,7 +90,6 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 		gateFlips:    c.GateFlips,
 		gateFast:     c.GateFastBlocks,
 		gateSlow:     c.GateSlowBlocks,
-		gatePinned:   c.GatePinnedBlocks,
 
 		halted:    c.Halted,
 		exitCode:  c.ExitCode,
@@ -102,18 +98,12 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 	for a, h := range c.addrHooks {
 		s.addrHooks[a] = h
 	}
-	if c.pinnedPages != nil {
-		s.pinnedPages = make(map[uint32]bool, len(c.pinnedPages))
-		for pn := range c.pinnedPages {
-			s.pinnedPages[pn] = true
-		}
-	}
 	return s
 }
 
-// Restore rewinds the CPU to s. Blocks on pages whose hook set or pin set
-// differs from the snapshot are invalidated (both are baked into blocks at
-// translation time); everything else in the decode and block caches is kept
+// Restore rewinds the CPU to s. Blocks on pages whose hook set differs from
+// the snapshot are invalidated (hooks are baked into blocks at translation
+// time); everything else in the decode and block caches is kept
 // — pages the attempt wrote were already invalidated by the write-notify
 // path when memory was restored. A restored Tracer that differs from the
 // bound one is reconciled by the next RunUntilHint dispatch.
@@ -130,17 +120,6 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 			changed[a>>12] = true
 		}
 	}
-	// ... and pages whose pin state changed (pins bake `pinned` into blocks).
-	for pn := range c.pinnedPages {
-		if !s.pinnedPages[pn] {
-			changed[pn] = true
-		}
-	}
-	for pn := range s.pinnedPages {
-		if c.pinnedPages == nil || !c.pinnedPages[pn] {
-			changed[pn] = true
-		}
-	}
 	for pn := range changed {
 		c.invalidatePageBlocks(pn)
 	}
@@ -148,13 +127,6 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 	c.addrHooks = make(map[uint32]AddrHook, len(s.addrHooks))
 	for a, h := range s.addrHooks {
 		c.addrHooks[a] = h
-	}
-	c.pinnedPages = nil
-	if s.pinnedPages != nil {
-		c.pinnedPages = make(map[uint32]bool, len(s.pinnedPages))
-		for pn := range s.pinnedPages {
-			c.pinnedPages[pn] = true
-		}
 	}
 
 	c.R = s.r
@@ -180,7 +152,6 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 	c.Live = s.live
 	c.gateBail, c.gateWasLive = s.gateBail, s.gateWasLive
 	c.GateFlips, c.GateFastBlocks, c.GateSlowBlocks = s.gateFlips, s.gateFast, s.gateSlow
-	c.GatePinnedBlocks = s.gatePinned
 
 	c.Halted = s.halted
 	c.ExitCode = s.exitCode

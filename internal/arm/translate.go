@@ -74,11 +74,6 @@ type Block struct {
 	// dispatcher skip the hook-map lookup entirely on the hot path.
 	startHooked bool
 
-	// pinned records that every page this block's bytes touch carries a
-	// static taint-irrelevance pin (CPU.PinPage): dispatch takes the bare
-	// variant without consulting the liveness gate.
-	pinned bool
-
 	// succTaken/succFall cache the successor blocks (chaining). They are
 	// hints: each use re-checks key and validity.
 	succTaken *Block
@@ -166,7 +161,7 @@ func (c *CPU) invalidatePage(pn uint32) {
 // invalidatePageBlocks drops only the translated blocks on page pn (Hook and
 // Unhook use this: hooks change block boundaries but not decoded bytes). The
 // epoch bump is unconditional — even when the page holds no translations yet —
-// so that hook/pin mutations are always visible to CodeEpoch observers (the
+// so that hook mutations are always visible to CodeEpoch observers (the
 // fused JNI bridge treats any bump as "the translation world may have
 // changed" and falls back to its conservative path).
 func (c *CPU) invalidatePageBlocks(pn uint32) {
@@ -357,26 +352,16 @@ func (c *CPU) stepBlock(hint *Block) (*Block, error) {
 func (c *CPU) execBlock(b *Block) (*Block, error) {
 	steps, bare := b.steps, false
 	if c.UseTaintGate && b.bare != nil {
-		if b.pinned && !c.gateWasLive && !c.gateBail {
-			// Statically pinned page, no pending taint edge: skip even the
-			// liveness predicate. If an edge is pending (a pin turned out
-			// optimistic), fall through to the full gate below, which
-			// re-derives liveness — wrong pins cost precision, never
-			// soundness.
-			c.GatePinnedBlocks++
-			steps, bare = b.bare, true
+		live := c.taintLive()
+		if live != c.gateWasLive {
+			c.GateFlips++
+			c.gateWasLive = live
+		}
+		if live {
+			c.GateSlowBlocks++
 		} else {
-			live := c.taintLive()
-			if live != c.gateWasLive {
-				c.GateFlips++
-				c.gateWasLive = live
-			}
-			if live {
-				c.GateSlowBlocks++
-			} else {
-				c.GateFastBlocks++
-				steps, bare = b.bare, true
-			}
+			c.GateFastBlocks++
+			steps, bare = b.bare, true
 		}
 	}
 	for i := 0; i < len(steps); i++ {
@@ -473,15 +458,6 @@ func (c *CPU) translate(startPC uint32) *Block {
 		return nil
 	}
 	b.endPC = pc
-	if c.pinnedPages != nil {
-		b.pinned = true
-		for pn := startPC >> 12; pn <= (pc-1)>>12; pn++ {
-			if !c.pinnedPages[pn] {
-				b.pinned = false
-				break
-			}
-		}
-	}
 	if c.blockCache == nil {
 		c.blockCache = make(map[uint32]*Block)
 		c.blocksByPage = make(map[uint32][]*Block)

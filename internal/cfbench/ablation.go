@@ -7,8 +7,8 @@ package cfbench
 // every (app, mode) cell to the baseline arm's verdict and flow log byte for
 // byte. An arm that exists to prove a claim beyond parity (a warm store
 // computes nothing, summaries cut tracing 5x) carries that claim as its
-// Check. The contained-corpus verdict counts and the static pin table are
-// views of the baseline and static=pin runs under NDroid, so cfbench walks
+// Check. The contained-corpus verdict counts and the static reach table are
+// views of the baseline and static=lint runs under NDroid, so cfbench walks
 // the corpus only here. cmd/cfbench exits nonzero on any break (the CI
 // bench-smoke gate).
 
@@ -60,8 +60,8 @@ const floodApp = "hostile-rasp"
 // arms is the matrix, baseline first. The baseline runs the production
 // defaults (fusion on, observer on and throttled, static pass off, summaries
 // off, no store); every other arm changes one knob. The store arms also turn
-// static pins on, since the static pass is the heaviest artifact the store
-// caches, so the store's own cost is cache=cold against static=pin.
+// the static pass on, since it is the heaviest artifact the store caches, so
+// the store's own cost is cache=cold against static=lint.
 var arms = []matrixArm{
 	{Name: "baseline"},
 	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
@@ -69,16 +69,16 @@ var arms = []matrixArm{
 	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
 	{Name: "summaries=validated", Opts: core.AnalyzeOptions{Summaries: core.SummaryValidated},
 		Check: summariesPay},
-	{Name: "static=pin", Opts: core.AnalyzeOptions{Static: static.PinLevel}},
-	{Name: "cache=cold", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true},
-	{Name: "cache=warm", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true,
+	{Name: "static=lint", Opts: core.AnalyzeOptions{Static: static.LintOnly}},
+	{Name: "cache=cold", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true},
+	{Name: "cache=warm", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true,
 		Check: func(run, _ *ArmRun) error {
 			if run.Service.Computed != 0 {
 				return fmt.Errorf("recomputed %d apps; every verdict should replay", run.Service.Computed)
 			}
 			return nil
 		}},
-	{Name: "cache=sharedlib", Opts: core.AnalyzeOptions{Static: static.PinLevel}, Store: true, SharedLib: true,
+	{Name: "cache=sharedlib", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true, SharedLib: true,
 		Check: func(run, _ *ArmRun) error {
 			if n := run.Service.Runner.AsmAssembles; n != 0 {
 				return fmt.Errorf("ran the assembler %d times; shared images must replay", n)
@@ -134,11 +134,10 @@ type Cell struct {
 	SummaryApplied  uint64 `json:"summary_applied,omitempty"`
 	SummaryRejected int    `json:"summary_rejected,omitempty"`
 
-	// Static pins: pinned-variant dispatches (Dalvik frames, ARM blocks),
-	// and the pre-analysis result the pin table reads (nil with the pass off).
-	PinnedFrames uint64 `json:"pinned_frames,omitempty"`
-	PinnedBlocks uint64 `json:"pinned_blocks,omitempty"`
-	static       *static.Result
+	// The pre-analysis result and cross-validation violation count the
+	// reach table reads (nil and 0 with the pass off).
+	static     *static.Result
+	violations int
 
 	// Surface map: unique boundaries, recorded and dropped events, raw
 	// boundary calls, and whether the event budget ran out.
@@ -292,7 +291,7 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 			App: app.Name, Verdict: rep.Verdict().String(), Attempts: len(rep.Chain), Degraded: rep.Degraded, Seconds: secs,
 			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
 			TracedInsns: r.TracedInsns, SummaryApplied: r.SummaryApplied, SummaryRejected: len(r.SummaryRejections),
-			PinnedFrames: r.PinnedFrames, PinnedBlocks: r.PinnedBlocks, static: r.Static,
+			static: r.Static, violations: len(r.StaticViolations),
 		}
 		if s := r.Surface; s != nil {
 			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =

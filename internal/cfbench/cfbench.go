@@ -404,17 +404,15 @@ type GateStats struct {
 	NativeInsns uint64 `json:"nativeInsns,omitempty"`
 	Traced      uint64 `json:"traced,omitempty"`
 
-	Flips        uint64 `json:"flips"`
-	FastBlocks   uint64 `json:"fastBlocks"`
-	SlowBlocks   uint64 `json:"slowBlocks"`
-	PinnedBlocks uint64 `json:"pinnedBlocks,omitempty"`
+	Flips      uint64 `json:"flips"`
+	FastBlocks uint64 `json:"fastBlocks"`
+	SlowBlocks uint64 `json:"slowBlocks"`
 
 	JavaTransMethods uint64 `json:"javaTransMethods,omitempty"`
 	JavaCleanFrames  uint64 `json:"javaCleanFrames,omitempty"`
 	JavaTaintFrames  uint64 `json:"javaTaintFrames,omitempty"`
 	JavaGateBails    uint64 `json:"javaGateBails,omitempty"`
 	JavaDeopts       uint64 `json:"javaDeopts,omitempty"`
-	JavaPinnedFrames uint64 `json:"javaPinnedFrames,omitempty"`
 }
 
 // Measure runs one workload under one mode, returning the score (nominal
@@ -450,17 +448,15 @@ func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (flo
 	gs := GateStats{
 		NativeInsns: sys.CPU.InsnCount - startInsns,
 
-		Flips:        sys.CPU.GateFlips,
-		FastBlocks:   sys.CPU.GateFastBlocks,
-		SlowBlocks:   sys.CPU.GateSlowBlocks,
-		PinnedBlocks: sys.CPU.GatePinnedBlocks,
+		Flips:      sys.CPU.GateFlips,
+		FastBlocks: sys.CPU.GateFastBlocks,
+		SlowBlocks: sys.CPU.GateSlowBlocks,
 
 		JavaTransMethods: sys.VM.JavaTransMethods,
 		JavaCleanFrames:  sys.VM.JavaCleanFrames,
 		JavaTaintFrames:  sys.VM.JavaTaintFrames,
 		JavaGateBails:    sys.VM.JavaGateBails,
 		JavaDeopts:       sys.VM.JavaDeopts,
-		JavaPinnedFrames: sys.VM.JavaPinnedFrames,
 	}
 	if a.Tracer != nil {
 		gs.Traced = a.Tracer.Traced

@@ -26,7 +26,7 @@ type Result struct {
 	// Ablation carries the ablation matrix when the caller ran RunMatrix
 	// alongside the benchmark (cmd/cfbench always does). The JSON form
 	// also carries its two views: the contained-corpus verdict counts and
-	// the static pin table.
+	// the static reach table.
 	Ablation *Matrix
 }
 
@@ -163,11 +163,11 @@ func (r *Result) JSON() ([]byte, error) {
 		Modes    []string       `json:"modes"`
 		Rows     []jsonRow      `json:"rows"`
 		Verdicts *VerdictCounts `json:"verdicts,omitempty"`
-		Pins     []PinRow       `json:"pins,omitempty"`
+		Reach    []ReachRow     `json:"reach,omitempty"`
 		Ablation *Matrix        `json:"ablation,omitempty"`
 	}
 	if r.Ablation != nil {
-		out.Verdicts, out.Pins, out.Ablation = r.Ablation.Verdicts(), r.Ablation.Pins(), r.Ablation
+		out.Verdicts, out.Reach, out.Ablation = r.Ablation.Verdicts(), r.Ablation.Reach(), r.Ablation
 	}
 	for _, m := range r.Modes {
 		out.Modes = append(out.Modes, m.String())
@@ -229,22 +229,20 @@ func (r *Result) Report() string {
 			total.Flips += gs.Flips
 			total.FastBlocks += gs.FastBlocks
 			total.SlowBlocks += gs.SlowBlocks
-			total.PinnedBlocks += gs.PinnedBlocks
 			total.JavaTransMethods += gs.JavaTransMethods
 			total.JavaCleanFrames += gs.JavaCleanFrames
 			total.JavaTaintFrames += gs.JavaTaintFrames
 			total.JavaGateBails += gs.JavaGateBails
 			total.JavaDeopts += gs.JavaDeopts
-			total.JavaPinnedFrames += gs.JavaPinnedFrames
 		}
 		if total.Flips+total.FastBlocks+total.SlowBlocks != 0 {
-			fmt.Fprintf(&b, "taint gate (%s): %d flips, %d fast blocks, %d instrumented blocks, %d pinned blocks\n",
-				m, total.Flips, total.FastBlocks, total.SlowBlocks, total.PinnedBlocks)
+			fmt.Fprintf(&b, "taint gate (%s): %d flips, %d fast blocks, %d instrumented blocks\n",
+				m, total.Flips, total.FastBlocks, total.SlowBlocks)
 		}
 		if total.JavaTransMethods+total.JavaCleanFrames+total.JavaTaintFrames != 0 {
-			fmt.Fprintf(&b, "java translation (%s): %d methods, %d clean frames, %d taint frames, %d bails, %d deopts, %d pinned frames\n",
+			fmt.Fprintf(&b, "java translation (%s): %d methods, %d clean frames, %d taint frames, %d bails, %d deopts\n",
 				m, total.JavaTransMethods, total.JavaCleanFrames, total.JavaTaintFrames,
-				total.JavaGateBails, total.JavaDeopts, total.JavaPinnedFrames)
+				total.JavaGateBails, total.JavaDeopts)
 		}
 	}
 	return b.String()

@@ -158,12 +158,6 @@ type Analyzer struct {
 	// enabling or disabling it cannot perturb flow-log parity.
 	Surface *surface.Observer
 
-	// PinsVoided / PinPagesVoided count static clean-pins (methods / native
-	// pages) dropped because a dynamic RegisterNatives swap invalidated the
-	// binding the pre-analysis proved them against.
-	PinsVoided     int
-	PinPagesVoided int
-
 	// Auto-generated native taint summaries (summaries.go). SummariesVoided
 	// counts cached per-function summary states dropped by RegisterNatives
 	// churn or code writes; SummaryApplied counts crossings served by an
@@ -230,16 +224,7 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 	// and the log line keys the static cross-validator's relaxation.
 	sys.VM.OnRegisterNatives = func(m *dex.Method, old, new uint32) {
 		a.Log.Addf("RegisterNatives %s 0x%x -> 0x%x", m.FullName(), old, new)
-		// The swap voids every clean-pin the static pass derived from the
-		// previous binding: pinned methods and pages fall back to the dynamic
-		// gates (a dropped pin costs speed, never a missed flow). The
-		// diagnostic line is deliberately independent of whether any pins
-		// existed, so flow logs stay byte-identical across static levels;
-		// the counts are reported through RunResult instead.
-		a.PinsVoided += sys.VM.UnpinClean()
-		a.PinPagesVoided += sys.CPU.UnpinPages()
-		a.Log.Addf("StaticPinVoid %s: clean pins from the pre-swap binding voided", m.FullName())
-		// The swap equally voids every auto-generated taint summary: a cached
+		// The swap voids every auto-generated taint summary: a cached
 		// transfer describes the pre-swap implementation. Counter only — no
 		// log line, so flow logs stay byte-identical across summary modes.
 		a.voidSummaries()

@@ -115,18 +115,6 @@ type RunResult struct {
 	// verdict-visible degradation signal for event-budget exhaustion.
 	Surface *surface.Map
 
-	// PinnedFrames / PinnedBlocks count dispatches of static clean-pinned
-	// variants: Dalvik frames that skipped the gate probe and ARM blocks that
-	// skipped the liveness check. Both zero unless static pins were applied.
-	PinnedFrames uint64
-	PinnedBlocks uint64
-
-	// PinsVoided / PinPagesVoided count static clean-pins dropped mid-run
-	// because a dynamic RegisterNatives swap invalidated the binding they
-	// were derived from.
-	PinsVoided     int
-	PinPagesVoided int
-
 	// Static is the pre-analysis result for this attempt (nil when the
 	// pre-analysis was off). StaticViolations holds cross-validation
 	// failures: dynamic flow-log events outside the static reach sets.
@@ -170,8 +158,6 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 	startChains := vm.JavaFusedChains
 	startFused := vm.JavaFusedCalls
 	startDeopts := vm.JavaFuseDeopts
-	startFrames := vm.JavaPinnedFrames
-	startBlocks := a.Sys.CPU.GatePinnedBlocks
 	defer func() {
 		if r := recover(); r != nil {
 			res.Fault = fault.FromPanic("core", r)
@@ -185,11 +171,7 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 		res.FusedChains = vm.JavaFusedChains - startChains
 		res.FusedCalls = vm.JavaFusedCalls - startFused
 		res.FuseDeopts = vm.JavaFuseDeopts - startDeopts
-		res.PinnedFrames = vm.JavaPinnedFrames - startFrames
-		res.PinnedBlocks = a.Sys.CPU.GatePinnedBlocks - startBlocks
 		res.Surface = a.Surface.Map()
-		res.PinsVoided = a.PinsVoided
-		res.PinPagesVoided = a.PinPagesVoided
 		if a.Tracer != nil {
 			res.TracedInsns = a.Tracer.Traced
 		}
@@ -280,10 +262,9 @@ type AnalyzeOptions struct {
 	Budget uint64
 	// FlowLog enables flow-log capture on every attempt.
 	FlowLog bool
-	// Static selects the pre-analysis level: off, lint (diagnose only), or
-	// pin (also seed taint-reachability pins into the dynamic engines). Pins
-	// are seeded per attempt against the attempt's System, so degradation
-	// retries re-seed them.
+	// Static selects the pre-analysis level: off or lint. Lint runs the
+	// static pass before the entry point and cross-validates the flow log
+	// against its reach sets; it never changes how the app executes.
 	Static static.Level
 	// Summaries selects how auto-generated native taint summaries are used:
 	// off (default; trace everything) or validated (trust a sound transfer
@@ -292,7 +273,7 @@ type AnalyzeOptions struct {
 	// changes.
 	Summaries SummaryMode
 	// Runner serves every attempt from its snapshot-restored System (and
-	// re-seeds static pins from its digest cache). Nil gives each attempt a
+	// static results from its digest cache). Nil gives each attempt a
 	// new Runner that boots a fresh System and is never restored: the
 	// reference the snapshot-parity suites compare against. Verdicts and flow
 	// logs are byte-identical either way; only the reset cost changes.

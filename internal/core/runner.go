@@ -38,7 +38,7 @@ import (
 // key (along with cas.Version), so editing one cleanly invalidates the kind.
 var (
 	// KindStatic holds static.Portable payloads keyed by Fingerprint.Static.
-	KindStatic = cas.Kind{Name: "static", Schema: "v1 static.Portable counts,findings,reach,pins,seeds"}
+	KindStatic = cas.Kind{Name: "static", Schema: "v2 static.Portable counts,taint_free_names,findings,reach"}
 	// KindAsm holds arm.Program payloads keyed by hash(source, base).
 	KindAsm = cas.Kind{Name: "asmlib", Schema: "v1 arm.Program base,code,labels,writemask"}
 	// KindDexCheck holds dexCheckRecord payloads keyed by dex.Class digests.
@@ -99,8 +99,7 @@ type Runner struct {
 	bootClasses map[string]bool
 
 	// statics caches pre-analysis results by app fingerprint: a re-install of
-	// identical content re-seeds pins by name instead of re-running the
-	// analysis.
+	// identical content reuses the result instead of re-running the analysis.
 	statics map[string]*static.Result
 
 	// cache is the persistent artifact store (nil on an uncached Runner).
@@ -180,10 +179,11 @@ func (r *Runner) reset() error {
 }
 
 // analyzeOnce runs one contained attempt: reset and install the app, serve
-// static pins from the digest cache (in-memory, then the artifact store) when
-// the installed content is unchanged, and run the entry point. Panics
-// escaping any stage (boot, class loading, native-lib assembly) are converted
-// to faults here, so a hostile app can never take the study process down.
+// the static result from the digest cache (in-memory, then the artifact
+// store) when the installed content is unchanged, and run the entry point.
+// Panics escaping any stage (boot, class loading, native-lib assembly) are
+// converted to faults here, so a hostile app can never take the study process
+// down.
 func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res RunResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -219,17 +219,9 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 		if cached, ok := r.statics[key]; ok {
 			sr = cached
 			r.Stats.StaticReuses++
-			if opts.Static == static.PinLevel {
-				// The cached pin sets are pointer-keyed against a previous
-				// install's dex tree; re-seed by name on this one.
-				sr.ReApply(sys.VM)
-			}
 		} else if sr = r.loadStatic(key); sr != nil {
 			r.statics[key] = sr
 			r.Stats.StaticDiskHits++
-			if opts.Static == static.PinLevel {
-				sr.ReApply(sys.VM)
-			}
 		} else {
 			sr = static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod)
 			r.statics[key] = sr
@@ -237,9 +229,6 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 			if r.cache != nil {
 				// Best-effort store: a failed Put costs future reuse, nothing else.
 				_ = r.cache.Put(KindStatic, key, sr.Portable())
-			}
-			if opts.Static == static.PinLevel {
-				sr.Apply(sys.VM)
 			}
 		}
 	}

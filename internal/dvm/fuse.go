@@ -20,8 +20,8 @@ package dvm
 // Soundness rests on deopt, not on the specialization being right forever: a
 // chain is valid only while the DVM translation epoch, the ARM code epoch,
 // the method's native entry address, and the loaded-library count all match
-// what bind time saw. Any mismatch — RegisterNatives re-registration, hook or
-// pin changes, self-modifying code, snapshot restore, library loads, or an
+// what bind time saw. Any mismatch — RegisterNatives re-registration, hook
+// changes, self-modifying code, snapshot restore, library loads, or an
 // injected SiteFusedDeopt fault — sends the crossing back through the unfused
 // bridge, whose behavior is the specification (the parity suite holds the two
 // byte-identical).
@@ -34,7 +34,7 @@ import (
 	"repro/internal/taint"
 )
 
-// fuseThreshold is the crossing count at which an unseeded method is fused.
+// fuseThreshold is the crossing count at which a method is fused.
 // Small on purpose: a chain build is cheap (no codegen, just binding), and
 // the unfused bridge it replaces is the dominant per-crossing cost.
 const fuseThreshold = 4
@@ -47,7 +47,7 @@ type fusedChain struct {
 	// Validity tokens captured at bind time; fuseLookup revalidates on every
 	// dispatch. nativeAddr pins monomorphism (RegisterNatives rebinding),
 	// dvmEpoch covers hook/class/step-fn mutations and snapshot restores,
-	// armEpoch covers ARM hook/pin changes and self-modifying code, nLibs
+	// armEpoch covers ARM hook changes and self-modifying code, nLibs
 	// covers library loads extending the clobber universe.
 	nativeAddr uint32
 	dvmEpoch   uint64
@@ -80,9 +80,9 @@ type fusedChain struct {
 }
 
 // fuseLookup returns the valid fused chain for m, building one when the
-// method is hot (or statically seeded), or nil when the crossing must take
-// the unfused bridge. An invalid chain counts a deopt and is dropped; the
-// deopted crossing itself runs unfused, and the next one may rebuild.
+// method is hot, or nil when the crossing must take the unfused bridge. An
+// invalid chain counts a deopt and is dropped; the deopted crossing itself
+// runs unfused, and the next one may rebuild.
 func (vm *VM) fuseLookup(m *dex.Method) *fusedChain {
 	if fault.Hit(SiteFusedDeopt, m.NativeAddr) != nil {
 		// Injected epoch-check corruption: whatever the dispatch state, the
@@ -111,7 +111,7 @@ func (vm *VM) fuseLookup(m *dex.Method) *fusedChain {
 		heat = vm.fuseHeat[m]
 	}
 	heat++
-	if heat >= fuseThreshold || vm.fuseSeeds[m] {
+	if heat >= fuseThreshold {
 		return vm.buildChain(m)
 	}
 	if vm.fuseHeat == nil {

@@ -65,11 +65,9 @@ type VMSnapshot struct {
 	javaInsns, javaTransMethods      uint64
 	javaCleanFrames, javaTaintFrames uint64
 	javaGateBails, javaDeopts        uint64
-	javaPinnedFrames                 uint64
 	jniCrossings, javaFusedChains    uint64
 	javaFusedCalls, javaFuseDeopts   uint64
 
-	pinnedClean   map[*dex.Method]bool
 	sourceMethods map[string]bool
 	sinkMethods   map[string]bool
 
@@ -148,7 +146,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		javaTaintFrames:   vm.JavaTaintFrames,
 		javaGateBails:     vm.JavaGateBails,
 		javaDeopts:        vm.JavaDeopts,
-		javaPinnedFrames:  vm.JavaPinnedFrames,
 		jniCrossings:      vm.JNICrossings,
 		javaFusedChains:   vm.JavaFusedChains,
 		javaFusedCalls:    vm.JavaFusedCalls,
@@ -205,12 +202,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		s.hooks[name] = append([]InternalHook(nil), hs...)
 	}
 
-	if vm.pinnedClean != nil {
-		s.pinnedClean = make(map[*dex.Method]bool, len(vm.pinnedClean))
-		for m := range vm.pinnedClean {
-			s.pinnedClean[m] = true
-		}
-	}
 	if vm.sourceMethods != nil {
 		s.sourceMethods = make(map[string]bool, len(vm.sourceMethods))
 		for n := range vm.sourceMethods {
@@ -315,7 +306,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.JavaTaintFrames = s.javaTaintFrames
 	vm.JavaGateBails = s.javaGateBails
 	vm.JavaDeopts = s.javaDeopts
-	vm.JavaPinnedFrames = s.javaPinnedFrames
 	vm.JNICrossings = s.jniCrossings
 	vm.JavaFusedChains = s.javaFusedChains
 	vm.JavaFusedCalls = s.javaFusedCalls
@@ -327,15 +317,7 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	// they derive only from immutable method metadata of the shared dex tree.
 	vm.fused = nil
 	vm.fuseHeat = nil
-	vm.fuseSeeds = nil
 
-	vm.pinnedClean = nil
-	if s.pinnedClean != nil {
-		vm.pinnedClean = make(map[*dex.Method]bool, len(s.pinnedClean))
-		for m := range s.pinnedClean {
-			vm.pinnedClean[m] = true
-		}
-	}
 	vm.sourceMethods = nil
 	if s.sourceMethods != nil {
 		vm.sourceMethods = make(map[string]bool, len(s.sourceMethods))

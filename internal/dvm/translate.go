@@ -89,21 +89,11 @@ func (vm *VM) translateMethod(m *dex.Method) *compiledMethod {
 // the variant on the Java gate and settling the instruction counters in bulk.
 func (vm *VM) runTranslated(th *Thread, f *Frame, cm *compiledMethod) (uint64, taint.Tag, *Object, error) {
 	m := f.Method
-	// A statically pinned method always runs the clean variant: the
-	// pre-analysis proved no tainted value can enter this frame (no tainted
-	// argument, return, or heap read in any execution), so the taintSeen
-	// latch is irrelevant to it and neither the gate check nor the mid-frame
-	// bail is paid. Pins only apply while the gate is on — the no-gate
-	// reference configuration stays fully instrumented.
-	pinned := vm.GateJava && vm.pinnedClean != nil && vm.pinnedClean[m]
-	clean := pinned || (vm.GateJava && !vm.taintSeen)
+	clean := vm.GateJava && !vm.taintSeen
 	steps := cm.taint
 	if clean {
 		steps = cm.clean
 		vm.JavaCleanFrames++
-		if pinned {
-			vm.JavaPinnedFrames++
-		}
 	} else {
 		vm.JavaTaintFrames++
 	}
@@ -136,7 +126,7 @@ func (vm *VM) runTranslated(th *Thread, f *Frame, cm *compiledMethod) (uint64, t
 				m.InsnCount += executed
 				return vm.interpret(th, f, pc+1)
 			}
-			if clean && !pinned && vm.taintSeen {
+			if clean && vm.taintSeen {
 				clean, steps = false, cm.taint
 				vm.JavaGateBails++
 			}
@@ -148,7 +138,7 @@ func (vm *VM) runTranslated(th *Thread, f *Frame, cm *compiledMethod) (uint64, t
 		case jsThrow:
 			// A throwing invoke runs the same post-call discipline before the
 			// handler (or the unwind) executes.
-			if clean && !pinned && vm.taintSeen {
+			if clean && vm.taintSeen {
 				clean, steps = false, cm.taint
 				vm.JavaGateBails++
 			}

@@ -235,10 +235,6 @@ type VM struct {
 	// JavaDeopts counts mid-method falls back to the interpreter after an
 	// epoch bump (a hook or step function appeared under a running frame).
 	JavaDeopts uint64
-	// JavaPinnedFrames counts translated frame entries that took the clean
-	// variant because the method was statically pinned (internal/static),
-	// skipping the gate check entirely.
-	JavaPinnedFrames uint64
 
 	// FuseNative enables cross-boundary trace fusion: hot monomorphic
 	// Dalvik→JNI→ARM chains are compiled into specialized host closures with
@@ -269,25 +265,16 @@ type VM struct {
 	OnReflectCall func(m *dex.Method)
 
 	// fused maps resolved methods to their compiled chains; fuseHeat counts
-	// unfused crossings per method toward the fusion threshold; fuseSeeds
-	// marks methods the static pre-analysis nominated for eager fusion. All
-	// three are keyed by method pointer and cleared on snapshot restore.
-	fused     map[*dex.Method]*fusedChain
-	fuseHeat  map[*dex.Method]uint32
-	fuseSeeds map[*dex.Method]bool
+	// unfused crossings per method toward the fusion threshold. Both are
+	// keyed by method pointer and cleared on snapshot restore.
+	fused    map[*dex.Method]*fusedChain
+	fuseHeat map[*dex.Method]uint32
 	// marshalPlans memoizes per-method shorty decoding for both bridge paths.
 	marshalPlans map[*dex.Method]*marshalPlan
 	// jniScratchPool recycles the argument/taint/object slices of the JNI
 	// bridge; savedCPUStack recycles register-snapshot buffers by pad depth.
 	jniScratchPool []*jniScratch
 	savedCPUStack  []*savedCPU
-
-	// pinnedClean holds methods the static pre-analysis proved can never
-	// observe tainted data: translated frames for them always run the clean
-	// variant and skip the taintSeen gate and its mid-frame bail checks.
-	// Keyed by method pointer, so a fresh System (fresh dex tree) never
-	// inherits stale pins — degradation retries must re-run the analysis.
-	pinnedClean map[*dex.Method]bool
 
 	// sourceMethods / sinkMethods index the framework taint sources and
 	// sinks by full name ("Landroid/...;.name") for the static
@@ -424,48 +411,6 @@ func (vm *VM) ResetTaintLatch() {
 func (vm *VM) tainting() bool {
 	return vm.TaintJava && (vm.taintSeen || !vm.GateJava)
 }
-
-// PinClean marks a method as statically proven taint-irrelevant: its
-// translated frames always run the clean variant without consulting the
-// taintSeen gate. The caller (internal/static via core) owns the soundness
-// argument; pins are keyed by method pointer so they die with the System
-// that was analyzed.
-func (vm *VM) PinClean(m *dex.Method) {
-	if vm.pinnedClean == nil {
-		vm.pinnedClean = make(map[*dex.Method]bool)
-	}
-	vm.pinnedClean[m] = true
-}
-
-// PinnedCleanCount reports how many methods carry a static clean pin.
-func (vm *VM) PinnedCleanCount() int { return len(vm.pinnedClean) }
-
-// UnpinClean discards every static clean pin and reports how many were
-// dropped. The analyzer calls it when a dynamic RegisterNatives swap voids
-// the binding the static pass analyzed: pinned methods fall back to the
-// ordinary taintSeen gate, which is always sound — a dropped pin costs
-// speed, never a missed flow. Translated frames consult the pin set on
-// entry, so no retranslation is needed.
-func (vm *VM) UnpinClean() int {
-	n := len(vm.pinnedClean)
-	vm.pinnedClean = nil
-	return n
-}
-
-// SeedFusion nominates a native method for eager trace fusion: the first
-// crossing builds its chain instead of waiting out the heat threshold. Seeds
-// come from the static pre-analysis (reachable crossing nodes in the
-// cross-ISA call graph); a wrong seed costs one premature build, never
-// soundness. Keyed by method pointer, like clean pins.
-func (vm *VM) SeedFusion(m *dex.Method) {
-	if vm.fuseSeeds == nil {
-		vm.fuseSeeds = make(map[*dex.Method]bool)
-	}
-	vm.fuseSeeds[m] = true
-}
-
-// FusionSeedCount reports how many methods carry a static fusion seed.
-func (vm *VM) FusionSeedCount() int { return len(vm.fuseSeeds) }
 
 // markSource records a framework taint-source builtin (registration time).
 func (vm *VM) markSource(full string) {

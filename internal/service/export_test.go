@@ -6,3 +6,7 @@ package service
 // single-flight test forces a concurrent twin submission into the dedup path.
 // Must be set before the first Submit.
 func (s *Service) SetFlightGap(h func(digest string)) { s.testFlightGap = h }
+
+// VerdictKey exposes the verdict-record key, so a test can plant a record
+// the way an older build would have stored it.
+var VerdictKey = verdictKey

@@ -381,7 +381,7 @@ func shardIndex(digest string, n int) int {
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
 // app digest — mode, budget, fusion, flow-log capture, and static level all
 // change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v3 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v4 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
 
 // addRunnerStats folds one Runner's counters into an aggregate.
 func addRunnerStats(dst *core.RunnerStats, s core.RunnerStats) {
@@ -429,7 +429,7 @@ type verdictRecord struct {
 	JNICrossings uint64       `json:"jni_crossings,omitempty"`
 	// Static is the final attempt's pre-analysis result (nil with the static
 	// pass off), persisted for the same reason: a replay carries the lint
-	// findings and pin counts without re-running the pass.
+	// findings and taint-free counts without re-running the pass.
 	Static *static.Portable `json:"static,omitempty"`
 }
 

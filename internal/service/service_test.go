@@ -169,14 +169,14 @@ func TestVerdictShortCircuit(t *testing.T) {
 
 // TestVerdictReplayCarriesStatic: with the static pass on, a warm verdict
 // replay hands back the computed run's pre-analysis result (counts, lint
-// findings, reach and pin sets) without running the pass again.
+// findings, reach sets and taint-free names) without running the pass again.
 func TestVerdictReplayCarriesStatic(t *testing.T) {
 	app := mustApp(t, "poc-case2") // two lint findings
 	store, err := cas.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.PinLevel}
+	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.LintOnly}
 	submit := func() (service.Result, service.Stats) {
 		svc, err := service.New(service.Options{Cache: store, Analyze: aOpts})
 		if err != nil {
@@ -208,6 +208,66 @@ func TestVerdictReplayCarriesStatic(t *testing.T) {
 	want, _ := json.Marshal(cs.Portable())
 	if !bytes.Equal(got, want) {
 		t.Errorf("replayed static result differs from the computed one:\n%s\n%s", got, want)
+	}
+}
+
+// TestOldVerdictSchemaRecomputes: a verdict record stored under the previous
+// verdict schema (v3, whose static record still carried pin and seed names)
+// is a clean miss under the current one, so the service recomputes the app
+// instead of replaying the stale record.
+func TestOldVerdictSchemaRecomputes(t *testing.T) {
+	app := mustApp(t, "hostile-pinswap")
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.LintOnly}
+	submit := func() (service.Result, service.Stats) {
+		svc, err := service.New(service.Options{Cache: store, Analyze: aOpts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := <-svc.Submit(app.Spec())
+		svc.Close()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return res, svc.Stats()
+	}
+	cold, _ := submit()
+	if cold.Source != "computed" {
+		t.Fatalf("cold source = %q", cold.Source)
+	}
+
+	// Move the record to the old schema, as a store written before the bump
+	// holds it, and give its static record the fields v3 wrote.
+	digester, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, _, err := digester.Fingerprint(app.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := service.VerdictKey(fp, aOpts)
+	var rec map[string]json.RawMessage
+	if ok, err := store.Get(service.KindVerdict, key, &rec); !ok || err != nil {
+		t.Fatalf("no current-schema record: %v, %v", ok, err)
+	}
+	rec["static"] = json.RawMessage(`{"methods":3,"pinned_methods":1,"pin_names":["Lcom/hostile/pinswap/Main;.checksum"],"seed_names":["Lcom/hostile/pinswap/Main;.process"]}`)
+	store.Evict(service.KindVerdict, key)
+	old := cas.Kind{Name: service.KindVerdict.Name, Schema: "v3 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
+	if err := store.Put(old, key, rec); err != nil {
+		t.Fatal(err)
+	}
+
+	again, st := submit()
+	if again.Source != "computed" || st.VerdictHits != 0 || st.Computed != 1 {
+		t.Fatalf("source %q with %d verdict hits, %d computed: a v3 record was replayed",
+			again.Source, st.VerdictHits, st.Computed)
+	}
+	if got, want := strings.Join(again.Report.Final.Result.LogLines, "\n"), strings.Join(cold.Report.Final.Result.LogLines, "\n"); got != want {
+		t.Error("recomputed flow log differs from the first run's")
 	}
 }
 

@@ -1,11 +1,10 @@
 // Package static is the whole-program static pre-analysis over guest code:
 // CFG construction for Dalvik bytecode and for ARM/Thumb native regions, a
 // generic worklist dataflow framework shared by both ISAs, a
-// taint-reachability pass whose result pre-pins the dynamic dual-variant
-// gates (bare ARM blocks, clean DVM translations), and a static JNI lint
-// over crossing sites. It runs before the first guest instruction executes
-// and doubles as a soundness oracle for the dynamic flow logs
-// (Result.CrossValidate).
+// taint-reachability pass that proves methods and native pages taint-free,
+// and a static JNI lint over crossing sites. It runs before the first guest
+// instruction executes and doubles as a soundness oracle for the dynamic
+// flow logs (Result.CrossValidate).
 package static
 
 // Graph is the shape both CFGs and the interprocedural call graph present to

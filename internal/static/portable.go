@@ -7,19 +7,18 @@ import (
 )
 
 // Portable is the serializable form of a Result for the content-addressed
-// artifact store. Pointer-keyed pin sets dehydrate to their name-based forms
-// (the same forms ReApply already uses for snapshot-restored Systems), maps
-// to sorted slices, and lint faults to fault.Portable — so a rehydrated
-// Result applies pins, cross-validates flow logs, and renders summaries
+// artifact store: maps become sorted slices and lint faults fault.Portable,
+// so a rehydrated Result cross-validates flow logs and renders summaries
 // identically to the original.
 type Portable struct {
-	Methods       int  `json:"methods"`
-	PinnedMethods int  `json:"pinned_methods"`
-	NativeFuncs   int  `json:"native_funcs"`
-	NativePages   int  `json:"native_pages"`
-	PinnedPages   int  `json:"pinned_pages"`
-	TaintFree     bool `json:"taint_free"`
-	Unresolved    bool `json:"unresolved,omitempty"`
+	Methods        int  `json:"methods"`
+	NativeFuncs    int  `json:"native_funcs"`
+	NativePages    int  `json:"native_pages"`
+	TaintFreePages int  `json:"taint_free_pages"`
+	TaintFree      bool `json:"taint_free"`
+	Unresolved     bool `json:"unresolved,omitempty"`
+
+	TaintFreeNames []string `json:"taint_free_names,omitempty"`
 
 	Findings []*fault.Portable `json:"findings,omitempty"`
 
@@ -28,10 +27,6 @@ type Portable struct {
 	Crossings     []string `json:"crossings,omitempty"`
 	CrossingAddrs []uint32 `json:"crossing_addrs,omitempty"`
 	NativeCallees []string `json:"native_callees,omitempty"`
-
-	PinNames  []string `json:"pin_names,omitempty"`
-	PinPages  []uint32 `json:"pin_pages,omitempty"`
-	SeedNames []string `json:"seed_names,omitempty"`
 }
 
 func sortedKeys(m map[string]bool) []string {
@@ -49,17 +44,14 @@ func sortedKeys(m map[string]bool) []string {
 // Portable dehydrates the result.
 func (r *Result) Portable() *Portable {
 	p := &Portable{
-		Methods: r.Methods, PinnedMethods: r.PinnedMethods,
-		NativeFuncs: r.NativeFuncs, NativePages: r.NativePages,
-		PinnedPages: r.PinnedPages, TaintFree: r.TaintFree,
-		Unresolved: r.Unresolved,
-		Sources:    sortedKeys(r.Sources),
-		Sinks:      sortedKeys(r.Sinks),
-		Crossings:  sortedKeys(r.Crossings),
-		NativeCallees: sortedKeys(r.NativeCallees),
-		PinNames:   append([]string(nil), r.pinNames...),
-		PinPages:   append([]uint32(nil), r.pinPages...),
-		SeedNames:  append([]string(nil), r.seedNames...),
+		Methods: r.Methods, NativeFuncs: r.NativeFuncs, NativePages: r.NativePages,
+		TaintFreePages: r.TaintFreePages, TaintFree: r.TaintFree,
+		Unresolved:     r.Unresolved,
+		TaintFreeNames: append([]string(nil), r.TaintFreeNames...),
+		Sources:        sortedKeys(r.Sources),
+		Sinks:          sortedKeys(r.Sinks),
+		Crossings:      sortedKeys(r.Crossings),
+		NativeCallees:  sortedKeys(r.NativeCallees),
 	}
 	for addr := range r.CrossingAddrs {
 		p.CrossingAddrs = append(p.CrossingAddrs, addr)
@@ -71,25 +63,18 @@ func (r *Result) Portable() *Portable {
 	return p
 }
 
-// Rehydrate rebuilds a Result from its portable form. The pointer-keyed pin
-// sets stay empty — Apply on a rehydrated Result falls back to the name-based
-// ReApply path, which resolves pins against whatever System the caller
-// installed the (digest-identical) app on.
+// Rehydrate rebuilds a Result from its portable form.
 func (p *Portable) Rehydrate() *Result {
 	r := &Result{
-		Methods: p.Methods, PinnedMethods: p.PinnedMethods,
-		NativeFuncs: p.NativeFuncs, NativePages: p.NativePages,
-		PinnedPages: p.PinnedPages, TaintFree: p.TaintFree,
-		Unresolved: p.Unresolved,
-		Sources:    make(map[string]bool, len(p.Sources)),
-		Sinks:      make(map[string]bool, len(p.Sinks)),
-		Crossings:  make(map[string]bool, len(p.Crossings)),
-		CrossingAddrs: make(map[uint32]bool, len(p.CrossingAddrs)),
-		NativeCallees: make(map[string]bool, len(p.NativeCallees)),
-		pinNames:   append([]string(nil), p.PinNames...),
-		pinPages:   append([]uint32(nil), p.PinPages...),
-		seedNames:  append([]string(nil), p.SeedNames...),
-		rehydrated: true,
+		Methods: p.Methods, NativeFuncs: p.NativeFuncs, NativePages: p.NativePages,
+		TaintFreePages: p.TaintFreePages, TaintFree: p.TaintFree,
+		Unresolved:     p.Unresolved,
+		TaintFreeNames: append([]string(nil), p.TaintFreeNames...),
+		Sources:        make(map[string]bool, len(p.Sources)),
+		Sinks:          make(map[string]bool, len(p.Sinks)),
+		Crossings:      make(map[string]bool, len(p.Crossings)),
+		CrossingAddrs:  make(map[uint32]bool, len(p.CrossingAddrs)),
+		NativeCallees:  make(map[string]bool, len(p.NativeCallees)),
 	}
 	for _, s := range p.Sources {
 		r.Sources[s] = true

@@ -283,8 +283,8 @@ func analyzeReach(g *callGraph, entry *dex.Method) *reachResult {
 	}
 
 	// Backward may-closure: a node touches a source/sink/crossing if it is
-	// one or any callee transitively is. This is the pin criterion's first
-	// half and the cross-validation reach set.
+	// one or any callee transitively is. This is the taint-free criterion's
+	// first half and the cross-validation reach set.
 	base := make([]BitSet, len(g.nodes))
 	for i, n := range g.nodes {
 		b := NewBitSet(numTouchBits)
@@ -303,9 +303,9 @@ func analyzeReach(g *callGraph, entry *dex.Method) *reachResult {
 		base[i] = b
 	}
 	r.touches = Solve(g, Problem{
-		Dir:  Backward,
-		Join: May,
-		Bits: numTouchBits,
+		Dir:      Backward,
+		Join:     May,
+		Bits:     numTouchBits,
 		Boundary: func(n int) BitSet { return base[n] },
 		Transfer: func(n int, in BitSet) BitSet { return in },
 	})
@@ -326,7 +326,8 @@ func analyzeReach(g *callGraph, entry *dex.Method) *reachResult {
 }
 
 // solveFrameTaint computes which Java frames can ever hold a tainted value,
-// the second half of the pin criterion. Mutual fixpoint with returnsTaint:
+// the second half of the taint-free criterion. Mutual fixpoint with
+// returnsTaint:
 //
 //	frameMayTaint(M) ⇐ a callee may return taint into M,
 //	               or a caller whose frame may taint passes ≥1 argument,
@@ -403,10 +404,10 @@ func (r *reachResult) solveFrameTaint() {
 	_ = returns
 }
 
-// pinnable reports whether the interpreted method node may be pinned to the
-// clean translation variant: its frame can never hold taint and its call
-// closure contains no source, sink, JNI crossing, or unresolved transfer.
-func (r *reachResult) pinnable(i int) bool {
+// taintFreeMethod reports whether the interpreted method node is proven
+// taint-free: its frame can never hold taint and its call closure contains
+// no source, sink, JNI crossing, or unresolved transfer.
+func (r *reachResult) taintFreeMethod(i int) bool {
 	n := r.g.nodes[i]
 	if n.m == nil || n.m.IsNative() || n.m.Builtin != nil || len(n.m.Insns) == 0 {
 		return false

@@ -1,17 +1,13 @@
 // Package static implements the whole-program pre-analysis that runs before
 // the dynamic engine boots: unified control-flow graphs over Dalvik bytecode
 // and ARM/Thumb native code, a generic worklist dataflow solver shared by
-// both ISAs, a taint-reachability pass that pins methods and native pages
-// which can never transitively touch a source, sink, or JNI crossing, and a
-// static JNI lint over crossing sites.
+// both ISAs, a taint-reachability pass that finds the methods and native
+// pages which can never transitively touch a source, sink, or JNI crossing,
+// and a static JNI lint over crossing sites.
 //
-// Pins are a pure precision optimisation: a pinned Dalvik method executes
-// its clean translation variant without the per-frame gate probe, and a
-// pinned native page's blocks skip the taint-liveness check. Soundness does
-// not rest on the pin computation — the runtime keeps its fallbacks (pinned
-// ARM blocks still honour pending gate-bail edges, pinned frames still
-// honour translation epochs), so a wrong pin costs speed, never a missed
-// flow.
+// The pass never steers the dynamic engines. Its outputs are diagnostics
+// (the lint findings and the taint-free counts) and the reach sets that
+// CrossValidate holds every flow log against.
 package static
 
 import (
@@ -30,12 +26,9 @@ type Level int
 const (
 	// Off disables the pre-analysis entirely.
 	Off Level = iota
-	// LintOnly runs CFG construction and the JNI lint, reporting findings
-	// without influencing execution.
+	// LintOnly runs CFG construction, the JNI lint and the reachability
+	// pass, reporting findings without influencing execution.
 	LintOnly
-	// PinLevel additionally applies taint-reachability pins to the dynamic
-	// engines.
-	PinLevel
 )
 
 // ParseLevel maps the -static flag values.
@@ -45,32 +38,30 @@ func ParseLevel(s string) (Level, error) {
 		return Off, nil
 	case "lint":
 		return LintOnly, nil
-	case "pin":
-		return PinLevel, nil
 	}
-	return Off, fmt.Errorf("static: unknown level %q (want off|lint|pin)", s)
+	return Off, fmt.Errorf("static: unknown level %q (want off|lint)", s)
 }
 
 func (l Level) String() string {
-	switch l {
-	case LintOnly:
+	if l == LintOnly {
 		return "lint"
-	case PinLevel:
-		return "pin"
 	}
 	return "off"
 }
 
 // Result is the outcome of one pre-analysis over a booted (but not yet run)
-// system: counts for reporting, the lint findings, the reach sets consumed
-// by cross-validation, and the pin sets applied by Apply.
+// system: counts for reporting, the lint findings, and the reach sets
+// consumed by cross-validation.
 type Result struct {
-	Methods       int // interpreted Dalvik methods
-	PinnedMethods int // methods proven unable to touch taint
-	NativeFuncs   int // native functions discovered by the CFG traversal
-	NativePages   int // pages of loaded app native code
-	PinnedPages   int // pages proven taint-free
-	TaintFree     bool
+	Methods        int // interpreted Dalvik methods
+	NativeFuncs    int // native functions discovered by the CFG traversal
+	NativePages    int // pages of loaded app native code
+	TaintFreePages int // pages proven taint-free
+	TaintFree      bool
+
+	// TaintFreeNames are the full names of the methods proven unable to
+	// touch taint, sorted.
+	TaintFreeNames []string
 
 	Findings []*fault.Fault // static JNI lint diagnostics
 
@@ -85,23 +76,6 @@ type Result struct {
 	// analysis could not resolve; cross-validation of native events is
 	// skipped (anything could run) but Java-side checks still hold.
 	Unresolved bool
-
-	pinMethods []*dex.Method
-	// pinNames are the full names of pinMethods, the pointer-independent form
-	// ReApply uses to re-seed pins on a System that re-installed the same dex.
-	pinNames []string
-	pinPages []uint32
-
-	// seedMethods are the reachable native methods: the cross-ISA call graph
-	// already proves these crossings can execute, so Apply seeds them into the
-	// VM's trace-fusion layer and the first crossing fuses without waiting for
-	// the heat threshold. seedNames is the ReApply form.
-	seedMethods []*dex.Method
-	seedNames   []string
-
-	// rehydrated marks a Result rebuilt from its Portable form: the
-	// pointer-keyed sets are gone, so Apply routes through ReApply.
-	rehydrated bool
 }
 
 // Analyze runs CFG construction, the JNI lint, and the taint-reachability
@@ -153,8 +127,6 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 			if n.m.IsNative() {
 				r.Crossings[n.m.Name] = true
 				r.CrossingAddrs[n.m.NativeAddr] = true
-				r.seedMethods = append(r.seedMethods, n.m)
-				r.seedNames = append(r.seedNames, n.m.FullName())
 			}
 		}
 		if n.fn != nil {
@@ -168,28 +140,21 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 	}
 
 	for i, n := range g.nodes {
-		if reach.pinnable(i) {
-			r.pinMethods = append(r.pinMethods, n.m)
-			r.PinnedMethods++
+		if reach.taintFreeMethod(i) {
+			r.TaintFreeNames = append(r.TaintFreeNames, n.m.FullName())
 		}
 	}
-	sort.Slice(r.pinMethods, func(i, j int) bool {
-		return r.pinMethods[i].FullName() < r.pinMethods[j].FullName()
-	})
-	for _, m := range r.pinMethods {
-		r.pinNames = append(r.pinNames, m.FullName())
-	}
+	sort.Strings(r.TaintFreeNames)
 
 	for _, lib := range vm.NativeLibs() {
 		end := lib.Prog.Base + lib.Prog.Size()
 		for pn := lib.Prog.Base >> 12; pn <= (end-1)>>12; pn++ {
 			r.NativePages++
-			if r.TaintFree {
-				r.pinPages = append(r.pinPages, pn)
-			}
 		}
 	}
-	r.PinnedPages = len(r.pinPages)
+	if r.TaintFree {
+		r.TaintFreePages = r.NativePages
+	}
 	return r
 }
 
@@ -239,69 +204,8 @@ func buildResolver(vm *dvm.VM) func(uint32) (string, bool) {
 	}
 }
 
-// Apply seeds the dynamic engines with the pin sets: pinned methods run
-// their clean translation variant, pinned pages skip the block-level gate.
-// Pins are keyed by *dex.Method and page number on the target System, so a
-// fresh System (degradation retry) must call Apply again.
-func (r *Result) Apply(vm *dvm.VM) {
-	if r.rehydrated {
-		// Rebuilt from the artifact store: no pointer sets exist, and the
-		// caller's System is a fresh install of a digest-identical app, which
-		// is exactly the contract ReApply's name resolution covers.
-		r.ReApply(vm)
-		return
-	}
-	for _, m := range r.pinMethods {
-		vm.PinClean(m)
-	}
-	for _, pn := range r.pinPages {
-		vm.CPU.PinPage(pn)
-	}
-	for _, m := range r.seedMethods {
-		vm.SeedFusion(m)
-	}
-}
-
-// ReApply re-seeds the pin sets on a System that installed the same app
-// again (identical dex digest, e.g. a snapshot-restored fork-server clone).
-// Method pins are resolved by full name — the re-install built fresh
-// *dex.Method values, so the pointer-keyed sets in r are useless — and page
-// pins reapply directly, because an identical install at a restored nextLibBase
-// lands native code on identical pages. Unresolvable names are skipped: a
-// missing pin costs speed, never soundness.
-func (r *Result) ReApply(vm *dvm.VM) {
-	for _, full := range r.pinNames {
-		if m := methodByFullName(vm, full); m != nil {
-			vm.PinClean(m)
-		}
-	}
-	for _, pn := range r.pinPages {
-		vm.CPU.PinPage(pn)
-	}
-	for _, full := range r.seedNames {
-		if m := methodByFullName(vm, full); m != nil {
-			vm.SeedFusion(m)
-		}
-	}
-}
-
-// methodByFullName resolves "Lpkg/Cls;.method" on the VM's class table;
-// unresolvable names return nil (a missing pin or seed costs speed, never
-// soundness).
-func methodByFullName(vm *dvm.VM, full string) *dex.Method {
-	i := strings.Index(full, ";.")
-	if i < 0 {
-		return nil
-	}
-	c, ok := vm.Class(full[:i+1])
-	if !ok {
-		return nil
-	}
-	if m, ok := c.Method(full[i+2:]); ok {
-		return m
-	}
-	return nil
-}
+// TaintFreeMethods counts the methods proven unable to touch taint.
+func (r *Result) TaintFreeMethods() int { return len(r.TaintFreeNames) }
 
 // CrossValidate checks every flow-log event against the static reach sets
 // and returns one message per violation: a dynamic event that static
@@ -317,13 +221,9 @@ func (r *Result) CrossValidate(lines []string) []string {
 	// point on — code outside the static entry set may legitimately run.
 	// Name-keyed Java-side checks still hold: rebinding cannot change the
 	// declared method set.
-	// Both the RegisterNatives event line and the StaticPinVoid diagnostic
-	// the analyzer logs beside it mark the relaxation; either alone suffices,
-	// so a future change to one line's shape cannot silently re-tighten the
-	// check.
 	rebound := false
 	for _, line := range lines {
-		if strings.HasPrefix(line, "RegisterNatives ") || strings.HasPrefix(line, "StaticPinVoid ") {
+		if strings.HasPrefix(line, "RegisterNatives ") {
 			rebound = true
 			break
 		}
@@ -396,6 +296,6 @@ func fieldArg(line, key string) string {
 
 // Summary renders the one-line report used by cmd/ndroid and flow logs.
 func (r *Result) Summary() string {
-	return fmt.Sprintf("static: %d/%d methods pinned, %d/%d pages pinned, %d lint findings, taint-free=%v",
-		r.PinnedMethods, r.Methods, r.PinnedPages, r.NativePages, len(r.Findings), r.TaintFree)
+	return fmt.Sprintf("static: %d/%d methods taint-free, %d/%d pages taint-free, %d lint findings, taint-free=%v",
+		r.TaintFreeMethods(), r.Methods, r.TaintFreePages, r.NativePages, len(r.Findings), r.TaintFree)
 }
