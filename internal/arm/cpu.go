@@ -90,7 +90,7 @@ type CPU struct {
 
 	// UseBlockCache enables the basic-block translation engine (the TCG
 	// analog; see translate.go): Run/RunUntil execute cached blocks of
-	// pre-resolved step closures instead of the per-instruction
+	// pre-decoded micro-ops instead of the per-instruction
 	// fetch/decode/dispatch loop. Step() always uses the interpreter.
 	UseBlockCache bool
 	blockCache    map[uint32]*Block
@@ -106,26 +106,26 @@ type CPU struct {
 	// .data right after .text) from forcing retranslation on every write.
 	codeExt     map[uint32][2]uint32
 	boundTracer Tracer
-	blockErr    error
 	// BlockHits counts block executions served from the cache (including
 	// chained successors); BlockMisses counts translations.
 	BlockHits   uint64
 	BlockMisses uint64
 
 	// UseTaintGate enables demand-driven instrumentation: blocks translated
-	// under a tracer carry a second, bare variant with no Table V dispatch,
-	// and block dispatch selects it whenever no taint is live anywhere the
-	// tracer could propagate from (the attached Liveness aggregate plus the
-	// shadow register file). Off by default; core.NewAnalyzer turns it on
-	// once the liveness wiring is complete.
+	// under a tracer also run bare, without calling their ops' pre-bound
+	// Table V handlers, and block dispatch selects that variant whenever no
+	// taint is live anywhere the tracer could propagate from (the attached
+	// Liveness aggregate plus the shadow register file). Off by default;
+	// core.NewAnalyzer turns it on once the liveness wiring is complete.
 	UseTaintGate bool
 	// Live is the process-wide taint liveness aggregate (attach with
 	// AttachLiveness). The gate consults its SrcMem count; register taint is
 	// scanned directly (16 words) instead of being write-instrumented.
 	Live *taint.Liveness
 	// gateBail is set by a liveness edge (first taint introduced) while a
-	// bare block may be mid-run; the bare step loop checks it so the rest of
-	// the block re-dispatches onto the instrumented variant.
+	// bare block may be mid-run; the executor checks it after every op that
+	// can introduce taint (stores, SVC) so the rest of the block re-dispatches
+	// onto the instrumented variant.
 	gateBail    bool
 	gateWasLive bool
 	// GateFlips counts fast<->slow transitions observed at block dispatch;
@@ -695,13 +695,15 @@ func (c *CPU) exec(pc uint32, insn Insn) error {
 		branched = true
 		branchTo = c.R[insn.Rm]
 	case OpBLX:
+		// The target is read before LR is written, so BLX LR jumps to the
+		// old LR (as on ARM) rather than to the next instruction.
+		branched = true
+		branchTo = c.R[insn.Rm]
 		lr := next
 		if c.Thumb {
 			lr |= 1
 		}
 		c.R[LR] = lr
-		branched = true
-		branchTo = c.R[insn.Rm]
 	case OpSVC:
 		if c.SVC == nil {
 			return fmt.Errorf("arm: SVC #%d at 0x%08x with no handler", insn.Imm, pc)

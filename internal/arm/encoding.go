@@ -368,6 +368,10 @@ func Decode(w uint32) Insn {
 		insn.Rd = int8((w >> 16) & 0xf)
 		insn.Rn = int8((w >> 12) & 0xf)
 		insn.Rm = int8((w >> 8) & 0xf)
+		if insn.Rd == PC || insn.Rn == PC || insn.Rm == PC {
+			// A register pair cannot start at R15 (there is no R16).
+			return Insn{Op: OpInvalid, Size: 4}
+		}
 	case clsFCVT:
 		if int(op4) >= len(fcvtOps) {
 			return Insn{Op: OpInvalid, Size: 4}
@@ -375,6 +379,9 @@ func Decode(w uint32) Insn {
 		insn.Op = fcvtOps[op4]
 		insn.Rd = int8((w >> 16) & 0xf)
 		insn.Rm = int8((w >> 8) & 0xf)
+		if insn.Op == OpSITOD && insn.Rd == PC || insn.Op == OpDTOSI && insn.Rm == PC {
+			return Insn{Op: OpInvalid, Size: 4}
+		}
 	default:
 		return Insn{Op: OpInvalid, Size: 4}
 	}

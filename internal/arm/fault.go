@@ -51,16 +51,6 @@ func (c *CPU) memFault(pc, addr uint32) error {
 	}
 }
 
-// memFaultStep is memFault in translated-block step form: it materializes PC
-// at the faulting instruction (the deopt contract: earlier instructions in
-// the block have fully executed, the faulting one has made no state change)
-// and routes the fault through the block engine's error exit.
-func (c *CPU) memFaultStep(at, addr uint32) stepRes {
-	c.R[PC] = at
-	c.blockErr = c.memFault(at, addr)
-	return stepErr
-}
-
 // undefFault reports a decoded-but-unimplemented operation.
 func (c *CPU) undefFault(pc uint32, insn Insn) error {
 	return &fault.Fault{

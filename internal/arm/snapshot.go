@@ -146,7 +146,6 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 
 	c.UseBlockCache = s.useBlockCache
 	c.BlockHits, c.BlockMisses = s.blockHits, s.blockMisses
-	c.blockErr = nil
 
 	c.UseTaintGate = s.useTaintGate
 	c.Live = s.live

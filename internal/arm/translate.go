@@ -4,13 +4,16 @@ package arm
 // QEMU's TCG translation cache, which is the execution substrate NDroid
 // actually instruments (§V-C's hot-instruction cache is the degenerate
 // one-instruction case). A straight-line run of guest code is decoded once
-// into a Block: a slice of pre-resolved step closures with direct-threaded
-// dispatch — no opcode switch, no condition re-check for always-condition
-// instructions, and the taint-tracer handler pre-bound per instruction at
-// translation time (see InsnBinder). Blocks end at control transfers, SVC,
-// HLT, and hooked addresses; they chain to their taken/fall-through
-// successors so hot loops never touch the cache map, and the dispatch loop
-// runs chained blocks back-to-back until a real dispatch boundary.
+// into a Block: one array of micro-ops (uop) of specialised kinds (ADD-imm,
+// CMP-imm, B, ...) with every decode-time decision already taken and the
+// taint-tracer handler pre-bound per instruction at translation time (see
+// InsnBinder). One switch executor, execBlock, runs it. Blocks end at
+// control transfers, SVC, HLT, and hooked addresses; they chain to their
+// taken/fall-through successors so hot loops never touch the cache map, and
+// the dispatch loop runs chained blocks back-to-back until a real dispatch
+// boundary. A block that branches back to its own start — the bottom-tested
+// loop compilers rotate loops into — iterates in place inside the executor,
+// as a TCG block that jumps to itself never returns to QEMU's dispatcher.
 //
 // Correctness against self-modifying code and reloaded library regions comes
 // from page-granular invalidation: every page holding a translation is marked
@@ -22,6 +25,7 @@ package arm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/fault"
 )
@@ -40,34 +44,23 @@ type InsnBinder interface {
 	BindInsn(addr uint32, insn Insn) func(c *CPU)
 }
 
-// stepRes is the outcome of one translated step.
-type stepRes uint8
-
-const (
-	stepNext   stepRes = iota // fall through to the next step
-	stepBranch                // taken control transfer; PC/Thumb already set
-	stepHalt                  // CPU halted; PC materialized
-	stepErr                   // error recorded in c.blockErr; PC materialized
-)
-
-type stepFn func(c *CPU) stepRes
-
-// Block is one translated straight-line run of guest code. Blocks translated
-// under a tracer carry two step variants: the instrumented steps (Table V
-// handler pre-bound per instruction) and bare (no taint dispatch at all).
-// The taint-presence gate picks the variant per execution, so untainted
-// phases run at vanilla speed without retranslation on gate flips.
+// Block is one translated straight-line run of guest code: one micro-op
+// array. Ops translated under a tracer carry their pre-bound Table V handler;
+// the taint-presence gate decides per execution whether to call them, so
+// untainted phases run at vanilla speed without retranslation on gate flips.
 type Block struct {
 	key   uint32 // start PC | thumb bit
-	steps []stepFn
-	// bare is the uninstrumented variant of steps; nil when the block was
-	// translated without a tracer (steps is already bare then).
-	bare []stepFn
-	// nexts[i] is the address of the instruction after step i, used to
-	// materialize PC when a write into this block forces a mid-run bail-out.
-	nexts []uint32
+	ops   []uop
 	endPC uint32 // fall-through address past the last instruction
 	valid bool
+	// traced marks a block translated under a tracer. Its ops' tracers run on
+	// every execution, unless UseTaintGate lets the gate pick the bare
+	// variant (no tracer calls) while no taint is live.
+	traced bool
+	// loops marks a single-block loop: the last op is a direct branch back to
+	// the block's own start and no earlier op can write memory or leave the
+	// block, so the executor may run it again in place (see execBlock).
+	loops bool
 	// startHooked records whether an address hook existed at the block's
 	// start when it was translated. Hook/Unhook invalidate the page's
 	// blocks, so for any valid block the flag is current — which lets the
@@ -80,9 +73,9 @@ type Block struct {
 	succFall  *Block
 }
 
-// maxBlockSteps caps translation length; CF-Bench-style loops fit in far
+// maxBlockOps caps translation length; CF-Bench-style loops fit in far
 // fewer, and shorter blocks bound the budget-check granularity in RunUntil.
-const maxBlockSteps = 64
+const maxBlockOps = 64
 
 func pcKey(pc uint32, thumb bool) uint32 {
 	if thumb {
@@ -237,7 +230,7 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
 			return entry, f
 		}
-		nb, err := c.stepBlock(b)
+		nb, err := c.stepBlock(b, limit)
 		if err != nil {
 			return entry, err
 		}
@@ -255,6 +248,7 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 		// reach fault.Hit), or a control transfer onto a hooked block start.
 		// It makes the slow step's per-block decisions in the same order, so
 		// counters, budget faults and injections land exactly where they did.
+		// A single-block loop makes the same decisions inside execBlock.
 		for nb != nil && c.InsnCount <= limit && !c.Halted && c.R[PC] != stop && !fault.Armed() {
 			if c.checkHook {
 				if nb.startHooked {
@@ -263,7 +257,7 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 				c.checkHook = false
 			}
 			c.BlockHits++
-			if nb, err = c.execBlock(nb); err != nil {
+			if nb, err = c.execBlock(nb, limit); err != nil {
 				return entry, err
 			}
 		}
@@ -278,13 +272,14 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 // stepBlock is the dispatch loop's slow step. It runs the hook check at the
 // current PC (same semantics as Step: hooks fire only when the address was
 // reached through a control transfer), then executes one translated block.
-// hint, when it matches the current PC, skips the cache-map lookup.
+// hint, when it matches the current PC, skips the cache-map lookup; limit is
+// the run's absolute budget, passed through to execBlock.
 //
 // The block is resolved before the hook check so that the common case — a
 // cached block whose start carries no hook — clears checkHook with a single
 // flag test instead of an addrHooks map lookup per taken branch. The flag is
 // trustworthy because Hook/Unhook invalidate the affected page's blocks.
-func (c *CPU) stepBlock(hint *Block) (*Block, error) {
+func (c *CPU) stepBlock(hint *Block, limit uint64) (*Block, error) {
 	pc := c.R[PC]
 	key := pcKey(pc, c.Thumb)
 	b := hint
@@ -331,27 +326,181 @@ func (c *CPU) stepBlock(hint *Block) (*Block, error) {
 	} else {
 		c.BlockHits++
 	}
-	return c.execBlock(b)
+	return c.execBlock(b, limit)
 }
 
-// execBlock runs a block's steps and resolves the successor hint. The taint
-// gate picks the variant: the instrumented steps, or bare ones (no Table V
-// dispatch) when no taint is live. InsnCount is settled in bulk at every exit
-// — positionally exact (i+1 instructions ran, condition-failed ones included,
-// matching the interpreter's count-then-check order), and nothing reads the
-// counter mid-block: hooks and the budget only observe it at dispatch
-// boundaries.
+// uop is one pre-decoded instruction of a translated block. The executor
+// switches on kind; register numbers, the operand form, the S suffix and
+// branch targets are resolved at translation time.
+type uop struct {
+	kind       uopKind
+	cond       Cond
+	flags      uopFlags
+	rd, rn, rm uint8
+	// imm is the immediate operand (MOVW pre-masked, MOVT pre-shifted), the
+	// signed memory offset, the branch target with its Thumb bit, the SVC
+	// number, or the LDM/STM register list.
+	imm  uint32
+	at   uint32 // the instruction's address
+	next uint32 // the address of the instruction after it
+	// trace is the pre-bound tracer func (nil: nothing to instrument); the
+	// executor calls it only on the instrumented variant.
+	trace func(c *CPU)
+}
+
+type uopKind uint8
+
+const (
+	uInvalid uopKind = iota
+	uNOP
+	uADDri
+	uADDrr
+	uSUBri
+	uSUBrr
+	uADDS // flag-setting ADD, either operand form
+	uSUBS
+	uRSB
+	uADC
+	uSBC
+	uAND
+	uORR
+	uEOR
+	uBIC
+	uLSL
+	uLSR
+	uASR
+	uROR
+	uMUL
+	uSDIV
+	uUDIV
+	uMOVi
+	uMOVr
+	uMOVS
+	uMVN
+	uMOVW
+	uMOVT
+	uCMPri
+	uCMP
+	uCMN
+	uTST
+	uTEQ
+	uLDR
+	uLDRB
+	uLDRH
+	uSTR
+	uSTRB
+	uSTRH
+	uSTM
+	uLDM
+	uPOP // LDM with PC in the list: a dynamic control transfer
+	uB
+	uBL
+	uBX
+	uBLX
+	uSVC
+	uHLT
+	uFADDS
+	uFSUBS
+	uFMULS
+	uFDIVS
+	uFADDD
+	uFSUBD
+	uFMULD
+	uFDIVD
+	uSITOF
+	uFTOSI
+	uSITOD
+	uDTOSI
+)
+
+// endsBlock reports whether an op of kind k must terminate its block:
+// control transfers, SVC and HLT.
+func (k uopKind) endsBlock() bool {
+	switch k {
+	case uPOP, uB, uBL, uBX, uBLX, uSVC, uHLT:
+		return true
+	}
+	return false
+}
+
+type uopFlags uint8
+
+const (
+	uopImm    uopFlags = 1 << iota // the second operand is imm, not R[rm]
+	uopSet                         // S suffix: the op sets N and Z (and C, V for arithmetic)
+	uopRegOff                      // [Rn, Rm] addressing
+	uopWB                          // LDM/STM writeback
+	uopPC                          // reads R15: materialize it at the op's address first
+	uopCheck                       // writes memory or runs foreign code: re-check the block afterwards
+	uopCond                        // the condition is not AL
+	uopTraced                      // trace is set
+)
+
+// op2 resolves the data-processing second operand.
+func (u *uop) op2(c *CPU) uint32 {
+	if u.flags&uopImm != 0 {
+		return u.imm
+	}
+	return c.R[u.rm&15]
+}
+
+// ea resolves a load or store's effective address.
+func (u *uop) ea(c *CPU) uint32 {
+	if u.flags&uopRegOff != 0 {
+		return c.R[u.rn&15] + c.R[u.rm&15]
+	}
+	return c.R[u.rn&15] + u.imm
+}
+
+// link is the return address BL and BLX write to LR.
+func (u *uop) link(c *CPU) uint32 {
+	if c.Thumb {
+		return u.next | 1
+	}
+	return u.next
+}
+
+// logic writes a bitwise, shift or multiply result and, with the S suffix,
+// sets N and Z from it.
+func (c *CPU) logic(u *uop, v uint32) {
+	c.R[u.rd&15] = v
+	if u.flags&uopSet != 0 {
+		c.setNZ(v)
+	}
+}
+
+// execBlock runs a block's micro-ops and resolves the successor hint. The
+// taint gate picks the variant: instrumented (each op's tracer is called) or
+// bare (no Table V dispatch) when no taint is live. InsnCount is settled in
+// bulk at every exit — positionally exact (i+1 instructions ran, condition-
+// failed ones included, matching the interpreter's count-then-check order),
+// and nothing reads the counter mid-block: hooks and the budget only observe
+// it at dispatch boundaries.
 //
-// A bare run has one extra bail condition: gateBail, raised edge-triggered by
-// the liveness aggregate when the first taint tag is introduced while this
-// block may be mid-run (a write observer, a syscall model). Bailing
-// materializes PC after the already-executed instruction — which ran against
-// a still taint-free machine, so skipping its Table V dispatch was exact —
-// and the dispatcher resumes on the instrumented variant from the next
-// instruction.
-func (c *CPU) execBlock(b *Block) (*Block, error) {
-	steps, bare := b.steps, false
-	if c.UseTaintGate && b.bare != nil {
+// Only ops that may write memory or run foreign code (stores, SVC, and any op
+// whose tracer runs) re-check the block afterwards. A store into this block
+// invalidates it (self-modifying code); on a bare run, gateBail — raised
+// edge-triggered by the liveness aggregate when the first taint tag is
+// introduced (a write observer, a syscall model) — means the rest must run
+// instrumented. Either way the executor materializes PC past the executed
+// instruction (which ran against a still taint-free machine, so skipping its
+// Table V dispatch was exact) and bails to the dispatcher, which
+// retranslates or picks the other variant. Register-only ops and loads can
+// do neither, so they skip the check.
+//
+// A block with loops set iterates in place: when its back-edge is taken, the
+// executor runs it again instead of returning to the dispatcher, provided the
+// dispatcher would have chained straight back into it — the head is
+// unhooked, the branch is outside the BranchFn watch (no event to deliver),
+// the bare variant runs with liveness cached clean (or the block has no
+// tracer), no injection site is armed, and the budget admits another pass.
+// The head is never the run's stop: both dispatch paths test stop before
+// they enter a block. Each pass counts as one block hit (and one fast-gate
+// block when gated), settled in bulk with InsnCount, so counters, budget
+// faults and load faults land exactly where chained dispatch put them.
+func (c *CPU) execBlock(b *Block, limit uint64) (*Block, error) {
+	trace, gated := b.traced, false
+	if trace && c.UseTaintGate {
 		live := c.taintLive()
 		if live != c.gateWasLive {
 			c.GateFlips++
@@ -361,41 +510,349 @@ func (c *CPU) execBlock(b *Block) (*Block, error) {
 			c.GateSlowBlocks++
 		} else {
 			c.GateFastBlocks++
-			steps, bare = b.bare, true
+			trace, gated = false, true
 		}
 	}
-	for i := 0; i < len(steps); i++ {
-		switch steps[i](c) {
-		case stepNext:
-			if b.valid && !(bare && c.gateBail) {
+	// traceMask selects the ops whose tracer runs, checkMask the ops after
+	// which the block must be re-checked.
+	traceMask, checkMask := uopFlags(0), uopCheck
+	if trace {
+		traceMask, checkMask = uopTraced, uopCheck|uopTraced
+	}
+	ops := b.ops
+	// spins counts the extra in-place passes; maxSpins is how many the budget
+	// admits (a pass may start while InsnCount <= limit).
+	var spins, maxSpins uint64
+	if b.loops && !trace && c.InsnCount <= limit && c.spinsInPlace(b) {
+		maxSpins = (limit - c.InsnCount) / uint64(len(ops))
+	}
+	for i := 0; i < len(ops); i++ {
+		u := &ops[i]
+		f := u.flags
+		if f&(uopCond|uopPC) != 0 {
+			if f&uopCond != 0 && !c.passes(u.cond) {
 				continue
 			}
-			// A store from inside this block invalidated it (self-modifying
-			// code), or a bare run saw a taint edge. Materialize PC past the
-			// executed instruction and bail to the dispatcher, which
-			// retranslates from the fresh bytes or picks the other variant.
-			c.InsnCount += uint64(i + 1)
-			c.R[PC] = b.nexts[i]
+			if f&uopPC != 0 {
+				// The interpreter keeps R15 equal to the executing
+				// instruction's address; materialize it for the rare
+				// instructions that read it.
+				c.R[PC] = u.at
+			}
+		}
+		if f&traceMask != 0 {
+			u.trace(c)
+		}
+		switch u.kind {
+		case uNOP:
+		case uADDri:
+			c.R[u.rd&15] = c.R[u.rn&15] + u.imm
+		case uADDrr:
+			c.R[u.rd&15] = c.R[u.rn&15] + c.R[u.rm&15]
+		case uSUBri:
+			c.R[u.rd&15] = c.R[u.rn&15] - u.imm
+		case uSUBrr:
+			c.R[u.rd&15] = c.R[u.rn&15] - c.R[u.rm&15]
+		case uADDS:
+			c.R[u.rd&15] = c.addWithCarry(c.R[u.rn&15], u.op2(c), 0, true)
+		case uSUBS:
+			c.R[u.rd&15] = c.addWithCarry(c.R[u.rn&15], ^u.op2(c), 1, true)
+		case uRSB:
+			c.R[u.rd&15] = c.addWithCarry(u.op2(c), ^c.R[u.rn&15], 1, u.flags&uopSet != 0)
+		case uADC, uSBC:
+			carry, v := uint32(0), u.op2(c)
+			if c.C {
+				carry = 1
+			}
+			if u.kind == uSBC {
+				v = ^v
+			}
+			c.R[u.rd&15] = c.addWithCarry(c.R[u.rn&15], v, carry, u.flags&uopSet != 0)
+		case uAND:
+			c.logic(u, c.R[u.rn&15]&u.op2(c))
+		case uORR:
+			c.logic(u, c.R[u.rn&15]|u.op2(c))
+		case uEOR:
+			c.logic(u, c.R[u.rn&15]^u.op2(c))
+		case uBIC:
+			c.logic(u, c.R[u.rn&15]&^u.op2(c))
+		case uLSL:
+			v := uint32(0)
+			if sh := u.op2(c) & 0xff; sh < 32 {
+				v = c.R[u.rn&15] << sh
+			}
+			c.logic(u, v)
+		case uLSR:
+			v := uint32(0)
+			if sh := u.op2(c) & 0xff; sh < 32 {
+				v = c.R[u.rn&15] >> sh
+			}
+			c.logic(u, v)
+		case uASR:
+			sh := u.op2(c) & 0xff
+			if sh >= 32 {
+				sh = 31
+			}
+			c.logic(u, uint32(int32(c.R[u.rn&15])>>sh))
+		case uROR:
+			sh, v := u.op2(c)&31, c.R[u.rn&15]
+			c.logic(u, v>>sh|v<<(32-sh))
+		case uMUL:
+			c.logic(u, c.R[u.rn&15]*c.R[u.rm&15])
+		case uSDIV:
+			v := uint32(0)
+			if d := int32(c.R[u.rm&15]); d != 0 {
+				v = uint32(int32(c.R[u.rn&15]) / d)
+			}
+			c.R[u.rd&15] = v
+		case uUDIV:
+			v := uint32(0)
+			if d := c.R[u.rm&15]; d != 0 {
+				v = c.R[u.rn&15] / d
+			}
+			c.R[u.rd&15] = v
+		case uMOVi:
+			c.R[u.rd&15] = u.imm
+		case uMOVr:
+			c.R[u.rd&15] = c.R[u.rm&15]
+		case uMOVS:
+			v := u.op2(c)
+			c.R[u.rd&15] = v
+			c.setNZ(v)
+		case uMVN:
+			c.logic(u, ^u.op2(c))
+		case uMOVW:
+			c.R[u.rd&15] = u.imm
+		case uMOVT:
+			c.R[u.rd&15] = c.R[u.rd&15]&0xffff | u.imm
+		case uCMPri:
+			c.addWithCarry(c.R[u.rn&15], ^u.imm, 1, true)
+		case uCMP:
+			c.addWithCarry(c.R[u.rn&15], ^u.op2(c), 1, true)
+		case uCMN:
+			c.addWithCarry(c.R[u.rn&15], u.op2(c), 0, true)
+		case uTST:
+			c.setNZ(c.R[u.rn&15] & u.op2(c))
+		case uTEQ:
+			c.setNZ(c.R[u.rn&15] ^ u.op2(c))
+		case uLDR:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.R[u.rd&15] = c.Mem.Read32(a)
+		case uLDRB:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.R[u.rd&15] = uint32(c.Mem.Read8(a))
+		case uLDRH:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.R[u.rd&15] = uint32(c.Mem.Read16(a))
+		case uSTR:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.Mem.Write32(a, c.R[u.rd&15])
+		case uSTRB:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.Mem.Write8(a, uint8(c.R[u.rd&15]))
+		case uSTRH:
+			a := u.ea(c)
+			if badAddr(a) {
+				return nil, c.faultAt(b, spins, i, gated, a)
+			}
+			c.Mem.Write16(a, uint16(c.R[u.rd&15]))
+		case uSTM:
+			base := c.R[u.rn&15]
+			if u.flags&uopWB != 0 { // push semantics: descending
+				base -= 4 * uint32(bits.OnesCount32(u.imm))
+			}
+			if badAddr(base) {
+				// Fault before the writeback lands (deopt contract).
+				return nil, c.faultAt(b, spins, i, gated, base)
+			}
+			if u.flags&uopWB != 0 {
+				c.R[u.rn&15] = base
+			}
+			for r, addr := 0, base; r < 16; r++ {
+				if u.imm&(1<<r) != 0 {
+					c.Mem.Write32(addr, c.R[r])
+					addr += 4
+				}
+			}
+		case uLDM, uPOP:
+			addr := c.R[u.rn&15]
+			if badAddr(addr) {
+				return nil, c.faultAt(b, spins, i, gated, addr)
+			}
+			var to uint32
+			for r := 0; r < 16; r++ {
+				if u.imm&(1<<r) == 0 {
+					continue
+				}
+				if r == PC {
+					to = c.Mem.Read32(addr)
+				} else {
+					c.R[r] = c.Mem.Read32(addr)
+				}
+				addr += 4
+			}
+			if u.flags&uopWB != 0 {
+				c.R[u.rn&15] = addr
+			}
+			if u.kind == uPOP {
+				return c.branch(b, spins, i, gated, u, to), nil
+			}
+		case uB:
+			if spins < maxSpins && !fault.Armed() {
+				// The back-edge of a single-block loop: run the next pass here.
+				spins++
+				i = -1
+				continue
+			}
+			return c.branch(b, spins, i, gated, u, u.imm), nil
+		case uBL:
+			c.R[LR] = u.link(c)
+			return c.branch(b, spins, i, gated, u, u.imm), nil
+		case uBX:
+			return c.branch(b, spins, i, gated, u, c.R[u.rm&15]), nil
+		case uBLX:
+			to := c.R[u.rm&15]
+			c.R[LR] = u.link(c)
+			return c.branch(b, spins, i, gated, u, to), nil
+		case uSVC:
+			if c.SVC == nil {
+				c.retire(b, spins, i+1, gated)
+				return nil, fmt.Errorf("arm: SVC #%d at 0x%08x with no handler", u.imm, u.at)
+			}
+			if err := c.SVC(c, u.imm); err != nil {
+				c.retire(b, spins, i+1, gated)
+				return nil, fmt.Errorf("arm: SVC #%d at 0x%08x: %w", u.imm, u.at, err)
+			}
+		case uHLT:
+			c.retire(b, spins, i+1, gated)
+			c.Halted = true
 			return nil, nil
-		case stepBranch:
-			c.InsnCount += uint64(i + 1)
-			return c.chase(b, true), nil
-		case stepHalt:
-			c.InsnCount += uint64(i + 1)
+		case uFADDS:
+			c.R[u.rd&15] = f32bits(f32(c.R[u.rn&15]) + f32(c.R[u.rm&15]))
+		case uFSUBS:
+			c.R[u.rd&15] = f32bits(f32(c.R[u.rn&15]) - f32(c.R[u.rm&15]))
+		case uFMULS:
+			c.R[u.rd&15] = f32bits(f32(c.R[u.rn&15]) * f32(c.R[u.rm&15]))
+		case uFDIVS:
+			c.R[u.rd&15] = f32bits(f32(c.R[u.rn&15]) / f32(c.R[u.rm&15]))
+		case uFADDD:
+			c.writeF64(int8(u.rd), c.readF64(int8(u.rn))+c.readF64(int8(u.rm)))
+		case uFSUBD:
+			c.writeF64(int8(u.rd), c.readF64(int8(u.rn))-c.readF64(int8(u.rm)))
+		case uFMULD:
+			c.writeF64(int8(u.rd), c.readF64(int8(u.rn))*c.readF64(int8(u.rm)))
+		case uFDIVD:
+			c.writeF64(int8(u.rd), c.readF64(int8(u.rn))/c.readF64(int8(u.rm)))
+		case uSITOF:
+			c.R[u.rd&15] = f32bits(float32(int32(c.R[u.rm&15])))
+		case uFTOSI:
+			c.R[u.rd&15] = uint32(int32(f32(c.R[u.rm&15])))
+		case uSITOD:
+			c.writeF64(int8(u.rd), float64(int32(c.R[u.rm&15])))
+		case uDTOSI:
+			c.R[u.rd&15] = uint32(int32(c.readF64(int8(u.rm))))
+		}
+		if f&checkMask != 0 && (!b.valid || gated && c.gateBail) {
+			c.retire(b, spins, i+1, gated)
+			c.R[PC] = u.next
 			return nil, nil
-		case stepErr:
-			c.InsnCount += uint64(i + 1)
-			err := c.blockErr
-			c.blockErr = nil
-			return nil, err
 		}
 	}
-	c.InsnCount += uint64(len(steps))
+	c.retire(b, spins, len(ops), gated)
 	c.R[PC] = b.endPC
 	if !b.valid {
 		return nil, nil
 	}
 	return c.chase(b, false), nil
+}
+
+// spinsInPlace reports whether the dispatcher would chain a single-block
+// loop's taken back-edge straight into the next pass with nothing to do in
+// between: no hook check at the head, no branch event to deliver, no armed
+// injection site to probe.
+func (c *CPU) spinsInPlace(b *Block) bool {
+	head := b.key &^ 1
+	return !b.startHooked && !fault.Armed() &&
+		(c.BranchFn == nil || head < c.branchWatchLo || head > c.branchWatchHi)
+}
+
+// retire settles a block run's counters: spins full in-place passes of b,
+// each a block hit (and a fast-gate block when gated), plus n instructions
+// of the current pass.
+func (c *CPU) retire(b *Block, spins uint64, n int, gated bool) {
+	c.InsnCount += spins*uint64(len(b.ops)) + uint64(n)
+	c.BlockHits += spins
+	if gated {
+		c.GateFastBlocks += spins
+	}
+}
+
+// branch ends a block run at op i, u, with a taken control transfer to `to`
+// (an interworking address) and returns the chained successor.
+func (c *CPU) branch(b *Block, spins uint64, i int, gated bool, u *uop, to uint32) *Block {
+	c.retire(b, spins, i+1, gated)
+	c.SetThumbPC(to)
+	c.EmitBranch(u.at, to&^1)
+	return c.chase(b, true)
+}
+
+// faultAt ends a block run at op i, which faulted on a data access to addr
+// without changing state (the deopt contract: earlier ops fully executed).
+// PC is materialized at the faulting instruction.
+func (c *CPU) faultAt(b *Block, spins uint64, i int, gated bool, addr uint32) error {
+	c.retire(b, spins, i+1, gated)
+	at := b.ops[i].at
+	c.R[PC] = at
+	return c.memFault(at, addr)
+}
+
+// condPass[cond] has bit n set when cond holds under the flags n = NZCV.
+// It is condHolds tabulated over all 16 encodings (15, like AL, always
+// holds), so the executor's condition test is one lookup that inlines.
+var condPass = func() (t [16]uint16) {
+	var c CPU
+	for cond := Cond(0); cond < 16; cond++ {
+		for n := 0; n < 16; n++ {
+			c.N, c.Z, c.C, c.V = n&8 != 0, n&4 != 0, n&2 != 0, n&1 != 0
+			if c.condHolds(cond) {
+				t[cond] |= 1 << n
+			}
+		}
+	}
+	return t
+}()
+
+// passes is condHolds by table lookup.
+func (c *CPU) passes(cond Cond) bool {
+	var n uint32
+	if c.N {
+		n |= 8
+	}
+	if c.Z {
+		n |= 4
+	}
+	if c.C {
+		n |= 2
+	}
+	if c.V {
+		n |= 1
+	}
+	return condPass[cond&15]>>n&1 != 0
 }
 
 // chase resolves the successor block for the current PC, memoizing it on the
@@ -420,29 +877,35 @@ func (c *CPU) chase(b *Block, taken bool) *Block {
 // Thumb state) into a new cached block. It returns nil when the very first
 // instruction cannot be translated.
 func (c *CPU) translate(startPC uint32) *Block {
-	b := &Block{key: pcKey(startPC, c.Thumb), valid: true}
+	b := &Block{key: pcKey(startPC, c.Thumb), valid: true, traced: c.Tracer != nil}
 	_, b.startHooked = c.addrHooks[startPC]
 	var binder InsnBinder
 	if c.Tracer != nil {
 		binder, _ = c.Tracer.(InsnBinder)
 	}
 	pc := startPC
-	for len(b.steps) < maxBlockSteps {
+	for len(b.ops) < maxBlockOps {
 		insn := c.decodeAt(pc)
 		if insn.Op == OpInvalid {
 			break
 		}
-		fn, bare, ends := c.buildStep(pc, insn, binder)
-		if fn == nil {
+		u, ok := compileOp(pc, insn, c.Thumb)
+		if !ok {
 			break
 		}
-		b.steps = append(b.steps, fn)
-		if c.Tracer != nil {
-			b.bare = append(b.bare, bare)
+		switch {
+		case binder != nil:
+			u.trace = binder.BindInsn(pc, insn)
+		case c.Tracer != nil:
+			tr, at, in := c.Tracer, pc, insn
+			u.trace = func(c *CPU) { tr.TraceInsn(c, at, in) }
 		}
-		pc += insn.Size
-		b.nexts = append(b.nexts, pc)
-		if ends || insn.Rd == PC {
+		if u.trace != nil {
+			u.flags |= uopTraced
+		}
+		b.ops = append(b.ops, u)
+		pc = u.next
+		if u.kind.endsBlock() || insn.Rd == PC {
 			// Control transfers, SVC, and HLT end blocks; so does any write
 			// to R15 through a data op (the interpreter overwrites it with
 			// the fall-through address, which endPC materialization mirrors).
@@ -454,10 +917,11 @@ func (c *CPU) translate(startPC uint32) *Block {
 			break
 		}
 	}
-	if len(b.steps) == 0 {
+	if len(b.ops) == 0 {
 		return nil
 	}
 	b.endPC = pc
+	b.loops = loopsInPlace(b)
 	if c.blockCache == nil {
 		c.blockCache = make(map[uint32]*Block)
 		c.blocksByPage = make(map[uint32][]*Block)
@@ -470,538 +934,142 @@ func (c *CPU) translate(startPC uint32) *Block {
 	return b
 }
 
-// buildStep assembles the full per-instruction closures: condition gate
-// (pre-elided for AL), pre-bound tracer call, then the specialized executor.
-// It returns both variants — fn with the tracer call, bare without — so each
-// block is translated once and dispatched dual-mode by the taint gate. ends
-// reports that the instruction must terminate the block. A nil fn means the
-// op is not translatable.
-func (c *CPU) buildStep(pc uint32, insn Insn, binder InsnBinder) (fn, bare stepFn, ends bool) {
-	exec, ends, ok := c.buildExec(pc, insn)
-	if !ok {
-		return nil, nil, false
+// loopsInPlace reports whether b is a single-block loop the executor may
+// iterate in place: its last op is a direct branch (conditional or not) to
+// b's own start, and no earlier op writes memory or runs foreign code. Such
+// a body cannot invalidate the block, raise a gate bail, arm an injection
+// site or reach a hook, so between passes only the budget and an injection
+// armed from another goroutine need re-checking; a load's fault exit
+// settles exactly like any other op's.
+func loopsInPlace(b *Block) bool {
+	last := &b.ops[len(b.ops)-1]
+	if last.kind != uB || last.imm != b.key {
+		return false
+	}
+	for i := range b.ops[:len(b.ops)-1] {
+		if b.ops[i].flags&uopCheck != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// uopOf maps each Op to its micro-op kind; compileOp specialises ADD, SUB,
+// MOV and CMP by operand form and LDM by whether it loads PC. Unmapped ops
+// stay uInvalid.
+var uopOf = [opMax]uopKind{
+	OpADD: uADDrr, OpSUB: uSUBrr, OpRSB: uRSB, OpADC: uADC, OpSBC: uSBC,
+	OpAND: uAND, OpORR: uORR, OpEOR: uEOR, OpBIC: uBIC,
+	OpLSL: uLSL, OpLSR: uLSR, OpASR: uASR, OpROR: uROR,
+	OpMUL: uMUL, OpSDIV: uSDIV, OpUDIV: uUDIV,
+	OpMOV: uMOVr, OpMVN: uMVN, OpMOVW: uMOVW, OpMOVT: uMOVT,
+	OpCMP: uCMP, OpCMN: uCMN, OpTST: uTST, OpTEQ: uTEQ,
+	OpLDR: uLDR, OpLDRB: uLDRB, OpLDRH: uLDRH,
+	OpSTR: uSTR, OpSTRB: uSTRB, OpSTRH: uSTRH, OpLDM: uLDM, OpSTM: uSTM,
+	OpB: uB, OpBL: uBL, OpBX: uBX, OpBLX: uBLX,
+	OpSVC: uSVC, OpNOP: uNOP, OpHLT: uHLT,
+	OpFADDS: uFADDS, OpFSUBS: uFSUBS, OpFMULS: uFMULS, OpFDIVS: uFDIVS,
+	OpFADDD: uFADDD, OpFSUBD: uFSUBD, OpFMULD: uFMULD, OpFDIVD: uFDIVD,
+	OpSITOF: uSITOF, OpFTOSI: uFTOSI, OpSITOD: uSITOD, OpDTOSI: uDTOSI,
+}
+
+// compileOp pre-decodes one instruction into a micro-op. ok is false when
+// the operation has no translation.
+func compileOp(pc uint32, insn Insn, thumb bool) (u uop, ok bool) {
+	if int(insn.Op) >= len(uopOf) || uopOf[insn.Op] == uInvalid {
+		return u, false
+	}
+	u = uop{
+		kind: uopOf[insn.Op],
+		cond: insn.Cond,
+		rd:   uint8(insn.Rd), rn: uint8(insn.Rn), rm: uint8(insn.Rm),
+		imm: uint32(insn.Imm),
+		at:  pc, next: pc + insn.Size,
+	}
+	if insn.HasImm {
+		u.flags |= uopImm
+	}
+	if insn.SetFlags {
+		u.flags |= uopSet
+	}
+	if insn.RegOffset {
+		u.flags |= uopRegOff
+	}
+	if insn.Writeback {
+		u.flags |= uopWB
+	}
+	if insn.Cond != CondAL {
+		u.flags |= uopCond
 	}
 	if refsPC(insn) {
-		// The interpreter keeps R15 equal to the executing instruction's
-		// address; materialize it for the rare instructions that read it.
-		inner := exec
-		at := pc
-		exec = func(c *CPU) stepRes {
-			c.R[PC] = at
-			return inner(c)
+		u.flags |= uopPC
+	}
+	// form picks the kind of an op whose hot forms have their own kinds.
+	form := func(imm, reg, set uopKind) uopKind {
+		switch {
+		case insn.SetFlags:
+			return set
+		case insn.HasImm:
+			return imm
 		}
+		return reg
 	}
-	cond := insn.Cond
-	bare = exec
-	if cond != CondAL {
-		inner := exec
-		bare = func(c *CPU) stepRes {
-			if !c.condHolds(cond) {
-				return stepNext
-			}
-			return inner(c)
-		}
-	}
-	var trace func(c *CPU)
-	if c.Tracer != nil {
-		if binder != nil {
-			trace = binder.BindInsn(pc, insn)
-		} else {
-			tr, at, in := c.Tracer, pc, insn
-			trace = func(c *CPU) { tr.TraceInsn(c, at, in) }
-		}
-	}
-	switch {
-	case trace == nil:
-		// Nothing to instrument (no tracer, or the binder pre-resolved this
-		// address to out-of-range): both variants are the bare executor, and
-		// instruction counting is settled in bulk by the block loop.
-		return bare, bare, ends
-	case cond == CondAL:
-		return func(c *CPU) stepRes {
-			trace(c)
-			return exec(c)
-		}, bare, ends
-	default:
-		return func(c *CPU) stepRes {
-			if !c.condHolds(cond) {
-				return stepNext
-			}
-			trace(c)
-			return exec(c)
-		}, bare, ends
-	}
-}
-
-// refsPC reports whether the instruction reads R15 as a source.
-func refsPC(in Insn) bool {
-	return in.Rn == PC || in.Rm == PC ||
-		(in.Op == OpSTM && in.RegList&(1<<PC) != 0)
-}
-
-// buildExec returns the pre-resolved executor closure for one instruction.
-// The closures are the unrolled bodies of (*CPU).exec with every decode-time
-// decision (register numbers, immediate vs register operand, flag setting)
-// already taken.
-func (c *CPU) buildExec(pc uint32, insn Insn) (fn stepFn, ends, ok bool) {
-	rd, rn, rm := int(insn.Rd), int(insn.Rn), int(insn.Rm)
-	imm := uint32(insn.Imm)
-	setf := insn.SetFlags
-	next := pc + insn.Size
-
-	// op2 resolves the data-processing second operand.
-	op2 := func(c *CPU) uint32 { return imm }
-	if !insn.HasImm {
-		op2 = func(c *CPU) uint32 { return c.R[rm] }
-	}
-
 	switch insn.Op {
 	case OpADD:
-		if !setf {
-			if insn.HasImm {
-				return func(c *CPU) stepRes { c.R[rd] = c.R[rn] + imm; return stepNext }, false, true
-			}
-			return func(c *CPU) stepRes { c.R[rd] = c.R[rn] + c.R[rm]; return stepNext }, false, true
-		}
-		return func(c *CPU) stepRes { c.R[rd] = c.addWithCarry(c.R[rn], op2(c), 0, true); return stepNext }, false, true
+		u.kind = form(uADDri, uADDrr, uADDS)
 	case OpSUB:
-		if !setf {
-			if insn.HasImm {
-				return func(c *CPU) stepRes { c.R[rd] = c.R[rn] - imm; return stepNext }, false, true
-			}
-			return func(c *CPU) stepRes { c.R[rd] = c.R[rn] - c.R[rm]; return stepNext }, false, true
-		}
-		return func(c *CPU) stepRes { c.R[rd] = c.addWithCarry(c.R[rn], ^op2(c), 1, true); return stepNext }, false, true
-	case OpRSB:
-		return func(c *CPU) stepRes { c.R[rd] = c.addWithCarry(op2(c), ^c.R[rn], 1, setf); return stepNext }, false, true
-	case OpADC:
-		return func(c *CPU) stepRes {
-			carry := uint32(0)
-			if c.C {
-				carry = 1
-			}
-			c.R[rd] = c.addWithCarry(c.R[rn], op2(c), carry, setf)
-			return stepNext
-		}, false, true
-	case OpSBC:
-		return func(c *CPU) stepRes {
-			carry := uint32(0)
-			if c.C {
-				carry = 1
-			}
-			c.R[rd] = c.addWithCarry(c.R[rn], ^op2(c), carry, setf)
-			return stepNext
-		}, false, true
-	case OpAND:
-		return bitwiseStep(rd, rn, op2, setf, func(a, b uint32) uint32 { return a & b }), false, true
-	case OpORR:
-		return bitwiseStep(rd, rn, op2, setf, func(a, b uint32) uint32 { return a | b }), false, true
-	case OpEOR:
-		return bitwiseStep(rd, rn, op2, setf, func(a, b uint32) uint32 { return a ^ b }), false, true
-	case OpBIC:
-		return bitwiseStep(rd, rn, op2, setf, func(a, b uint32) uint32 { return a &^ b }), false, true
-	case OpLSL:
-		return func(c *CPU) stepRes {
-			sh := op2(c) & 0xff
-			v := c.R[rn]
-			if sh >= 32 {
-				v = 0
-			} else {
-				v <<= sh
-			}
-			c.R[rd] = v
-			if setf {
-				c.setNZ(v)
-			}
-			return stepNext
-		}, false, true
-	case OpLSR:
-		return func(c *CPU) stepRes {
-			sh := op2(c) & 0xff
-			v := c.R[rn]
-			if sh >= 32 {
-				v = 0
-			} else {
-				v >>= sh
-			}
-			c.R[rd] = v
-			if setf {
-				c.setNZ(v)
-			}
-			return stepNext
-		}, false, true
-	case OpASR:
-		return func(c *CPU) stepRes {
-			sh := op2(c) & 0xff
-			if sh >= 32 {
-				sh = 31
-			}
-			v := uint32(int32(c.R[rn]) >> sh)
-			c.R[rd] = v
-			if setf {
-				c.setNZ(v)
-			}
-			return stepNext
-		}, false, true
-	case OpROR:
-		return func(c *CPU) stepRes {
-			sh := op2(c) & 31
-			v := c.R[rn]
-			v = v>>sh | v<<(32-sh)
-			c.R[rd] = v
-			if setf {
-				c.setNZ(v)
-			}
-			return stepNext
-		}, false, true
-	case OpMUL:
-		return func(c *CPU) stepRes {
-			c.R[rd] = c.R[rn] * c.R[rm]
-			if setf {
-				c.setNZ(c.R[rd])
-			}
-			return stepNext
-		}, false, true
-	case OpSDIV:
-		return func(c *CPU) stepRes {
-			d := int32(c.R[rm])
-			if d == 0 {
-				c.R[rd] = 0
-			} else {
-				c.R[rd] = uint32(int32(c.R[rn]) / d)
-			}
-			return stepNext
-		}, false, true
-	case OpUDIV:
-		return func(c *CPU) stepRes {
-			d := c.R[rm]
-			if d == 0 {
-				c.R[rd] = 0
-			} else {
-				c.R[rd] = c.R[rn] / d
-			}
-			return stepNext
-		}, false, true
+		u.kind = form(uSUBri, uSUBrr, uSUBS)
 	case OpMOV:
-		if !setf {
-			if insn.HasImm {
-				return func(c *CPU) stepRes { c.R[rd] = imm; return stepNext }, false, true
-			}
-			return func(c *CPU) stepRes { c.R[rd] = c.R[rm]; return stepNext }, false, true
-		}
-		return func(c *CPU) stepRes {
-			c.R[rd] = op2(c)
-			c.setNZ(c.R[rd])
-			return stepNext
-		}, false, true
-	case OpMVN:
-		return func(c *CPU) stepRes {
-			c.R[rd] = ^op2(c)
-			if setf {
-				c.setNZ(c.R[rd])
-			}
-			return stepNext
-		}, false, true
-	case OpMOVW:
-		lo := imm & 0xffff
-		return func(c *CPU) stepRes { c.R[rd] = lo; return stepNext }, false, true
-	case OpMOVT:
-		hi := imm << 16
-		return func(c *CPU) stepRes { c.R[rd] = c.R[rd]&0xffff | hi; return stepNext }, false, true
+		u.kind = form(uMOVi, uMOVr, uMOVS)
 	case OpCMP:
-		return func(c *CPU) stepRes { c.addWithCarry(c.R[rn], ^op2(c), 1, true); return stepNext }, false, true
-	case OpCMN:
-		return func(c *CPU) stepRes { c.addWithCarry(c.R[rn], op2(c), 0, true); return stepNext }, false, true
-	case OpTST:
-		return func(c *CPU) stepRes { c.setNZ(c.R[rn] & op2(c)); return stepNext }, false, true
-	case OpTEQ:
-		return func(c *CPU) stepRes { c.setNZ(c.R[rn] ^ op2(c)); return stepNext }, false, true
-	case OpLDR, OpLDRB, OpLDRH:
-		ea := eaFunc(rn, rm, imm, insn.RegOffset)
-		at := pc
-		switch insn.Op {
-		case OpLDR:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.R[rd] = c.Mem.Read32(a)
-				return stepNext
-			}, false, true
-		case OpLDRB:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.R[rd] = uint32(c.Mem.Read8(a))
-				return stepNext
-			}, false, true
-		default:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.R[rd] = uint32(c.Mem.Read16(a))
-				return stepNext
-			}, false, true
+		if insn.HasImm {
+			u.kind = uCMPri
 		}
-	case OpSTR, OpSTRB, OpSTRH:
-		ea := eaFunc(rn, rm, imm, insn.RegOffset)
-		at := pc
-		switch insn.Op {
-		case OpSTR:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.Mem.Write32(a, c.R[rd])
-				return stepNext
-			}, false, true
-		case OpSTRB:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.Mem.Write8(a, uint8(c.R[rd]))
-				return stepNext
-			}, false, true
-		default:
-			return func(c *CPU) stepRes {
-				a := ea(c)
-				if badAddr(a) {
-					return c.memFaultStep(at, a)
-				}
-				c.Mem.Write16(a, uint16(c.R[rd]))
-				return stepNext
-			}, false, true
+	case OpMOVW:
+		u.imm &= 0xffff
+	case OpMOVT:
+		u.imm <<= 16
+	case OpLDM, OpSTM:
+		u.imm = uint32(insn.RegList)
+		if insn.Op == OpLDM && insn.RegList&(1<<PC) != 0 {
+			u.kind = uPOP
 		}
-	case OpSTM:
-		list, wb := insn.RegList, insn.Writeback
-		count := popCount(list)
-		at := pc
-		return func(c *CPU) stepRes {
-			base := c.R[rn]
-			if wb { // push semantics: descending
-				base -= 4 * count
-			}
-			if badAddr(base) {
-				// Fault before the writeback lands (deopt contract).
-				return c.memFaultStep(at, base)
-			}
-			if wb {
-				c.R[rn] = base
-			}
-			addr := base
-			for r := 0; r < 16; r++ {
-				if list&(1<<r) != 0 {
-					c.Mem.Write32(addr, c.R[r])
-					addr += 4
-				}
-			}
-			return stepNext
-		}, false, true
-	case OpLDM:
-		list, wb := insn.RegList, insn.Writeback
-		at := pc
-		if list&(1<<PC) == 0 {
-			return func(c *CPU) stepRes {
-				addr := c.R[rn]
-				if badAddr(addr) {
-					return c.memFaultStep(at, addr)
-				}
-				for r := 0; r < 16; r++ {
-					if list&(1<<r) != 0 {
-						c.R[r] = c.Mem.Read32(addr)
-						addr += 4
-					}
-				}
-				if wb {
-					c.R[rn] = addr
-				}
-				return stepNext
-			}, false, true
+	case OpB, OpBL:
+		u.imm += u.next
+		if thumb {
+			u.imm |= 1
 		}
-		// POP {..., PC}: a dynamic control transfer ending the block.
-		from := pc
-		return func(c *CPU) stepRes {
-			addr := c.R[rn]
-			if badAddr(addr) {
-				return c.memFaultStep(at, addr)
-			}
-			var to uint32
-			for r := 0; r < 16; r++ {
-				if list&(1<<r) == 0 {
-					continue
-				}
-				v := c.Mem.Read32(addr)
-				addr += 4
-				if r == PC {
-					to = v
-				} else {
-					c.R[r] = v
-				}
-			}
-			if wb {
-				c.R[rn] = addr
-			}
-			c.SetThumbPC(to)
-			c.EmitBranch(from, to&^1)
-			return stepBranch
-		}, true, true
-	case OpB:
-		tgt := next + imm
-		if c.Thumb {
-			tgt |= 1
-		}
-		from := pc
-		return func(c *CPU) stepRes {
-			c.SetThumbPC(tgt)
-			c.EmitBranch(from, tgt&^1)
-			return stepBranch
-		}, true, true
-	case OpBL:
-		tgt := next + imm
-		lr := next
-		if c.Thumb {
-			tgt |= 1
-			lr |= 1
-		}
-		from := pc
-		return func(c *CPU) stepRes {
-			c.R[LR] = lr
-			c.SetThumbPC(tgt)
-			c.EmitBranch(from, tgt&^1)
-			return stepBranch
-		}, true, true
-	case OpBX:
-		from := pc
-		return func(c *CPU) stepRes {
-			to := c.R[rm]
-			c.SetThumbPC(to)
-			c.EmitBranch(from, to&^1)
-			return stepBranch
-		}, true, true
-	case OpBLX:
-		lr := next
-		if c.Thumb {
-			lr |= 1
-		}
-		from := pc
-		return func(c *CPU) stepRes {
-			to := c.R[rm]
-			c.R[LR] = lr
-			c.SetThumbPC(to)
-			c.EmitBranch(from, to&^1)
-			return stepBranch
-		}, true, true
-	case OpSVC:
-		num := insn.Imm
-		at := pc
-		return func(c *CPU) stepRes {
-			c.R[PC] = at // syscall handlers observe the interpreter's PC
-			if c.SVC == nil {
-				c.blockErr = fmt.Errorf("arm: SVC #%d at 0x%08x with no handler", num, at)
-				return stepErr
-			}
-			if err := c.SVC(c, uint32(num)); err != nil {
-				c.blockErr = fmt.Errorf("arm: SVC #%d at 0x%08x: %w", num, at, err)
-				return stepErr
-			}
-			return stepNext
-		}, true, true
-	case OpNOP:
-		return func(c *CPU) stepRes { return stepNext }, false, true
-	case OpHLT:
-		at := pc
-		return func(c *CPU) stepRes {
-			c.R[PC] = at
-			c.Halted = true
-			return stepHalt
-		}, true, true
-	case OpFADDS, OpFSUBS, OpFMULS, OpFDIVS:
-		op := insn.Op
-		return func(c *CPU) stepRes {
-			a := f32(c.R[rn])
-			b := f32(c.R[rm])
-			var r float32
-			switch op {
-			case OpFADDS:
-				r = a + b
-			case OpFSUBS:
-				r = a - b
-			case OpFMULS:
-				r = a * b
-			default:
-				r = a / b
-			}
-			c.R[rd] = f32bits(r)
-			return stepNext
-		}, false, true
-	case OpFADDD, OpFSUBD, OpFMULD, OpFDIVD:
-		op := insn.Op
-		rd8, rn8, rm8 := insn.Rd, insn.Rn, insn.Rm
-		return func(c *CPU) stepRes {
-			a := c.readF64(rn8)
-			b := c.readF64(rm8)
-			var r float64
-			switch op {
-			case OpFADDD:
-				r = a + b
-			case OpFSUBD:
-				r = a - b
-			case OpFMULD:
-				r = a * b
-			default:
-				r = a / b
-			}
-			c.writeF64(rd8, r)
-			return stepNext
-		}, false, true
-	case OpSITOF:
-		return func(c *CPU) stepRes { c.R[rd] = f32bits(float32(int32(c.R[rm]))); return stepNext }, false, true
-	case OpFTOSI:
-		return func(c *CPU) stepRes { c.R[rd] = uint32(int32(f32(c.R[rm]))); return stepNext }, false, true
-	case OpSITOD:
-		rd8 := insn.Rd
-		return func(c *CPU) stepRes { c.writeF64(rd8, float64(int32(c.R[rm]))); return stepNext }, false, true
-	case OpDTOSI:
-		rm8 := insn.Rm
-		return func(c *CPU) stepRes { c.R[rd] = uint32(int32(c.readF64(rm8))); return stepNext }, false, true
+	case OpSVC, OpHLT:
+		// Syscall handlers and the halted state observe the interpreter's PC.
+		u.flags |= uopPC
 	}
-	return nil, false, false
+	switch u.kind {
+	case uSTR, uSTRB, uSTRH, uSTM, uSVC:
+		u.flags |= uopCheck
+	}
+	return u, true
 }
 
-// bitwiseStep builds the shared executor shape of AND/ORR/EOR/BIC.
-func bitwiseStep(rd, rn int, op2 func(*CPU) uint32, setf bool, apply func(a, b uint32) uint32) stepFn {
-	if !setf {
-		return func(c *CPU) stepRes {
-			c.R[rd] = apply(c.R[rn], op2(c))
-			return stepNext
+// refsPC reports whether the instruction reads R15 as a source: as an
+// operand or base, as a store's data register, in a STM list, or as the high
+// half of a double-precision pair starting at R14.
+func refsPC(in Insn) bool {
+	switch in.Op {
+	case OpSTR, OpSTRB, OpSTRH:
+		if in.Rd == PC {
+			return true
+		}
+	case OpSTM:
+		if in.RegList&(1<<PC) != 0 {
+			return true
+		}
+	case OpFADDD, OpFSUBD, OpFMULD, OpFDIVD, OpDTOSI:
+		if in.Rn == LR || in.Rm == LR {
+			return true
 		}
 	}
-	return func(c *CPU) stepRes {
-		v := apply(c.R[rn], op2(c))
-		c.R[rd] = v
-		c.setNZ(v)
-		return stepNext
-	}
+	return in.Rn == PC || in.Rm == PC
 }
 
 func f32(bits uint32) float32  { return math.Float32frombits(bits) }
 func f32bits(v float32) uint32 { return math.Float32bits(v) }
-
-// eaFunc builds the effective-address resolver for loads and stores.
-func eaFunc(rn, rm int, imm uint32, regOffset bool) func(*CPU) uint32 {
-	if regOffset {
-		return func(c *CPU) uint32 { return c.R[rn] + c.R[rm] }
-	}
-	if imm == 0 {
-		return func(c *CPU) uint32 { return c.R[rn] }
-	}
-	return func(c *CPU) uint32 { return c.R[rn] + imm }
-}

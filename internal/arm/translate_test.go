@@ -381,3 +381,32 @@ target:
 		})
 	}
 }
+
+// STR/STRB/STRH of PC store the instruction's own address, as the
+// interpreter keeps R15 at the executing instruction. The block engine must
+// materialize R15 for a store's data register too, not only for operands and
+// bases; before it did, a store of PC behind other instructions in its block
+// wrote the block's start address (0x10000 for the STR at 0x1000c). A store
+// of PC ends its block, so each narrower store sits behind a MOV.
+func TestBlockStorePC(t *testing.T) {
+	_, block := compareEngines(t, `
+_start:
+	MOVW R1, #0x4000
+	MOV R2, #0
+	MOV R3, #0
+	STR PC, [R1]
+	MOV R2, #1
+	STRB PC, [R1, #4]
+	MOV R3, #2
+	STRH PC, [R1, #8]
+	LDR R4, [R1]
+	LDRB R5, [R1, #4]
+	LDRH R6, [R1, #8]
+	HLT
+`)
+	for r, want := range map[int]uint32{4: 0x1000c, 5: 0x14, 6: 0x1c} {
+		if block.R[r] != want {
+			t.Errorf("R%d = 0x%x, want 0x%x", r, block.R[r], want)
+		}
+	}
+}
