@@ -1,8 +1,8 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the ablation matrix (fusion, observer, static, summaries and store
-// arms through the analysis service) with two views of it: the contained
+// then the ablation matrix (fusion, observer, static and store arms through
+// the analysis service) with two views of it: the contained
 // corpus verdict counts and the static reach table. It exits 1 if the
 // matrix finds a parity break.
 //

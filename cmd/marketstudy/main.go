@@ -22,11 +22,6 @@
 //	marketstudy -surface       # print the per-app JNI surface map table:
 //	                           # discovered natives, registration events,
 //	                           # dedup-throttled call counts, truncation flags
-//	marketstudy -summaries validated
-//	                           # analyze with auto-generated native taint
-//	                           # summaries (off|validated) and print the
-//	                           # per-library synthesis table: functions
-//	                           # summarized / rejected / left on full tracing
 package main
 
 import (
@@ -50,14 +45,7 @@ func main() {
 	budget := flag.Uint64("budget", 0, "watchdog instruction budget per run (0 = default)")
 	cacheDir := flag.String("cache", "", "persistent artifact/verdict store for the dynamic corpus (default: none)")
 	surfaceTable := flag.Bool("surface", false, "print the per-app JNI surface map table after the dynamic sweep")
-	summaries := flag.String("summaries", "off", "native taint summaries: off or validated")
 	flag.Parse()
-
-	sumMode, err := core.ParseSummaryMode(*summaries)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "marketstudy:", err)
-		os.Exit(2)
-	}
 
 	params := corpus.PaperParams()
 	if *scale > 1 {
@@ -76,9 +64,10 @@ func main() {
 		return
 	}
 
-	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.LintOnly, Summaries: sumMode}
+	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.LintOnly}
 	var store *cas.Store
 	if *cacheDir != "" {
+		var err error
 		if store, err = cas.Open(*cacheDir); err != nil {
 			fmt.Fprintln(os.Stderr, "marketstudy:", err)
 			os.Exit(1)
@@ -121,10 +110,6 @@ func main() {
 		fmt.Println()
 		printSurfaceTable(rep)
 	}
-	if sumMode != core.SummaryOff {
-		fmt.Printf("\nNative taint summaries (-summaries=%s, per-library synthesis):\n\n", sumMode)
-		printSummaryTable(rep)
-	}
 	fmt.Println("\nEvery hostile app resolved to a per-app verdict; the study process survived.")
 }
 
@@ -158,33 +143,6 @@ func printSurfaceTable(rep *apps.StudyReport) {
 			}
 			fmt.Printf("    %-44s regs=%d calls=%d events=%d reflect=%d%s\n",
 				b.Name, b.RegEvents, b.Calls, b.CallEvents, b.ReflectCalls, dyn)
-		}
-	}
-}
-
-// printSummaryTable renders each app's per-library summary synthesis
-// outcome: how many native functions got a summary, how many mutation
-// validation rejected, how many stayed on full tracing, and how many
-// crossings a summary served — plus the eviction and rejection diagnostics.
-func printSummaryTable(rep *apps.StudyReport) {
-	fmt.Printf("%-16s %-20s %6s %6s %9s %9s %7s %9s\n",
-		"app", "lib", "funcs", "sound", "accepted", "rejected", "traced", "applied")
-	for _, row := range rep.Rows {
-		res := row.Report.Final.Result
-		if len(res.Summary) == 0 {
-			fmt.Printf("%-16s  (no summarizable libraries)\n", row.App.Name)
-			continue
-		}
-		for _, lr := range res.Summary {
-			fmt.Printf("%-16s %-20s %6d %6d %9d %9d %7d %9d\n",
-				row.App.Name, lr.Lib, lr.Functions, lr.Sound, lr.Accepted,
-				lr.Rejected, lr.Traced, lr.Applied)
-		}
-		if res.SummariesVoided > 0 {
-			fmt.Printf("    RegisterNatives churn voided %d summaries\n", res.SummariesVoided)
-		}
-		for _, rej := range res.SummaryRejections {
-			fmt.Printf("    %s\n", rej)
 		}
 	}
 }

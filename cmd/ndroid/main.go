@@ -10,7 +10,6 @@
 //	ndroid -list
 //	ndroid -app qqphonebook [-mode ndroid|taintdroid|vanilla|droidscope] [-quiet]
 //	ndroid -app case1 -static lint
-//	ndroid -app summix -summaries validated   # auto-generated native taint summaries
 //	ndroid -all
 //	ndroid -serve [-cache DIR] [-workers N]     # app names on stdin, JSON lines out
 //	ndroid -serve -serve-dir submissions/       # app names from files in a directory
@@ -38,7 +37,6 @@ func main() {
 		appName   = flag.String("app", "", "app to analyze (see -list)")
 		mode      = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
 		staticLvl = flag.String("static", "off", "static pre-analysis: off or lint (diagnose and cross-validate)")
-		summaries = flag.String("summaries", "off", "native taint summaries: off or validated")
 		list      = flag.Bool("list", false, "list available apps")
 		all       = flag.Bool("all", false, "run the full Table I detection matrix")
 		quiet     = flag.Bool("quiet", false, "suppress the flow log")
@@ -49,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts, err := analyzeOptions(*mode, *staticLvl, *summaries)
+	opts, err := analyzeOptions(*mode, *staticLvl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
@@ -87,14 +85,10 @@ func main() {
 	}
 }
 
-// analyzeOptions parses the -mode, -static and -summaries values; main exits
-// 2 on any error it returns.
-func analyzeOptions(mode, staticLvl, summaries string) (core.AnalyzeOptions, error) {
+// analyzeOptions parses the -mode and -static values; main exits 2 on any
+// error it returns.
+func analyzeOptions(mode, staticLvl string) (core.AnalyzeOptions, error) {
 	level, err := static.ParseLevel(staticLvl)
-	if err != nil {
-		return core.AnalyzeOptions{}, err
-	}
-	sumMode, err := core.ParseSummaryMode(summaries)
 	if err != nil {
 		return core.AnalyzeOptions{}, err
 	}
@@ -102,7 +96,7 @@ func analyzeOptions(mode, staticLvl, summaries string) (core.AnalyzeOptions, err
 	if !ok {
 		return core.AnalyzeOptions{}, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
 	}
-	return core.AnalyzeOptions{Mode: analysisMode, Static: level, Summaries: sumMode}, nil
+	return core.AnalyzeOptions{Mode: analysisMode, Static: level}, nil
 }
 
 // runServe runs the analysis-as-a-service mode: submissions are registry app
@@ -202,7 +196,7 @@ func serveSubmissions(dir string) ([]string, error) {
 // runOne analyzes one app on a fork-server Runner through core.AnalyzeApp,
 // the contained path the service and the parity suites use, and prints the
 // verdict and degradation chain, the flow log, the JNI surface map, the
-// static and summary tables (when enabled), the leaks, and the kernel's
+// static table (when enabled), the leaks, and the kernel's
 // ground truth from the System the final attempt ran on. Every verdict,
 // fault and timeout included, is a result; only an unknown app is an error.
 func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
@@ -240,22 +234,6 @@ func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 			fmt.Fprintln(w, "  violation:", v)
 		}
 	}
-	if opts.Summaries != core.SummaryOff {
-		fmt.Fprintln(w, "\n-- native taint summaries --")
-		if len(res.Summary) == 0 {
-			fmt.Fprintln(w, "  (no summarizable libraries)")
-		}
-		for _, lr := range res.Summary {
-			fmt.Fprintln(w, " ", lr)
-		}
-		if res.SummariesVoided > 0 {
-			fmt.Fprintf(w, "  RegisterNatives churn voided %d summaries\n", res.SummariesVoided)
-		}
-		for _, rej := range res.SummaryRejections {
-			fmt.Fprintln(w, " ", rej)
-		}
-		fmt.Fprintf(w, "  crossings served by a summary: %d\n", res.SummaryApplied)
-	}
 	fmt.Fprintln(w, "\n-- leaks --")
 	if len(res.Leaks) == 0 {
 		fmt.Fprintln(w, "(none detected)")
@@ -280,7 +258,7 @@ func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 
 // runMatrix prints the Table I detection matrix: every registry app under
 // TaintDroid and NDroid, all on one Runner with flow logs off. opts carries
-// the -static and -summaries settings.
+// the -static setting.
 func runMatrix(w io.Writer, opts core.AnalyzeOptions) error {
 	runner, err := core.NewRunner()
 	if err != nil {

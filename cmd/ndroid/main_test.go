@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -96,20 +99,31 @@ func TestRunMatrixTaintDroidSeesOnlyCase1(t *testing.T) {
 	}
 }
 
-// TestBadOptionValuesExit2: -static takes off|lint. Any other value, pin
-// included, is an analyzeOptions error, which main turns into exit 2 as it
-// does for an unknown -mode or -summaries value.
+// TestBadOptionValuesExit2: -static takes off|lint and -mode a known mode.
+// Any other value, pin included, is an analyzeOptions error, which main
+// turns into exit 2. -summaries is no flag at all, so the flag package
+// exits 2 on it too. Each bad command line runs main in a child process and
+// must exit 2 before any analysis.
 func TestBadOptionValuesExit2(t *testing.T) {
-	for _, bad := range [][3]string{
-		{"ndroid", "pin", "off"},
-		{"bogus", "off", "off"},
-		{"ndroid", "off", "static"},
+	if args := os.Getenv("NDROID_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"ndroid"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"-static pin -list",
+		"-mode bogus -list",
+		"-summaries static -list",
+		"-summaries validated -list",
 	} {
-		if _, err := analyzeOptions(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("-mode %s -static %s -summaries %s: accepted", bad[0], bad[1], bad[2])
+		cmd := exec.Command(os.Args[0], "-test.run=^TestBadOptionValuesExit2$")
+		cmd.Env = append(os.Environ(), "NDROID_MAIN_ARGS="+args)
+		var ee *exec.ExitError
+		if err := cmd.Run(); !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("ndroid %s: %v, want exit status 2", args, err)
 		}
 	}
-	opts, err := analyzeOptions("ndroid", "lint", "off")
+	opts, err := analyzeOptions("ndroid", "lint")
 	if err != nil || opts.Static != static.LintOnly || opts.Mode != core.ModeNDroid {
 		t.Fatalf("-static lint: %+v, %v", opts, err)
 	}

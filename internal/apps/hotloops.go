@@ -6,27 +6,26 @@ import (
 	"repro/internal/taint"
 )
 
-// This file holds the summary-synthesis corpus: three benign apps whose
-// native halves are pure-register ALU/FP code — exactly the shape the static
-// summary synthesizer (internal/summary) can prove a transfer function for —
-// plus hostile-sumdodge, whose native taint behavior depends on the *value*
-// of its argument and therefore has no input-insensitive summary at all.
+// This file holds the hot-loop corpus: three benign apps whose native halves
+// are pure-register ALU/FP loops, plus hostile-sumdodge, whose native taint
+// behavior depends on the *value* of its argument.
 //
 // The benign three each push a tainted int (the IMEI string's length)
 // through a hot native function from a constant-bound Java loop, so the bulk
-// of the run's traced native instructions comes from the summarizable
-// function. Under -summaries they are the "≥5x fewer traced native
-// instructions" exhibits; the cfbench summary ablation asserts the ratio.
+// of the run's traced native instructions comes from register-to-register
+// Table V handlers (ALU sources unioned into the destination shadow) running
+// inside translated blocks with tainted registers live, and the repeated
+// crossing is a fused chain.
 
 // SummixApp: a 400-iteration pure integer ALU loop behind JNI, called 64
 // times. Every instruction is register-to-register or immediate, so the
-// synthesized transfer (ret depends on arg2 only) is exact and mutation
-// validation accepts it.
+// tracer's taint flows from the argument register into R0 through the ALU
+// handlers alone, with no memory shadow involved.
 func SummixApp() *App {
 	const cls = "Lcom/ndroid/summix/Main;"
 	return &App{
 		Name:                 "summix",
-		Desc:                 "tainted int through a hot pure-ALU native loop (summarizable)",
+		Desc:                 "tainted int through a hot pure-ALU native loop",
 		Case:                 "1",
 		EntryClass:           cls,
 		EntryMethod:          "run",
@@ -82,14 +81,14 @@ mix_loop:
 }
 
 // SumfoldApp: like summix but the hot native function delegates to a local
-// helper via BL, exercising the synthesizer's bottom-up callee composition
-// (the helper writes only caller-saved registers, so the caller's summary
-// composes over it).
+// helper via BL, so the tracer follows register taint across a native call
+// and return inside one JNI crossing (the helper writes only caller-saved
+// registers and the caller parks LR in R1, so nothing touches the stack).
 func SumfoldApp() *App {
 	const cls = "Lcom/ndroid/sumfold/Main;"
 	return &App{
 		Name:                 "sumfold",
-		Desc:                 "summarizable native whose loop body is a local BL helper (callee composition)",
+		Desc:                 "hot native loop whose body is a local BL helper",
 		Case:                 "1",
 		EntryClass:           cls,
 		EntryMethod:          "run",
@@ -99,7 +98,7 @@ func SumfoldApp() *App {
 		install: func(sys *core.System) error {
 			prog, err := sys.VM.LoadNativeLib("libsumfold.so", `
 ; int fold(JNIEnv*, jclass, int x) — non-leaf, saves LR in a register (no
-; stack) so the whole function stays memory-free and summarizable
+; stack) so the whole function stays memory-free
 Java_fold:
 	MOV R1, LR
 	MOV R0, R2
@@ -158,13 +157,13 @@ fs_loop:
 
 // SumfloatApp: the hot native function runs a single-precision FP loop
 // (SITOF/FADDS/FMULS/FSUBS/FTOSI). The tracer models these register-to-
-// register, so they are in the synthesizer's eligible set; this app keeps
-// the FP rows of the transfer table honest.
+// register, so the app exercises the VFP rows of the Table V handlers on a
+// tainted operand.
 func SumfloatApp() *App {
 	const cls = "Lcom/ndroid/sumfloat/Main;"
 	return &App{
 		Name:                 "sumfloat",
-		Desc:                 "summarizable FP-register-only native loop (SITOF/FADDS/FTOSI)",
+		Desc:                 "FP-register-only native loop (SITOF/FADDS/FTOSI)",
 		Case:                 "1",
 		EntryClass:           cls,
 		EntryMethod:          "run",
@@ -224,18 +223,16 @@ fm_loop:
 }
 
 // HostileSumdodgeApp: the native gate() returns its argument when the
-// argument value is nonzero and a constant 0 otherwise. The static May
-// summary says "ret depends on arg2" — which over-taints the tainted-zero
-// call and would fire a spurious leak on the first sink. Mutation validation
-// catches the value dependence (the zero-mutation run observes no
-// dependence) and demotes the function to full tracing, so under
-// -summaries=validated the flow log is byte-identical to -summaries=off:
-// first sink clean, second sink leaks the IMEI-derived value.
+// argument value is nonzero and a constant 0 otherwise. Any input-insensitive
+// shortcut ("ret depends on arg2") over-taints the tainted-zero call and
+// would fire a spurious leak on the first sink. Instruction-level tracing
+// follows the branch actually taken: the first sink is clean and the second
+// leaks the IMEI-derived value.
 func HostileSumdodgeApp() *App {
 	const cls = "Lcom/hostile/sumdodge/Main;"
 	return &App{
 		Name:                 "hostile-sumdodge",
-		Desc:                 "hostile: input-value-dependent native taint defeats static summaries",
+		Desc:                 "hostile: native taint that depends on the argument value",
 		Case:                 "2",
 		EntryClass:           cls,
 		EntryMethod:          "run",
@@ -269,17 +266,16 @@ gate_zero:
 				InvokeVirtual("Ljava/lang/String;", "length", "I", 0).
 				MoveResult(0).
 				// z = n - n: a *tainted zero*. gate(z) really returns a clean
-				// constant, but the static summary would taint it.
+				// constant, which only per-instruction tracing sees.
 				Bin(dex.Sub, 1, 0, 0).
 				Const(2, 1).
-				// Warm-up crossing with an untainted nonzero argument: this is
-				// where validated mode runs the mutation plan and rejects.
+				// Warm-up crossing with an untainted nonzero argument.
 				InvokeStatic(cls, "gate", "II", 2).
 				MoveResult(3).
 				InvokeStatic(cls, "gate", "II", 1).
 				MoveResult(1).
 				// Sink A: clean under full tracing (gate(z) took the zero
-				// path); an applied static summary over-taints it here.
+				// path); a value-blind transfer would over-taint it here.
 				InvokeStatic("Ljava/lang/String;", "valueOf", "LI", 1).
 				MoveResult(1).
 				ConstString(2, "sink.sumdodge.example").

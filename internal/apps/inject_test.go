@@ -67,15 +67,6 @@ func TestInjectionEverySiteContained(t *testing.T) {
 			aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true}
 			spec := app.Spec()
 			switch site {
-			case core.SiteSummaryValidate:
-				// The validation site only exists on the summaries path, and
-				// only for an app whose native half is summarizable.
-				sapp, ok := apps.ByName("summix")
-				if !ok {
-					t.Fatal("summix missing")
-				}
-				spec = sapp.Spec()
-				aOpts.Summaries = core.SummaryValidated
 			case core.SiteSnapshotRestore:
 				// The restore site only exists on the fork-server path.
 				runner, err := core.NewRunner()
@@ -143,25 +134,6 @@ func TestInjectionEverySiteContained(t *testing.T) {
 				}
 				if r.Verdict() != core.VerdictLeak || r.Degraded {
 					t.Errorf("chain %s: deopt must be invisible (want undegraded leak)", r.ChainString())
-				}
-				return
-			}
-			if site == core.SiteSummaryValidate {
-				// An injected validation fault is absorbed as a rejection:
-				// the candidate summary is not trusted, the function demotes
-				// to full tracing, and the run's verdict, chain, and flow
-				// log are untouched. The only trace is the typed rejection
-				// record (and zero summary applications).
-				if chainSawInjection(r, site) {
-					t.Fatalf("absorbed validation fault surfaced in chain %s", r.ChainString())
-				}
-				if r.Verdict() != core.VerdictLeak || r.Degraded {
-					t.Errorf("chain %s: validation fault must be invisible (want undegraded leak)", r.ChainString())
-				}
-				res := r.Final.Result
-				if len(res.SummaryRejections) != 1 || res.SummaryApplied != 0 {
-					t.Errorf("rejections=%v applied=%d, want exactly one rejection and no applications",
-						res.SummaryRejections, res.SummaryApplied)
 				}
 				return
 			}
@@ -238,14 +210,6 @@ func TestInjectionParity(t *testing.T) {
 				// artifact-cached path, so its sweep runs against a fresh
 				// store.
 				sOpts := apps.StudyOptions{Budget: testBudget, FlowLog: true}
-				if site == core.SiteSummaryValidate {
-					// The validation site only exists on the summaries path;
-					// the sweep's logs must still match the no-summaries
-					// baseline byte for byte — both for the app that absorbs
-					// the injected fault (demoted to full tracing) and for
-					// every app running under accepted summaries.
-					sOpts.Summaries = core.SummaryValidated
-				}
 				if site == cas.SiteLoad {
 					store, err := cas.Open(t.TempDir())
 					if err != nil {
@@ -263,8 +227,7 @@ func TestInjectionParity(t *testing.T) {
 				// which is the deopt-parity proof.
 				wantAbsorbed := 1
 				if site == core.SiteFusedDeopt || site == cas.SiteLoad ||
-					site == surface.SiteOverflow || site == core.SiteSummaryValidate ||
-					site == core.SiteSnapshotRestore {
+					site == surface.SiteOverflow || site == core.SiteSnapshotRestore {
 					// Absorbed sites leave no trace in any chain: the deopt
 					// reruns unfused, the cache fault evicts and recomputes,
 					// the surface overflow truncates only the map, and the

@@ -22,11 +22,6 @@ type StudyOptions struct {
 	FlowLog bool
 	// Static selects the pre-analysis level for every app (off/lint).
 	Static static.Level
-	// Summaries selects the auto-generated native taint summary mode for
-	// every app (off/static/validated). Flow logs and verdicts are
-	// byte-identical across settings; the per-lib synthesis table lands in
-	// each row's RunResult.Summary.
-	Summaries core.SummaryMode
 	// Apps is the corpus; nil means AllApps() (benign + hostile).
 	Apps []*App
 	// Cache attaches a persistent artifact and verdict store to the service
@@ -81,11 +76,10 @@ func RunStudy(opts StudyOptions, workers int) (*StudyReport, service.Stats, erro
 		Workers: workers,
 		Cache:   opts.Cache,
 		Analyze: core.AnalyzeOptions{
-			Mode:      opts.Mode,
-			Budget:    opts.Budget,
-			FlowLog:   opts.FlowLog,
-			Static:    opts.Static,
-			Summaries: opts.Summaries,
+			Mode:    opts.Mode,
+			Budget:  opts.Budget,
+			FlowLog: opts.FlowLog,
+			Static:  opts.Static,
 		},
 	})
 	if err != nil {

@@ -1,217 +1,133 @@
 package apps_test
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/cas"
 	"repro/internal/core"
+	"repro/internal/taint"
 )
 
-// TestSummaryParityAllAppsAllModes is the summary soundness contract: for
-// every corpus app (benign + hostile) under every analysis mode, a run with
-// -summaries=validated produces a byte-identical flow log and verdict versus
-// -summaries=off. The unvalidated tier, which must diverge on
-// hostile-sumdodge, is core's test oracle (TestStaticSummaryTierDiverges).
+// The tests in this file keep their names from the native taint summary era.
+// Summaries were deleted; what they had to preserve still stands, and these
+// tests hold it without them.
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/summary_parity.golden from this tree")
+
+const parityGolden = "testdata/summary_parity.golden"
+
+// outcomeDigest hashes everything an analysis reports to its user: the
+// verdict, the degradation chain and the flow log.
+func outcomeDigest(r core.AppReport) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "verdict=%s chain=%s degraded=%t\n", r.Verdict(), r.ChainString(), r.Degraded)
+	h.Write([]byte(logOf(r)))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(parityGolden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test ./internal/apps -run TestSummaryParityAllAppsAllModes -update)", err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, sum, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", parityGolden, sc.Text())
+		}
+		want[name] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestSummaryParityAllAppsAllModes (name kept from the summary era) pins
+// every corpus app (benign + hostile) under every analysis mode at default
+// options to the verdict, chain and flow log recorded in
+// testdata/summary_parity.golden. The golden was recorded on the last tree
+// that still had summaries, so deleting them changed no output. A change
+// that alters an output on purpose regenerates the file with -update and
+// shows the new digests in its diff.
 func TestSummaryParityAllAppsAllModes(t *testing.T) {
+	var want map[string]string
+	if !*updateGolden {
+		want = readGolden(t)
+	}
+	var lines []string
 	for _, app := range apps.AllApps() {
 		for _, mode := range allModes {
 			app, mode := app, mode
-			t.Run(app.Name+"/"+mode.String(), func(t *testing.T) {
-				want := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true,
-				}))
-				got := outcomeOf(core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
-				}))
-				if got.verdict != want.verdict {
-					t.Errorf("verdict %v, baseline %v", got.verdict, want.verdict)
-				} else if got.log != want.log {
-					t.Errorf("flow log diverged:\n--- off ---\n%s\n--- validated ---\n%s", want.log, got.log)
+			name := app.Name + "/" + mode.String()
+			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
+				Mode: mode, Budget: testBudget, FlowLog: true,
+			})
+			got := outcomeDigest(r)
+			lines = append(lines, name+" "+got)
+			t.Run(name, func(t *testing.T) {
+				if *updateGolden {
+					return
+				}
+				w, ok := want[name]
+				if !ok {
+					t.Fatalf("no golden digest for %s", name)
+				}
+				if got != w {
+					t.Errorf("verdict/chain/flow log changed: digest %s, golden %s (verdict %v, chain %s)",
+						got, w, r.Verdict(), r.ChainString())
 				}
 			})
 		}
 	}
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(parityGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(parityGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(want) != len(lines) {
+		t.Errorf("golden holds %d digests, the corpus runs %d", len(want), len(lines))
+	}
 }
 
-// TestSumdodgeValidationRejects pins the mutation-validation mechanics on
-// the hostile app: under -summaries=validated the candidate summary for
-// Java_gate is rejected at the first crossing (the zero-mutation run
-// observes no dependence where the static transfer claims one), nothing is
-// ever applied, and the real leak is still caught.
+// TestSumdodgeValidationRejects (name kept from the summary era) holds the
+// precision hostile-sumdodge was built to probe: the native gate's taint
+// transfer depends on its argument's value. NDroid's per-instruction tracing
+// sees the tainted zero take the clean path, so the first send stays clean
+// and only the real leak, the tainted length passed through, is reported.
 func TestSumdodgeValidationRejects(t *testing.T) {
 	app, ok := apps.ByName("hostile-sumdodge")
 	if !ok {
 		t.Fatal("hostile-sumdodge missing")
 	}
-	r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-		Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
-	})
+	r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, FlowLog: true})
 	if r.Verdict() != core.VerdictLeak {
-		t.Fatalf("verdict = %v, want leak", r.Verdict())
+		t.Fatalf("verdict = %v, want leak (chain %s)", r.Verdict(), r.ChainString())
 	}
-	res := r.Final.Result
-	if len(res.SummaryRejections) != 1 {
-		t.Fatalf("rejections = %v, want exactly one", res.SummaryRejections)
+	leaks := r.Final.Result.Leaks
+	if len(leaks) != 1 {
+		t.Fatalf("leaks = %v, want exactly the pass-through one", leaks)
 	}
-	rej := res.SummaryRejections[0]
-	if !strings.Contains(rej.Func, "gate") || rej.Reason != "validation-mismatch" {
-		t.Errorf("rejection = %+v, want the gate method with validation-mismatch", rej)
+	if l := leaks[0]; l.Sink != "Network.send" || l.Tag&taint.IMEI == 0 || string(l.Data) == "0" {
+		t.Errorf("leak = %+v, want the IMEI-tainted length at Network.send", l)
 	}
-	if res.SummaryApplied != 0 {
-		t.Errorf("SummaryApplied = %d, want 0 (rejected before any application)", res.SummaryApplied)
-	}
-}
-
-// TestSummaryTracedReduction is the payoff assertion: for the three
-// summarizable corpus apps, -summaries=validated must trace at least 5x
-// fewer native instructions than full tracing while staying byte-identical
-// (parity is covered above; this test holds the counters).
-func TestSummaryTracedReduction(t *testing.T) {
-	for _, name := range []string{"summix", "sumfold", "sumfloat"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			app, ok := apps.ByName(name)
-			if !ok {
-				t.Fatalf("%s missing", name)
-			}
-			off := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true,
-			})
-			val := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
-			})
-			ob, vb := off.Final.Result.TracedInsns, val.Final.Result.TracedInsns
-			if vb == 0 || ob < 5*vb {
-				t.Errorf("traced insns: off=%d validated=%d, want >=5x reduction", ob, vb)
-			}
-			if val.Final.Result.SummaryApplied == 0 {
-				t.Error("no crossing was served by the summary")
-			}
-			if len(val.Final.Result.SummaryRejections) != 0 {
-				t.Errorf("unexpected rejections: %v", val.Final.Result.SummaryRejections)
-			}
-		})
-	}
-}
-
-// TestPinswapVoidsSummaries reuses the hostile-pinswap app as the summary
-// eviction regression: its RegisterNatives swap retargets a bound method
-// mid-run, so every synthesized summary for the library must be dropped
-// (SummariesVoided counts them) and the post-swap leak still caught with a
-// byte-identical flow log versus summaries off.
-func TestPinswapVoidsSummaries(t *testing.T) {
-	app, ok := apps.ByName("hostile-pinswap")
-	if !ok {
-		t.Fatal("hostile-pinswap missing")
-	}
-	base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-		Budget: testBudget, FlowLog: true,
-	})
-	r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-		Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
-	})
-	if r.Final.Result.SummariesVoided == 0 {
-		t.Error("RegisterNatives swap voided no summaries")
-	}
-	if got, want := outcomeOf(r), outcomeOf(base); got.verdict != want.verdict {
-		t.Errorf("verdict %v, baseline %v", got.verdict, want.verdict)
-	} else if got.log != want.log {
-		t.Errorf("flow log diverged under summaries after the swap:\n--- off ---\n%s\n--- validated ---\n%s",
-			want.log, got.log)
-	}
-}
-
-// TestSummaryParityUnderRunner holds summary parity on the fork-server path
-// and checks the CAS round trip: the first analysis synthesizes each
-// library's summaries and stores them, the second reuses them (memory or
-// disk) without re-synthesis, and both match the fresh-System baseline.
-func TestSummaryParityUnderRunner(t *testing.T) {
-	store, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner, err := core.NewCachedRunner(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"summix", "sumfold", "sumfloat", "hostile-sumdodge"} {
-		app, ok := apps.ByName(name)
-		if !ok {
-			t.Fatalf("%s missing", name)
-		}
-		base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-			Budget: testBudget, FlowLog: true,
-		})
-		for pass := 0; pass < 2; pass++ {
-			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated, Runner: runner,
-			})
-			if got, want := outcomeOf(r), outcomeOf(base); got.verdict != want.verdict {
-				t.Errorf("%s pass %d: verdict %v, baseline %v", name, pass, got.verdict, want.verdict)
-			} else if got.log != want.log {
-				t.Errorf("%s pass %d: snapshot-served summary run diverged from baseline", name, pass)
-			}
-		}
-	}
-	if runner.Stats.SummarySynths == 0 {
-		t.Error("no summary synthesis recorded")
-	}
-	if runner.Stats.SummaryReuses == 0 {
-		t.Error("second passes reused no cached summaries")
-	}
-	// Validation verdicts are deliberately not persisted: a reused summary
-	// must still be re-validated per analysis, so hostile-sumdodge's second
-	// pass rejects again rather than trusting a stale acceptance.
-}
-
-// TestSummaryParityParallelAndService holds summary parity under parallel
-// study workers and under the analysis service with a warm artifact store:
-// every row matches a one-worker summaries-off sweep, on the uncached pass
-// and on both the cold and the warm (verdict-replay) cached pass.
-func TestSummaryParityParallelAndService(t *testing.T) {
-	base := map[string]appOutcome{}
-	seq, _ := runStudy(t, apps.StudyOptions{Budget: testBudget, FlowLog: true}, 1)
-	for _, row := range seq.Rows {
-		base[row.App.Name] = appOutcome{
-			verdict: row.Report.Verdict(),
-			log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-		}
-	}
-	check := func(t *testing.T, rep *apps.StudyReport, leg string) {
-		t.Helper()
-		for _, row := range rep.Rows {
-			got := appOutcome{
-				verdict: row.Report.Verdict(),
-				log:     strings.Join(row.Report.Final.Result.LogLines, "\n"),
-			}
-			want := base[row.App.Name]
-			if got.verdict != want.verdict {
-				t.Errorf("%s/%s: verdict %v, baseline %v", leg, row.App.Name, got.verdict, want.verdict)
-			} else if got.log != want.log {
-				t.Errorf("%s/%s: flow log diverged from summaries-off baseline", leg, row.App.Name)
-			}
-		}
-	}
-
-	rep, _ := runStudy(t, apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Summaries: core.SummaryValidated,
-	}, 4)
-	check(t, rep, "parallel")
-
-	store, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Cache: store, Summaries: core.SummaryValidated,
-	}
-	cold, _ := runStudy(t, opts, 3)
-	check(t, cold, "service-cold")
-	warm, stats := runStudy(t, opts, 3)
-	check(t, warm, "service-warm")
-	if stats.VerdictHits == 0 {
-		t.Error("warm service pass replayed no verdicts")
+	if r.Final.Result.SummaryApplied != 0 {
+		t.Errorf("SummaryApplied = %d, want 0", r.Final.Result.SummaryApplied)
 	}
 }

@@ -312,17 +312,6 @@ func (c *CPU) SetThumbPC(addr uint32) {
 	c.checkHook = true
 }
 
-// SetPCNoHook is SetThumbPC without re-arming the hook check: the first
-// instruction at addr executes even if a hook is installed there. Summary
-// validation uses it to re-enter a function body under mutated inputs
-// without firing the method-entry hook (which would consume the pending
-// source policy armed for the real crossing).
-func (c *CPU) SetPCNoHook(addr uint32) {
-	c.Thumb = addr&1 != 0
-	c.R[PC] = addr &^ 1
-	c.checkHook = false
-}
-
 func (c *CPU) fetch(pc uint32) Insn {
 	if c.UseDecodeCache {
 		pageKey := pc >> 12 << 1

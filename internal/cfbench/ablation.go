@@ -1,16 +1,15 @@
 package cfbench
 
 // Ablation matrix: every speed-only mechanism with a knob (trace fusion, the
-// JNI surface observer, native taint summaries, the artifact store) is one or
+// JNI surface observer, the static pass, the artifact store) is one or
 // more arms of a single list. Each arm runs the evaluation corpus under every
 // analysis mode through the analysis service, and one parity checker holds
 // every (app, mode) cell to the baseline arm's verdict and flow log byte for
 // byte. An arm that exists to prove a claim beyond parity (a warm store
-// computes nothing, summaries cut tracing 5x) carries that claim as its
-// Check. The contained-corpus verdict counts and the static reach table are
-// views of the baseline and static=lint runs under NDroid, so cfbench walks
-// the corpus only here. cmd/cfbench exits nonzero on any break (the CI
-// bench-smoke gate).
+// computes nothing) carries that claim as its Check. The contained-corpus
+// verdict counts and the static reach table are views of the baseline and
+// static=lint runs under NDroid, so cfbench walks the corpus only here.
+// cmd/cfbench exits nonzero on any break (the CI bench-smoke gate).
 
 import (
 	"fmt"
@@ -45,21 +44,12 @@ type matrixArm struct {
 	Check func(run, base *ArmRun) error
 }
 
-// summaryExhibits are the corpus apps whose hot native function is
-// summarizable; they carry the >= 5x traced-instruction reduction claim.
-var summaryExhibits = []string{"summix", "sumfold", "sumfloat"}
-
-// summaryDivergent is the hostile app whose candidate summary is wrong by
-// construction (input-value-dependent taint transfer): validation must
-// reject it.
-const summaryDivergent = "hostile-sumdodge"
-
 // floodApp is the RASP app whose crossing flood the observer must throttle.
 const floodApp = "hostile-rasp"
 
 // arms is the matrix, baseline first. The baseline runs the production
-// defaults (fusion on, observer on and throttled, static pass off, summaries
-// off, no store); every other arm changes one knob. The store arms also turn
+// defaults (fusion on, observer on and throttled, static pass off, no
+// store); every other arm changes one knob. The store arms also turn
 // the static pass on, since it is the heaviest artifact the store caches, so
 // the store's own cost is cache=cold against static=lint.
 var arms = []matrixArm{
@@ -67,8 +57,6 @@ var arms = []matrixArm{
 	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
 	{Name: "surface=off", Opts: core.AnalyzeOptions{Surface: core.SurfaceOff}},
 	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
-	{Name: "summaries=validated", Opts: core.AnalyzeOptions{Summaries: core.SummaryValidated},
-		Check: summariesPay},
 	{Name: "static=lint", Opts: core.AnalyzeOptions{Static: static.LintOnly}},
 	{Name: "cache=cold", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true},
 	{Name: "cache=warm", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true,
@@ -90,32 +78,6 @@ var arms = []matrixArm{
 // matrixModes lists the analysis modes every arm sweeps.
 var matrixModes = []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope}
 
-// summariesPay is the validated arm's claim: under NDroid (the only mode
-// summaries serve) validation rejects the hostile exhibit, and every
-// summarizable exhibit is served by summaries and traces at least 5x fewer
-// native instructions than the baseline.
-func summariesPay(run, base *ArmRun) error {
-	if run.Mode != core.ModeNDroid.String() {
-		return nil
-	}
-	if c := run.cell(summaryDivergent); c == nil || c.SummaryRejected == 0 {
-		return fmt.Errorf("%s: validation rejected nothing", summaryDivergent)
-	}
-	for _, ex := range summaryExhibits {
-		got, full := run.cell(ex), base.cell(ex)
-		switch {
-		case got == nil || full == nil:
-			return fmt.Errorf("%s: exhibit missing from the corpus", ex)
-		case got.SummaryApplied == 0:
-			return fmt.Errorf("%s: no crossing was served by a summary", ex)
-		case got.TracedInsns == 0 || full.TracedInsns < 5*got.TracedInsns:
-			return fmt.Errorf("%s: traced %d full vs %d summarized, below the 5x bar",
-				ex, full.TracedInsns, got.TracedInsns)
-		}
-	}
-	return nil
-}
-
 // Cell is one app's outcome in one run: its verdict and degradation work,
 // wall clock, and the counters the knobs move.
 type Cell struct {
@@ -130,9 +92,7 @@ type Cell struct {
 	FusedCalls  uint64 `json:"fused_calls,omitempty"`
 	FuseDeopts  uint64 `json:"fuse_deopts,omitempty"`
 
-	TracedInsns     uint64 `json:"traced_insns,omitempty"`
-	SummaryApplied  uint64 `json:"summary_applied,omitempty"`
-	SummaryRejected int    `json:"summary_rejected,omitempty"`
+	TracedInsns uint64 `json:"traced_insns,omitempty"`
 
 	// The pre-analysis result and cross-validation violation count the
 	// reach table reads (nil and 0 with the pass off).
@@ -290,8 +250,7 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 		cell := Cell{
 			App: app.Name, Verdict: rep.Verdict().String(), Attempts: len(rep.Chain), Degraded: rep.Degraded, Seconds: secs,
 			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
-			TracedInsns: r.TracedInsns, SummaryApplied: r.SummaryApplied, SummaryRejected: len(r.SummaryRejections),
-			static: r.Static, violations: len(r.StaticViolations),
+			TracedInsns: r.TracedInsns, static: r.Static, violations: len(r.StaticViolations),
 		}
 		if s := r.Surface; s != nil {
 			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =
@@ -328,21 +287,20 @@ func parity(base, got []cellOutcome) error {
 	return nil
 }
 
-// String renders one row per run, the summary-reduction and flood headlines,
-// and the parity verdict.
+// String renders one row per run, the flood headline, and the parity
+// verdict.
 func (m *Matrix) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-10s %4s %8s %8s %8s %5s %5s %9s %9s %9s %7s %6s %7s %5s %5s\n",
+	fmt.Fprintf(&b, "%-20s %-10s %4s %8s %8s %8s %5s %5s %9s %9s %9s %6s %7s %5s %5s\n",
 		"arm", "mode", "apps", "seconds", "apps/s", "bound_s", "comp", "hits",
-		"crossings", "fused", "traced", "applied", "events", "dropped", "asm", "puts")
+		"crossings", "fused", "traced", "events", "dropped", "asm", "puts")
 	for _, r := range m.Runs {
-		var crossings, fused, traced, applied, dropped uint64
+		var crossings, fused, traced, dropped uint64
 		var events int
 		for _, c := range r.Cells {
 			crossings += c.Crossings
 			fused += c.FusedCalls
 			traced += c.TracedInsns
-			applied += c.SummaryApplied
 			events += c.Events
 			dropped += c.Dropped
 		}
@@ -350,19 +308,12 @@ func (m *Matrix) String() string {
 		if r.Store != nil {
 			puts = r.Store.Puts
 		}
-		fmt.Fprintf(&b, "%-20s %-10s %4d %8.3f %8.1f %8.3f %5d %5d %9d %9d %9d %7d %6d %7d %5d %5d\n",
+		fmt.Fprintf(&b, "%-20s %-10s %4d %8.3f %8.1f %8.3f %5d %5d %9d %9d %9d %6d %7d %5d %5d\n",
 			r.Arm, r.Mode, r.Apps, r.Seconds, float64(r.Apps)/r.Seconds, r.BudgetBoundSeconds,
-			r.Service.Computed, r.Service.VerdictHits, crossings, fused, traced, applied,
+			r.Service.Computed, r.Service.VerdictHits, crossings, fused, traced,
 			events, dropped, r.Service.Runner.AsmAssembles, puts)
 	}
 	nd := core.ModeNDroid
-	for _, ex := range summaryExhibits {
-		full, sum := m.cell("baseline", nd, ex), m.cell("summaries=validated", nd, ex)
-		if full != nil && sum != nil && sum.TracedInsns > 0 {
-			fmt.Fprintf(&b, "reduction (%s): %d traced full vs %d under validated summaries (%.1fx)\n",
-				ex, full.TracedInsns, sum.TracedInsns, float64(full.TracedInsns)/float64(sum.TracedInsns))
-		}
-	}
 	on, un, off := m.cell("baseline", nd, floodApp), m.cell("surface=unthrottled", nd, floodApp), m.cell("surface=off", nd, floodApp)
 	if on != nil && un != nil && off != nil {
 		fmt.Fprintf(&b, "flood (%s): %d calls -> %d attempts throttled vs %d unthrottled; wall clock %.3fs / %.3fs / %.3fs (throttled/unthrottled/off)\n",

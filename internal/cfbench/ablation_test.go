@@ -74,18 +74,6 @@ func TestAblationMatrix(t *testing.T) {
 			t.Errorf("flood: %d attempts throttled, %d unthrottled over %d calls", throttled, unthrottled, on.Calls)
 		}
 	})
-
-	t.Run("summaries", func(t *testing.T) {
-		for _, ex := range summaryExhibits {
-			full, sum := m.cell("baseline", nd, ex), m.cell("summaries=validated", nd, ex)
-			if sum.TracedInsns == 0 || full.TracedInsns < 5*sum.TracedInsns {
-				t.Errorf("%s: traced %d full vs %d summarized, want >= 5x", ex, full.TracedInsns, sum.TracedInsns)
-			}
-		}
-		if c := m.cell("summaries=validated", nd, summaryDivergent); c.SummaryRejected == 0 {
-			t.Error("hostile exhibit's summary was never rejected under validation")
-		}
-	})
 }
 
 // TestCacheSweep checks the matrix's store arms under every mode: the cold

@@ -7,7 +7,6 @@ import (
 	"repro/internal/arm"
 	"repro/internal/dex"
 	"repro/internal/dvm"
-	"repro/internal/summary"
 	"repro/internal/surface"
 	"repro/internal/taint"
 )
@@ -158,22 +157,6 @@ type Analyzer struct {
 	// enabling or disabling it cannot perturb flow-log parity.
 	Surface *surface.Observer
 
-	// Auto-generated native taint summaries (summaries.go). SummariesVoided
-	// counts cached per-function summary states dropped by RegisterNatives
-	// churn or code writes; SummaryApplied counts crossings served by an
-	// accepted transfer instead of tracing; SummaryRejections records
-	// transfers demoted by mutation validation.
-	SummariesVoided   int
-	SummaryApplied    uint64
-	SummaryRejections []summary.Rejection
-	sumMode           SummaryMode
-	sumCache          SummaryCache
-	sumInit           bool
-	sumChurned        bool
-	sumByEntry        map[uint32]*sumFunc
-	sumLibs           []*sumLib
-	sumStack          []sumPending
-
 	// InstrumentationCalls counts DVM-hook instrumentation bodies that
 	// actually ran (the quantity multilevel hooking reduces).
 	InstrumentationCalls uint64
@@ -224,10 +207,6 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 	// and the log line keys the static cross-validator's relaxation.
 	sys.VM.OnRegisterNatives = func(m *dex.Method, old, new uint32) {
 		a.Log.Addf("RegisterNatives %s 0x%x -> 0x%x", m.FullName(), old, new)
-		// The swap voids every auto-generated taint summary: a cached
-		// transfer describes the pre-swap implementation. Counter only — no
-		// log line, so flow logs stay byte-identical across summary modes.
-		a.voidSummaries()
 	}
 	// The JNI surface observer runs in every mode (vanilla included): the
 	// surface map is part of the verdict record, so it must not depend on the
@@ -242,7 +221,7 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 		a.Surface.Register(m.FullName(), dynamic, old, new)
 	}
 	sys.VM.OnReflectCall = func(m *dex.Method) { a.Surface.Reflect(m.FullName()) }
-	a.wireCodeWrite()
+	sys.CPU.OnCodeWrite = a.Surface.CodeWrite
 	if gate {
 		// Hot Dalvik→JNI→ARM crossing chains compile to fused closures; the
 		// ablation path (AnalyzeOptions.Fuse = FuseOff) switches this back
@@ -306,9 +285,7 @@ func (a *Analyzer) DisableSurface() {
 	a.Sys.VM.OnJNICall = nil
 	a.Sys.VM.OnNativeBind = nil
 	a.Sys.VM.OnReflectCall = nil
-	// The code-write callback is shared with summary eviction; rewire rather
-	// than nil it so disabling the observer cannot drop eviction.
-	a.wireCodeWrite()
+	a.Sys.CPU.OnCodeWrite = nil
 }
 
 // crossingClean reports that a JNI crossing may skip its taint walks

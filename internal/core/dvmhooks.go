@@ -157,7 +157,6 @@ func (a *Analyzer) onJNIEntry(ctx *dvm.CallCtx) {
 
 	a.Policies.Put(p)
 	a.installMethodEntryHook(m.NativeAddr)
-	a.summaryEnter(ctx)
 }
 
 // installMethodEntryHook arranges for the SourcePolicy to be applied at the
@@ -243,17 +242,12 @@ func (a *Analyzer) bindJNIEntry(m *dex.Method) func(*dvm.CallCtx) {
 		}
 
 		a.Policies.Put(p)
-		a.summaryEnter(ctx)
 	}
 }
 
 // onJNIReturn overrides the JNI return taint with the shadow state — the
 // precise tracking that replaces TaintDroid's any-parameter policy.
 func (a *Analyzer) onJNIReturn(ctx *dvm.CallCtx) {
-	// An active summary replaces the bridge-captured shadow (meaningless
-	// under tracer suppression) with the transfer-computed taint before
-	// anything reads it; everything below then runs identically.
-	a.summaryExit(ctx)
 	t := ctx.RetTaint // R0/R1 shadow captured by the bridge
 	// The object walk is skipped only when the captured shadow is already
 	// clear AND no counted taint exists anywhere (ObjectTaint would be 0).

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/static"
-	"repro/internal/summary"
 	"repro/internal/surface"
 	"repro/internal/taint"
 )
@@ -122,18 +121,14 @@ type RunResult struct {
 	Static           *static.Result
 	StaticViolations []string
 
-	// Auto-generated native taint summary activity (all zero/nil with
-	// summaries off). TracedInsns is the tracer's handler-invocation count —
-	// the quantity an accepted summary removes (the cfbench ablation asserts
-	// the ≥5x reduction against it); SummariesVoided counts summary states
-	// dropped by RegisterNatives churn or code writes; SummaryApplied counts
-	// crossings served by a transfer; SummaryRejections records transfers
-	// demoted by mutation validation; Summary is the per-library table.
-	TracedInsns       uint64
-	SummariesVoided   int
-	SummaryApplied    uint64
-	SummaryRejections []summary.Rejection
-	Summary           []summary.LibReport
+	// TracedInsns is the tracer's handler-invocation count: the native
+	// instructions that went through a Table V handler (0 without a tracer).
+	TracedInsns uint64
+
+	// SummaryApplied is always 0: native taint summaries were deleted. It is
+	// kept only until a benchmark change drops ndbench's summary.* per-layer
+	// metrics, which read it.
+	SummaryApplied uint64
 }
 
 // Run invokes the entry point under full fault containment and classifies
@@ -175,10 +170,6 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 		if a.Tracer != nil {
 			res.TracedInsns = a.Tracer.Traced
 		}
-		res.SummariesVoided = a.SummariesVoided
-		res.SummaryApplied = a.SummaryApplied
-		res.SummaryRejections = append([]summary.Rejection(nil), a.SummaryRejections...)
-		res.Summary = a.summaryReport()
 		vm.JavaBudget, vm.NativeBudget = 0, 0
 	}()
 
@@ -266,12 +257,6 @@ type AnalyzeOptions struct {
 	// static pass before the entry point and cross-validates the flow log
 	// against its reach sets; it never changes how the app executes.
 	Static static.Level
-	// Summaries selects how auto-generated native taint summaries are used:
-	// off (default; trace everything) or validated (trust a sound transfer
-	// once it survives mutation validation). Flow logs and verdicts are
-	// byte-identical across settings; only the traced instruction count
-	// changes.
-	Summaries SummaryMode
 	// Runner serves every attempt from its snapshot-restored System (and
 	// static results from its digest cache). Nil gives each attempt a
 	// new Runner that boots a fresh System and is never restored: the

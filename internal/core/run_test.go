@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -53,5 +54,39 @@ func TestHostileSpinRetiresExactBudget(t *testing.T) {
 	}
 	if res.NativeInsns != core.DefaultBudget+1 {
 		t.Errorf("NativeInsns = %d, want DefaultBudget+1 = %d", res.NativeInsns, core.DefaultBudget+1)
+	}
+}
+
+// TestRunnerStatsAddSumsEveryField sets every numeric RunnerStats field to a
+// distinct value through reflect and checks that Add sums each one, so a
+// counter added later without its line in Add fails here instead of reading
+// zero in the service's totals.
+func TestRunnerStatsAddSumsEveryField(t *testing.T) {
+	var a, b core.RunnerStats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		switch f := va.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+			vb.Field(i).SetInt(int64(100 * (i + 1)))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+			vb.Field(i).SetUint(uint64(100 * (i + 1)))
+		default:
+			t.Fatalf("RunnerStats.%s has kind %s; extend this test", va.Type().Field(i).Name, f.Kind())
+		}
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Field(i)
+		var got int64
+		if f.Kind() == reflect.Uint64 {
+			got = int64(f.Uint())
+		} else {
+			got = f.Int()
+		}
+		if want := int64(101 * (i + 1)); got != want {
+			t.Errorf("after Add, RunnerStats.%s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }

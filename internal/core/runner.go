@@ -31,7 +31,6 @@ import (
 	"repro/internal/dex"
 	"repro/internal/fault"
 	"repro/internal/static"
-	"repro/internal/summary"
 )
 
 // Artifact kinds the Runner stores. The schema strings are hashed into every
@@ -43,11 +42,6 @@ var (
 	KindAsm = cas.Kind{Name: "asmlib", Schema: "v1 arm.Program base,code,labels,writemask"}
 	// KindDexCheck holds dexCheckRecord payloads keyed by dex.Class digests.
 	KindDexCheck = cas.Kind{Name: "dexcheck", Schema: "v1 validate fault.Portable"}
-	// KindSummary holds summary.PortableLib payloads keyed by the
-	// name-excluded lib code digest (LibPrint.Digest), so two apps shipping
-	// the same native code share the synthesis. Only the static synthesis is
-	// persisted; validation verdicts are per-run dynamic state.
-	KindSummary = cas.Kind{Name: "summary", Schema: "v1 summary.PortableLib entry,rows,regs,writes,sound"}
 )
 
 // dexCheckRecord caches one class's load-time validation verdict.
@@ -80,13 +74,28 @@ type RunnerStats struct {
 	AsmAssembles   int // real assembler runs
 	CacheFaults    int // corrupt or injected cache loads absorbed (recomputed)
 
-	// Auto-generated native taint summary traffic (all zero with summaries
-	// off). SummarySynths counts real per-library syntheses; SummaryReuses
-	// counts libraries served from the in-memory map; SummaryDiskHits counts
-	// rehydrations from the artifact store.
-	SummarySynths   int
-	SummaryReuses   int
-	SummaryDiskHits int
+	// SummarySynths is always 0: native taint summaries were deleted. It is
+	// kept only until a benchmark change drops ndbench's summary.* per-layer
+	// metrics, which read it.
+	SummarySynths int
+}
+
+// Add folds s into the receiver field by field, for totals across Runners.
+func (t *RunnerStats) Add(s RunnerStats) {
+	t.Boots += s.Boots
+	t.Resets += s.Resets
+	t.GuestPagesReset += s.GuestPagesReset
+	t.TaintPagesReset += s.TaintPagesReset
+	t.StaticRuns += s.StaticRuns
+	t.StaticReuses += s.StaticReuses
+	t.JNICrossings += s.JNICrossings
+	t.StaticDiskHits += s.StaticDiskHits
+	t.DexValidations += s.DexValidations
+	t.DexCheckHits += s.DexCheckHits
+	t.AsmCacheHits += s.AsmCacheHits
+	t.AsmAssembles += s.AsmAssembles
+	t.CacheFaults += s.CacheFaults
+	t.SummarySynths += s.SummarySynths
 }
 
 // Runner serves analysis attempts from a snapshot-restored System.
@@ -104,12 +113,6 @@ type Runner struct {
 
 	// cache is the persistent artifact store (nil on an uncached Runner).
 	cache *cas.Store
-
-	// summaries caches per-library synthesized summaries by lib digest, so
-	// repeat installs of the same native code skip re-synthesis even on an
-	// uncached Runner. The payloads are read-only portable forms; every
-	// analyzer rehydrates its own private Transfer set.
-	summaries map[string]*summary.PortableLib
 
 	// needReboot poisons the Runner after a failed restore: the System may be
 	// half-rewound, so the next attempt boots fresh.
@@ -209,9 +212,6 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 		sys.VM.FuseNative = false
 	}
 	applySurface(a, opts.Surface)
-	if opts.Summaries != SummaryOff {
-		a.enableSummaries(opts.Summaries, r)
-	}
 
 	var sr *static.Result
 	if opts.Static != static.Off {
@@ -383,45 +383,6 @@ func (r *Runner) validateClass(c *dex.Class) *fault.Fault {
 	f := fault.AsFault(c.Validate(), "dex")
 	_ = r.cache.Put(KindDexCheck, key, &dexCheckRecord{Fault: f.Portable()})
 	return f
-}
-
-// LoadSummaries implements SummaryCache: in-memory map first, then the
-// artifact store. A corrupt or injected entry counts as an absorbed cache
-// fault and reads as a miss (the analyzer re-synthesizes).
-func (r *Runner) LoadSummaries(key string) (*summary.PortableLib, bool) {
-	if p, ok := r.summaries[key]; ok {
-		r.Stats.SummaryReuses++
-		return p, true
-	}
-	if r.cache != nil {
-		var p summary.PortableLib
-		ok, err := r.cache.Get(KindSummary, key, &p)
-		if err != nil {
-			r.Stats.CacheFaults++
-		}
-		if ok {
-			r.Stats.SummaryDiskHits++
-			if r.summaries == nil {
-				r.summaries = make(map[string]*summary.PortableLib)
-			}
-			r.summaries[key] = &p
-			return &p, true
-		}
-	}
-	return nil, false
-}
-
-// StoreSummaries implements SummaryCache: record a fresh synthesis in the
-// in-memory map and (best-effort) the artifact store.
-func (r *Runner) StoreSummaries(key string, p *summary.PortableLib) {
-	r.Stats.SummarySynths++
-	if r.summaries == nil {
-		r.summaries = make(map[string]*summary.PortableLib)
-	}
-	r.summaries[key] = p
-	if r.cache != nil {
-		_ = r.cache.Put(KindSummary, key, p)
-	}
 }
 
 // runnerAsmCache adapts the artifact store to the VM's assembly-cache hook.

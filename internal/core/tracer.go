@@ -29,13 +29,6 @@ type Tracer struct {
 	Traced  uint64
 	Skipped uint64
 
-	// suppress > 0 disables tracing entirely (neither counter moves): the
-	// summary path raises it for the duration of a crossing whose accepted
-	// transfer replaces instruction-level propagation. A depth, not a flag,
-	// so nested crossings compose. It gates the bound closures through the
-	// shared Tracer pointer, so flipping it needs no block invalidation.
-	suppress int
-
 	// PerOp counts handler invocations per operation, for the Table V bench.
 	PerOp [64]uint64
 }
@@ -69,9 +62,6 @@ func (tr *Tracer) BindInsn(addr uint32, insn arm.Insn) func(c *arm.CPU) {
 		// binds the raw closure and pays nothing per instruction.
 		at := addr
 		return func(c *arm.CPU) {
-			if tr.suppress > 0 {
-				return
-			}
 			if f := fault.Hit(SiteTracerInsn, at); f != nil {
 				panic(f)
 			}
@@ -93,18 +83,12 @@ func (tr *Tracer) bindInsn(addr uint32, insn arm.Insn) func(c *arm.CPU) {
 	h := handlerFor(op)
 	if h == nil {
 		return func(*arm.CPU) {
-			if tr.suppress > 0 {
-				return
-			}
 			tr.Traced++
 			tr.PerOp[op]++
 		}
 	}
 	in := insn
 	return func(c *arm.CPU) {
-		if tr.suppress > 0 {
-			return
-		}
 		tr.Traced++
 		tr.PerOp[op]++
 		h(tr, c, in)
@@ -113,9 +97,6 @@ func (tr *Tracer) bindInsn(addr uint32, insn arm.Insn) func(c *arm.CPU) {
 
 // TraceInsn implements arm.Tracer.
 func (tr *Tracer) TraceInsn(c *arm.CPU, addr uint32, insn arm.Insn) {
-	if tr.suppress > 0 {
-		return
-	}
 	if f := fault.Hit(SiteTracerInsn, addr); f != nil {
 		panic(f)
 	}

@@ -287,9 +287,9 @@ func (s *Service) Close() {
 
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	addRunnerStats(&s.stats.Runner, s.digester.Stats)
+	s.stats.Runner.Add(s.digester.Stats)
 	for _, sh := range s.shards {
-		addRunnerStats(&s.stats.Runner, sh.stats)
+		s.stats.Runner.Add(sh.stats)
 	}
 }
 
@@ -383,26 +383,6 @@ func shardIndex(digest string, n int) int {
 // change what a run produces.
 var KindVerdict = cas.Kind{Name: "verdict", Schema: "v4 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
 
-// addRunnerStats folds one Runner's counters into an aggregate.
-func addRunnerStats(dst *core.RunnerStats, s core.RunnerStats) {
-	dst.Boots += s.Boots
-	dst.Resets += s.Resets
-	dst.GuestPagesReset += s.GuestPagesReset
-	dst.TaintPagesReset += s.TaintPagesReset
-	dst.StaticRuns += s.StaticRuns
-	dst.StaticReuses += s.StaticReuses
-	dst.StaticDiskHits += s.StaticDiskHits
-	dst.DexValidations += s.DexValidations
-	dst.DexCheckHits += s.DexCheckHits
-	dst.AsmCacheHits += s.AsmCacheHits
-	dst.AsmAssembles += s.AsmAssembles
-	dst.CacheFaults += s.CacheFaults
-	dst.JNICrossings += s.JNICrossings
-	dst.SummarySynths += s.SummarySynths
-	dst.SummaryReuses += s.SummaryReuses
-	dst.SummaryDiskHits += s.SummaryDiskHits
-}
-
 type attemptRecord struct {
 	Mode    string          `json:"mode"`
 	Verdict string          `json:"verdict"`
@@ -445,8 +425,7 @@ func verdictKey(fp core.Fingerprint, o core.AnalyzeOptions) string {
 		fmt.Sprintf("budget=%d", o.Budget),
 		fmt.Sprintf("flowlog=%t", o.FlowLog),
 		fmt.Sprintf("static=%d", int(o.Static)),
-		fmt.Sprintf("surface=%d", int(o.Surface)),
-		fmt.Sprintf("summaries=%d", int(o.Summaries)))
+		fmt.Sprintf("surface=%d", int(o.Surface)))
 }
 
 func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {

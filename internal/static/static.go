@@ -92,7 +92,7 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 
 	var cfgs []*NativeCFG
 	for _, lib := range vm.NativeLibs() {
-		cfgs = append(cfgs, LibCFG(vm, lib))
+		cfgs = append(cfgs, libCFG(vm, lib))
 	}
 
 	r.Findings = Lint(vm, cfgs)
@@ -158,12 +158,9 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 	return r
 }
 
-// progContains reports whether addr lies inside the library image.
-// LibCFG builds one library's NativeCFG, rooted at every bound native
+// libCFG builds one library's NativeCFG, rooted at every bound native
 // method whose implementation lives inside the library's program image.
-// Summary synthesis reuses this to get the same CFG shape the lint and
-// reachability passes see.
-func LibCFG(vm *dvm.VM, lib dvm.LoadedLib) *NativeCFG {
+func libCFG(vm *dvm.VM, lib dvm.LoadedLib) *NativeCFG {
 	resolve := buildResolver(vm)
 	entries := make(map[uint32]string)
 	for _, name := range vm.Classes() {
@@ -180,6 +177,7 @@ func LibCFG(vm *dvm.VM, lib dvm.LoadedLib) *NativeCFG {
 	return BuildNativeCFG(lib.Prog, entries, resolve)
 }
 
+// progContains reports whether addr lies inside the library image.
 func progContains(lib dvm.LoadedLib, addr uint32) bool {
 	return addr >= lib.Prog.Base && addr < lib.Prog.Base+lib.Prog.Size()
 }
