@@ -5,10 +5,11 @@
 //
 // It then runs the dynamic corpus — the Table I evaluation apps plus the
 // hostile robustness apps — through the analysis service under full fault
-// containment: -workers shards each serve attempts from a fork server that
-// rewinds to the post-boot state per attempt, watchdog instruction budgets
-// bound runaway guests, and native-side analysis faults degrade one mode down
-// (NDroid -> TaintDroid -> vanilla) with the chain recorded. A hostile app
+// containment: each of -workers service workers serves attempts from a fork
+// server that rewinds to the post-boot state per attempt, watchdog
+// instruction budgets bound runaway guests, and native-side analysis faults
+// degrade one mode down (NDroid -> TaintDroid -> vanilla) with the chain
+// recorded. A hostile app
 // ends as a per-app Fault or Timeout row, never as a crash of the study.
 //
 // Usage:
@@ -40,7 +41,7 @@ import (
 func main() {
 	scale := flag.Int("scale", 1, "divide the market size by this factor")
 	seed := flag.Int64("seed", 1, "market generator seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent classification workers and dynamic-corpus service shards")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent classification workers and dynamic-corpus service workers")
 	dynamic := flag.Bool("dynamic", true, "run the dynamic corpus under contained analysis")
 	budget := flag.Uint64("budget", 0, "watchdog instruction budget per run (0 = default)")
 	cacheDir := flag.String("cache", "", "persistent artifact/verdict store for the dynamic corpus (default: none)")

@@ -43,7 +43,7 @@ func main() {
 		serve     = flag.Bool("serve", false, "run as an analysis service: read app-name submissions and stream JSON verdicts")
 		serveDir  = flag.String("serve-dir", "", "read submissions from the files in this directory instead of stdin")
 		cacheDir  = flag.String("cache", "", "persistent artifact/verdict store for -serve (default: none)")
-		workers   = flag.Int("workers", 2, "shard workers for -serve")
+		workers   = flag.Int("workers", 2, "service workers for -serve (one Runner each)")
 	)
 	flag.Parse()
 

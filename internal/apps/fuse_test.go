@@ -30,7 +30,7 @@ func TestFusionParityAllAppsAllModes(t *testing.T) {
 					Mode: mode, Budget: testBudget, FlowLog: true, Fuse: core.FuseOff,
 				})
 				fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-					Mode: mode, Budget: testBudget, FlowLog: true, Fuse: core.FuseOn,
+					Mode: mode, Budget: testBudget, FlowLog: true, Fuse: core.FuseDefault,
 				})
 				if got, want := outcomeOf(fused), outcomeOf(base); got.verdict != want.verdict {
 					t.Errorf("verdict: fused %v, unfused %v", got.verdict, want.verdict)
@@ -55,7 +55,7 @@ func TestFusionParityWithStaticSeeds(t *testing.T) {
 				Budget: testBudget, FlowLog: true, Fuse: core.FuseOff, Static: static.LintOnly,
 			})
 			fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseOn, Static: static.LintOnly,
+				Budget: testBudget, FlowLog: true, Fuse: core.FuseDefault, Static: static.LintOnly,
 			})
 			if got, want := outcomeOf(fused), outcomeOf(base); got != want {
 				t.Errorf("fused run with the static pass diverged: verdict %v vs %v", got.verdict, want.verdict)
@@ -79,7 +79,7 @@ func TestFusionParityUnderSnapshotRunner(t *testing.T) {
 				Budget: testBudget, FlowLog: true, Fuse: core.FuseOff,
 			})
 			fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseOn, Runner: runner,
+				Budget: testBudget, FlowLog: true, Fuse: core.FuseDefault, Runner: runner,
 			})
 			if got, want := outcomeOf(fused), outcomeOf(base); got != want {
 				t.Errorf("snapshot-served fused run diverged: verdict %v vs %v", got.verdict, want.verdict)

@@ -199,16 +199,15 @@ func TestInjectionParity(t *testing.T) {
 				if err := fault.Arm(site, k); err != nil {
 					t.Fatal(err)
 				}
-				// The sweep runs through the service on one shard, so each
-				// site's first passage is deterministic. The fingerprint stage
-				// installs each app before the shard runs it and consumes two
-				// injections, absorbing both: the restore (it rewinds before
-				// the shard's first attempt, then reboots and retries) and the
-				// cache load (its first install probes the store). The shard
-				// analyzing the first app consumes every other site's
-				// injection. The cache-load site only exists on the
-				// artifact-cached path, so its sweep runs against a fresh
-				// store.
+				// The sweep runs through the service on one worker, so each
+				// site's first passage is deterministic. The worker's
+				// fingerprint step installs each app before analyzing it and
+				// consumes two injections, absorbing both: the restore (it
+				// rewinds first, then reboots and retries) and the cache load
+				// (its first install probes the store). Analyzing the first
+				// app consumes every other site's injection. The cache-load
+				// site only exists on the artifact-cached path, so its sweep
+				// runs against a fresh store.
 				sOpts := apps.StudyOptions{Budget: testBudget, FlowLog: true}
 				if site == cas.SiteLoad {
 					store, err := cas.Open(t.TempDir())
@@ -231,18 +230,17 @@ func TestInjectionParity(t *testing.T) {
 					// Absorbed sites leave no trace in any chain: the deopt
 					// reruns unfused, the cache fault evicts and recomputes,
 					// the surface overflow truncates only the map, and the
-					// fingerprint stage reboots past the failed restore. The
+					// fingerprint step reboots past the failed restore. The
 					// restore row counted one absorbing app while the removed
 					// StudyOptions.Snapshot sweep let a study Runner consume it
 					// on the ladder; TestInjectionEverySiteContained still
 					// covers that path.
 					wantAbsorbed = 0
 				}
-				if site == core.SiteSnapshotRestore && st.Runner.Boots != 3 {
-					// Fingerprint runner and shard boot once each; the
-					// fingerprint stage's reboot after the failed restore is
-					// the third.
-					t.Errorf("service booted %d times, want 3", st.Runner.Boots)
+				if site == core.SiteSnapshotRestore && st.Runner.Boots != 2 {
+					// The worker's Runner boots once; the fingerprint step's
+					// reboot after the failed restore is the second.
+					t.Errorf("service booted %d times, want 2", st.Runner.Boots)
 				}
 				absorbed := 0
 				for _, row := range rep.Rows {

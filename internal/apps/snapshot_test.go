@@ -136,7 +136,7 @@ func TestSnapshotResetCost(t *testing.T) {
 	}
 }
 
-// TestRunStudyWorkerDeterminism checks the sharded sweep: three service
+// TestRunStudyWorkerDeterminism checks the parallel sweep: three service
 // workers produce the same per-app verdicts and flow logs as one, with rows
 // in corpus order.
 func TestRunStudyWorkerDeterminism(t *testing.T) {

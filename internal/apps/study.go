@@ -53,13 +53,13 @@ type StudyReport struct {
 	Degraded int
 	Attempts int
 
-	// Workers is how many service shards served the sweep.
+	// Workers is how many service workers served the sweep.
 	Workers int
 }
 
 // RunStudy analyzes every app in the corpus through an analysis service:
-// each app is Submitted, sharded by content digest across workers, and
-// collected back in corpus order. Every attempt starts from the warm
+// each app is Submitted, taken by whichever worker is free (which installs,
+// fingerprints, dedups and analyzes it), and collected back in corpus order. Every attempt starts from the warm
 // post-boot state, and any fault an app raises is contained to its own
 // report, so a corpus with hostile members always completes. Rows keep
 // corpus order and every outcome is independent of worker assignment and of

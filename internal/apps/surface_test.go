@@ -94,7 +94,7 @@ func TestPinswapVoidsStalePins(t *testing.T) {
 		t.Fatal("hostile-pinswap missing")
 	}
 	for _, lvl := range []static.Level{static.Off, static.LintOnly} {
-		for _, fuse := range []core.FuseMode{core.FuseOn, core.FuseOff} {
+		for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
 			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
 				Budget: testBudget, FlowLog: true, Static: lvl, Fuse: fuse})
 			if r.Verdict() != core.VerdictLeak {
@@ -179,7 +179,7 @@ func TestSurfaceMapFuseParity(t *testing.T) {
 	for _, app := range apps.AllApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			on := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, Fuse: core.FuseOn})
+			on := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, Fuse: core.FuseDefault})
 			off := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, Fuse: core.FuseOff})
 			if got, want := surfaceBytes(t, off), surfaceBytes(t, on); got != want {
 				t.Errorf("surface map diverges across fusion:\nfused:   %s\nunfused: %s", want, got)

@@ -208,7 +208,7 @@ func RunMatrix(budget uint64) (*Matrix, error) {
 	return m, nil
 }
 
-// runArm submits the corpus to a one-shard service configured by a and
+// runArm submits the corpus to a one-worker service configured by a and
 // mode, one app at a time so each submission is timed alone.
 func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRun, []cellOutcome, error) {
 	opts := a.Opts

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -128,4 +129,89 @@ func TestFingerprintDexCheckCached(t *testing.T) {
 	if r2.Stats.DexValidations != 0 {
 		t.Errorf("fresh runner re-validated %d classes despite warm store", r2.Stats.DexValidations)
 	}
+}
+
+// TestFingerprintHandOff guards the Fingerprint -> analyzeOnce hand-off: the
+// installed System serves only the next attempt for the same spec, and that
+// attempt matches the fresh-System reference for every corpus app. An attempt
+// for another spec, and every later rung of the degradation ladder, resets
+// and installs.
+func TestFingerprintHandOff(t *testing.T) {
+	mustSpec := func(name string) core.AppSpec {
+		app, ok := apps.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		return app.Spec()
+	}
+	opts := core.AnalyzeOptions{Budget: 1 << 21, FlowLog: true}
+	same := func(t *testing.T, got, want core.AppReport) {
+		t.Helper()
+		if got.ChainString() != want.ChainString() || got.Verdict() != want.Verdict() {
+			t.Errorf("chain %s, fresh-System reference %s", got.ChainString(), want.ChainString())
+		}
+		if g, w := strings.Join(got.Final.Result.LogLines, "\n"), strings.Join(want.Final.Result.LogLines, "\n"); g != w {
+			t.Errorf("flow log diverges from the fresh-System reference:\n%s\nwant:\n%s", g, w)
+		}
+	}
+
+	t.Run("other-spec", func(t *testing.T) {
+		r, err := core.NewRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fingerprintOf(t, r, mustSpec("case1"))
+		ropts := opts
+		ropts.Runner = r
+		got := core.AnalyzeApp(mustSpec("qqphonebook"), ropts)
+		same(t, got, core.AnalyzeApp(mustSpec("qqphonebook"), opts))
+		if r.Stats.Resets != 2 {
+			t.Errorf("resets = %d, want 2: qqphonebook ran on case1's installation", r.Stats.Resets)
+		}
+	})
+
+	t.Run("same-spec", func(t *testing.T) {
+		r, err := core.NewRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ropts := opts
+		ropts.Runner = r
+		for _, app := range apps.AllApps() {
+			if _, _, err := r.Fingerprint(app.Spec()); err != nil {
+				continue // an install fault leaves nothing to hand off
+			}
+			before := r.Stats.Resets
+			got := core.AnalyzeApp(app.Spec(), ropts)
+			same(t, got, core.AnalyzeApp(app.Spec(), opts))
+			if n := r.Stats.Resets - before; n != len(got.Chain)-1 {
+				t.Errorf("%s: %d resets for chain %s, want one per rung after the first", app.Name, n, got.ChainString())
+			}
+		}
+	})
+
+	t.Run("ladder", func(t *testing.T) {
+		spec := mustSpec("hostile-wild")
+		r, err := core.NewRunner()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Fingerprint(spec); err != nil {
+			t.Fatal(err)
+		}
+		before := r.Stats
+		ropts := opts
+		ropts.Runner = r
+		got := core.AnalyzeApp(spec, ropts)
+		same(t, got, core.AnalyzeApp(spec, opts))
+		if len(got.Chain) != 3 {
+			t.Fatalf("chain %s, want three rungs", got.ChainString())
+		}
+		if n := r.Stats.Resets - before.Resets; n != len(got.Chain)-1 {
+			t.Errorf("ladder reset %d times, want %d: one per rung after the handed-off first", n, len(got.Chain)-1)
+		}
+		if r.Stats.Boots != before.Boots {
+			t.Errorf("ladder booted %d times", r.Stats.Boots-before.Boots)
+		}
+	})
 }

@@ -205,8 +205,6 @@ type FuseMode int
 const (
 	// FuseDefault follows the analyzer default (fusion on).
 	FuseDefault FuseMode = iota
-	// FuseOn forces trace fusion on.
-	FuseOn
 	// FuseOff disables trace fusion: every crossing takes the unfused bridge.
 	// The ablation/parity baseline.
 	FuseOff
@@ -219,8 +217,6 @@ type SurfaceMode int
 const (
 	// SurfaceDefault follows the analyzer default (observer on, throttled).
 	SurfaceDefault SurfaceMode = iota
-	// SurfaceOn forces the observer on with throttling.
-	SurfaceOn
 	// SurfaceOff detaches the observer entirely: the ablation baseline the
 	// parity suites compare against (verdicts and flow logs must be
 	// byte-identical with the observer on).

@@ -17,7 +17,7 @@ package core
 // A Runner may additionally be wired to the persistent content-addressed
 // artifact store (NewCachedRunner): static pre-analysis results, per-library
 // assembled images, and dex validation verdicts are then keyed by content
-// digest and shared across Runners, service shards, and processes. Artifacts
+// digest and shared across Runners, service workers, and processes. Artifacts
 // are a pure cost optimisation — a cache hit replays exactly what a recompute
 // would produce, and a corrupt or injected-faulty entry is evicted, counted
 // in Stats.CacheFaults, and recomputed.
@@ -62,7 +62,7 @@ type RunnerStats struct {
 
 	// JNICrossings counts live Java->native crossings observed across every
 	// attempt this Runner executed. Warm service replays serve verdicts (and
-	// their surface maps) without running the guest, so their shards report
+	// their surface maps) without running the guest, so their workers report
 	// zero here — the counter-assertion the warm-replay tests pin.
 	JNICrossings uint64
 
@@ -118,6 +118,11 @@ type Runner struct {
 	// half-rewound, so the next attempt boots fresh.
 	needReboot bool
 
+	// installed is Fingerprint's hand-off: the installKey of the app it just
+	// installed, consumed by the next analyzeOnce (which skips its own reset
+	// and Install when the spec matches).
+	installed string
+
 	Stats RunnerStats
 }
 
@@ -161,9 +166,6 @@ func (r *Runner) boot() error {
 // System exposes the Runner's current System (nil before the first boot).
 func (r *Runner) System() *System { return r.sys }
 
-// Cache exposes the Runner's artifact store (nil when uncached).
-func (r *Runner) Cache() *cas.Store { return r.cache }
-
 // reset rewinds the System to the warm post-boot state, booting instead when
 // the Runner is unbooted or a previous restore failed.
 func (r *Runner) reset() error {
@@ -181,9 +183,10 @@ func (r *Runner) reset() error {
 	return nil
 }
 
-// analyzeOnce runs one contained attempt: reset and install the app, serve
-// the static result from the digest cache (in-memory, then the artifact
-// store) when the installed content is unchanged, and run the entry point.
+// analyzeOnce runs one contained attempt: reset and install the app (unless
+// Fingerprint just installed it), serve the static result from the digest
+// cache (in-memory, then the artifact store) when the installed content is
+// unchanged, and run the entry point.
 // Panics escaping any stage (boot, class loading, native-lib assembly) are
 // converted to faults here, so a hostile app can never take the study process
 // down.
@@ -195,10 +198,13 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 		}
 	}()
 
-	err := r.reset()
-	if err == nil {
-		err = spec.Install(r.sys)
+	var err error
+	if r.installed != installKey(spec) {
+		if err = r.reset(); err == nil {
+			err = spec.Install(r.sys)
+		}
 	}
+	r.installed = ""
 	if err != nil {
 		f := fault.AsFault(err, "core")
 		return RunResult{Verdict: verdictForFault(f), Fault: f}
@@ -275,7 +281,7 @@ type LibPrint struct {
 // artifact scope: Dex covers the structural content of every non-framework
 // class, each LibPrint covers one native image, Static additionally binds
 // the entry point (the inputs of static.Analyze), and App is the submission
-// identity the service shards and dedups by. The submission's display name
+// identity the service dedups by. The submission's display name
 // is excluded throughout — identical content under two names is one app.
 type Fingerprint struct {
 	App    string
@@ -316,16 +322,24 @@ func (r *Runner) fingerprintInstalled(spec AppSpec) Fingerprint {
 	return fp
 }
 
+// installKey names a spec for the Fingerprint hand-off.
+func installKey(spec AppSpec) string {
+	return spec.Name + "\x00" + spec.EntryClass + "\x00" + spec.EntryMethod
+}
+
 // Fingerprint rewinds the warm System, installs the app, and returns its
 // content fingerprint plus load-time dex validation diagnostics (one rendered
 // fault per structurally-broken class). Validation verdicts are cached in the
 // artifact store by class content digest, so a digest-identical class —
 // resubmitted, or shared between apps — validates once per store lifetime.
-// No analysis runs; the service's fingerprint stage uses this to route, dedup,
-// and short-circuit submissions before spending any execution budget.
+// No analysis runs; a service worker uses this to dedup and short-circuit a
+// submission before spending any execution budget. The next attempt on this
+// Runner, if it is for the same spec (name and entry point), runs on this
+// installation; any other attempt, and every later ladder rung, resets.
 func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err error) {
+	r.installed = ""
 	// Install runs arbitrary app setup; contain its panics like analyzeOnce
-	// does, so a hostile submission cannot take the fingerprint stage down.
+	// does, so a hostile submission cannot take a service worker down.
 	defer func() {
 		if rec := recover(); rec != nil {
 			fp, diags = Fingerprint{}, nil
@@ -360,6 +374,7 @@ func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err 
 			diags = append(diags, f.Error())
 		}
 	}
+	r.installed = installKey(spec)
 	return fp, diags, nil
 }
 

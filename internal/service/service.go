@@ -1,23 +1,23 @@
 // Package service turns the one-shot analyzer into analysis-as-a-service: a
 // long-running submission pipeline in front of core.AnalyzeApp.
 //
-// A submission is fingerprinted first (content digest of everything its
-// Install adds to the warm System — display names excluded), and the digest
-// drives the whole pipeline:
+// Submit queues a submission on one bounded queue, read by a pool of workers.
+// Each worker owns one fork-server Runner (boot once, restore per attempt)
+// and takes a submission through four steps, installing the app once:
 //
-//   - Routing: submissions are sharded digest->worker, so identical content
-//     always lands on the same worker's snapshot-cloned Runner and its warm
-//     in-memory caches.
-//   - Single-flight dedup: concurrent submissions of the same digest run the
-//     analysis once; every submitter receives the one result.
-//   - Short-circuit: with a persistent artifact store attached, a re-submitted
-//     digest is answered from its cached verdict record without running.
+//  1. Fingerprint: restore, install, digest everything the Install added to
+//     the warm System (display names excluded), and validate its classes.
+//  2. Single-flight dedup: a submission whose digest is already in flight
+//     joins that flight; every submitter receives the one result.
+//  3. Short-circuit: with a persistent artifact store attached, a digest
+//     already judged is answered from its cached verdict record.
+//  4. Otherwise analyze: the first attempt of core.AnalyzeApp runs on the
+//     System the fingerprint just installed.
 //
-// Each shard worker owns one fork-server Runner (boot once, restore per
-// attempt) wired to the shared artifact store, so static results, assembled
-// library images, and dex validation verdicts flow between shards and across
-// process lifetimes. Backpressure is the shard queue: when a worker falls
-// behind, Submit blocks rather than buffering unboundedly.
+// The Runners share the artifact store, so static results, assembled library
+// images, and dex validation verdicts flow between workers and across process
+// lifetimes. Backpressure is the queue: when the workers fall behind, Submit
+// blocks rather than buffering unboundedly.
 //
 // Results stream: as each submission completes, one JSON line is written to
 // Options.Out (when set) and the submitter's channel is fulfilled. Caching
@@ -28,8 +28,8 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 
@@ -42,36 +42,36 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Workers is the shard count; each shard owns one fork-server Runner.
+	// Workers is the worker count; each worker owns one fork-server Runner.
 	// Defaults to 1.
 	Workers int
-	// Cache is the persistent artifact store shared by every shard and the
-	// fingerprint stage. Nil runs the service fully in-memory: sharding and
-	// dedup still work, verdict short-circuiting does not.
+	// Cache is the persistent artifact store shared by every worker. Nil runs
+	// the service fully in-memory: dedup still works, verdict
+	// short-circuiting does not.
 	Cache *cas.Store
 	// Analyze is the base analysis configuration applied to every submission.
-	// Its Runner field is owned by the service and overwritten per shard.
+	// Its Runner field is owned by the service and overwritten per worker.
 	Analyze core.AnalyzeOptions
 	// Out, when set, receives one JSON line per completed submission, in
 	// completion order.
 	Out io.Writer
 }
 
-// queueDepth bounds each shard's submission queue; a full queue blocks Submit
-// (backpressure).
+// queueDepth is how many queued submissions the job queue holds per worker; a
+// full queue blocks Submit (backpressure).
 const queueDepth = 4
 
 // Stats counts pipeline activity since New.
 type Stats struct {
 	Submitted   int // submissions accepted
-	Computed    int // analyses actually run on a shard
+	Computed    int // analyses actually run by a worker
 	VerdictHits int // submissions answered from a cached verdict record
 	Deduped     int // submissions that joined an in-flight twin
 
-	// Runner aggregates fork-server and artifact traffic across the
-	// fingerprint runner and every shard (snapshot resets, static/asm/dex
-	// cache hits, absorbed cache faults). Live shard counters are folded in
-	// on Close.
+	// Runner aggregates fork-server and artifact traffic across every
+	// worker's Runner (snapshot resets, static/asm/dex cache hits, absorbed
+	// cache faults). The Runner counters are folded in on Close; before
+	// that, Runner holds only the verdict loads' absorbed cache faults.
 	Runner core.RunnerStats
 }
 
@@ -81,11 +81,11 @@ type Result struct {
 	Digest string         // content digest (Fingerprint.App)
 	Report core.AppReport // full degradation chain and final outcome
 	Diags  []string       // load-time dex validation diagnostics
-	// Source tells where the verdict came from: "computed" (a shard ran the
+	// Source tells where the verdict came from: "computed" (a worker ran the
 	// analysis), "verdict-cache" (replayed from the artifact store), or
 	// "dedup" (joined a concurrent identical submission).
 	Source string
-	Err    error // submission-level failure (install fault, closed service)
+	Err    error // submission-level failure (closed service)
 }
 
 type waiter struct {
@@ -103,28 +103,26 @@ type flight struct {
 
 type job struct {
 	spec core.AppSpec
-	fp   core.Fingerprint
-	fl   *flight
-}
-
-type shard struct {
-	queue chan job
-	stats core.RunnerStats
+	ch   chan Result
 }
 
 // Service is a running analysis pipeline. Create with New, feed with Submit,
 // drain and stop with Close.
 type Service struct {
-	opts   Options
-	shards []*shard
-	wg     sync.WaitGroup
+	opts    Options
+	runners []*core.Runner
+	queue   chan job
+	wg      sync.WaitGroup
 
-	digestMu sync.Mutex
-	digester *core.Runner // fingerprint + validation stage (serialized)
+	// closeMu orders Submit against Close: Submit holds it for reading from
+	// the closed check through its send, and Close takes it for writing
+	// before closing the queue. Workers never take it, so a Submit blocked on
+	// a full queue still drains.
+	closeMu sync.RWMutex
+	closed  bool
 
 	flightMu sync.Mutex
 	flights  map[string]*flight
-	closed   bool
 
 	outMu sync.Mutex
 
@@ -132,117 +130,111 @@ type Service struct {
 	stats   Stats
 
 	// testFlightGap, when set (tests only), runs after a submission registers
-	// its flight and before it checks the verdict cache or enqueues — the
+	// its flight and before it checks the verdict cache or analyzes — the
 	// window a concurrent twin submission must land in to exercise dedup.
 	testFlightGap func(digest string)
 }
 
-// New boots the fingerprint runner and one Runner per shard, all wired to
-// opts.Cache, and starts the shard workers.
+// New boots one Runner per worker, all wired to opts.Cache, and starts the
+// workers. It fails if any Runner fails to boot.
 func New(opts Options) (*Service, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	digester, err := core.NewCachedRunner(opts.Cache)
-	if err != nil {
+	s := &Service{
+		opts:    opts,
+		runners: make([]*core.Runner, opts.Workers),
+		queue:   make(chan job, queueDepth*opts.Workers),
+		flights: make(map[string]*flight),
+	}
+	errs := make([]error, opts.Workers)
+	var boots sync.WaitGroup
+	for i := range s.runners {
+		boots.Add(1)
+		go func(i int) {
+			defer boots.Done()
+			s.runners[i], errs[i] = core.NewCachedRunner(opts.Cache)
+		}(i)
+	}
+	boots.Wait()
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	s := &Service{
-		opts:     opts,
-		digester: digester,
-		flights:  make(map[string]*flight),
-	}
-	for i := 0; i < opts.Workers; i++ {
-		sh := &shard{queue: make(chan job, queueDepth)}
-		s.shards = append(s.shards, sh)
+	for _, r := range s.runners {
 		s.wg.Add(1)
-		go s.shardLoop(sh)
+		go s.work(r)
 	}
 	return s, nil
 }
 
-// Submit fingerprints the app and routes it through the pipeline. The
-// returned channel delivers exactly one Result and is then closed. Submit
-// blocks while the target shard's queue is full (backpressure); results are
-// buffered, so submitting an entire corpus before reading any result cannot
-// deadlock.
+// Submit queues the app for the workers. The returned channel delivers
+// exactly one Result and is then closed. Submit blocks while the queue is
+// full (backpressure); results are buffered, so submitting an entire corpus
+// before reading any result cannot deadlock.
 func (s *Service) Submit(spec core.AppSpec) <-chan Result {
 	ch := make(chan Result, 1)
-	fail := func(err error) <-chan Result {
-		ch <- Result{Name: spec.Name, Err: err}
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed {
+		ch <- Result{Name: spec.Name, Err: fmt.Errorf("service: submit after Close")}
 		close(ch)
 		return ch
 	}
-
-	s.flightMu.Lock()
-	if s.closed {
-		s.flightMu.Unlock()
-		return fail(fmt.Errorf("service: submit after Close"))
-	}
-	s.flightMu.Unlock()
-
 	s.bumpStat(func(st *Stats) { st.Submitted++ })
-
-	s.digestMu.Lock()
-	fp, diags, err := s.digester.Fingerprint(spec)
-	s.digestMu.Unlock()
-	if err != nil {
-		// A failing Install is an analyzable outcome, not a pipeline error:
-		// route it to a shard under a synthetic digest and let the
-		// degradation ladder produce the same contained fault report a study
-		// run would. The display name joins the digest here — with no content
-		// to hash there is nothing safe to dedup across names.
-		fp = core.Fingerprint{App: cas.DigestStrings(
-			"install-fault", spec.Name, spec.EntryClass, spec.EntryMethod, err.Error())}
-		fp.Static = fp.App
-		diags = []string{err.Error()}
-	}
-
-	// Single-flight: join an in-progress twin or register a new flight.
-	s.flightMu.Lock()
-	if fl, ok := s.flights[fp.App]; ok {
-		fl.wait = append(fl.wait, waiter{name: spec.Name, ch: ch})
-		s.flightMu.Unlock()
-		s.bumpStat(func(st *Stats) { st.Deduped++ })
-		return ch
-	}
-	fl := &flight{digest: fp.App, diags: diags, wait: []waiter{{name: spec.Name, ch: ch}}}
-	s.flights[fp.App] = fl
-	s.flightMu.Unlock()
-
-	if hook := s.testFlightGap; hook != nil {
-		hook(fp.App)
-	}
-
-	// Verdict short-circuit: a digest this store has already judged under
-	// these analysis options replays without running.
-	if rep, ok := s.loadVerdict(fp); ok {
-		rep.Name = spec.Name
-		s.bumpStat(func(st *Stats) { st.VerdictHits++ })
-		s.finish(fl, rep, "verdict-cache")
-		return ch
-	}
-
-	s.shards[shardIndex(fp.App, len(s.shards))].queue <- job{spec: spec, fp: fp, fl: fl}
+	s.queue <- job{spec: spec, ch: ch}
 	return ch
 }
 
-// shardLoop is one worker: a fork-server Runner serving its queue in order.
-func (s *Service) shardLoop(sh *shard) {
+// work is one worker: it takes each queued submission through fingerprint,
+// dedup, verdict replay, and analysis on its own Runner.
+func (s *Service) work(runner *core.Runner) {
 	defer s.wg.Done()
-	// A failed warm boot degrades the shard to fresh-System attempts; the
-	// per-attempt path reports any persistent boot fault itself.
-	runner, _ := core.NewCachedRunner(s.opts.Cache)
-	for j := range sh.queue {
+	for j := range s.queue {
+		fp, diags, err := runner.Fingerprint(j.spec)
+		if err != nil {
+			// A failing Install is an analyzable outcome, not a pipeline
+			// error: give it a synthetic digest and let the degradation
+			// ladder produce the same contained fault report a study run
+			// would. The display name joins the digest here — with no content
+			// to hash there is nothing safe to dedup across names.
+			fp = core.Fingerprint{App: cas.DigestStrings(
+				"install-fault", j.spec.Name, j.spec.EntryClass, j.spec.EntryMethod, err.Error())}
+			fp.Static = fp.App
+			diags = []string{err.Error()}
+		}
+
+		// Single-flight: join an in-progress twin or register a new flight.
+		s.flightMu.Lock()
+		if fl, ok := s.flights[fp.App]; ok {
+			fl.wait = append(fl.wait, waiter{name: j.spec.Name, ch: j.ch})
+			s.flightMu.Unlock()
+			s.bumpStat(func(st *Stats) { st.Deduped++ })
+			continue
+		}
+		fl := &flight{digest: fp.App, diags: diags, wait: []waiter{{name: j.spec.Name, ch: j.ch}}}
+		s.flights[fp.App] = fl
+		s.flightMu.Unlock()
+
+		if hook := s.testFlightGap; hook != nil {
+			hook(fp.App)
+		}
+
+		// Verdict short-circuit: a digest this store has already judged under
+		// these analysis options replays without running.
+		if rep, ok := s.loadVerdict(fp); ok {
+			s.bumpStat(func(st *Stats) { st.VerdictHits++ })
+			s.finish(fl, rep, "verdict-cache")
+			continue
+		}
+
 		aOpts := s.opts.Analyze
 		aOpts.Runner = runner
 		rep := core.AnalyzeApp(j.spec, aOpts)
-		s.storeVerdict(j.fp, rep)
+		// Stored before finish retires the flight: a twin arriving later
+		// either joins the flight or finds the record, never recomputes.
+		s.storeVerdict(fp, rep)
 		s.bumpStat(func(st *Stats) { st.Computed++ })
-		s.finish(j.fl, rep, "computed")
-	}
-	if runner != nil {
-		sh.stats = runner.Stats
+		s.finish(fl, rep, "computed")
 	}
 }
 
@@ -268,41 +260,34 @@ func (s *Service) finish(fl *flight, rep core.AppReport, source string) {
 	}
 }
 
-// Close drains the shard queues, stops the workers, and folds their Runner
-// stats into Stats. Submissions already accepted complete; Submit afterwards
-// fails fast.
+// Close drains the queue, stops the workers, and folds their Runner stats
+// into Stats. Submissions already accepted complete; Submit afterwards fails
+// fast.
 func (s *Service) Close() {
-	s.flightMu.Lock()
+	s.closeMu.Lock()
 	if s.closed {
-		s.flightMu.Unlock()
+		s.closeMu.Unlock()
 		return
 	}
 	s.closed = true
-	s.flightMu.Unlock()
-
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
+	close(s.queue)
+	s.closeMu.Unlock()
 	s.wg.Wait()
 
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	s.stats.Runner.Add(s.digester.Stats)
-	for _, sh := range s.shards {
-		s.stats.Runner.Add(sh.stats)
+	for _, r := range s.runners {
+		s.stats.Runner.Add(r.Stats)
 	}
 }
 
-// Stats snapshots the pipeline counters. Shard Runner counters are folded in
-// by Close; before that, Runner covers only the fingerprint stage.
+// Stats snapshots the pipeline counters. Runner counters are folded in by
+// Close.
 func (s *Service) Stats() Stats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	return s.stats
 }
-
-// Cache exposes the service's artifact store (nil when running in-memory).
-func (s *Service) Cache() *cas.Store { return s.opts.Cache }
 
 func (s *Service) bumpStat(f func(*Stats)) {
 	s.statsMu.Lock()
@@ -365,14 +350,6 @@ func (s *Service) emit(res Result) {
 	s.outMu.Lock()
 	s.opts.Out.Write(append(b, '\n'))
 	s.outMu.Unlock()
-}
-
-// shardIndex routes a digest to a shard. Identical content always lands on
-// the same worker, so its in-memory static cache and asm memo stay hot.
-func shardIndex(digest string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(digest))
-	return int(h.Sum64() % uint64(n))
 }
 
 // --- persistent verdict records ---------------------------------------------
@@ -459,7 +436,7 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 
 // loadVerdict replays a cached verdict record as an AppReport. Any miss —
 // clean, corrupt (evicted and counted), or structurally unresolvable — sends
-// the submission to a shard instead.
+// the submission on to analysis instead.
 func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	if s.opts.Cache == nil {
 		return core.AppReport{}, false

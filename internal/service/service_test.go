@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,11 +242,11 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 
 	// Move the record to the old schema, as a store written before the bump
 	// holds it, and give its static record the fields v3 wrote.
-	digester, err := core.NewRunner()
+	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, _, err := digester.Fingerprint(app.Spec())
+	fp, _, err := r.Fingerprint(app.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,9 +329,9 @@ func TestStreamingOutput(t *testing.T) {
 	}
 }
 
-// TestShardRoutingStable: the same digest always routes to the same shard
-// worker, so repeated submissions of one app are served by one Runner's warm
-// caches no matter how many workers exist.
+// TestShardRoutingStable: whichever of several workers fingerprints a
+// submission, the same content always yields the same digest, and without a
+// store every sequential resubmission is analyzed again.
 func TestShardRoutingStable(t *testing.T) {
 	app := mustApp(t, "benign")
 	svc, err := service.New(service.Options{
@@ -353,16 +354,15 @@ func TestShardRoutingStable(t *testing.T) {
 		}
 	}
 	svc.Close()
-	// Uncached service: no verdict records, so all three ran — on one shard.
-	// Exactly one worker Runner (plus the fingerprint Runner) did any resets.
+	// Uncached service: no verdict records, so all three ran.
 	if st := svc.Stats(); st.Computed != 3 {
 		t.Fatalf("computed = %d, want 3 (no verdict store attached)", st.Computed)
 	}
 }
 
 // TestFingerprintRestoreFaultNotBlamedOnApp: a snapshot restore that fails in
-// the fingerprint stage is the Runner's fault, not the submission's. The stage
-// reboots and retries, so the app keeps its content digest (and with it dedup
+// a worker's fingerprint step is the Runner's fault, not the submission's. The
+// step reboots and retries, so the app keeps its content digest (and with it dedup
 // and verdict caching) and its diagnostics gain no internal-error. hostile-dex
 // is used because its malformed class gives it diagnostics to compare.
 func TestFingerprintRestoreFaultNotBlamedOnApp(t *testing.T) {
@@ -387,8 +387,8 @@ func TestFingerprintRestoreFaultNotBlamedOnApp(t *testing.T) {
 		t.Fatal("hostile-dex has no diagnostics; the comparison below would be vacuous")
 	}
 
-	// The fingerprint stage restores before the shard's first attempt does, so
-	// it consumes the injection.
+	// The fingerprint step is the submission's only restore (its first
+	// attempt runs on the installed System), so it consumes the injection.
 	if err := fault.Arm(core.SiteSnapshotRestore, fault.UnmappedAccess); err != nil {
 		t.Fatal(err)
 	}
@@ -401,5 +401,150 @@ func TestFingerprintRestoreFaultNotBlamedOnApp(t *testing.T) {
 	}
 	if g, w := strings.Join(got.Diags, "\n"), strings.Join(want.Diags, "\n"); g != w {
 		t.Errorf("diags under restore fault:\n%s\nunarmed:\n%s", g, w)
+	}
+}
+
+// TestSubmitRacingCloseNeverPanics: Submits racing Close must each end in a
+// Result or the submit-after-Close error, never a send on the closed queue.
+func TestSubmitRacingCloseNeverPanics(t *testing.T) {
+	specs := []core.AppSpec{mustApp(t, "benign").Spec(), mustApp(t, "case1").Spec()}
+	for round := 0; round < 3; round++ {
+		svc, err := service.New(service.Options{
+			Workers: 2,
+			Analyze: core.AnalyzeOptions{Budget: testBudget},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// check reports whether the submission was refused.
+				check := func(res service.Result, ok bool) bool {
+					if !ok {
+						t.Error("result channel closed without a Result")
+						return false
+					}
+					if res.Err != nil && !strings.Contains(res.Err.Error(), "submit after Close") {
+						t.Errorf("submission error: %v", res.Err)
+					}
+					return res.Err != nil
+				}
+				var chans []<-chan service.Result
+			submit:
+				for i := 0; i < 1000; i++ {
+					ch := svc.Submit(specs[(g+i)%len(specs)])
+					select {
+					case res, ok := <-ch:
+						if check(res, ok) {
+							break submit
+						}
+					default:
+						chans = append(chans, ch)
+					}
+				}
+				for _, ch := range chans {
+					res, ok := <-ch
+					check(res, ok)
+				}
+			}(g)
+		}
+		waitFor(t, "submissions to flow", func() bool { return svc.Stats().Submitted >= 8 })
+		svc.Close()
+		wg.Wait()
+	}
+}
+
+// TestOneRestorePerSubmission: each submission is installed once, by its
+// worker's fingerprint step, and analyzed on that installation; a service
+// boots exactly one Runner per worker.
+func TestOneRestorePerSubmission(t *testing.T) {
+	svc, err := service.New(service.Options{
+		Workers: 2,
+		Analyze: core.AnalyzeOptions{Budget: testBudget, FlowLog: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chans []<-chan service.Result
+	for _, name := range []string{"case1", "qqphonebook", "ephone", "poc-case2", "poc-case3", "case3-pull", "case4", "benign"} {
+		chans = append(chans, svc.Submit(mustApp(t, name).Spec()))
+	}
+	for _, ch := range chans {
+		res := <-ch
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if len(res.Report.Chain) != 1 {
+			t.Fatalf("%s: chain %s, want a single attempt", res.Name, res.Report.ChainString())
+		}
+	}
+	svc.Close()
+	st := svc.Stats()
+	if st.Computed != st.Submitted {
+		t.Fatalf("computed %d of %d submissions", st.Computed, st.Submitted)
+	}
+	if st.Runner.Resets != st.Submitted || st.Runner.Boots != 2 {
+		t.Errorf("%d resets and %d boots for %d submissions, want one reset each and 2 boots",
+			st.Runner.Resets, st.Runner.Boots, st.Submitted)
+	}
+}
+
+// TestSlowInstallDoesNotBlockOthers: a submission whose Install hangs holds
+// only the worker that installs it; other submissions complete meanwhile.
+func TestSlowInstallDoesNotBlockOthers(t *testing.T) {
+	svc, err := service.New(service.Options{
+		Workers: 2,
+		Analyze: core.AnalyzeOptions{Budget: testBudget},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	slow := mustApp(t, "case1").Spec()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	install := slow.Install
+	slow.Install = func(sys *core.System) error {
+		once.Do(func() { close(entered) })
+		<-release
+		return install(sys)
+	}
+	slowCh := make(chan service.Result, 1)
+	go func() { slowCh <- <-svc.Submit(slow) }()
+	<-entered
+
+	var others []core.AppSpec
+	for _, name := range []string{"benign", "qqphonebook", "case4"} {
+		others = append(others, mustApp(t, name).Spec())
+	}
+	done := make(chan error, 1)
+	go func() {
+		var chans []<-chan service.Result
+		for _, spec := range others {
+			chans = append(chans, svc.Submit(spec))
+		}
+		for _, ch := range chans {
+			if res := <-ch; res.Err != nil {
+				done <- res.Err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("other submissions waited on the hanging install")
+	}
+	close(release)
+	if res := <-slowCh; res.Err != nil || res.Report.Verdict() != core.VerdictLeak {
+		t.Errorf("slow submission: err %v, chain %s", res.Err, res.Report.ChainString())
 	}
 }
