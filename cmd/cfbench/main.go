@@ -1,10 +1,10 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the ablation matrix (fusion, observer, static and store arms through
-// the analysis service) with two views of it: the contained
-// corpus verdict counts and the static reach table. It exits 1 if the
-// matrix finds a parity break.
+// then the ablation matrix (fusion, observer and store arms through the
+// analysis service), the contained corpus verdict counts of its baseline
+// run, and the static reach table (core.Lint per app, cross-validated
+// against that run). It exits 1 if the matrix finds a parity break.
 //
 // Usage:
 //
@@ -50,7 +50,7 @@ func main() {
 	}
 	res.Ablation = m
 	fmt.Println("Contained corpus sweep (baseline arm, ndroid):", m.Verdicts())
-	fmt.Println("Static reach precision (static=lint arm, ndroid):")
+	fmt.Println("Static reach precision (core.Lint vs the baseline arm, ndroid):")
 	fmt.Println(cfbench.ReachReport(m.Reach()))
 	fmt.Println("Ablation matrix (every arm through the analysis service):")
 	fmt.Println(m.String())

@@ -35,7 +35,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/static"
 )
 
 func main() {
@@ -65,7 +64,7 @@ func main() {
 		return
 	}
 
-	opts := apps.StudyOptions{Budget: *budget, FlowLog: true, Static: static.LintOnly}
+	opts := apps.StudyOptions{Budget: *budget, FlowLog: true}
 	var store *cas.Store
 	if *cacheDir != "" {
 		var err error
@@ -98,9 +97,8 @@ func main() {
 	}
 	fmt.Printf("Fork servers: %d boots, %d resets; per-reset cost %.1f guest pages + %.1f taint pages copied.\n",
 		rs.Boots, rs.Resets, perReset, taintPerReset)
-	fmt.Printf("Artifacts: %d static runs, %d static disk hits, %d assembles, %d asm cache hits, %d dex validations, %d dex-check hits, %d cache faults absorbed.\n",
-		rs.StaticRuns, rs.StaticDiskHits, rs.AsmAssembles, rs.AsmCacheHits,
-		rs.DexValidations, rs.DexCheckHits, rs.CacheFaults)
+	fmt.Printf("Artifacts: %d assembles, %d asm cache hits, %d dex validations, %d dex-check hits, %d cache faults absorbed.\n",
+		rs.AsmAssembles, rs.AsmCacheHits, rs.DexValidations, rs.DexCheckHits, rs.CacheFaults)
 	if store != nil {
 		cs := store.Stats()
 		fmt.Printf("Store %s: %d hits, %d misses, %d puts, %d corrupt, %d evicted.\n",
@@ -148,17 +146,16 @@ func printSurfaceTable(rep *apps.StudyReport) {
 	}
 }
 
-// printLintTable prints each app's static pre-analysis verdict beside its
+// printLintTable prints each app's static lint verdict beside its
 // reach-precision numbers (methods proven taint-free) — the static complement
-// to the dynamic verdict table below it. The numbers come from the study's
-// own lint runs (replayed from the verdict record on a warm -cache), so the
-// pass runs once per app.
+// to the dynamic verdict table below it. core.Lint installs each app on a
+// fresh System and never runs it.
 func printLintTable(rep *apps.StudyReport) {
 	fmt.Printf("%-14s %8s %10s %8s  %s\n", "app", "methods", "taint-free", "findings", "lint details")
 	for _, row := range rep.Rows {
-		r := row.Report.Final.Result.Static
-		if r == nil {
-			fmt.Printf("%-14s  no static result: %v\n", row.App.Name, row.Report.Final.Result.Fault)
+		r, err := core.Lint(row.App.Spec())
+		if err != nil {
+			fmt.Printf("%-14s  no static result: %v\n", row.App.Name, err)
 			continue
 		}
 		detail := "clean"

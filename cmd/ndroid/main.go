@@ -17,6 +17,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,14 +30,13 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/static"
 )
 
 func main() {
 	var (
 		appName   = flag.String("app", "", "app to analyze (see -list)")
 		mode      = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
-		staticLvl = flag.String("static", "off", "static pre-analysis: off or lint (diagnose and cross-validate)")
+		staticLvl = flag.String("static", "off", "static pass for -app: off or lint (lint the app and cross-validate its flow log)")
 		list      = flag.Bool("list", false, "list available apps")
 		all       = flag.Bool("all", false, "run the full Table I detection matrix")
 		quiet     = flag.Bool("quiet", false, "suppress the flow log")
@@ -47,7 +47,10 @@ func main() {
 	)
 	flag.Parse()
 
-	opts, err := analyzeOptions(*mode, *staticLvl)
+	opts, lint, err := analyzeOptions(*mode, *staticLvl)
+	if err == nil && lint && (*all || *serve || *appName == "") {
+		err = errors.New("-static applies to -app only")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
@@ -79,24 +82,23 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := runOne(os.Stdout, *appName, opts); err != nil {
+	if err := runOne(os.Stdout, *appName, opts, lint); err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(1)
 	}
 }
 
-// analyzeOptions parses the -mode and -static values; main exits 2 on any
-// error it returns.
-func analyzeOptions(mode, staticLvl string) (core.AnalyzeOptions, error) {
-	level, err := static.ParseLevel(staticLvl)
-	if err != nil {
-		return core.AnalyzeOptions{}, err
+// analyzeOptions parses the -mode value and the -static value (lint is
+// true for "lint"); main exits 2 on any error it returns.
+func analyzeOptions(mode, staticLvl string) (core.AnalyzeOptions, bool, error) {
+	if staticLvl != "off" && staticLvl != "lint" {
+		return core.AnalyzeOptions{}, false, fmt.Errorf("unknown -static value %q (want off|lint)", staticLvl)
 	}
 	analysisMode, ok := core.ModeFromName(mode)
 	if !ok {
-		return core.AnalyzeOptions{}, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
+		return core.AnalyzeOptions{}, false, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
 	}
-	return core.AnalyzeOptions{Mode: analysisMode, Static: level}, nil
+	return core.AnalyzeOptions{Mode: analysisMode}, staticLvl == "lint", nil
 }
 
 // runServe runs the analysis-as-a-service mode: submissions are registry app
@@ -196,10 +198,11 @@ func serveSubmissions(dir string) ([]string, error) {
 // runOne analyzes one app on a fork-server Runner through core.AnalyzeApp,
 // the contained path the service and the parity suites use, and prints the
 // verdict and degradation chain, the flow log, the JNI surface map, the
-// static table (when enabled), the leaks, and the kernel's
-// ground truth from the System the final attempt ran on. Every verdict,
-// fault and timeout included, is a result; only an unknown app is an error.
-func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
+// static lint (with lint set: core.Lint, cross-validated against the flow
+// log), the leaks, and the kernel's ground truth from the System the final
+// attempt ran on. Every verdict, fault and timeout included, is a result;
+// only an unknown app is an error.
+func runOne(w io.Writer, name string, opts core.AnalyzeOptions, lint bool) error {
 	app, ok := apps.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown app %q (try -list)", name)
@@ -224,14 +227,21 @@ func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 		fmt.Fprintln(w, "\n-- JNI surface map --")
 		fmt.Fprint(w, m.String())
 	}
-	if sr := res.Static; sr != nil {
+	if lint {
 		fmt.Fprintln(w, "\n-- static pre-analysis --")
-		fmt.Fprintln(w, " ", sr.Summary())
-		for _, f := range sr.Findings {
-			fmt.Fprintln(w, "  lint:", f)
-		}
-		for _, v := range res.StaticViolations {
-			fmt.Fprintln(w, "  violation:", v)
+		if sr, err := core.Lint(app.Spec()); err != nil {
+			fmt.Fprintln(w, "  no static result:", err)
+		} else {
+			fmt.Fprintln(w, " ", sr.Summary())
+			for _, f := range sr.Findings {
+				fmt.Fprintln(w, "  lint:", f)
+			}
+			if !opts.FlowLog {
+				fmt.Fprintln(w, "  not cross-validated: the flow log is off (-quiet)")
+			}
+			for _, v := range sr.CrossValidate(res.LogLines) {
+				fmt.Fprintln(w, "  violation:", v)
+			}
 		}
 	}
 	fmt.Fprintln(w, "\n-- leaks --")
@@ -257,8 +267,7 @@ func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 }
 
 // runMatrix prints the Table I detection matrix: every registry app under
-// TaintDroid and NDroid, all on one Runner with flow logs off. opts carries
-// the -static setting.
+// TaintDroid and NDroid, all on one Runner with flow logs off.
 func runMatrix(w io.Writer, opts core.AnalyzeOptions) error {
 	runner, err := core.NewRunner()
 	if err != nil {

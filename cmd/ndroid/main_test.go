@@ -12,7 +12,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/static"
 )
 
 // section returns the lines of one "-- name --" section of runOne's output.
@@ -43,7 +42,7 @@ func TestRunOneHostileMatchesService(t *testing.T) {
 	defer svc.Close()
 	for _, app := range apps.HostileRegistry() {
 		var out bytes.Buffer
-		if err := runOne(&out, app.Name, opts); err != nil {
+		if err := runOne(&out, app.Name, opts, false); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		res := <-svc.Submit(app.Spec())
@@ -61,7 +60,7 @@ func TestRunOneHostileMatchesService(t *testing.T) {
 // Java sink that sends the rebuilt URL to the QQ sync server.
 func TestRunOneQQPhoneBookFlowLog(t *testing.T) {
 	var out bytes.Buffer
-	if err := runOne(&out, "qqphonebook", core.AnalyzeOptions{Mode: core.ModeNDroid, FlowLog: true}); err != nil {
+	if err := runOne(&out, "qqphonebook", core.AnalyzeOptions{Mode: core.ModeNDroid, FlowLog: true}, false); err != nil {
 		t.Fatal(err)
 	}
 	log := section(out.String(), "flow log")
@@ -101,9 +100,10 @@ func TestRunMatrixTaintDroidSeesOnlyCase1(t *testing.T) {
 
 // TestBadOptionValuesExit2: -static takes off|lint and -mode a known mode.
 // Any other value, pin included, is an analyzeOptions error, which main
-// turns into exit 2. -summaries is no flag at all, so the flag package
-// exits 2 on it too. Each bad command line runs main in a child process and
-// must exit 2 before any analysis.
+// turns into exit 2. -static lint lints the one -app app, so beside -all or
+// -serve main exits 2 too. -summaries is no flag at all, so the flag
+// package exits 2 on it. Each bad command line runs main in a child process
+// and must exit 2 before any analysis.
 func TestBadOptionValuesExit2(t *testing.T) {
 	if args := os.Getenv("NDROID_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"ndroid"}, strings.Fields(args)...)
@@ -112,6 +112,8 @@ func TestBadOptionValuesExit2(t *testing.T) {
 	}
 	for _, args := range []string{
 		"-static pin -list",
+		"-static lint -all",
+		"-static lint -serve",
 		"-mode bogus -list",
 		"-summaries static -list",
 		"-summaries validated -list",
@@ -123,15 +125,22 @@ func TestBadOptionValuesExit2(t *testing.T) {
 			t.Errorf("ndroid %s: %v, want exit status 2", args, err)
 		}
 	}
-	opts, err := analyzeOptions("ndroid", "lint")
-	if err != nil || opts.Static != static.LintOnly || opts.Mode != core.ModeNDroid {
-		t.Fatalf("-static lint: %+v, %v", opts, err)
+	opts, lint, err := analyzeOptions("ndroid", "lint")
+	if err != nil || !lint || opts.Mode != core.ModeNDroid {
+		t.Fatalf("-static lint: %+v, %v, %v", opts, lint, err)
 	}
+	opts.FlowLog = true
 	var out bytes.Buffer
-	if err := runOne(&out, "case1", opts); err != nil {
+	if err := runOne(&out, "case1", opts, lint); err != nil {
 		t.Fatal(err)
 	}
-	if len(section(out.String(), "static pre-analysis")) == 0 {
+	sec := section(out.String(), "static pre-analysis")
+	if len(sec) == 0 {
 		t.Errorf("-static lint printed no static section:\n%s", out.String())
+	}
+	for _, l := range sec {
+		if strings.Contains(l, "violation:") {
+			t.Errorf("-static lint cross-validation failed: %s", l)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/static"
 )
 
 func outcomeOf(r core.AppReport) appOutcome {
@@ -40,27 +39,6 @@ func TestFusionParityAllAppsAllModes(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestFusionParityWithStaticSeeds (name kept from the static fusion seeds,
-// which are gone) repeats the parity check with the static pass on: the
-// pre-analysis runs before the entry point on the same System, and fused
-// and unfused runs must still agree.
-func TestFusionParityWithStaticSeeds(t *testing.T) {
-	for _, app := range apps.Registry() {
-		app := app
-		t.Run(app.Name, func(t *testing.T) {
-			base := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseOff, Static: static.LintOnly,
-			})
-			fused := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Fuse: core.FuseDefault, Static: static.LintOnly,
-			})
-			if got, want := outcomeOf(fused), outcomeOf(base); got != want {
-				t.Errorf("fused run with the static pass diverged: verdict %v vs %v", got.verdict, want.verdict)
-			}
-		})
 	}
 }
 

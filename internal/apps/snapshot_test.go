@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/static"
 )
 
 func logOf(r core.AppReport) string {
@@ -62,50 +61,6 @@ func firstDiffLine(a, b string) string {
 		}
 	}
 	return "length mismatch"
-}
-
-// TestSnapshotParityWithPins (name kept from the pin era) is static-reuse
-// parity at lint: the Runner serves a repeat install of the same dex its
-// static result from the digest cache and must still match the fresh path,
-// which re-runs static.Analyze every attempt, byte for byte.
-func TestSnapshotParityWithPins(t *testing.T) {
-	runner, err := core.NewRunner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, ok := apps.ByName("case1")
-	if !ok {
-		t.Fatal("case1 missing")
-	}
-	opts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.LintOnly}
-	fresh := core.AnalyzeApp(app.Spec(), opts)
-
-	optsSnap := opts
-	optsSnap.Runner = runner
-	first := core.AnalyzeApp(app.Spec(), optsSnap)
-	second := core.AnalyzeApp(app.Spec(), optsSnap)
-
-	for i, r := range []core.AppReport{first, second} {
-		if r.Verdict() != fresh.Verdict() {
-			t.Errorf("run %d: verdict %v, fresh %v", i, r.Verdict(), fresh.Verdict())
-		}
-		if logOf(r) != logOf(fresh) {
-			t.Errorf("run %d: flow log diverged from fresh lint run", i)
-		}
-		if len(r.Final.Result.StaticViolations) != 0 {
-			t.Errorf("run %d: static violations %v", i, r.Final.Result.StaticViolations)
-		}
-	}
-	if got, want := second.Final.Result.Static.Summary(), fresh.Final.Result.Static.Summary(); got != want {
-		t.Errorf("cached static result %q, fresh %q", got, want)
-	}
-
-	if runner.Stats.StaticRuns != 1 {
-		t.Errorf("StaticRuns = %d, want 1 (second install should hit the digest cache)", runner.Stats.StaticRuns)
-	}
-	if runner.Stats.StaticReuses != 1 {
-		t.Errorf("StaticReuses = %d, want 1", runner.Stats.StaticReuses)
-	}
 }
 
 // TestSnapshotResetCost checks the performance contract behind the fork

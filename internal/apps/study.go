@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dex"
 	"repro/internal/service"
-	"repro/internal/static"
 )
 
 // StudyOptions configures a market-study sweep over a corpus.
@@ -20,15 +19,12 @@ type StudyOptions struct {
 	Budget uint64
 	// FlowLog captures per-app flow logs.
 	FlowLog bool
-	// Static selects the pre-analysis level for every app (off/lint).
-	Static static.Level
 	// Apps is the corpus; nil means AllApps() (benign + hostile).
 	Apps []*App
 	// Cache attaches a persistent artifact and verdict store to the service
-	// (static results, assembled libraries, validation verdicts, final
-	// reports); a second sweep over the same corpus then replays every
-	// verdict. Nil runs the sweep in memory. Artifacts never change
-	// outcomes — only cost.
+	// (assembled libraries, validation verdicts, final reports); a second
+	// sweep over the same corpus then replays every verdict. Nil runs the
+	// sweep in memory. Artifacts never change outcomes — only cost.
 	Cache *cas.Store
 }
 
@@ -79,7 +75,6 @@ func RunStudy(opts StudyOptions, workers int) (*StudyReport, service.Stats, erro
 			Mode:    opts.Mode,
 			Budget:  opts.Budget,
 			FlowLog: opts.FlowLog,
-			Static:  opts.Static,
 		},
 	})
 	if err != nil {
@@ -126,7 +121,7 @@ func (rep *StudyReport) tally() {
 
 // SharedLibVariant derives an app shipping byte-identical native libraries
 // under different dex content: Install additionally registers a padding
-// class, so the app/dex/static digests all move while every LibPrint stays
+// class, so the app and dex digests both move while every LibPrint stays
 // the same. A warm-store run of the variant must therefore reuse all
 // assembled images (zero assembler runs) yet recompute everything dex- and
 // app-scoped — the shared-library leg of the cache ablation.

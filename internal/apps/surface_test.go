@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/service"
-	"repro/internal/static"
 	"repro/internal/surface"
 )
 
@@ -86,21 +85,17 @@ func TestRaspFloodBoundedUnderThrottling(t *testing.T) {
 }
 
 // TestPinswapVoidsStalePins (name kept from the pin era): the leak behind
-// the mid-run RegisterNatives swap is caught under every static level and
-// both fusion settings.
+// the mid-run RegisterNatives swap is caught under both fusion settings.
 func TestPinswapVoidsStalePins(t *testing.T) {
 	app, ok := apps.ByName("hostile-pinswap")
 	if !ok {
 		t.Fatal("hostile-pinswap missing")
 	}
-	for _, lvl := range []static.Level{static.Off, static.LintOnly} {
-		for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
-			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-				Budget: testBudget, FlowLog: true, Static: lvl, Fuse: fuse})
-			if r.Verdict() != core.VerdictLeak {
-				t.Errorf("static=%d fuse=%d: verdict = %v, want leak (chain %s)",
-					lvl, fuse, r.Verdict(), r.ChainString())
-			}
+	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
+		r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
+			Budget: testBudget, FlowLog: true, Fuse: fuse})
+		if r.Verdict() != core.VerdictLeak {
+			t.Errorf("fuse=%d: verdict = %v, want leak (chain %s)", fuse, r.Verdict(), r.ChainString())
 		}
 	}
 }

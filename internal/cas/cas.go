@@ -1,9 +1,9 @@
 // Package cas implements the persistent content-addressed artifact store
 // behind the analysis service: every derived artifact — dex validation
-// results, static pre-analysis results, assembled native-library images, and
-// final verdict records — is keyed by the content digest of its inputs, so a
-// re-submitted identical app (or a new app sharing only a native library)
-// reuses work instead of recomputing it.
+// results, assembled native-library images, and final verdict records — is
+// keyed by the content digest of its inputs, so a re-submitted identical app
+// (or a new app sharing only a native library) reuses work instead of
+// recomputing it.
 //
 // Keys are three-part: an artifact kind, the kind's schema fingerprint
 // (hash of a schema description string plus the store format version), and

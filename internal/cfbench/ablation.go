@@ -1,20 +1,22 @@
 package cfbench
 
 // Ablation matrix: every speed-only mechanism with a knob (trace fusion, the
-// JNI surface observer, the static pass, the artifact store) is one or
-// more arms of a single list. Each arm runs the evaluation corpus under every
-// analysis mode through the analysis service, and one parity checker holds
-// every (app, mode) cell to the baseline arm's verdict and flow log byte for
-// byte. An arm that exists to prove a claim beyond parity (a warm store
-// computes nothing) carries that claim as its Check. The contained-corpus
-// verdict counts and the static reach table are views of the baseline and
-// static=lint runs under NDroid, so cfbench walks the corpus only here.
-// cmd/cfbench exits nonzero on any break (the CI bench-smoke gate).
+// JNI surface observer, the artifact store) is one or more arms of a single
+// list. Each arm runs the evaluation corpus under every analysis mode
+// through the analysis service, and one parity checker holds every (app,
+// mode) cell to the baseline arm's verdict and flow log byte for byte. An
+// arm that exists to prove a claim beyond parity (a warm store computes
+// nothing) carries that claim as its Check. The contained-corpus verdict
+// counts are a view of the baseline run under NDroid, and the static reach
+// table cross-validates core.Lint's reach sets against that run's flow logs,
+// so cfbench walks the corpus dynamically only here. cmd/cfbench exits
+// nonzero on any break (the CI bench-smoke gate).
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,7 +24,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/service"
-	"repro/internal/static"
 )
 
 // matrixArm is one configuration of the ablation matrix.
@@ -48,25 +49,23 @@ type matrixArm struct {
 const floodApp = "hostile-rasp"
 
 // arms is the matrix, baseline first. The baseline runs the production
-// defaults (fusion on, observer on and throttled, static pass off, no
-// store); every other arm changes one knob. The store arms also turn
-// the static pass on, since it is the heaviest artifact the store caches, so
-// the store's own cost is cache=cold against static=lint.
+// defaults (fusion on, observer on and throttled, no store); every other arm
+// changes one knob. The store arms run the baseline options, so the store's
+// own cost is cache=cold against the baseline.
 var arms = []matrixArm{
 	{Name: "baseline"},
 	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
 	{Name: "surface=off", Opts: core.AnalyzeOptions{Surface: core.SurfaceOff}},
 	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
-	{Name: "static=lint", Opts: core.AnalyzeOptions{Static: static.LintOnly}},
-	{Name: "cache=cold", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true},
-	{Name: "cache=warm", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true,
+	{Name: "cache=cold", Store: true},
+	{Name: "cache=warm", Store: true,
 		Check: func(run, _ *ArmRun) error {
 			if run.Service.Computed != 0 {
 				return fmt.Errorf("recomputed %d apps; every verdict should replay", run.Service.Computed)
 			}
 			return nil
 		}},
-	{Name: "cache=sharedlib", Opts: core.AnalyzeOptions{Static: static.LintOnly}, Store: true, SharedLib: true,
+	{Name: "cache=sharedlib", Store: true, SharedLib: true,
 		Check: func(run, _ *ArmRun) error {
 			if n := run.Service.Runner.AsmAssembles; n != 0 {
 				return fmt.Errorf("ran the assembler %d times; shared images must replay", n)
@@ -93,11 +92,6 @@ type Cell struct {
 	FuseDeopts  uint64 `json:"fuse_deopts,omitempty"`
 
 	TracedInsns uint64 `json:"traced_insns,omitempty"`
-
-	// The pre-analysis result and cross-validation violation count the
-	// reach table reads (nil and 0 with the pass off).
-	static     *static.Result
-	violations int
 
 	// Surface map: unique boundaries, recorded and dropped events, raw
 	// boundary calls, and whether the event budget ran out.
@@ -145,6 +139,9 @@ type Matrix struct {
 	// and every arm's Check holds.
 	ParityOK     bool   `json:"parity_ok"`
 	ParityDetail string `json:"parity_detail,omitempty"`
+
+	// reach is the static reach table over the baseline NDroid run.
+	reach []ReachRow
 }
 
 // find returns the run of the named arm under mode, or nil.
@@ -162,14 +159,7 @@ func (m *Matrix) find(arm string, mode core.Mode) *ArmRun {
 type cellOutcome struct {
 	app     string
 	verdict core.Verdict
-	log     string
-}
-
-// joinLog flattens the flow log for byte-parity comparison. strings.Join,
-// not +=: hostile-rasp's ndroid log runs to ~50k lines, where quadratic
-// concatenation costs over a minute per arm.
-func joinLog(rep core.AppReport) string {
-	return strings.Join(rep.Final.Result.LogLines, "\n")
+	log     []string
 }
 
 // RunMatrix runs every arm under every mode. budget 0 uses
@@ -193,6 +183,9 @@ func RunMatrix(budget uint64) (*Matrix, error) {
 			m.Runs = append(m.Runs, run)
 			if i == 0 {
 				base, baseOut = run, out
+				if mode == core.ModeNDroid {
+					m.reach = reachRows(out)
+				}
 				continue
 			}
 			err = parity(baseOut, out)
@@ -250,14 +243,14 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 		cell := Cell{
 			App: app.Name, Verdict: rep.Verdict().String(), Attempts: len(rep.Chain), Degraded: rep.Degraded, Seconds: secs,
 			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
-			TracedInsns: r.TracedInsns, static: r.Static, violations: len(r.StaticViolations),
+			TracedInsns: r.TracedInsns,
 		}
 		if s := r.Surface; s != nil {
 			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =
 				s.UniqueBoundaries, s.Events, s.Dropped, s.Calls, s.Truncated
 		}
 		run.Cells = append(run.Cells, cell)
-		out = append(out, cellOutcome{app.Name, rep.Verdict(), joinLog(rep)})
+		out = append(out, cellOutcome{app.Name, rep.Verdict(), r.LogLines})
 	}
 	svc.Close()
 	run.Service = svc.Stats()
@@ -280,7 +273,7 @@ func parity(base, got []cellOutcome) error {
 		switch {
 		case g.verdict != want.verdict:
 			return fmt.Errorf("%s: verdict %v, baseline %v", want.app, g.verdict, want.verdict)
-		case g.log != want.log:
+		case !slices.Equal(g.log, want.log):
 			return fmt.Errorf("%s: flow log diverged from the baseline", want.app)
 		}
 	}

@@ -130,8 +130,8 @@ func TestCacheSweepSingleArm(t *testing.T) {
 // be reported.
 func TestParityCheckerFailsClosed(t *testing.T) {
 	base := []cellOutcome{
-		{"case1", core.VerdictLeak, "a\nb"},
-		{"benign", core.VerdictClean, "x"},
+		{"case1", core.VerdictLeak, []string{"a", "b"}},
+		{"benign", core.VerdictClean, []string{"x"}},
 	}
 	clone := func() []cellOutcome { return append([]cellOutcome(nil), base...) }
 	if err := parity(base, clone()); err != nil {
@@ -139,7 +139,7 @@ func TestParityCheckerFailsClosed(t *testing.T) {
 	}
 	for name, got := range map[string]func() []cellOutcome{
 		"verdict": func() []cellOutcome { g := clone(); g[0].verdict = core.VerdictClean; return g },
-		"log":     func() []cellOutcome { g := clone(); g[0].log = "a\nc"; return g },
+		"log":     func() []cellOutcome { g := clone(); g[0].log = []string{"a", "c"}; return g },
 		"missing": func() []cellOutcome { return clone()[:1] },
 	} {
 		if err := parity(base, got()); err == nil {

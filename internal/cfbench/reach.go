@@ -8,9 +8,9 @@ import (
 	"repro/internal/core"
 )
 
-// ReachRow is one app's static reach record: how much of the program the
-// pre-analysis proved taint-free, and how many flow-log events of the
-// contained NDroid run fell outside its reach sets.
+// ReachRow is one app's static reach record: how much of the program
+// core.Lint proved taint-free, and how many events of the app's contained
+// NDroid flow log fell outside its reach sets.
 type ReachRow struct {
 	App     string `json:"app"`
 	Hostile bool   `json:"hostile,omitempty"`
@@ -24,34 +24,36 @@ type ReachRow struct {
 	Violations       int  `json:"violations,omitempty"`
 }
 
-// Reach is the static reach-precision table, a view of the matrix's
-// static=lint run under NDroid. Hostile apps run like the rest; a final
-// attempt that never reached the pass has no row.
-func (m *Matrix) Reach() []ReachRow {
-	run := m.find("static=lint", core.ModeNDroid)
-	if run == nil {
-		return nil
-	}
+// Reach is the static reach-precision table: one row per corpus app that
+// installs, built from core.Lint and cross-validated against the matrix's
+// baseline run under NDroid.
+func (m *Matrix) Reach() []ReachRow { return m.reach }
+
+// reachRows lints every corpus app and cross-validates its reach sets
+// against base, the baseline NDroid run's outcomes in corpus order (the
+// order runArm submits in). Hostile apps run like the rest; an app whose
+// Install fails has nothing to lint and gets no row.
+func reachRows(base []cellOutcome) []ReachRow {
 	hostile := make(map[string]bool)
 	for _, app := range apps.HostileRegistry() {
 		hostile[app.Name] = true
 	}
 	var rows []ReachRow
-	for _, c := range run.Cells {
-		r := c.static
-		if r == nil {
+	for i, app := range apps.AllApps() {
+		r, err := core.Lint(app.Spec())
+		if err != nil {
 			continue
 		}
 		rows = append(rows, ReachRow{
-			App:              c.App,
-			Hostile:          hostile[c.App],
+			App:              app.Name,
+			Hostile:          hostile[app.Name],
 			Methods:          r.Methods,
 			TaintFreeMethods: r.TaintFreeMethods(),
 			NativePages:      r.NativePages,
 			TaintFreePages:   r.TaintFreePages,
 			TaintFree:        r.TaintFree,
 			LintFindings:     len(r.Findings),
-			Violations:       c.violations,
+			Violations:       len(r.CrossValidate(base[i].log)),
 		})
 	}
 	return rows
@@ -71,6 +73,6 @@ func ReachReport(rows []ReachRow) string {
 			name, r.Methods, r.TaintFreeMethods, r.NativePages, r.TaintFreePages,
 			r.LintFindings, r.Violations)
 	}
-	b.WriteString("(* hostile; violations are flow-log events of the contained static=lint NDroid run outside the reach sets)\n")
+	b.WriteString("(* hostile; violations are flow-log events of the contained baseline NDroid run outside the reach sets)\n")
 	return b.String()
 }

@@ -7,13 +7,14 @@ import (
 )
 
 // TestPinSweepPrecisionFloor (name kept from the pin table it used to read)
-// locks the reach-precision bar on the matrix's reach table: on every benign
-// app the pre-analysis proves at least one method taint-free, and no corpus
-// app's NDroid flow log leaves the static reach sets.
+// locks the reach-precision bar on the matrix's reach table: every corpus
+// app installs, so each gets a row; on every benign app core.Lint proves at
+// least one method taint-free; and no corpus app's baseline NDroid flow log
+// leaves the static reach sets.
 func TestPinSweepPrecisionFloor(t *testing.T) {
 	m := runTestMatrix(t)
 	rows := m.Reach()
-	if want := len(m.find("static=lint", core.ModeNDroid).Cells); len(rows) != want {
+	if want := len(m.find("baseline", core.ModeNDroid).Cells); len(rows) != want {
 		t.Fatalf("%d reach rows, want one per corpus app (%d)", len(rows), want)
 	}
 	for _, r := range rows {

@@ -36,11 +36,8 @@ func TestFingerprintScopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := fingerprintOf(t, r, app.Spec())
-	if base.App == "" || base.Static == "" || base.Dex == "" || len(base.Libs) == 0 {
+	if base.App == "" || base.Dex == "" || len(base.Libs) == 0 {
 		t.Fatalf("incomplete fingerprint: %+v", base)
-	}
-	if base.App != base.Static {
-		t.Errorf("submission identity should equal the static key: %+v", base)
 	}
 
 	// Stability: re-fingerprinting the same spec on the restored System must

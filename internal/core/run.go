@@ -114,13 +114,6 @@ type RunResult struct {
 	// verdict-visible degradation signal for event-budget exhaustion.
 	Surface *surface.Map
 
-	// Static is the pre-analysis result for this attempt (nil when the
-	// pre-analysis was off). StaticViolations holds cross-validation
-	// failures: dynamic flow-log events outside the static reach sets.
-	// A non-empty list is a soundness bug in the pre-analysis.
-	Static           *static.Result
-	StaticViolations []string
-
 	// TracedInsns is the tracer's handler-invocation count: the native
 	// instructions that went through a Table V handler (0 without a tracer).
 	TracedInsns uint64
@@ -249,15 +242,11 @@ type AnalyzeOptions struct {
 	Budget uint64
 	// FlowLog enables flow-log capture on every attempt.
 	FlowLog bool
-	// Static selects the pre-analysis level: off or lint. Lint runs the
-	// static pass before the entry point and cross-validates the flow log
-	// against its reach sets; it never changes how the app executes.
-	Static static.Level
-	// Runner serves every attempt from its snapshot-restored System (and
-	// static results from its digest cache). Nil gives each attempt a
-	// new Runner that boots a fresh System and is never restored: the
-	// reference the snapshot-parity suites compare against. Verdicts and flow
-	// logs are byte-identical either way; only the reset cost changes.
+	// Runner serves every attempt from its snapshot-restored System. Nil
+	// gives each attempt a new Runner that boots a fresh System and is never
+	// restored: the reference the snapshot-parity suites compare against.
+	// Verdicts and flow logs are byte-identical either way; only the reset
+	// cost changes.
 	Runner *Runner
 }
 
@@ -357,4 +346,26 @@ func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
 		}
 		return rep
 	}
+}
+
+// Lint runs the static JNI pass over an app: it boots a fresh System, runs
+// spec.Install, and hands the installed VM to static.Analyze. The app never
+// runs, so the pass cannot steer or perturb an analysis attempt; tools call
+// Lint beside AnalyzeApp and cross-validate its reach sets against the flow
+// log themselves. An Install error or panic comes back as a typed fault, as
+// analyzeOnce contains it.
+func Lint(spec AppSpec) (res *static.Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, fault.FromPanic("core", rec)
+		}
+	}()
+	sys, err := NewSystem()
+	if err == nil {
+		err = spec.Install(sys)
+	}
+	if err != nil {
+		return nil, fault.AsFault(err, "core")
+	}
+	return static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod), nil
 }

@@ -15,12 +15,12 @@ package core
 // get a freshly booted System.
 //
 // A Runner may additionally be wired to the persistent content-addressed
-// artifact store (NewCachedRunner): static pre-analysis results, per-library
-// assembled images, and dex validation verdicts are then keyed by content
-// digest and shared across Runners, service workers, and processes. Artifacts
-// are a pure cost optimisation — a cache hit replays exactly what a recompute
-// would produce, and a corrupt or injected-faulty entry is evicted, counted
-// in Stats.CacheFaults, and recomputed.
+// artifact store (NewCachedRunner): per-library assembled images and dex
+// validation verdicts are then keyed by content digest and shared across
+// Runners, service workers, and processes. Artifacts are a pure cost
+// optimisation — a cache hit replays exactly what a recompute would produce,
+// and a corrupt or injected-faulty entry is evicted, counted in
+// Stats.CacheFaults, and recomputed.
 
 import (
 	"encoding/binary"
@@ -30,14 +30,11 @@ import (
 	"repro/internal/cas"
 	"repro/internal/dex"
 	"repro/internal/fault"
-	"repro/internal/static"
 )
 
 // Artifact kinds the Runner stores. The schema strings are hashed into every
 // key (along with cas.Version), so editing one cleanly invalidates the kind.
 var (
-	// KindStatic holds static.Portable payloads keyed by Fingerprint.Static.
-	KindStatic = cas.Kind{Name: "static", Schema: "v2 static.Portable counts,taint_free_names,findings,reach"}
 	// KindAsm holds arm.Program payloads keyed by hash(source, base).
 	KindAsm = cas.Kind{Name: "asmlib", Schema: "v1 arm.Program base,code,labels,writemask"}
 	// KindDexCheck holds dexCheckRecord payloads keyed by dex.Class digests.
@@ -57,8 +54,10 @@ type RunnerStats struct {
 	GuestPagesReset int // guest pages copied back across all resets
 	TaintPagesReset int // shadow-taint pages reset across all resets
 
-	StaticRuns   int // static.Analyze executions
-	StaticReuses int // attempts served from the in-memory digest cache
+	// StaticRuns is always 0: the static pass runs outside analysis
+	// attempts (Lint). It is kept only until a benchmark change drops
+	// ndbench's static.runs_per_app per-layer metric, which reads it.
+	StaticRuns int
 
 	// JNICrossings counts live Java->native crossings observed across every
 	// attempt this Runner executed. Warm service replays serve verdicts (and
@@ -67,7 +66,6 @@ type RunnerStats struct {
 	JNICrossings uint64
 
 	// Artifact-store traffic (all zero on an uncached Runner).
-	StaticDiskHits int // static results rehydrated from the artifact store
 	DexValidations int // per-class Validate executions during Fingerprint
 	DexCheckHits   int // validation verdicts served from the artifact store
 	AsmCacheHits   int // assembled images served from the artifact store
@@ -87,9 +85,7 @@ func (t *RunnerStats) Add(s RunnerStats) {
 	t.GuestPagesReset += s.GuestPagesReset
 	t.TaintPagesReset += s.TaintPagesReset
 	t.StaticRuns += s.StaticRuns
-	t.StaticReuses += s.StaticReuses
 	t.JNICrossings += s.JNICrossings
-	t.StaticDiskHits += s.StaticDiskHits
 	t.DexValidations += s.DexValidations
 	t.DexCheckHits += s.DexCheckHits
 	t.AsmCacheHits += s.AsmCacheHits
@@ -106,10 +102,6 @@ type Runner struct {
 	// bootClasses names the framework classes present at snapshot time, so
 	// the app fingerprint covers exactly what an Install added.
 	bootClasses map[string]bool
-
-	// statics caches pre-analysis results by app fingerprint: a re-install of
-	// identical content reuses the result instead of re-running the analysis.
-	statics map[string]*static.Result
 
 	// cache is the persistent artifact store (nil on an uncached Runner).
 	cache *cas.Store
@@ -141,7 +133,7 @@ func NewCachedRunner(store *cas.Store) (*Runner, error) {
 
 // newRunner returns an unbooted Runner: its first reset boots the System.
 func newRunner(store *cas.Store) *Runner {
-	return &Runner{statics: make(map[string]*static.Result), cache: store}
+	return &Runner{cache: store}
 }
 
 func (r *Runner) boot() error {
@@ -184,9 +176,7 @@ func (r *Runner) reset() error {
 }
 
 // analyzeOnce runs one contained attempt: reset and install the app (unless
-// Fingerprint just installed it), serve the static result from the digest
-// cache (in-memory, then the artifact store) when the installed content is
-// unchanged, and run the entry point.
+// Fingerprint just installed it), then run the entry point.
 // Panics escaping any stage (boot, class loading, native-lib assembly) are
 // converted to faults here, so a hostile app can never take the study process
 // down.
@@ -219,52 +209,9 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	}
 	applySurface(a, opts.Surface)
 
-	var sr *static.Result
-	if opts.Static != static.Off {
-		key := r.fingerprintInstalled(spec).Static
-		if cached, ok := r.statics[key]; ok {
-			sr = cached
-			r.Stats.StaticReuses++
-		} else if sr = r.loadStatic(key); sr != nil {
-			r.statics[key] = sr
-			r.Stats.StaticDiskHits++
-		} else {
-			sr = static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod)
-			r.statics[key] = sr
-			r.Stats.StaticRuns++
-			if r.cache != nil {
-				// Best-effort store: a failed Put costs future reuse, nothing else.
-				_ = r.cache.Put(KindStatic, key, sr.Portable())
-			}
-		}
-	}
-
 	res = a.Run(spec.EntryClass, spec.EntryMethod, nil, nil)
 	r.Stats.JNICrossings += res.JNICrossings
-	if sr != nil {
-		res.Static = sr
-		if opts.FlowLog {
-			res.StaticViolations = sr.CrossValidate(res.LogLines)
-		}
-	}
 	return res
-}
-
-// loadStatic rehydrates a static result from the artifact store; any miss —
-// clean, corrupt, or injected — returns nil and the caller recomputes.
-func (r *Runner) loadStatic(key string) *static.Result {
-	if r.cache == nil {
-		return nil
-	}
-	var p static.Portable
-	ok, err := r.cache.Get(KindStatic, key, &p)
-	if err != nil {
-		r.Stats.CacheFaults++
-	}
-	if !ok {
-		return nil
-	}
-	return p.Rehydrate()
 }
 
 // LibPrint fingerprints one loaded native-library image: the content digest
@@ -279,15 +226,14 @@ type LibPrint struct {
 
 // Fingerprint identifies what an Install added to the warm System, split by
 // artifact scope: Dex covers the structural content of every non-framework
-// class, each LibPrint covers one native image, Static additionally binds
-// the entry point (the inputs of static.Analyze), and App is the submission
-// identity the service dedups by. The submission's display name
-// is excluded throughout — identical content under two names is one app.
+// class, each LibPrint covers one native image, and App, the submission
+// identity the service dedups by, binds both to the entry point. The
+// submission's display name is excluded throughout — identical content
+// under two names is one app.
 type Fingerprint struct {
-	App    string
-	Static string
-	Dex    string
-	Libs   []LibPrint
+	App  string
+	Dex  string
+	Libs []LibPrint
 }
 
 // fingerprintInstalled digests the currently-installed app (Install must
@@ -317,8 +263,7 @@ func (r *Runner) fingerprintInstalled(spec AppSpec) Fingerprint {
 	for _, l := range fp.Libs {
 		parts = append(parts, l.Digest)
 	}
-	fp.Static = cas.DigestStrings(parts...)
-	fp.App = fp.Static
+	fp.App = cas.DigestStrings(parts...)
 	return fp
 }
 

@@ -14,10 +14,10 @@
 //  4. Otherwise analyze: the first attempt of core.AnalyzeApp runs on the
 //     System the fingerprint just installed.
 //
-// The Runners share the artifact store, so static results, assembled library
-// images, and dex validation verdicts flow between workers and across process
-// lifetimes. Backpressure is the queue: when the workers fall behind, Submit
-// blocks rather than buffering unboundedly.
+// The Runners share the artifact store, so assembled library images and dex
+// validation verdicts flow between workers and across process lifetimes.
+// Backpressure is the queue: when the workers fall behind, Submit blocks
+// rather than buffering unboundedly.
 //
 // Results stream: as each submission completes, one JSON line is written to
 // Options.Out (when set) and the submitter's channel is fulfilled. Caching
@@ -36,7 +36,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/static"
 	"repro/internal/surface"
 )
 
@@ -69,7 +68,7 @@ type Stats struct {
 	Deduped     int // submissions that joined an in-flight twin
 
 	// Runner aggregates fork-server and artifact traffic across every
-	// worker's Runner (snapshot resets, static/asm/dex cache hits, absorbed
+	// worker's Runner (snapshot resets, asm/dex cache hits, absorbed
 	// cache faults). The Runner counters are folded in on Close; before
 	// that, Runner holds only the verdict loads' absorbed cache faults.
 	Runner core.RunnerStats
@@ -199,7 +198,6 @@ func (s *Service) work(runner *core.Runner) {
 			// to hash there is nothing safe to dedup across names.
 			fp = core.Fingerprint{App: cas.DigestStrings(
 				"install-fault", j.spec.Name, j.spec.EntryClass, j.spec.EntryMethod, err.Error())}
-			fp.Static = fp.App
 			diags = []string{err.Error()}
 		}
 
@@ -356,9 +354,9 @@ func (s *Service) emit(res Result) {
 
 // KindVerdict holds verdictRecord payloads: the final outcome of one app
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
-// app digest — mode, budget, fusion, flow-log capture, and static level all
-// change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v4 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
+// app digest — mode, budget, fusion, flow-log capture, and the surface
+// observer all change what a run produces.
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v5 service.verdictRecord chain,final_log,leaks,counters,surface"}
 
 type attemptRecord struct {
 	Mode    string          `json:"mode"`
@@ -384,10 +382,6 @@ type verdictRecord struct {
 	// though the replay observes zero live crossings.
 	Surface      *surface.Map `json:"surface,omitempty"`
 	JNICrossings uint64       `json:"jni_crossings,omitempty"`
-	// Static is the final attempt's pre-analysis result (nil with the static
-	// pass off), persisted for the same reason: a replay carries the lint
-	// findings and taint-free counts without re-running the pass.
-	Static *static.Portable `json:"static,omitempty"`
 }
 
 // verdictKey binds the app digest to every analysis option that can change
@@ -401,7 +395,6 @@ func verdictKey(fp core.Fingerprint, o core.AnalyzeOptions) string {
 		fmt.Sprintf("fuse=%d", int(o.Fuse)),
 		fmt.Sprintf("budget=%d", o.Budget),
 		fmt.Sprintf("flowlog=%t", o.FlowLog),
-		fmt.Sprintf("static=%d", int(o.Static)),
 		fmt.Sprintf("surface=%d", int(o.Surface)))
 }
 
@@ -419,9 +412,6 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 		NativeInsns:  rep.Final.Result.NativeInsns,
 		Surface:      rep.Final.Result.Surface,
 		JNICrossings: rep.Final.Result.JNICrossings,
-	}
-	if sr := rep.Final.Result.Static; sr != nil {
-		rec.Static = sr.Portable()
 	}
 	for _, att := range rep.Chain {
 		rec.Chain = append(rec.Chain, attemptRecord{
@@ -471,9 +461,6 @@ func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	final.Result.NativeInsns = rec.NativeInsns
 	final.Result.Surface = rec.Surface
 	final.Result.JNICrossings = rec.JNICrossings
-	if rec.Static != nil {
-		final.Result.Static = rec.Static.Rehydrate()
-	}
 	rep.Final = *final
 	return rep, true
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/service"
-	"repro/internal/static"
 )
 
 const testBudget = 1 << 21
@@ -168,53 +167,9 @@ func TestVerdictShortCircuit(t *testing.T) {
 	}
 }
 
-// TestVerdictReplayCarriesStatic: with the static pass on, a warm verdict
-// replay hands back the computed run's pre-analysis result (counts, lint
-// findings, reach sets and taint-free names) without running the pass again.
-func TestVerdictReplayCarriesStatic(t *testing.T) {
-	app := mustApp(t, "poc-case2") // two lint findings
-	store, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.LintOnly}
-	submit := func() (service.Result, service.Stats) {
-		svc, err := service.New(service.Options{Cache: store, Analyze: aOpts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := <-svc.Submit(app.Spec())
-		svc.Close()
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		return res, svc.Stats()
-	}
-	cold, _ := submit()
-	warm, st := submit()
-	if warm.Source != "verdict-cache" || st.Runner.StaticRuns != 0 {
-		t.Fatalf("warm source %q with %d static runs, want a replay with none", warm.Source, st.Runner.StaticRuns)
-	}
-	cs, ws := cold.Report.Final.Result.Static, warm.Report.Final.Result.Static
-	if cs == nil || len(cs.Findings) != 2 {
-		t.Fatalf("computed static result %v, want two lint findings", cs)
-	}
-	if ws == nil {
-		t.Fatal("replayed verdict carries no static result")
-	}
-	if ws.Summary() != cs.Summary() {
-		t.Errorf("replayed %q, computed %q", ws.Summary(), cs.Summary())
-	}
-	got, _ := json.Marshal(ws.Portable())
-	want, _ := json.Marshal(cs.Portable())
-	if !bytes.Equal(got, want) {
-		t.Errorf("replayed static result differs from the computed one:\n%s\n%s", got, want)
-	}
-}
-
-// TestOldVerdictSchemaRecomputes: a verdict record stored under the previous
-// verdict schema (v3, whose static record still carried pin and seed names)
-// is a clean miss under the current one, so the service recomputes the app
+// TestOldVerdictSchemaRecomputes: a verdict record stored under the retired
+// v4 verdict schema (which still carried a static pre-analysis record) is a
+// clean miss under the current one, so the service recomputes the app
 // instead of replaying the stale record.
 func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	app := mustApp(t, "hostile-pinswap")
@@ -222,7 +177,7 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true, Static: static.LintOnly}
+	aOpts := core.AnalyzeOptions{Budget: testBudget, FlowLog: true}
 	submit := func() (service.Result, service.Stats) {
 		svc, err := service.New(service.Options{Cache: store, Analyze: aOpts})
 		if err != nil {
@@ -241,7 +196,7 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	}
 
 	// Move the record to the old schema, as a store written before the bump
-	// holds it, and give its static record the fields v3 wrote.
+	// holds it, and give it the static record v4 wrote.
 	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
@@ -255,16 +210,16 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	if ok, err := store.Get(service.KindVerdict, key, &rec); !ok || err != nil {
 		t.Fatalf("no current-schema record: %v, %v", ok, err)
 	}
-	rec["static"] = json.RawMessage(`{"methods":3,"pinned_methods":1,"pin_names":["Lcom/hostile/pinswap/Main;.checksum"],"seed_names":["Lcom/hostile/pinswap/Main;.process"]}`)
+	rec["static"] = json.RawMessage(`{"methods":2,"native_funcs":2,"native_pages":1,"taint_free_pages":0,"taint_free":false,"taint_free_names":["Lcom/hostile/pinswap/Main;.checksum"]}`)
 	store.Evict(service.KindVerdict, key)
-	old := cas.Kind{Name: service.KindVerdict.Name, Schema: "v3 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
+	old := cas.Kind{Name: service.KindVerdict.Name, Schema: "v4 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
 	if err := store.Put(old, key, rec); err != nil {
 		t.Fatal(err)
 	}
 
 	again, st := submit()
 	if again.Source != "computed" || st.VerdictHits != 0 || st.Computed != 1 {
-		t.Fatalf("source %q with %d verdict hits, %d computed: a v3 record was replayed",
+		t.Fatalf("source %q with %d verdict hits, %d computed: a v4 record was replayed",
 			again.Source, st.VerdictHits, st.Computed)
 	}
 	if got, want := strings.Join(again.Report.Final.Result.LogLines, "\n"), strings.Join(cold.Report.Final.Result.LogLines, "\n"); got != want {

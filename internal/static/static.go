@@ -1,13 +1,14 @@
-// Package static implements the whole-program pre-analysis that runs before
-// the dynamic engine boots: unified control-flow graphs over Dalvik bytecode
+// Package static implements the whole-program pass over an installed app
+// that has not run (core.Lint installs one and calls Analyze): unified
+// control-flow graphs over Dalvik bytecode
 // and ARM/Thumb native code, a generic worklist dataflow solver shared by
 // both ISAs, a taint-reachability pass that finds the methods and native
 // pages which can never transitively touch a source, sink, or JNI crossing,
 // and a static JNI lint over crossing sites.
 //
-// The pass never steers the dynamic engines. Its outputs are diagnostics
-// (the lint findings and the taint-free counts) and the reach sets that
-// CrossValidate holds every flow log against.
+// The pass is not part of any analysis attempt and never steers the dynamic
+// engines. Its outputs are diagnostics (the lint findings and the taint-free
+// counts) and the reach sets that CrossValidate holds a flow log against.
 package static
 
 import (
@@ -20,41 +21,11 @@ import (
 	"repro/internal/fault"
 )
 
-// Level selects how much of the pre-analysis is applied to a run.
-type Level int
-
-const (
-	// Off disables the pre-analysis entirely.
-	Off Level = iota
-	// LintOnly runs CFG construction, the JNI lint and the reachability
-	// pass, reporting findings without influencing execution.
-	LintOnly
-)
-
-// ParseLevel maps the -static flag values.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "off":
-		return Off, nil
-	case "lint":
-		return LintOnly, nil
-	}
-	return Off, fmt.Errorf("static: unknown level %q (want off|lint)", s)
-}
-
-func (l Level) String() string {
-	if l == LintOnly {
-		return "lint"
-	}
-	return "off"
-}
-
 // Result is the outcome of one pre-analysis over a booted (but not yet run)
 // system: counts for reporting, the lint findings, and the reach sets
 // consumed by cross-validation.
 type Result struct {
 	Methods        int // interpreted Dalvik methods
-	NativeFuncs    int // native functions discovered by the CFG traversal
 	NativePages    int // pages of loaded app native code
 	TaintFreePages int // pages proven taint-free
 	TaintFree      bool
@@ -66,7 +37,6 @@ type Result struct {
 	Findings []*fault.Fault // static JNI lint diagnostics
 
 	// Reach sets for dynamic cross-validation: labels the flow log can emit.
-	Sources       map[string]bool // reachable Java source methods (full names)
 	Sinks         map[string]bool // reachable sink labels ("Network.send")
 	Crossings     map[string]bool // reachable native-method simple names
 	CrossingAddrs map[uint32]bool // reachable native-method entry addresses
@@ -83,7 +53,6 @@ type Result struct {
 // entryMethod name the app's entry point for the reachability sweep.
 func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 	r := &Result{
-		Sources:       make(map[string]bool),
 		Sinks:         make(map[string]bool),
 		Crossings:     make(map[string]bool),
 		CrossingAddrs: make(map[uint32]bool),
@@ -108,9 +77,6 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 	r.TaintFree = reach.taintFree
 
 	for i, n := range g.nodes {
-		if n.fn != nil {
-			r.NativeFuncs++
-		}
 		if n.m != nil && !n.m.IsNative() && n.m.Builtin == nil && len(n.m.Insns) > 0 {
 			r.Methods++
 		}
@@ -118,9 +84,6 @@ func Analyze(vm *dvm.VM, entryClass, entryMethod string) *Result {
 			continue
 		}
 		if n.m != nil {
-			if n.isSource {
-				r.Sources[n.m.FullName()] = true
-			}
 			if n.isSink {
 				r.Sinks[leakLabel(n.m)] = true
 			}
