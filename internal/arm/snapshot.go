@@ -124,7 +124,7 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 		c.invalidatePageBlocks(pn)
 	}
 
-	c.addrHooks = make(map[uint32]AddrHook, len(s.addrHooks))
+	clear(c.addrHooks) // the map keeps its buckets for the next attempt's hooks
 	for a, h := range s.addrHooks {
 		c.addrHooks[a] = h
 	}

@@ -178,25 +178,34 @@ func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
 			return false, nil
 		}
 		s.evictCorrupt(k, digest)
-		return false, s.corruptFault(k, digest, "unreadable entry", err)
+		return false, corruptFault(k, digest, "unreadable entry", err)
 	}
-	if len(data) < 16 || [8]byte(data[:8]) != magic {
+	if f := decodeEntry(k, digest, data, out); f != nil {
 		s.evictCorrupt(k, digest)
-		return false, s.corruptFault(k, digest, "truncated or foreign entry", nil)
-	}
-	payload := data[16:]
-	if binary.LittleEndian.Uint64(data[8:16]) != checksum(payload) {
-		s.evictCorrupt(k, digest)
-		return false, s.corruptFault(k, digest, "checksum mismatch", nil)
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		s.evictCorrupt(k, digest)
-		return false, s.corruptFault(k, digest, "undecodable payload", err)
+		return false, f
 	}
 	s.mu.Lock()
 	s.stats.Hits++
 	s.mu.Unlock()
 	return true, nil
+}
+
+// decodeEntry checks one entry's frame (magic and checksum) and decodes its
+// payload into out. It returns nil on a hit and a cas-layer *fault.Fault
+// naming the corruption otherwise. It touches no file, so Get's integrity
+// rules can be fuzzed in memory (FuzzEntryDecode).
+func decodeEntry(k Kind, digest string, data []byte, out interface{}) *fault.Fault {
+	if len(data) < 16 || [8]byte(data[:8]) != magic {
+		return corruptFault(k, digest, "truncated or foreign entry", nil)
+	}
+	payload := data[16:]
+	if binary.LittleEndian.Uint64(data[8:16]) != checksum(payload) {
+		return corruptFault(k, digest, "checksum mismatch", nil)
+	}
+	if err := json.Unmarshal(payload, out); err != nil {
+		return corruptFault(k, digest, "undecodable payload", err)
+	}
+	return nil
 }
 
 // Evict removes an entry (no-op when absent).
@@ -218,7 +227,7 @@ func (s *Store) evictCorrupt(k Kind, digest string) {
 	s.mu.Unlock()
 }
 
-func (s *Store) corruptFault(k Kind, digest, detail string, cause error) *fault.Fault {
+func corruptFault(k Kind, digest, detail string, cause error) *fault.Fault {
 	return &fault.Fault{
 		Kind:   fault.InternalError,
 		Layer:  "cas",

@@ -398,10 +398,12 @@ func (w Workload) invoke(sys *core.System) error {
 // run: mode flips and how many translated blocks dispatched onto the bare
 // fast path versus the instrumented slow path, the DVM translation engine's
 // method/frame/bail/deopt counters for the Java rows, and the work counts
-// behind the overheads: native instructions retired and instructions that
-// went through a Table V taint handler (0 in modes without a tracer).
+// behind the overheads: native and Java instructions retired and
+// instructions that went through a Table V taint handler (0 in modes
+// without a tracer).
 type GateStats struct {
 	NativeInsns uint64 `json:"nativeInsns,omitempty"`
+	JavaInsns   uint64 `json:"javaInsns,omitempty"`
 	Traced      uint64 `json:"traced,omitempty"`
 
 	Flips      uint64 `json:"flips"`
@@ -437,6 +439,7 @@ func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (flo
 	sys := a.Sys
 	sys.VM.NoJavaTranslate = noTranslate
 	startInsns := sys.CPU.InsnCount
+	startJava := sys.VM.JavaInsnCount
 	start := time.Now()
 	if err := w.invoke(sys); err != nil {
 		return 0, GateStats{}, err
@@ -447,6 +450,7 @@ func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (flo
 	}
 	gs := GateStats{
 		NativeInsns: sys.CPU.InsnCount - startInsns,
+		JavaInsns:   sys.VM.JavaInsnCount - startJava,
 
 		Flips:      sys.CPU.GateFlips,
 		FastBlocks: sys.CPU.GateFastBlocks,

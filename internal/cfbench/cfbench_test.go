@@ -71,16 +71,10 @@ func TestFig10Shape(t *testing.T) {
 	// magnitudes are compressed versus the paper — our baseline interpreter
 	// is far slower than QEMU-translated code — see DESIGN.md §5; the
 	// assertions below check the orderings the paper's Fig. 10 exhibits.)
-	nativeMIPS := get("Native MIPS", nd)
-	javaMIPS := get("Java MIPS", nd)
-	if nativeMIPS < 1.2 {
-		t.Errorf("Native MIPS overhead = %.2f, want clearly > 1 (tracer cost)", nativeMIPS)
-	}
-	// The modeled allocator stays near 1x (paper: 1.03x) because NDroid
-	// models malloc/free instead of tracing their bodies: of the native
-	// instructions a row retires under vanilla (allocator bodies included),
-	// NDroid sends a far smaller share through a taint handler on MALLOCS
-	// than on the traced Native MIPS loop.
+	//
+	// The assertions count work, not time: wall-clock ratios of a few
+	// milliseconds per cell flake on a shared host, and ndbench's kernels
+	// workload reports them (fig10.ndroid_overhead_x) with their spread.
 	share := func(name string) float64 {
 		r := row(name)
 		work := r.Gate[core.ModeVanilla].NativeInsns
@@ -89,14 +83,41 @@ func TestFig10Shape(t *testing.T) {
 		}
 		return float64(r.Gate[nd].Traced) / float64(work)
 	}
-	mipsShare, mallocShare := share("Native MIPS"), share("Native MALLOCS")
+	// Native MIPS pays the tracer's cost: NDroid sends most of the native
+	// instructions vanilla retires through a Table V taint handler (0.83 of
+	// them at scale 5), and retires exactly vanilla's instructions (the
+	// tracer adds cost, not work).
+	mipsShare := share("Native MIPS")
+	if mipsShare < 0.75 {
+		t.Errorf("NDroid traces %.2f of Native MIPS' native work, want most of it (tracer cost)", mipsShare)
+	}
+	if v, n := row("Native MIPS").Gate[core.ModeVanilla].NativeInsns, row("Native MIPS").Gate[nd].NativeInsns; v != n {
+		t.Errorf("Native MIPS retired %d native instructions under vanilla, %d under NDroid; want equal", v, n)
+	}
+	// The modeled allocator stays near 1x (paper: 1.03x) because NDroid
+	// models malloc/free instead of tracing their bodies: of the native
+	// instructions a row retires under vanilla (allocator bodies included),
+	// NDroid sends a far smaller share through a taint handler on MALLOCS
+	// than on the traced Native MIPS loop.
+	mallocShare := share("Native MALLOCS")
 	if !(2*mallocShare < mipsShare) {
 		t.Errorf("NDroid traces %.2f of MALLOCS' native work vs %.2f of Native MIPS'; want under half the share",
 			mallocShare, mipsShare)
 	}
-	// The Java side pays TaintDroid's factor (paper: 1.0-2.2x).
-	if javaMIPS > 3.0 {
-		t.Errorf("Java MIPS overhead = %.2f, want small", javaMIPS)
+	// The Java side pays TaintDroid's per-instruction factor (paper:
+	// 1.0-2.2x), never extra work: every mode retires the same Dalvik
+	// instructions on Java MIPS, and NDroid's tracer touches none of them.
+	jm := row("Java MIPS")
+	if jm.Gate[core.ModeVanilla].JavaInsns == 0 {
+		t.Fatal("Java MIPS retired no Java instructions under vanilla")
+	}
+	for _, m := range []core.Mode{nd, ds} {
+		if got, want := jm.Gate[m].JavaInsns, jm.Gate[core.ModeVanilla].JavaInsns; got != want {
+			t.Errorf("Java MIPS retired %d Java instructions under %v, %d under vanilla; want equal", got, m, want)
+		}
+	}
+	if tr := jm.Gate[nd].Traced; tr != 0 {
+		t.Errorf("NDroid traced %d native instructions on Java MIPS, want 0", tr)
 	}
 	// DroidScope pays where NDroid does not: on the modeled allocator (it
 	// traces the allocator body NDroid models away)...

@@ -94,6 +94,9 @@ func (t *RunnerStats) Add(s RunnerStats) {
 	t.SummarySynths += s.SummarySynths
 }
 
+// logBufMax bounds the flow-log buffer a Runner keeps between attempts.
+const logBufMax = 1 << 16
+
 // Runner serves analysis attempts from a snapshot-restored System.
 type Runner struct {
 	sys  *System
@@ -114,6 +117,9 @@ type Runner struct {
 	// installed, consumed by the next analyzeOnce (which skips its own reset
 	// and Install when the spec matches).
 	installed string
+
+	// logBuf is the flow-log line buffer every attempt appends to.
+	logBuf []string
 
 	Stats RunnerStats
 }
@@ -204,6 +210,17 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	a := NewAnalyzer(sys, mode)
 	a.Budget = opts.Budget
 	a.Log.Enabled = opts.FlowLog
+	// Run copies the lines out, so one buffer serves every attempt; its
+	// strings are dropped after the copy so it pins no attempt's log, and a
+	// buffer grown past logBufMax lines is let go.
+	a.Log.Lines = r.logBuf[:0]
+	defer func() {
+		r.logBuf = nil
+		if cap(a.Log.Lines) <= logBufMax {
+			clear(a.Log.Lines)
+			r.logBuf = a.Log.Lines[:0]
+		}
+	}()
 	if opts.Fuse == FuseOff {
 		sys.VM.FuseNative = false
 	}

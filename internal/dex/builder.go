@@ -52,17 +52,16 @@ func (b *ClassBuilder) StaticField(name string, wide bool) *ClassBuilder {
 // NativeMethod declares a JNI-bridged native method; addr is bound later by
 // the app loader (or immediately if known).
 func (b *ClassBuilder) NativeMethod(name, shorty string, flags uint32, addr uint32) *ClassBuilder {
-	b.cls.Methods = append(b.cls.Methods, &Method{
-		Class: b.cls, Name: name, Shorty: shorty,
-		Flags: flags | AccNative, NativeAddr: addr,
-	})
+	m := NewMethod(b.cls, name, shorty, flags|AccNative)
+	m.NativeAddr = addr
+	b.cls.Methods = append(b.cls.Methods, m)
 	return b
 }
 
 // Method starts building an interpreted method. numLocals is the count of
 // non-argument registers; argument registers follow them (Dalvik layout).
 func (b *ClassBuilder) Method(name, shorty string, flags uint32, numLocals int) *MethodBuilder {
-	m := &Method{Class: b.cls, Name: name, Shorty: shorty, Flags: flags}
+	m := NewMethod(b.cls, name, shorty, flags)
 	m.NumRegs = numLocals + m.InsSize()
 	b.cls.Methods = append(b.cls.Methods, m)
 	return &MethodBuilder{m: m, labels: map[string]int{}}

@@ -218,6 +218,16 @@ type Method struct {
 	Compiled interface{}
 
 	InsnCount uint64 // executed-instruction counter (profiling)
+
+	// fullName is FullName computed once by NewMethod. A Method built as a
+	// literal leaves it empty and FullName concatenates on every call.
+	fullName string
+}
+
+// NewMethod returns a method of c with its full name computed up front, so
+// the per-crossing observers that key by FullName do not concatenate.
+func NewMethod(c *Class, name, shorty string, flags uint32) *Method {
+	return &Method{Class: c, Name: name, Shorty: shorty, Flags: flags, fullName: c.Name + "." + name}
 }
 
 // InvalidateCompiled drops the translated form. Anything that mutates the
@@ -255,6 +265,9 @@ func (m *Method) RetWide() bool {
 
 // FullName renders "Lcom/foo/Bar;.baz".
 func (m *Method) FullName() string {
+	if m.fullName != "" {
+		return m.fullName
+	}
 	return m.Class.Name + "." + m.Name
 }
 

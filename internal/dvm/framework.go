@@ -32,7 +32,7 @@ func registerFramework(vm *VM) {
 	exc := dex.NewClass("Ljava/lang/Exception;").
 		InstanceField("message", false).
 		Build()
-	ctor := &dex.Method{Class: exc, Name: "<init>", Shorty: "VL", Flags: dex.AccPublic}
+	ctor := dex.NewMethod(exc, "<init>", "VL", dex.AccPublic)
 	ctor.Builtin = Builtin(func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
 		if o, ok := vm.objects[args[0]]; ok && len(o.Fields) > 0 {
 			o.Fields[0] = args[1]
@@ -47,7 +47,7 @@ func registerFramework(vm *VM) {
 		}
 		return 0, 0, nil
 	})
-	getMsg := &dex.Method{Class: exc, Name: "getMessage", Shorty: "L", Flags: dex.AccPublic}
+	getMsg := dex.NewMethod(exc, "getMessage", "L", dex.AccPublic)
 	getMsg.Builtin = Builtin(func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
 		o, ok := vm.objects[args[0]]
 		if !ok || len(o.Fields) == 0 {
@@ -76,7 +76,7 @@ func registerFramework(vm *VM) {
 
 	// --- java/lang/Object ---
 	objCls := dex.NewClass("Ljava/lang/Object;").Build()
-	objInit := &dex.Method{Class: objCls, Name: "<init>", Shorty: "V", Flags: dex.AccPublic}
+	objInit := dex.NewMethod(objCls, "<init>", "V", dex.AccPublic)
 	objInit.Builtin = Builtin(func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
 		return 0, 0, nil
 	})
@@ -207,7 +207,7 @@ func registerFramework(vm *VM) {
 
 // addBuiltin attaches a host-implemented method to a framework class.
 func addBuiltin(vm *VM, c *dex.Class, name, shorty string, flags uint32, fn Builtin) {
-	m := &dex.Method{Class: c, Name: name, Shorty: shorty, Flags: flags | dex.AccPublic}
+	m := dex.NewMethod(c, name, shorty, flags|dex.AccPublic)
 	m.Builtin = fn
 	c.Methods = append(c.Methods, m)
 }

@@ -207,15 +207,11 @@ func (vm *VM) callFused(fc *fusedChain, th *Thread, m *dex.Method, args []uint32
 	defer vm.putJNIScratch(sc)
 	cpuArgs, argTaints, argObjs := vm.marshalJNIArgs(plan, m, clsObj, args, taints, sc)
 
-	ctx := &CallCtx{
-		VM:        vm,
-		Name:      "dvmCallJNIMethod",
-		Thread:    th,
-		Method:    m,
-		CPUArgs:   cpuArgs,
-		ArgTaints: argTaints,
-		ArgObjs:   argObjs,
-	}
+	ctx := vm.ctxAt(&vm.bridgeCtxs)
+	ctx.VM, ctx.Name = vm, "dvmCallJNIMethod"
+	ctx.Thread = th
+	ctx.Method = m
+	ctx.CPUArgs, ctx.ArgTaints, ctx.ArgObjs = cpuArgs, argTaints, argObjs
 
 	// The internalCall sequence with the hook walk pre-bound.
 	c := vm.CPU

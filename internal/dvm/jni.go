@@ -68,10 +68,40 @@ func (vm *VM) getSavedCPU() *savedCPU {
 	return vm.savedCPUStack[vm.padDepth]
 }
 
-// marshalPlan is the per-method pre-decoded shorty: one step byte per
-// argument position plus the widths and return kind the bridge needs. Plans
-// derive only from immutable method metadata, so they are memoized for the
-// method's lifetime and shared by the fused and unfused paths.
+// ctxAt hands out the zeroed CallCtx of pool for the current pad depth, so
+// neither the JNI bridge nor a JNIEnv trampoline allocates one per call.
+// Contexts of one pool nest strictly by depth: a bridge context is live from
+// its hooks' Before to their After, while the native body runs one level
+// deeper, and a JNIEnv context is live for one trampoline call, whose Java
+// callbacks reach native code only through callNative one level deeper.
+// Bridge and JNIEnv contexts take separate pools because a bridge at depth
+// d+1 runs inside a trampoline at depth d+1. Hooks must not keep the pointer
+// past the call.
+func (vm *VM) ctxAt(pool *[]*CallCtx) *CallCtx {
+	for len(*pool) <= vm.padDepth {
+		*pool = append(*pool, &CallCtx{})
+	}
+	ctx := (*pool)[vm.padDepth]
+	*ctx = CallCtx{}
+	return ctx
+}
+
+// releaseCtxPools zeroes every pooled context, so none pins a method or an
+// object of a discarded attempt.
+func (vm *VM) releaseCtxPools() {
+	for _, pool := range [][]*CallCtx{vm.bridgeCtxs, vm.envCtxs} {
+		for _, ctx := range pool {
+			*ctx = CallCtx{}
+		}
+	}
+}
+
+// marshalPlan is the pre-decoded shorty: one step byte per argument position
+// plus the widths and return kind the bridge needs. A plan derives only from
+// the method's shorty and whether it is static, so plans are memoized by that
+// pair and shared by the fused and unfused paths and by every method with the
+// same signature shape. Keying by method pointer instead would keep every
+// app's classes reachable across snapshot restores.
 type marshalPlan struct {
 	steps   []byte // per shorty arg: 'L' object, 'W' wide pair, 'P' prim word
 	nWords  int    // AAPCS words incl. env + receiver
@@ -80,11 +110,18 @@ type marshalPlan struct {
 	retWide bool
 }
 
+// planKey addresses one marshalPlan.
+type planKey struct {
+	shorty string
+	static bool
+}
+
 func (vm *VM) planFor(m *dex.Method) *marshalPlan {
-	if p, ok := vm.marshalPlans[m]; ok {
+	k := planKey{m.Shorty, m.IsStatic()}
+	if p, ok := vm.marshalPlans[k]; ok {
 		return p
 	}
-	p := &marshalPlan{static: m.IsStatic(), retKind: m.Shorty[0], retWide: m.RetWide()}
+	p := &marshalPlan{static: k.static, retKind: m.Shorty[0], retWide: m.RetWide()}
 	n := 2 // JNIEnv + receiver (this or class object)
 	for i := 1; i < len(m.Shorty); i++ {
 		switch m.Shorty[i] {
@@ -101,9 +138,9 @@ func (vm *VM) planFor(m *dex.Method) *marshalPlan {
 	}
 	p.nWords = n
 	if vm.marshalPlans == nil {
-		vm.marshalPlans = make(map[*dex.Method]*marshalPlan)
+		vm.marshalPlans = make(map[planKey]*marshalPlan)
 	}
-	vm.marshalPlans[m] = p
+	vm.marshalPlans[k] = p
 	return p
 }
 
@@ -279,13 +316,10 @@ func (vm *VM) callJNIMethod(th *Thread, m *dex.Method, args []uint32, taints []t
 	defer vm.putJNIScratch(sc)
 	cpuArgs, argTaints, argObjs := vm.marshalJNIArgs(plan, m, nil, args, taints, sc)
 
-	ctx := &CallCtx{
-		Thread:    th,
-		Method:    m,
-		CPUArgs:   cpuArgs,
-		ArgTaints: argTaints,
-		ArgObjs:   argObjs,
-	}
+	ctx := vm.ctxAt(&vm.bridgeCtxs)
+	ctx.Thread = th
+	ctx.Method = m
+	ctx.CPUArgs, ctx.ArgTaints, ctx.ArgObjs = cpuArgs, argTaints, argObjs
 
 	var r0, r1 uint32
 	var sh0, sh1 taint.Tag

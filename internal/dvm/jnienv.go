@@ -131,7 +131,8 @@ func (vm *VM) installJNIEnv(cursor uint32) {
 		vm.Mem.Write32(tableAddr+uint32(4*i), addr)
 		name, impl := e.name, e.impl
 		vm.CPU.Hook(addr, func(c *arm.CPU) arm.HookAction {
-			ctx := &CallCtx{VM: vm, Name: name, Thread: vm.thread()}
+			ctx := vm.ctxAt(&vm.envCtxs)
+			ctx.VM, ctx.Name, ctx.Thread = vm, name, vm.thread()
 			for _, h := range vm.hooks[name] {
 				if h.Before != nil {
 					h.Before(ctx)

@@ -43,7 +43,8 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	if base == 0 {
 		base = kernel.AppCodeBase
 	}
-	prog := vm.asmMemo[asmKey{source, base}]
+	key := asmKey{source, base}
+	prog := vm.asmMemo[key]
 	if prog == nil && vm.asmCache != nil {
 		if p, ok := vm.asmCache.Load(source, base); ok {
 			prog = p
@@ -51,12 +52,14 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 		}
 	}
 	if prog == nil {
-		extern := vm.Libc.Syms()
-		for sym, addr := range vm.JNISyms() {
-			extern[sym] = addr
+		if vm.externs == nil {
+			vm.externs = vm.Libc.Syms()
+			for sym, addr := range vm.JNISyms() {
+				vm.externs[sym] = addr
+			}
 		}
 		var err error
-		prog, err = arm.Assemble(source, base, extern)
+		prog, err = arm.Assemble(source, base, vm.externs)
 		if err != nil {
 			return nil, fmt.Errorf("dvm: assembling %s: %w", name, err)
 		}
@@ -65,10 +68,7 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 			vm.asmCache.Store(source, base, prog)
 		}
 	}
-	if vm.asmMemo == nil {
-		vm.asmMemo = make(map[asmKey]*arm.Program)
-	}
-	vm.asmMemo[asmKey{source, base}] = prog
+	vm.memoizeAsm(key, prog)
 	vm.Mem.WriteBytes(prog.Base, prog.Code)
 	end := (prog.Base + prog.Size() + 0xfff) &^ 0xfff
 	vm.nextLibBase = end
@@ -80,6 +80,31 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	}
 	vm.nativeLibs = append(vm.nativeLibs, LoadedLib{Name: name, Prog: prog})
 	return prog, nil
+}
+
+// asmMemoCap bounds the assembled-image memo. A long-running service sees an
+// unbounded stream of distinct libraries; the memo only has to span the
+// installs of one submission (fingerprint, ladder retries) and the libraries
+// nearby submissions share, so the oldest entry goes once the cap is reached.
+const asmMemoCap = 1024
+
+// memoizeAsm records prog under key. asmOrder is a ring of the memoized
+// keys; once full, asmNext names the oldest, which the new key replaces.
+func (vm *VM) memoizeAsm(key asmKey, prog *arm.Program) {
+	if _, ok := vm.asmMemo[key]; ok {
+		return
+	}
+	if vm.asmMemo == nil {
+		vm.asmMemo = make(map[asmKey]*arm.Program)
+	}
+	if len(vm.asmOrder) < asmMemoCap {
+		vm.asmOrder = append(vm.asmOrder, key)
+	} else {
+		delete(vm.asmMemo, vm.asmOrder[vm.asmNext])
+		vm.asmOrder[vm.asmNext] = key
+		vm.asmNext = (vm.asmNext + 1) % asmMemoCap
+	}
+	vm.asmMemo[key] = prog
 }
 
 // LoadedLib records one loaded native library image.

@@ -281,9 +281,17 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.methodIDs = append(vm.methodIDs[:0], s.methodIDs...)
 	vm.fieldIDs = append(vm.fieldIDs[:0], s.fieldIDs...)
 
-	vm.hooks = make(map[string][]InternalHook, len(s.hooks))
+	// Hook lists keep their backing arrays across restores, so the next
+	// attempt's analyzer re-registers without allocating; clear drops the
+	// discarded attempt's closures (and the analyzer they capture).
+	for name, hs := range vm.hooks {
+		clear(hs)
+		vm.hooks[name] = append(hs[:0], s.hooks[name]...)
+	}
 	for name, hs := range s.hooks {
-		vm.hooks[name] = append([]InternalHook(nil), hs...)
+		if _, ok := vm.hooks[name]; !ok {
+			vm.hooks[name] = append([]InternalHook(nil), hs...)
+		}
 	}
 
 	vm.TaintJava = s.taintJava
@@ -313,10 +321,12 @@ func (vm *VM) Restore(s *VMSnapshot) {
 
 	// Fusion state does not survive a restore: chains and heat counters are
 	// keyed by method pointers from the discarded attempt, and the epoch bump
-	// below would invalidate every chain anyway. Marshalling plans are kept —
-	// they derive only from immutable method metadata of the shared dex tree.
+	// below would invalidate every chain anyway. Marshalling plans are kept:
+	// they are keyed by shorty, so they pin no method. The pooled call
+	// contexts are zeroed for the same reason.
 	vm.fused = nil
 	vm.fuseHeat = nil
+	vm.releaseCtxPools()
 
 	vm.sourceMethods = nil
 	if s.sourceMethods != nil {

@@ -269,12 +269,17 @@ type VM struct {
 	// keyed by method pointer and cleared on snapshot restore.
 	fused    map[*dex.Method]*fusedChain
 	fuseHeat map[*dex.Method]uint32
-	// marshalPlans memoizes per-method shorty decoding for both bridge paths.
-	marshalPlans map[*dex.Method]*marshalPlan
+	// marshalPlans memoizes shorty decoding for both bridge paths, keyed by
+	// (shorty, static) so no entry pins an app's method.
+	marshalPlans map[planKey]*marshalPlan
 	// jniScratchPool recycles the argument/taint/object slices of the JNI
 	// bridge; savedCPUStack recycles register-snapshot buffers by pad depth.
 	jniScratchPool []*jniScratch
 	savedCPUStack  []*savedCPU
+	// bridgeCtxs and envCtxs recycle the CallCtx of the JNI bridge and of
+	// the JNIEnv trampolines by pad depth (ctxAt).
+	bridgeCtxs []*CallCtx
+	envCtxs    []*CallCtx
 
 	// sourceMethods / sinkMethods index the framework taint sources and
 	// sinks by full name ("Landroid/...;.name") for the static
@@ -301,13 +306,19 @@ type VM struct {
 	nativeLibs  []LoadedLib
 	nextLibBase uint32
 
-	// asmMemo caches assembled native-lib images by (source, base); it is
+	// asmMemo caches assembled native-lib images by (source, base), at most
+	// asmMemoCap of them, oldest first out (asmOrder, asmNext); it is
 	// content-addressed warm state, deliberately outside VMSnapshot. asmCache,
 	// when set, extends the memo across VMs (and processes) through the
-	// persistent artifact store. AsmAssembles counts real assembler runs;
-	// AsmCacheHits counts images served by asmCache.
+	// persistent artifact store. externs is the libc plus JNI symbol table
+	// native libraries link against, fixed once the framework is up.
+	// AsmAssembles counts real assembler runs; AsmCacheHits counts images
+	// served by asmCache.
 	asmMemo  map[asmKey]*arm.Program
+	asmOrder []asmKey
+	asmNext  int
 	asmCache AsmCache
+	externs  map[string]uint32
 
 	AsmAssembles uint64
 	AsmCacheHits uint64
@@ -506,6 +517,9 @@ func (vm *VM) SetJavaStepFn(fn func(th *Thread, m *dex.Method, pc int, insn *dex
 
 // TransEpoch reports the current Java translation epoch (test hook).
 func (vm *VM) TransEpoch() uint64 { return vm.transEpoch }
+
+// PadDepth reports how many native calls are in progress (test hook).
+func (vm *VM) PadDepth() int { return vm.padDepth }
 
 // --- frame and invoke-scratch pooling ------------------------------------
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mem"
@@ -77,13 +78,16 @@ func (f *File) ReadAt(off, n uint32, m *mem.Memory, dst uint32) uint32 {
 	return end - off
 }
 
-// WriteAt stores data at offset off, growing the file as needed.
+// WriteAt stores data at offset off, growing the file as needed. Capacity
+// grows geometrically, so a run of appends is linear, not quadratic. The
+// extension is zeroed before the copy: capacity kept by Kernel.Restore (or
+// left by an earlier, longer file) holds stale bytes, and a write past EOF
+// must leave zeros in the gap [old length, off).
 func (f *File) WriteAt(off uint32, data []byte) {
 	end := int(off) + len(data)
-	if end > len(f.Data) {
-		grown := make([]byte, end)
-		copy(grown, f.Data)
-		f.Data = grown
+	if n := len(f.Data); end > n {
+		f.Data = slices.Grow(f.Data, end-n)[:end]
+		clear(f.Data[n:])
 	}
 	copy(f.Data[off:], data)
 }
