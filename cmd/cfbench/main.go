@@ -2,9 +2,8 @@
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
 // then the ablation matrix (fusion, observer and store arms through the
-// analysis service), the contained corpus verdict counts of its baseline
-// run, and the static reach table (core.Lint per app, cross-validated
-// against that run). It exits 1 if the matrix finds a parity break.
+// analysis service) and the contained corpus verdict counts of its baseline
+// run. It exits 1 if the matrix finds a parity break.
 //
 // Usage:
 //
@@ -50,8 +49,6 @@ func main() {
 	}
 	res.Ablation = m
 	fmt.Println("Contained corpus sweep (baseline arm, ndroid):", m.Verdicts())
-	fmt.Println("Static reach precision (core.Lint vs the baseline arm, ndroid):")
-	fmt.Println(cfbench.ReachReport(m.Reach()))
 	fmt.Println("Ablation matrix (every arm through the analysis service):")
 	fmt.Println(m.String())
 	if *jsonPath != "" {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/cas"
@@ -80,10 +81,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Println("\nStatic JNI lint over the dynamic corpus:")
-	fmt.Println()
-	printLintTable(rep)
-
 	fmt.Printf("\nDynamic corpus under contained analysis (mode ndroid, budget %d):\n\n",
 		effectiveBudget(*budget))
 	fmt.Print(rep.String())
@@ -112,10 +109,11 @@ func main() {
 	fmt.Println("\nEvery hostile app resolved to a per-app verdict; the study process survived.")
 }
 
-// printSurfaceTable renders each app's JNI surface map: every discovered
-// native boundary with its registration events, raw vs recorded call counts,
-// reflection dispatches, and the truncation flag when the app's event stream
-// hit the flood budget.
+// printSurfaceTable renders each app's JNI surface map: a summary row with
+// the truncation flag when the app's event stream hit the flood budget, then
+// the map itself (every discovered native boundary with its registration
+// events, raw vs recorded call counts, reflection dispatches and unreleased
+// GetStringUTFChars handles).
 func printSurfaceTable(rep *apps.StudyReport) {
 	fmt.Printf("%-16s %7s %7s %9s %7s %7s %6s\n",
 		"app", "natives", "regs", "calls", "events", "dropped", "trunc")
@@ -135,38 +133,9 @@ func printSurfaceTable(rep *apps.StudyReport) {
 		}
 		fmt.Printf("%-16s %7d %7d %9d %7d %7d %6s\n",
 			row.App.Name, m.UniqueBoundaries, regs, m.Calls, m.Events, m.Dropped, trunc)
-		for _, b := range m.Boundaries {
-			dyn := ""
-			if b.Dynamic {
-				dyn = " dynamic"
-			}
-			fmt.Printf("    %-44s regs=%d calls=%d events=%d reflect=%d%s\n",
-				b.Name, b.RegEvents, b.Calls, b.CallEvents, b.ReflectCalls, dyn)
+		for _, line := range strings.Split(strings.TrimSuffix(m.String(), "\n"), "\n") {
+			fmt.Println("    " + line)
 		}
-	}
-}
-
-// printLintTable prints each app's static lint verdict beside its
-// reach-precision numbers (methods proven taint-free) — the static complement
-// to the dynamic verdict table below it. core.Lint installs each app on a
-// fresh System and never runs it.
-func printLintTable(rep *apps.StudyReport) {
-	fmt.Printf("%-14s %8s %10s %8s  %s\n", "app", "methods", "taint-free", "findings", "lint details")
-	for _, row := range rep.Rows {
-		r, err := core.Lint(row.App.Spec())
-		if err != nil {
-			fmt.Printf("%-14s  no static result: %v\n", row.App.Name, err)
-			continue
-		}
-		detail := "clean"
-		if len(r.Findings) > 0 {
-			detail = r.Findings[0].Detail
-			if len(r.Findings) > 1 {
-				detail = fmt.Sprintf("%s (+%d more)", detail, len(r.Findings)-1)
-			}
-		}
-		fmt.Printf("%-14s %8d %10d %8d  %s\n",
-			row.App.Name, r.Methods, r.TaintFreeMethods(), len(r.Findings), detail)
 	}
 }
 

@@ -9,7 +9,6 @@
 //
 //	ndroid -list
 //	ndroid -app qqphonebook [-mode ndroid|taintdroid|vanilla|droidscope] [-quiet]
-//	ndroid -app case1 -static lint
 //	ndroid -all
 //	ndroid -serve [-cache DIR] [-workers N]     # app names on stdin, JSON lines out
 //	ndroid -serve -serve-dir submissions/       # app names from files in a directory
@@ -17,7 +16,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,23 +32,19 @@ import (
 
 func main() {
 	var (
-		appName   = flag.String("app", "", "app to analyze (see -list)")
-		mode      = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
-		staticLvl = flag.String("static", "off", "static pass for -app: off or lint (lint the app and cross-validate its flow log)")
-		list      = flag.Bool("list", false, "list available apps")
-		all       = flag.Bool("all", false, "run the full Table I detection matrix")
-		quiet     = flag.Bool("quiet", false, "suppress the flow log")
-		serve     = flag.Bool("serve", false, "run as an analysis service: read app-name submissions and stream JSON verdicts")
-		serveDir  = flag.String("serve-dir", "", "read submissions from the files in this directory instead of stdin")
-		cacheDir  = flag.String("cache", "", "persistent artifact/verdict store for -serve (default: none)")
-		workers   = flag.Int("workers", 2, "service workers for -serve (one Runner each)")
+		appName  = flag.String("app", "", "app to analyze (see -list)")
+		mode     = flag.String("mode", "ndroid", "analysis mode: vanilla, taintdroid, ndroid, droidscope")
+		list     = flag.Bool("list", false, "list available apps")
+		all      = flag.Bool("all", false, "run the full Table I detection matrix")
+		quiet    = flag.Bool("quiet", false, "suppress the flow log")
+		serve    = flag.Bool("serve", false, "run as an analysis service: read app-name submissions and stream JSON verdicts")
+		serveDir = flag.String("serve-dir", "", "read submissions from the files in this directory instead of stdin")
+		cacheDir = flag.String("cache", "", "persistent artifact/verdict store for -serve (default: none)")
+		workers  = flag.Int("workers", 2, "service workers for -serve (one Runner each)")
 	)
 	flag.Parse()
 
-	opts, lint, err := analyzeOptions(*mode, *staticLvl)
-	if err == nil && lint && (*all || *serve || *appName == "") {
-		err = errors.New("-static applies to -app only")
-	}
+	opts, err := analyzeOptions(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(2)
@@ -82,23 +76,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := runOne(os.Stdout, *appName, opts, lint); err != nil {
+	if err := runOne(os.Stdout, *appName, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "ndroid:", err)
 		os.Exit(1)
 	}
 }
 
-// analyzeOptions parses the -mode value and the -static value (lint is
-// true for "lint"); main exits 2 on any error it returns.
-func analyzeOptions(mode, staticLvl string) (core.AnalyzeOptions, bool, error) {
-	if staticLvl != "off" && staticLvl != "lint" {
-		return core.AnalyzeOptions{}, false, fmt.Errorf("unknown -static value %q (want off|lint)", staticLvl)
-	}
+// analyzeOptions parses the -mode value; main exits 2 on any error it
+// returns.
+func analyzeOptions(mode string) (core.AnalyzeOptions, error) {
 	analysisMode, ok := core.ModeFromName(mode)
 	if !ok {
-		return core.AnalyzeOptions{}, false, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
+		return core.AnalyzeOptions{}, fmt.Errorf("unknown mode %q (want vanilla|taintdroid|ndroid|droidscope)", mode)
 	}
-	return core.AnalyzeOptions{Mode: analysisMode}, staticLvl == "lint", nil
+	return core.AnalyzeOptions{Mode: analysisMode}, nil
 }
 
 // runServe runs the analysis-as-a-service mode: submissions are registry app
@@ -197,12 +188,11 @@ func serveSubmissions(dir string) ([]string, error) {
 
 // runOne analyzes one app on a fork-server Runner through core.AnalyzeApp,
 // the contained path the service and the parity suites use, and prints the
-// verdict and degradation chain, the flow log, the JNI surface map, the
-// static lint (with lint set: core.Lint, cross-validated against the flow
-// log), the leaks, and the kernel's ground truth from the System the final
-// attempt ran on. Every verdict, fault and timeout included, is a result;
-// only an unknown app is an error.
-func runOne(w io.Writer, name string, opts core.AnalyzeOptions, lint bool) error {
+// verdict and degradation chain, the flow log, the JNI surface map (with its
+// unreleased-handle findings), the leaks, and the kernel's ground truth from
+// the System the final attempt ran on. Every verdict, fault and timeout
+// included, is a result; only an unknown app is an error.
+func runOne(w io.Writer, name string, opts core.AnalyzeOptions) error {
 	app, ok := apps.ByName(name)
 	if !ok {
 		return fmt.Errorf("unknown app %q (try -list)", name)
@@ -226,23 +216,6 @@ func runOne(w io.Writer, name string, opts core.AnalyzeOptions, lint bool) error
 	if m := res.Surface; m != nil {
 		fmt.Fprintln(w, "\n-- JNI surface map --")
 		fmt.Fprint(w, m.String())
-	}
-	if lint {
-		fmt.Fprintln(w, "\n-- static pre-analysis --")
-		if sr, err := core.Lint(app.Spec()); err != nil {
-			fmt.Fprintln(w, "  no static result:", err)
-		} else {
-			fmt.Fprintln(w, " ", sr.Summary())
-			for _, f := range sr.Findings {
-				fmt.Fprintln(w, "  lint:", f)
-			}
-			if !opts.FlowLog {
-				fmt.Fprintln(w, "  not cross-validated: the flow log is off (-quiet)")
-			}
-			for _, v := range sr.CrossValidate(res.LogLines) {
-				fmt.Fprintln(w, "  violation:", v)
-			}
-		}
 	}
 	fmt.Fprintln(w, "\n-- leaks --")
 	if len(res.Leaks) == 0 {

@@ -42,7 +42,7 @@ func TestRunOneHostileMatchesService(t *testing.T) {
 	defer svc.Close()
 	for _, app := range apps.HostileRegistry() {
 		var out bytes.Buffer
-		if err := runOne(&out, app.Name, opts, false); err != nil {
+		if err := runOne(&out, app.Name, opts); err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		res := <-svc.Submit(app.Spec())
@@ -60,7 +60,7 @@ func TestRunOneHostileMatchesService(t *testing.T) {
 // Java sink that sends the rebuilt URL to the QQ sync server.
 func TestRunOneQQPhoneBookFlowLog(t *testing.T) {
 	var out bytes.Buffer
-	if err := runOne(&out, "qqphonebook", core.AnalyzeOptions{Mode: core.ModeNDroid, FlowLog: true}, false); err != nil {
+	if err := runOne(&out, "qqphonebook", core.AnalyzeOptions{Mode: core.ModeNDroid, FlowLog: true}); err != nil {
 		t.Fatal(err)
 	}
 	log := section(out.String(), "flow log")
@@ -98,12 +98,11 @@ func TestRunMatrixTaintDroidSeesOnlyCase1(t *testing.T) {
 	}
 }
 
-// TestBadOptionValuesExit2: -static takes off|lint and -mode a known mode.
-// Any other value, pin included, is an analyzeOptions error, which main
-// turns into exit 2. -static lint lints the one -app app, so beside -all or
-// -serve main exits 2 too. -summaries is no flag at all, so the flag
-// package exits 2 on it. Each bad command line runs main in a child process
-// and must exit 2 before any analysis.
+// TestBadOptionValuesExit2: -mode takes a known mode, and any other value
+// is an analyzeOptions error, which main turns into exit 2. -static and
+// -summaries are no flags at all (the static pass and native summaries were
+// deleted), so the flag package exits 2 on them. Each bad command line runs
+// main in a child process and must exit 2 before any analysis.
 func TestBadOptionValuesExit2(t *testing.T) {
 	if args := os.Getenv("NDROID_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"ndroid"}, strings.Fields(args)...)
@@ -114,6 +113,7 @@ func TestBadOptionValuesExit2(t *testing.T) {
 		"-static pin -list",
 		"-static lint -all",
 		"-static lint -serve",
+		"-static lint -app case1",
 		"-mode bogus -list",
 		"-summaries static -list",
 		"-summaries validated -list",
@@ -125,22 +125,21 @@ func TestBadOptionValuesExit2(t *testing.T) {
 			t.Errorf("ndroid %s: %v, want exit status 2", args, err)
 		}
 	}
-	opts, lint, err := analyzeOptions("ndroid", "lint")
-	if err != nil || !lint || opts.Mode != core.ModeNDroid {
-		t.Fatalf("-static lint: %+v, %v, %v", opts, lint, err)
+	if opts, err := analyzeOptions("ndroid"); err != nil || opts.Mode != core.ModeNDroid {
+		t.Fatalf("-mode ndroid: %+v, %v", opts, err)
 	}
-	opts.FlowLog = true
+}
+
+// TestRunOneSurfaceShowsUnreleased: case1's scramble never releases the
+// chars it gets, and the single-app run shows that finding in its JNI
+// surface map section.
+func TestRunOneSurfaceShowsUnreleased(t *testing.T) {
 	var out bytes.Buffer
-	if err := runOne(&out, "case1", opts, lint); err != nil {
+	if err := runOne(&out, "case1", core.AnalyzeOptions{Mode: core.ModeNDroid}); err != nil {
 		t.Fatal(err)
 	}
-	sec := section(out.String(), "static pre-analysis")
-	if len(sec) == 0 {
-		t.Errorf("-static lint printed no static section:\n%s", out.String())
-	}
-	for _, l := range sec {
-		if strings.Contains(l, "violation:") {
-			t.Errorf("-static lint cross-validation failed: %s", l)
-		}
+	sec := strings.Join(section(out.String(), "JNI surface map"), "\n")
+	if !strings.Contains(sec, "unreleased GetStringUTFChars@0x8018") {
+		t.Errorf("surface map section shows no unreleased handle:\n%s", out.String())
 	}
 }

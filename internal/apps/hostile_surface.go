@@ -7,7 +7,7 @@ package apps
 // reflection-dispatch leaker whose call target never appears in the dex call
 // graph, a self-modifying library that rewrites live native code before
 // re-registering its hooks, and a mid-run RegisterNatives swap that flips a
-// binding the static pass proved taint-free into a leaking one.
+// benign binding into a leaking one.
 
 import (
 	"repro/internal/core"
@@ -284,13 +284,11 @@ njm:
 	}
 }
 
-// HostilePinswapApp swaps a native binding out from under the static pass.
-// Its checksum helper is provably pure, so the pre-analysis proves it
-// taint-free; its `process` native starts benign. Mid-run a RegisterNatives
-// call swaps `process` to a leaking implementation, so the static reach sets
-// no longer describe the code that runs. The analyzer must still catch the
-// leak on the next crossing, and the cross-validator must relax its
-// address-keyed native checks from the logged RegisterNatives line on.
+// HostilePinswapApp swaps a native binding out from under an analysis of the
+// installed app. Its checksum helper is pure and its `process` native starts
+// benign. Mid-run a RegisterNatives call swaps `process` to a leaking
+// implementation that the installed bindings never named. The analyzer must
+// still catch the leak on the next crossing.
 func HostilePinswapApp() *App {
 	const cls = "Lcom/hostile/pinswap/Main;"
 	return &App{

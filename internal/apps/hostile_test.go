@@ -12,6 +12,10 @@ import (
 // benign app needs.
 const testBudget = 1 << 21
 
+var allModes = []core.Mode{
+	core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope,
+}
+
 // TestHostileVerdicts: each hostile app lands on its expected verdict with
 // the fault typed correctly, the analysis process survives, and the NDroid
 // attempt retains a non-empty partial flow log (the evidence gathered before

@@ -7,10 +7,9 @@ package cfbench
 // mode) cell to the baseline arm's verdict and flow log byte for byte. An
 // arm that exists to prove a claim beyond parity (a warm store computes
 // nothing) carries that claim as its Check. The contained-corpus verdict
-// counts are a view of the baseline run under NDroid, and the static reach
-// table cross-validates core.Lint's reach sets against that run's flow logs,
-// so cfbench walks the corpus dynamically only here. cmd/cfbench exits
-// nonzero on any break (the CI bench-smoke gate).
+// counts are a view of the baseline run under NDroid, so cfbench walks the
+// corpus dynamically only here. cmd/cfbench exits nonzero on any break (the
+// CI bench-smoke gate).
 
 import (
 	"fmt"
@@ -139,9 +138,6 @@ type Matrix struct {
 	// and every arm's Check holds.
 	ParityOK     bool   `json:"parity_ok"`
 	ParityDetail string `json:"parity_detail,omitempty"`
-
-	// reach is the static reach table over the baseline NDroid run.
-	reach []ReachRow
 }
 
 // find returns the run of the named arm under mode, or nil.
@@ -183,9 +179,6 @@ func RunMatrix(budget uint64) (*Matrix, error) {
 			m.Runs = append(m.Runs, run)
 			if i == 0 {
 				base, baseOut = run, out
-				if mode == core.ModeNDroid {
-					m.reach = reachRows(out)
-				}
 				continue
 			}
 			err = parity(baseOut, out)

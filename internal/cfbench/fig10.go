@@ -25,8 +25,7 @@ type Result struct {
 
 	// Ablation carries the ablation matrix when the caller ran RunMatrix
 	// alongside the benchmark (cmd/cfbench always does). The JSON form
-	// also carries its two views: the contained-corpus verdict counts and
-	// the static reach table.
+	// also carries its contained-corpus verdict counts.
 	Ablation *Matrix
 }
 
@@ -163,11 +162,10 @@ func (r *Result) JSON() ([]byte, error) {
 		Modes    []string       `json:"modes"`
 		Rows     []jsonRow      `json:"rows"`
 		Verdicts *VerdictCounts `json:"verdicts,omitempty"`
-		Reach    []ReachRow     `json:"reach,omitempty"`
 		Ablation *Matrix        `json:"ablation,omitempty"`
 	}
 	if r.Ablation != nil {
-		out.Verdicts, out.Reach, out.Ablation = r.Ablation.Verdicts(), r.Ablation.Reach(), r.Ablation
+		out.Verdicts, out.Ablation = r.Ablation.Verdicts(), r.Ablation
 	}
 	for _, m := range r.Modes {
 		out.Modes = append(out.Modes, m.String())

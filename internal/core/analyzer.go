@@ -152,8 +152,8 @@ type Analyzer struct {
 
 	// Surface is the JNI surface observer (nil when disabled via
 	// AnalyzeOptions.Surface = SurfaceOff). It records discovered natives,
-	// registration events, reflection dispatches, and throttled call counts;
-	// its Map lands in RunResult.Surface. It never writes the flow log, so
+	// registration events, reflection dispatches, throttled call counts and
+	// unreleased GetStringUTFChars handles; its Map lands in RunResult.Surface. It never writes the flow log, so
 	// enabling or disabling it cannot perturb flow-log parity.
 	Surface *surface.Observer
 
@@ -203,8 +203,7 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 		Recon:    &Reconstructor{Mem: sys.Mem, InitTaskAddr: sys.Kern.InitTaskAddr},
 	}
 	// Re-registration of an already-bound native method is an observable
-	// event in every mode: it invalidates fused chains and translated code,
-	// and the log line keys the static cross-validator's relaxation.
+	// event in every mode: it invalidates fused chains and translated code.
 	sys.VM.OnRegisterNatives = func(m *dex.Method, old, new uint32) {
 		a.Log.Addf("RegisterNatives %s 0x%x -> 0x%x", m.FullName(), old, new)
 	}
@@ -221,6 +220,7 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 		a.Surface.Register(m.FullName(), dynamic, old, new)
 	}
 	sys.VM.OnReflectCall = func(m *dex.Method) { a.Surface.Reflect(m.FullName()) }
+	sys.VM.OnUnreleased = func(m *dex.Method, site uint32) { a.Surface.Unreleased(m.FullName(), site) }
 	sys.CPU.OnCodeWrite = a.Surface.CodeWrite
 	if gate {
 		// Hot Dalvik→JNI→ARM crossing chains compile to fused closures; the
@@ -285,6 +285,7 @@ func (a *Analyzer) DisableSurface() {
 	a.Sys.VM.OnJNICall = nil
 	a.Sys.VM.OnNativeBind = nil
 	a.Sys.VM.OnReflectCall = nil
+	a.Sys.VM.OnUnreleased = nil
 	a.Sys.CPU.OnCodeWrite = nil
 }
 

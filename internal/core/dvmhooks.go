@@ -33,6 +33,12 @@ func (a *Analyzer) installDVMHooks() {
 				}
 				a.onCallMethod(ctx)
 			},
+			After: func(ctx *dvm.CallCtx) {
+				if a.ML != nil && !a.ML.T2() {
+					return
+				}
+				a.onCallMethodReturn(ctx)
+			},
 		})
 	}
 	vm.HookInternal("dvmInterpret", dvm.InternalHook{
@@ -297,6 +303,27 @@ func (a *Analyzer) onCallMethod(ctx *dvm.CallCtx) {
 	}
 	if ctx.JavaMethod != nil {
 		a.Log.Addf("%s Begin: method=%s shorty=%s", ctx.Name, ctx.JavaMethod.Name, ctx.JavaMethod.Shorty)
+	}
+}
+
+// onCallMethodReturn carries the Java callee's primitive return taint back
+// to the native caller: R0's shadow, or R0/R1's for a wide return, becomes
+// the callee's return taint, as R0/R1 become its return value. An object
+// return reaches native code as a local reference, whose taint the shadow
+// reference map already carries, so it is left alone. No flow-log line.
+func (a *Analyzer) onCallMethodReturn(ctx *dvm.CallCtx) {
+	m := ctx.JavaMethod
+	if m == nil {
+		return
+	}
+	t, cpu := ctx.Thread.RetTaint, a.Sys.CPU
+	switch m.Shorty[0] {
+	case 'V', 'L':
+	case 'J', 'D':
+		cpu.SetRegTaint(0, t)
+		cpu.SetRegTaint(1, t)
+	default:
+		cpu.SetRegTaint(0, t)
 	}
 }
 

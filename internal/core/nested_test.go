@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dex"
 	"repro/internal/dvm"
 	"repro/internal/fault"
+	"repro/internal/taint"
 )
 
 var updateNested = flag.Bool("update-nested", false, "rewrite testdata/nested_crossing.golden from this tree")
@@ -22,13 +24,16 @@ const nestedGolden = "testdata/nested_crossing.golden"
 // threshold is four crossings). The IMEI-derived argument carries taint
 // through both levels; outer adds it to innerJava's result natively, so the
 // value reaching Network.send is tainted through native data flow.
-func nestedApp() core.AppSpec {
+func nestedApp() core.AppSpec { return nestedAppAdding("R6") }
+
+// nestedAppAdding is nestedApp with outer returning innerJava(x) + operand.
+func nestedAppAdding(operand string) core.AppSpec {
 	const cls = "Lcom/ndroid/nested/Main;"
 	return core.AppSpec{
 		Name: "nested", EntryClass: cls, EntryMethod: "run",
 		Install: func(sys *core.System) error {
-			prog, err := sys.VM.LoadNativeLib("libnested.so", `
-; int outer(JNIEnv*, jclass, int x): innerJava(x) + x, through JNI
+			prog, err := sys.VM.LoadNativeLib("libnested.so", fmt.Sprintf(`
+; int outer(JNIEnv*, jclass, int x): innerJava(x) + operand, through JNI
 Java_outer:
 	PUSH {R4, R5, R6, R7, LR}
 	MOV R4, R0
@@ -45,7 +50,7 @@ Java_outer:
 	MOV R2, R7
 	MOV R3, R6
 	BL CallStaticIntMethod
-	ADD R0, R0, R6
+	ADD R0, R0, %s
 	POP {R4, R5, R6, R7, PC}
 
 ; int inner(JNIEnv*, jclass, int x): (x ^ 5) + 3
@@ -60,7 +65,7 @@ mname:
 msig:
 	.asciz "(I)I"
 	.align 4
-`)
+`, operand))
 			if err != nil {
 				return err
 			}
@@ -147,6 +152,30 @@ func TestNestedCrossingGolden(t *testing.T) {
 	for i, got := range logs {
 		if got != want {
 			t.Errorf("run %d: flow log differs from %s:\n%s", i, nestedGolden, got)
+		}
+	}
+}
+
+// TestNestedPrimitiveReturnTaint: with outer adding a constant instead of
+// its tainted argument, the only taint in its return value is innerJava's
+// int return, which crosses Java -> native through CallStaticIntMethod. The
+// dvmCallMethod* After hook puts that return taint on R0's shadow, so the
+// leak is caught fused and unfused, fresh and restored, on the first
+// attempt.
+func TestNestedPrimitiveReturnTaint(t *testing.T) {
+	r, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
+		for _, runner := range []*core.Runner{nil, r, r} {
+			rep := core.AnalyzeApp(nestedAppAdding("#1"), core.AnalyzeOptions{Fuse: fuse, Runner: runner})
+			if rep.Verdict() != core.VerdictLeak || len(rep.Chain) != 1 {
+				t.Fatalf("fuse=%d: verdict %v chain %s, want a leak on the first attempt", fuse, rep.Verdict(), rep.ChainString())
+			}
+			if !rep.Final.Result.Leaks.Detected(taint.IMEI) {
+				t.Errorf("fuse=%d: leaks %v, want the IMEI", fuse, rep.Final.Result.Leaks)
+			}
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/static"
 	"repro/internal/surface"
 	"repro/internal/taint"
 )
@@ -346,26 +345,4 @@ func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
 		}
 		return rep
 	}
-}
-
-// Lint runs the static JNI pass over an app: it boots a fresh System, runs
-// spec.Install, and hands the installed VM to static.Analyze. The app never
-// runs, so the pass cannot steer or perturb an analysis attempt; tools call
-// Lint beside AnalyzeApp and cross-validate its reach sets against the flow
-// log themselves. An Install error or panic comes back as a typed fault, as
-// analyzeOnce contains it.
-func Lint(spec AppSpec) (res *static.Result, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			res, err = nil, fault.FromPanic("core", rec)
-		}
-	}()
-	sys, err := NewSystem()
-	if err == nil {
-		err = spec.Install(sys)
-	}
-	if err != nil {
-		return nil, fault.AsFault(err, "core")
-	}
-	return static.Analyze(sys.VM, spec.EntryClass, spec.EntryMethod), nil
 }

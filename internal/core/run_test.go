@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -88,5 +89,33 @@ func TestRunnerStatsAddSumsEveryField(t *testing.T) {
 		if want := int64(101 * (i + 1)); got != want {
 			t.Errorf("after Add, RunnerStats.%s = %d, want %d", va.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// TestAnalyzeAppContainsHostileInstall: an Install that panics or returns an
+// error ends as a fault verdict carrying a core-layer *fault.Fault, on a
+// fresh System and on a Runner, and the Runner still serves the next app.
+func TestAnalyzeAppContainsHostileInstall(t *testing.T) {
+	panics := apps.Case1App().Spec()
+	panics.Name = "install-panics"
+	panics.Install = func(*core.System) error { panic("hostile install") }
+	fails := apps.Case1App().Spec()
+	fails.Name = "install-fails"
+	fails.Install = func(*core.System) error { return errors.New("hostile install") }
+
+	r, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []core.AppSpec{panics, fails} {
+		for _, runner := range []*core.Runner{nil, r} {
+			rep := core.AnalyzeApp(spec, core.AnalyzeOptions{Runner: runner})
+			if f := rep.Final.Result.Fault; rep.Verdict() != core.VerdictFault || f == nil || f.Layer != "core" {
+				t.Errorf("%s: verdict %v, fault %v; want a core-layer fault", spec.Name, rep.Verdict(), f)
+			}
+		}
+	}
+	if rep := core.AnalyzeApp(apps.Case1App().Spec(), core.AnalyzeOptions{Runner: r}); rep.Verdict() != core.VerdictLeak {
+		t.Errorf("case1 after the hostile installs: verdict %v (chain %s), want leak", rep.Verdict(), rep.ChainString())
 	}
 }

@@ -54,9 +54,9 @@ type RunnerStats struct {
 	GuestPagesReset int // guest pages copied back across all resets
 	TaintPagesReset int // shadow-taint pages reset across all resets
 
-	// StaticRuns is always 0: the static pass runs outside analysis
-	// attempts (Lint). It is kept only until a benchmark change drops
-	// ndbench's static.runs_per_app per-layer metric, which reads it.
+	// StaticRuns is always 0: there is no static pass. It is kept only
+	// until a benchmark change drops ndbench's static.runs_per_app
+	// per-layer metric, which reads it.
 	StaticRuns int
 
 	// JNICrossings counts live Java->native crossings observed across every

@@ -145,7 +145,6 @@ func registerFramework(vm *VM) {
 			}
 			return uint64(o.Addr), o.Taint, nil
 		})
-		vm.markSource(tel.Name + "." + name)
 	}
 	source("getDeviceId", DeviceIMEI, taint.IMEI)
 	source("getSubscriberId", DeviceIMSI, taint.IMSI)
@@ -164,7 +163,6 @@ func registerFramework(vm *VM) {
 			}
 			return uint64(o.Addr), o.Taint, nil
 		})
-		vm.markSource(c.Name + "." + name)
 	}
 	csource(contacts, "getContactId", ContactID, taint.Contacts)
 	csource(contacts, "getContactName", ContactName, taint.Contacts)
@@ -201,7 +199,6 @@ func registerFramework(vm *VM) {
 		}
 		return 0, 0, nil
 	})
-	vm.markSink(net.Name + ".send")
 	vm.RegisterClass(net)
 }
 

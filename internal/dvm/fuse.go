@@ -219,7 +219,9 @@ func (vm *VM) callFused(fc *fusedChain, th *Thread, m *dex.Method, args []uint32
 	for _, h := range fc.before {
 		h(ctx)
 	}
+	base := vm.openUTF()
 	r0, r1, sh0, sh1, runErr := vm.callNativeFused(fc, cpuArgs)
+	vm.closeUTF(m, base, runErr == nil)
 	ctx.Ret = uint64(r0) | uint64(r1)<<32
 	ctx.RetTaint = sh0
 	if plan.retWide {

@@ -264,6 +264,55 @@ func (vm *VM) callNative(addr uint32, args []uint32) (r0, r1 uint32, sh0, sh1 ta
 	return r0, r1, sh0, sh1, err
 }
 
+// utfHandle is one GetStringUTFChars buffer not yet released: its guest
+// address and the call instruction of the Get that returned it.
+type utfHandle struct {
+	buf  uint32
+	site uint32
+}
+
+// openUTF starts a native crossing's own UTF entries at the current end of
+// the open list and returns the enclosing crossing's start, for closeUTF.
+func (vm *VM) openUTF() int {
+	base := vm.utfBase
+	vm.utfBase = len(vm.utfOpen)
+	return base
+}
+
+// closeUTF ends the crossing of m opened by openUTF. When the native method
+// returned normally, every buffer its own Gets left open is reported through
+// OnUnreleased; either way those entries are dropped, so an enclosing
+// crossing answers only for its own Gets.
+func (vm *VM) closeUTF(m *dex.Method, base int, returned bool) {
+	if returned && vm.OnUnreleased != nil {
+		for _, h := range vm.utfOpen[vm.utfBase:] {
+			if h.buf != 0 {
+				vm.OnUnreleased(m, h.site)
+			}
+		}
+	}
+	vm.utfOpen = vm.utfOpen[:vm.utfBase]
+	vm.utfBase = base
+}
+
+// releaseUTF closes the open entry of buf. An entry of the current crossing
+// is removed; one of an enclosing crossing is only zeroed, so the entry
+// indexes that crossing's start keeps stay valid. Releasing a buffer that is
+// not open (twice, or one a returned crossing left behind) changes nothing.
+func (vm *VM) releaseUTF(buf uint32) {
+	for i := len(vm.utfOpen) - 1; i >= 0; i-- {
+		if vm.utfOpen[i].buf != buf {
+			continue
+		}
+		if i >= vm.utfBase {
+			vm.utfOpen = append(vm.utfOpen[:i], vm.utfOpen[i+1:]...)
+		} else {
+			vm.utfOpen[i].buf = 0
+		}
+		return
+	}
+}
+
 // jniRetDecode applies the bridge's return decoding: the raw R0/R1 pair
 // becomes a Dalvik return value according to the return kind.
 func (vm *VM) jniRetDecode(retKind byte, r0, r1 uint32) uint64 {
@@ -325,7 +374,9 @@ func (vm *VM) callJNIMethod(th *Thread, m *dex.Method, args []uint32, taints []t
 	var sh0, sh1 taint.Tag
 	var runErr error
 	vm.internalCall("dvmCallJNIMethod", vm.callsiteOf("dvmInterpret"), ctx, func() {
+		base := vm.openUTF()
 		r0, r1, sh0, sh1, runErr = vm.callNative(m.NativeAddr, cpuArgs)
+		vm.closeUTF(m, base, runErr == nil)
 		ctx.Ret = uint64(r0) | uint64(r1)<<32
 		ctx.RetTaint = sh0
 		if plan.retWide {

@@ -155,16 +155,6 @@ func (vm *VM) installJNIEnv(cursor uint32) {
 	}
 }
 
-// JNISyms returns the symbol table native app assembly links against.
-func (vm *VM) JNISyms() map[string]uint32 {
-	out := make(map[string]uint32, len(vm.internalAddrs))
-	for name, addr := range vm.internalAddrs {
-		out[name] = addr
-	}
-	out["JNIEnv"] = kernel.JNIEnvBase
-	return out
-}
-
 // --- class / ID lookups ----------------------------------------------------
 
 func jniFindClass(vm *VM, c *arm.CPU, ctx *CallCtx) {
@@ -613,9 +603,14 @@ func jniGetStringUTFChars(vm *VM, c *arm.CPU, ctx *CallCtx) {
 	ctx.Ret = uint64(buf)
 	ctx.Value = uint64(c.R[1]) // the jstring ref, for shadow lookups
 	c.R[0] = buf
+	// JNI functions are called from ARM code (an extern BL assembles to a
+	// veneer ending in BLX IP), so the call is the word before the return
+	// address.
+	vm.utfOpen = append(vm.utfOpen, utfHandle{buf: buf, site: c.R[arm.LR]&^1 - 4})
 }
 
 func jniReleaseStringUTFChars(vm *VM, c *arm.CPU, ctx *CallCtx) {
+	vm.releaseUTF(c.R[2])
 	vm.Libc.Free(c.R[2])
 	c.R[0] = 0
 }

@@ -54,9 +54,10 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	if prog == nil {
 		if vm.externs == nil {
 			vm.externs = vm.Libc.Syms()
-			for sym, addr := range vm.JNISyms() {
-				vm.externs[sym] = addr
+			for name, addr := range vm.internalAddrs {
+				vm.externs[name] = addr
 			}
+			vm.externs["JNIEnv"] = kernel.JNIEnvBase
 		}
 		var err error
 		prog, err = arm.Assemble(source, base, vm.externs)
@@ -115,16 +116,6 @@ type LoadedLib struct {
 
 // NativeLibs returns the loaded native library images.
 func (vm *VM) NativeLibs() []LoadedLib { return vm.nativeLibs }
-
-// NativeCodeRange reports the address range occupied by app native code —
-// the "third-party native code" region the multilevel hooking condition T1
-// tests membership of (Fig. 5).
-func (vm *VM) NativeCodeRange() (uint32, uint32) {
-	if len(vm.nativeLibs) == 0 {
-		return 0, 0
-	}
-	return kernel.AppCodeBase, vm.nextLibBase
-}
 
 // BindNative points a declared native method at a label in a loaded library.
 func (vm *VM) BindNative(className, methodName string, prog *arm.Program, label string) error {

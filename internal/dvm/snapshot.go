@@ -61,15 +61,13 @@ type VMSnapshot struct {
 	onJNICall                        func(m *dex.Method)
 	onNativeBind                     func(m *dex.Method, old, new uint32, dynamic bool)
 	onReflectCall                    func(m *dex.Method)
+	onUnreleased                     func(m *dex.Method, site uint32)
 	nativeBudget, javaBudget         uint64
 	javaInsns, javaTransMethods      uint64
 	javaCleanFrames, javaTaintFrames uint64
 	javaGateBails, javaDeopts        uint64
 	jniCrossings, javaFusedChains    uint64
 	javaFusedCalls, javaFuseDeopts   uint64
-
-	sourceMethods map[string]bool
-	sinkMethods   map[string]bool
 
 	interned map[*dex.Insn]*Object
 
@@ -138,6 +136,7 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		onJNICall:         vm.OnJNICall,
 		onNativeBind:      vm.OnNativeBind,
 		onReflectCall:     vm.OnReflectCall,
+		onUnreleased:      vm.OnUnreleased,
 		nativeBudget:      vm.NativeBudget,
 		javaBudget:        vm.JavaBudget,
 		javaInsns:         vm.JavaInsnCount,
@@ -200,19 +199,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 
 	for name, hs := range vm.hooks {
 		s.hooks[name] = append([]InternalHook(nil), hs...)
-	}
-
-	if vm.sourceMethods != nil {
-		s.sourceMethods = make(map[string]bool, len(vm.sourceMethods))
-		for n := range vm.sourceMethods {
-			s.sourceMethods[n] = true
-		}
-	}
-	if vm.sinkMethods != nil {
-		s.sinkMethods = make(map[string]bool, len(vm.sinkMethods))
-		for n := range vm.sinkMethods {
-			s.sinkMethods[n] = true
-		}
 	}
 
 	for _, th := range vm.threads {
@@ -307,6 +293,7 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.OnJNICall = s.onJNICall
 	vm.OnNativeBind = s.onNativeBind
 	vm.OnReflectCall = s.onReflectCall
+	vm.OnUnreleased = s.onUnreleased
 	vm.NativeBudget, vm.JavaBudget = s.nativeBudget, s.javaBudget
 	vm.JavaInsnCount = s.javaInsns
 	vm.JavaTransMethods = s.javaTransMethods
@@ -327,21 +314,8 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.fused = nil
 	vm.fuseHeat = nil
 	vm.releaseCtxPools()
-
-	vm.sourceMethods = nil
-	if s.sourceMethods != nil {
-		vm.sourceMethods = make(map[string]bool, len(s.sourceMethods))
-		for n := range s.sourceMethods {
-			vm.sourceMethods[n] = true
-		}
-	}
-	vm.sinkMethods = nil
-	if s.sinkMethods != nil {
-		vm.sinkMethods = make(map[string]bool, len(s.sinkMethods))
-		for n := range s.sinkMethods {
-			vm.sinkMethods[n] = true
-		}
-	}
+	// Open UTF buffers belong to the discarded attempt's guest heap.
+	vm.utfOpen, vm.utfBase = vm.utfOpen[:0], 0
 
 	vm.internedStrings = make(map[*dex.Insn]*Object, len(s.interned))
 	for insn, o := range s.interned {

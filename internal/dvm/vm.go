@@ -263,6 +263,18 @@ type VM struct {
 	OnJNICall     func(m *dex.Method)
 	OnNativeBind  func(m *dex.Method, old, new uint32, dynamic bool)
 	OnReflectCall func(m *dex.Method)
+	// OnUnreleased observes a native method returning with a buffer that
+	// GetStringUTFChars handed it still unreleased: site is the call
+	// instruction of that Get, once per such buffer. It fires on the fused
+	// and the unfused bridge alike and must stay off the flow log too.
+	OnUnreleased func(m *dex.Method, site uint32)
+
+	// utfOpen lists the GetStringUTFChars buffers not yet released, oldest
+	// first; utfBase is where the innermost native crossing's own entries
+	// start (openUTF/closeUTF). The backing array is kept across crossings
+	// and restores, so tracking allocates nothing in steady state.
+	utfOpen []utfHandle
+	utfBase int
 
 	// fused maps resolved methods to their compiled chains; fuseHeat counts
 	// unfused crossings per method toward the fusion threshold. Both are
@@ -280,12 +292,6 @@ type VM struct {
 	// the JNIEnv trampolines by pad depth (ctxAt).
 	bridgeCtxs []*CallCtx
 	envCtxs    []*CallCtx
-
-	// sourceMethods / sinkMethods index the framework taint sources and
-	// sinks by full name ("Landroid/...;.name") for the static
-	// taint-reachability pass.
-	sourceMethods map[string]bool
-	sinkMethods   map[string]bool
 
 	// internedStrings interns one string object per const-string site, so
 	// loops stop allocating; entries are GC roots (interpreter and compiled
@@ -422,29 +428,6 @@ func (vm *VM) ResetTaintLatch() {
 func (vm *VM) tainting() bool {
 	return vm.TaintJava && (vm.taintSeen || !vm.GateJava)
 }
-
-// markSource records a framework taint-source builtin (registration time).
-func (vm *VM) markSource(full string) {
-	if vm.sourceMethods == nil {
-		vm.sourceMethods = make(map[string]bool)
-	}
-	vm.sourceMethods[full] = true
-}
-
-// markSink records a framework sink builtin (registration time).
-func (vm *VM) markSink(full string) {
-	if vm.sinkMethods == nil {
-		vm.sinkMethods = make(map[string]bool)
-	}
-	vm.sinkMethods[full] = true
-}
-
-// IsSourceMethod reports whether the full name ("Lcls;.name") is a
-// registered framework taint source.
-func (vm *VM) IsSourceMethod(full string) bool { return vm.sourceMethods[full] }
-
-// IsSinkMethod reports whether the full name is a registered framework sink.
-func (vm *VM) IsSinkMethod(full string) bool { return vm.sinkMethods[full] }
 
 // NewThread allocates an interpreter thread with a guest stack region.
 func (vm *VM) NewThread(name string) *Thread {

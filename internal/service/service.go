@@ -356,7 +356,7 @@ func (s *Service) emit(res Result) {
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
 // app digest — mode, budget, fusion, flow-log capture, and the surface
 // observer all change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v5 service.verdictRecord chain,final_log,leaks,counters,surface"}
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v6 service.verdictRecord chain,final_log,leaks,counters,surface+unreleased"}
 
 type attemptRecord struct {
 	Mode    string          `json:"mode"`

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/service"
+	"repro/internal/surface"
 )
 
 const testBudget = 1 << 21
@@ -167,10 +168,11 @@ func TestVerdictShortCircuit(t *testing.T) {
 	}
 }
 
-// TestOldVerdictSchemaRecomputes: a verdict record stored under the retired
-// v4 verdict schema (which still carried a static pre-analysis record) is a
-// clean miss under the current one, so the service recomputes the app
-// instead of replaying the stale record.
+// TestOldVerdictSchemaRecomputes: a verdict record stored under a retired
+// verdict schema is a clean miss under the current one, so the service
+// recomputes the app instead of replaying the stale record. v4 still carried
+// a static pre-analysis record; v5 surface maps carried no unreleased-handle
+// findings, so a v5 replay of hostile-pinswap would hide its finding.
 func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	app := mustApp(t, "hostile-pinswap")
 	store, err := cas.Open(t.TempDir())
@@ -194,9 +196,10 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	if cold.Source != "computed" {
 		t.Fatalf("cold source = %q", cold.Source)
 	}
+	if !hasUnreleased(cold.Report.Final.Result.Surface) {
+		t.Fatal("computed surface map carries no unreleased-handle finding; the v5 case would be vacuous")
+	}
 
-	// Move the record to the old schema, as a store written before the bump
-	// holds it, and give it the static record v4 wrote.
 	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
@@ -206,25 +209,57 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := service.VerdictKey(fp, aOpts)
-	var rec map[string]json.RawMessage
-	if ok, err := store.Get(service.KindVerdict, key, &rec); !ok || err != nil {
-		t.Fatalf("no current-schema record: %v, %v", ok, err)
-	}
-	rec["static"] = json.RawMessage(`{"methods":2,"native_funcs":2,"native_pages":1,"taint_free_pages":0,"taint_free":false,"taint_free_names":["Lcom/hostile/pinswap/Main;.checksum"]}`)
-	store.Evict(service.KindVerdict, key)
-	old := cas.Kind{Name: service.KindVerdict.Name, Schema: "v4 service.verdictRecord chain,final_log,leaks,counters,surface,static"}
-	if err := store.Put(old, key, rec); err != nil {
-		t.Fatal(err)
-	}
+	for _, old := range []struct {
+		schema string
+		static bool
+	}{
+		{"v4 service.verdictRecord chain,final_log,leaks,counters,surface,static", true},
+		{"v5 service.verdictRecord chain,final_log,leaks,counters,surface", false},
+	} {
+		// Move the record to the old schema, as a store written before the
+		// bump holds it: a surface map without findings, and for v4 the
+		// static record it wrote.
+		var rec map[string]json.RawMessage
+		if ok, err := store.Get(service.KindVerdict, key, &rec); !ok || err != nil {
+			t.Fatalf("no current-schema record: %v, %v", ok, err)
+		}
+		var m surface.Map
+		if err := json.Unmarshal(rec["surface"], &m); err != nil {
+			t.Fatal(err)
+		}
+		for i := range m.Boundaries {
+			m.Boundaries[i].Unreleased = nil
+		}
+		rec["surface"] = m.Bytes()
+		if old.static {
+			rec["static"] = json.RawMessage(`{"methods":2,"native_funcs":2,"native_pages":1,"taint_free_pages":0,"taint_free":false,"taint_free_names":["Lcom/hostile/pinswap/Main;.checksum"]}`)
+		}
+		store.Evict(service.KindVerdict, key)
+		if err := store.Put(cas.Kind{Name: service.KindVerdict.Name, Schema: old.schema}, key, rec); err != nil {
+			t.Fatal(err)
+		}
 
-	again, st := submit()
-	if again.Source != "computed" || st.VerdictHits != 0 || st.Computed != 1 {
-		t.Fatalf("source %q with %d verdict hits, %d computed: a v4 record was replayed",
-			again.Source, st.VerdictHits, st.Computed)
+		again, st := submit()
+		if again.Source != "computed" || st.VerdictHits != 0 || st.Computed != 1 {
+			t.Fatalf("%s: source %q with %d verdict hits, %d computed: an old record was replayed",
+				old.schema[:2], again.Source, st.VerdictHits, st.Computed)
+		}
+		if got, want := strings.Join(again.Report.Final.Result.LogLines, "\n"), strings.Join(cold.Report.Final.Result.LogLines, "\n"); got != want {
+			t.Errorf("%s: recomputed flow log differs from the first run's", old.schema[:2])
+		}
+		if !again.Report.Final.Result.Surface.Equal(cold.Report.Final.Result.Surface) {
+			t.Errorf("%s: recomputed surface map differs from the first run's", old.schema[:2])
+		}
 	}
-	if got, want := strings.Join(again.Report.Final.Result.LogLines, "\n"), strings.Join(cold.Report.Final.Result.LogLines, "\n"); got != want {
-		t.Error("recomputed flow log differs from the first run's")
+}
+
+func hasUnreleased(m *surface.Map) bool {
+	for _, b := range m.Boundaries {
+		if len(b.Unreleased) > 0 {
+			return true
+		}
 	}
+	return false
 }
 
 // TestStreamingOutput: one parseable JSON line per completed submission, in

@@ -1,8 +1,9 @@
 // Package surface builds the per-app JNI surface map: every native boundary
 // the run discovers, every registration and re-registration event (static
 // stub binds vs dynamic RegisterNatives, including mid-run implementation
-// swaps), reflection-driven dispatches from native code back into Java, and
-// per-boundary call counts.
+// swaps), reflection-driven dispatches from native code back into Java,
+// per-boundary call counts, and the GetStringUTFChars handles a boundary
+// returned without releasing.
 //
 // The observer is designed for hostile apps. A RASP-style anti-analysis loop
 // can cross one JNI boundary millions of times; recording every crossing
@@ -75,6 +76,7 @@ type boundary struct {
 	callEvents int
 	reflects   uint64
 	dynamic    bool
+	unreleased []Unreleased
 }
 
 // NewObserver returns an observer with the default budget and throttling on.
@@ -165,6 +167,27 @@ func (o *Observer) Reflect(name string) {
 	}
 }
 
+// Unreleased records that boundary name returned with a GetStringUTFChars
+// buffer still unreleased, obtained by the call at site. A new (boundary,
+// site) pair is one recorded event; a repeat only bumps its count, so a Get
+// loop cannot amplify. A pair whose event the budget refused is counted as
+// dropped on each repeat, as a registration past the budget is.
+func (o *Observer) Unreleased(name string, site uint32) {
+	if o == nil {
+		return
+	}
+	b := o.boundaryFor(name)
+	for i := range b.unreleased {
+		if b.unreleased[i].Site == site {
+			b.unreleased[i].Count++
+			return
+		}
+	}
+	if o.event() {
+		b.unreleased = append(b.unreleased, Unreleased{Site: site, Count: 1})
+	}
+}
+
 // CodeWrite records a guest store into translated native code (the SMC
 // notify): self-modifying natives that rewrite their own hooks show up here.
 // Writes are deduplicated per page and bucketed like calls.
@@ -191,6 +214,14 @@ type Registration struct {
 	New     uint32 `json:"new"`
 }
 
+// Unreleased is one definite JNI contract finding: the boundary returned
+// Count times with a GetStringUTFChars buffer from the call at Site never
+// passed to ReleaseStringUTFChars.
+type Unreleased struct {
+	Site  uint32 `json:"site"`
+	Count uint64 `json:"count"`
+}
+
 // Boundary is the per-native-method row of the surface map.
 type Boundary struct {
 	Name          string         `json:"name"`
@@ -200,6 +231,7 @@ type Boundary struct {
 	CallEvents    int            `json:"call_events"`
 	ReflectCalls  uint64         `json:"reflect_calls,omitempty"`
 	Dynamic       bool           `json:"dynamic,omitempty"`
+	Unreleased    []Unreleased   `json:"unreleased,omitempty"`
 }
 
 // Map is the deterministic snapshot of one attempt's JNI surface: boundaries
@@ -246,6 +278,7 @@ func (o *Observer) Map() *Map {
 			CallEvents:    b.callEvents,
 			ReflectCalls:  b.reflects,
 			Dynamic:       b.dynamic,
+			Unreleased:    b.unreleased,
 		})
 	}
 	return m
@@ -285,6 +318,9 @@ func (m *Map) String() string {
 		}
 		fmt.Fprintf(&sb, "%-40s %5d %9d %7d %4d %4s\n",
 			b.Name, b.RegEvents, b.Calls, b.ReflectCalls, b.CallEvents, dyn)
+		for _, u := range b.Unreleased {
+			fmt.Fprintf(&sb, "  unreleased GetStringUTFChars@%#x at return (count %d)\n", u.Site, u.Count)
+		}
 	}
 	trunc := ""
 	if m.Truncated {

@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -128,5 +129,29 @@ func TestInjectedOverflowTruncates(t *testing.T) {
 	}
 	if m.Calls != 2 {
 		t.Fatalf("raw calls = %d, want 2", m.Calls)
+	}
+}
+
+// A (boundary, site) pair costs one event however often it repeats; a new
+// pair past the budget is dropped and counted, and the map renders what was
+// recorded.
+func TestSurfaceUnreleasedPairsCountOnce(t *testing.T) {
+	o := NewObserver()
+	o.Budget = 2
+	for i := 0; i < 1000; i++ {
+		o.Unreleased("La;.m", 0x8018)
+	}
+	o.Unreleased("La;.m", 0x8030)
+	o.Unreleased("La;.m", 0x8048)
+	m := o.Map()
+	want := []Unreleased{{Site: 0x8018, Count: 1000}, {Site: 0x8030, Count: 1}}
+	if got := m.Boundaries[0].Unreleased; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("findings %+v, want %+v", got, want)
+	}
+	if m.Events != 2 || m.Dropped != 1 || !m.Truncated {
+		t.Fatalf("events %d, dropped %d, truncated %t; want 2, 1, true", m.Events, m.Dropped, m.Truncated)
+	}
+	if s := m.String(); !strings.Contains(s, "unreleased GetStringUTFChars@0x8018 at return (count 1000)") {
+		t.Fatalf("rendered map lacks the finding:\n%s", s)
 	}
 }
