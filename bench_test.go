@@ -539,41 +539,3 @@ func BenchmarkGCCompaction(b *testing.B) {
 		b.Fatal("refs broken")
 	}
 }
-
-// BenchmarkJavaTranslateOnOff compares the method-granular DVM translation
-// engine against the per-instruction interpreter on the Java CF-Bench rows
-// (ablation E11). The reported ops/s metric comes from the workloads' own
-// timed sections; system build and install are excluded.
-func BenchmarkJavaTranslateOnOff(b *testing.B) {
-	for _, name := range []string{"Java MIPS", "Java MSFLOPS"} {
-		var w cfbench.Workload
-		for _, cand := range cfbench.Workloads() {
-			if cand.Name == name {
-				w = cand
-			}
-		}
-		for _, mode := range []core.Mode{core.ModeVanilla, core.ModeNDroid} {
-			for _, translated := range []bool{true, false} {
-				label := "/translated"
-				measure := cfbench.Measure
-				if !translated {
-					label = "/interpreted"
-					measure = cfbench.MeasureNoJavaTranslate
-				}
-				b.Run(sanitize(w.Name)+"/"+mode.String()+label, func(b *testing.B) {
-					best := 0.0
-					for i := 0; i < b.N; i++ {
-						s, _, err := measure(w, mode, 4)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if s > best {
-							best = s
-						}
-					}
-					b.ReportMetric(best, "ops/s")
-				})
-			}
-		}
-	}
-}

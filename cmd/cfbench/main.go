@@ -1,7 +1,7 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the ablation matrix (fusion, observer and store arms through the
+// then the ablation matrix (fusion and store arms through the
 // analysis service) and the contained corpus verdict counts of its baseline
 // run. It exits 1 if the matrix finds a parity break.
 //
@@ -11,7 +11,6 @@
 //	cfbench -scale 10             # quick run
 //	cfbench -repeats 3            # best-of-3 per cell
 //	cfbench -json BENCH_fig10.json # also write machine-readable results
-//	cfbench -java-ablation        # Java rows, translation engine on vs off
 package main
 
 import (
@@ -27,13 +26,7 @@ func main() {
 	scale := flag.Int("scale", 1, "divide workload sizes by this factor")
 	repeats := flag.Int("repeats", 3, "measurements per cell (best kept)")
 	jsonPath := flag.String("json", "", "write results as JSON to this file (e.g. BENCH_fig10.json)")
-	javaAblation := flag.Bool("java-ablation", false, "run only the Java rows, translation engine on vs off")
 	flag.Parse()
-
-	if *javaAblation {
-		runJavaAblation(*scale, *repeats)
-		return
-	}
 
 	modes := []core.Mode{core.ModeVanilla, core.ModeTaintDroid, core.ModeNDroid, core.ModeDroidScope}
 	res, err := cfbench.Run(modes, *scale, *repeats)
@@ -69,48 +62,5 @@ func main() {
 	// The matrix printed its own parity line; the exit status reports it.
 	if !m.ParityOK {
 		os.Exit(1)
-	}
-}
-
-// runJavaAblation measures every Java row under vanilla and NDroid with the
-// DVM translation engine enabled versus disabled, reporting the speedup the
-// method-granular translator delivers over the per-instruction interpreter.
-func runJavaAblation(scale, repeats int) {
-	if scale < 1 {
-		scale = 1
-	}
-	if repeats < 1 {
-		repeats = 1
-	}
-	best := func(f func() (float64, cfbench.GateStats, error)) (float64, cfbench.GateStats) {
-		top, topGS := 0.0, cfbench.GateStats{}
-		for r := 0; r < repeats; r++ {
-			s, gs, err := f()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cfbench:", err)
-				os.Exit(1)
-			}
-			if s > top {
-				top, topGS = s, gs
-			}
-		}
-		return top, topGS
-	}
-	fmt.Printf("%-20s %-10s %15s %15s %8s\n", "Java row", "mode", "translated", "interpreted", "speedup")
-	for _, mode := range []core.Mode{core.ModeVanilla, core.ModeNDroid} {
-		for _, w := range cfbench.Workloads() {
-			if !w.Java {
-				continue
-			}
-			w := w
-			on, gs := best(func() (float64, cfbench.GateStats, error) { return cfbench.Measure(w, mode, scale) })
-			off, _ := best(func() (float64, cfbench.GateStats, error) { return cfbench.MeasureNoJavaTranslate(w, mode, scale) })
-			speed := 0.0
-			if off > 0 {
-				speed = on / off
-			}
-			fmt.Printf("%-20s %-10s %15.0f %15.0f %7.2fx  (%d methods, %d clean, %d taint frames)\n",
-				w.Name, mode, on, off, speed, gs.JavaTransMethods, gs.JavaCleanFrames, gs.JavaTaintFrames)
-		}
 	}
 }

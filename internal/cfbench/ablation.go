@@ -1,10 +1,11 @@
 package cfbench
 
-// Ablation matrix: every speed-only mechanism with a knob (trace fusion, the
-// JNI surface observer, the artifact store) is one or more arms of a single
-// list. Each arm runs the evaluation corpus under every analysis mode
-// through the analysis service, and one parity checker holds every (app,
-// mode) cell to the baseline arm's verdict and flow log byte for byte. An
+// Ablation matrix: every speed-only mechanism with a knob (trace fusion and
+// the artifact store) is one or more arms of a single list. Each arm runs
+// the evaluation corpus under every analysis mode through the analysis
+// service, and one parity checker holds every (app, mode) cell to the
+// baseline arm's verdict, degradation chain, flow log and JNI surface map
+// byte for byte. An
 // arm that exists to prove a claim beyond parity (a warm store computes
 // nothing) carries that claim as its Check. The contained-corpus verdict
 // counts are a view of the baseline run under NDroid, so cfbench walks the
@@ -12,6 +13,7 @@ package cfbench
 // CI bench-smoke gate).
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -48,14 +50,12 @@ type matrixArm struct {
 const floodApp = "hostile-rasp"
 
 // arms is the matrix, baseline first. The baseline runs the production
-// defaults (fusion on, observer on and throttled, no store); every other arm
-// changes one knob. The store arms run the baseline options, so the store's
-// own cost is cache=cold against the baseline.
+// defaults (fusion on, no store); every other arm changes one knob. The
+// store arms run the baseline options, so the store's own cost is
+// cache=cold against the baseline.
 var arms = []matrixArm{
 	{Name: "baseline"},
 	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
-	{Name: "surface=off", Opts: core.AnalyzeOptions{Surface: core.SurfaceOff}},
-	{Name: "surface=unthrottled", Opts: core.AnalyzeOptions{Surface: core.SurfaceUnthrottled}},
 	{Name: "cache=cold", Store: true},
 	{Name: "cache=warm", Store: true,
 		Check: func(run, _ *ArmRun) error {
@@ -150,12 +150,14 @@ func (m *Matrix) find(arm string, mode core.Mode) *ArmRun {
 	return nil
 }
 
-// cellOutcome is the parity unit: one app's verdict and flow log under one
-// run.
+// cellOutcome is the parity unit: one app's verdict, degradation chain,
+// flow log and surface map bytes under one run.
 type cellOutcome struct {
 	app     string
 	verdict core.Verdict
+	chain   string
 	log     []string
+	surface []byte
 }
 
 // RunMatrix runs every arm under every mode. budget 0 uses
@@ -243,7 +245,7 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 				s.UniqueBoundaries, s.Events, s.Dropped, s.Calls, s.Truncated
 		}
 		run.Cells = append(run.Cells, cell)
-		out = append(out, cellOutcome{app.Name, rep.Verdict(), r.LogLines})
+		out = append(out, cellOutcome{app.Name, rep.Verdict(), rep.ChainString(), r.LogLines, r.Surface.Bytes()})
 	}
 	svc.Close()
 	run.Service = svc.Stats()
@@ -255,8 +257,8 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 }
 
 // parity is the matrix's one soundness check: every cell of got matches the
-// baseline's verdict and flow log. Both runs cover the corpus in the same
-// order.
+// baseline's verdict, chain, flow log and surface map. Both runs cover the
+// corpus in the same order.
 func parity(base, got []cellOutcome) error {
 	if len(got) != len(base) {
 		return fmt.Errorf("%d cells, baseline %d", len(got), len(base))
@@ -266,8 +268,12 @@ func parity(base, got []cellOutcome) error {
 		switch {
 		case g.verdict != want.verdict:
 			return fmt.Errorf("%s: verdict %v, baseline %v", want.app, g.verdict, want.verdict)
+		case g.chain != want.chain:
+			return fmt.Errorf("%s: chain %s, baseline %s", want.app, g.chain, want.chain)
 		case !slices.Equal(g.log, want.log):
 			return fmt.Errorf("%s: flow log diverged from the baseline", want.app)
+		case !bytes.Equal(g.surface, want.surface):
+			return fmt.Errorf("%s: surface map diverged from the baseline", want.app)
 		}
 	}
 	return nil
@@ -299,12 +305,9 @@ func (m *Matrix) String() string {
 			r.Service.Computed, r.Service.VerdictHits, crossings, fused, traced,
 			events, dropped, r.Service.Runner.AsmAssembles, puts)
 	}
-	nd := core.ModeNDroid
-	on, un, off := m.cell("baseline", nd, floodApp), m.cell("surface=unthrottled", nd, floodApp), m.cell("surface=off", nd, floodApp)
-	if on != nil && un != nil && off != nil {
-		fmt.Fprintf(&b, "flood (%s): %d calls -> %d attempts throttled vs %d unthrottled; wall clock %.3fs / %.3fs / %.3fs (throttled/unthrottled/off)\n",
-			floodApp, on.Calls, uint64(on.Events)+on.Dropped, uint64(un.Events)+un.Dropped,
-			on.Seconds, un.Seconds, off.Seconds)
+	if on := m.cell("baseline", core.ModeNDroid, floodApp); on != nil {
+		fmt.Fprintf(&b, "flood (%s): %d calls -> %d throttled event attempts; wall clock %.3fs\n",
+			floodApp, on.Calls, uint64(on.Events)+on.Dropped, on.Seconds)
 	}
 	if m.ParityOK {
 		b.WriteString("parity: OK (every cell matches the baseline; every arm check holds)\n")

@@ -396,8 +396,8 @@ func (w Workload) invoke(sys *core.System) error {
 
 // GateStats captures the taint-presence gate's activity during one measured
 // run: mode flips and how many translated blocks dispatched onto the bare
-// fast path versus the instrumented slow path, the DVM translation engine's
-// method/frame/bail/deopt counters for the Java rows, and the work counts
+// fast path versus the instrumented slow path, the Dalvik executor's
+// method decodes for the Java rows, and the work counts
 // behind the overheads: native and Java instructions retired and
 // instructions that went through a Table V taint handler (0 in modes
 // without a tracer).
@@ -411,33 +411,20 @@ type GateStats struct {
 	SlowBlocks uint64 `json:"slowBlocks"`
 
 	JavaTransMethods uint64 `json:"javaTransMethods,omitempty"`
-	JavaCleanFrames  uint64 `json:"javaCleanFrames,omitempty"`
-	JavaTaintFrames  uint64 `json:"javaTaintFrames,omitempty"`
-	JavaGateBails    uint64 `json:"javaGateBails,omitempty"`
-	JavaDeopts       uint64 `json:"javaDeopts,omitempty"`
 }
 
 // Measure runs one workload under one mode, returning the score (nominal
 // ops per second, like CF-Bench's point scale) and the gate activity.
 func Measure(w Workload, mode core.Mode, scale int) (float64, GateStats, error) {
-	return measure(w, mode, scale, true, false)
+	return measure(w, mode, scale, true)
 }
 
-// MeasureNoJavaTranslate is Measure with the DVM's method-granular
-// translation engine disabled, forcing the per-instruction interpreter — the
-// Java-row ablation quantifying the translation win (cmd/cfbench
-// -java-ablation).
-func MeasureNoJavaTranslate(w Workload, mode core.Mode, scale int) (float64, GateStats, error) {
-	return measure(w, mode, scale, true, true)
-}
-
-func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (float64, GateStats, error) {
+func measure(w Workload, mode core.Mode, scale int, gate bool) (float64, GateStats, error) {
 	a, err := w.prepare(mode, scale, gate)
 	if err != nil {
 		return 0, GateStats{}, err
 	}
 	sys := a.Sys
-	sys.VM.NoJavaTranslate = noTranslate
 	startInsns := sys.CPU.InsnCount
 	startJava := sys.VM.JavaInsnCount
 	start := time.Now()
@@ -457,10 +444,6 @@ func measure(w Workload, mode core.Mode, scale int, gate, noTranslate bool) (flo
 		SlowBlocks: sys.CPU.GateSlowBlocks,
 
 		JavaTransMethods: sys.VM.JavaTransMethods,
-		JavaCleanFrames:  sys.VM.JavaCleanFrames,
-		JavaTaintFrames:  sys.VM.JavaTaintFrames,
-		JavaGateBails:    sys.VM.JavaGateBails,
-		JavaDeopts:       sys.VM.JavaDeopts,
 	}
 	if a.Tracer != nil {
 		gs.Traced = a.Tracer.Traced

@@ -158,7 +158,7 @@ func BenchmarkGateOnOff(b *testing.B) {
 			b.Run(w.Name+label, func(b *testing.B) {
 				best := 0.0
 				for i := 0; i < b.N; i++ {
-					s, _, err := measure(w, core.ModeNDroid, 4, gated, false)
+					s, _, err := measure(w, core.ModeNDroid, 4, gated)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -64,7 +64,7 @@ func run(modes []core.Mode, scale, repeats int, gated bool) (*Result, error) {
 		for _, mode := range modes {
 			best := 0.0
 			for r := 0; r < repeats; r++ {
-				s, gs, err := measure(w, mode, scale, gated, false)
+				s, gs, err := measure(w, mode, scale, gated)
 				if err != nil {
 					return nil, fmt.Errorf("cfbench: %s under %s: %w", w.Name, mode, err)
 				}
@@ -228,19 +228,13 @@ func (r *Result) Report() string {
 			total.FastBlocks += gs.FastBlocks
 			total.SlowBlocks += gs.SlowBlocks
 			total.JavaTransMethods += gs.JavaTransMethods
-			total.JavaCleanFrames += gs.JavaCleanFrames
-			total.JavaTaintFrames += gs.JavaTaintFrames
-			total.JavaGateBails += gs.JavaGateBails
-			total.JavaDeopts += gs.JavaDeopts
 		}
 		if total.Flips+total.FastBlocks+total.SlowBlocks != 0 {
 			fmt.Fprintf(&b, "taint gate (%s): %d flips, %d fast blocks, %d instrumented blocks\n",
 				m, total.Flips, total.FastBlocks, total.SlowBlocks)
 		}
-		if total.JavaTransMethods+total.JavaCleanFrames+total.JavaTaintFrames != 0 {
-			fmt.Fprintf(&b, "java translation (%s): %d methods, %d clean frames, %d taint frames, %d bails, %d deopts\n",
-				m, total.JavaTransMethods, total.JavaCleanFrames, total.JavaTaintFrames,
-				total.JavaGateBails, total.JavaDeopts)
+		if total.JavaTransMethods != 0 {
+			fmt.Fprintf(&b, "dalvik executor (%s): %d method decodes\n", m, total.JavaTransMethods)
 		}
 	}
 	return b.String()

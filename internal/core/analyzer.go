@@ -150,11 +150,10 @@ type Analyzer struct {
 	Leaks Leaks
 	Log   FlowLog
 
-	// Surface is the JNI surface observer (nil when disabled via
-	// AnalyzeOptions.Surface = SurfaceOff). It records discovered natives,
-	// registration events, reflection dispatches, throttled call counts and
-	// unreleased GetStringUTFChars handles; its Map lands in RunResult.Surface. It never writes the flow log, so
-	// enabling or disabling it cannot perturb flow-log parity.
+	// Surface is the JNI surface observer, always attached. It records
+	// discovered natives, registration events, reflection dispatches,
+	// throttled call counts and unreleased GetStringUTFChars handles; its Map
+	// lands in RunResult.Surface. It never writes the flow log.
 	Surface *surface.Observer
 
 	// InstrumentationCalls counts DVM-hook instrumentation bodies that
@@ -277,18 +276,6 @@ func (a *Analyzer) seedSurface() {
 	}
 }
 
-// DisableSurface detaches the surface observer (AnalyzeOptions.Surface =
-// SurfaceOff): the ablation baseline proving the observer never perturbs
-// execution, verdicts, or flow logs.
-func (a *Analyzer) DisableSurface() {
-	a.Surface = nil
-	a.Sys.VM.OnJNICall = nil
-	a.Sys.VM.OnNativeBind = nil
-	a.Sys.VM.OnReflectCall = nil
-	a.Sys.VM.OnUnreleased = nil
-	a.Sys.CPU.OnCodeWrite = nil
-}
-
 // crossingClean reports that a JNI crossing may skip its taint walks
 // entirely: the gate is on, no counted taint exists in any layer (memory
 // bytes, reference shadow entries, the Java-side latch), and the CPU's
@@ -373,8 +360,7 @@ func (a *Analyzer) installDroidScope() {
 	cpu.UseBlockCache = true
 
 	vm := a.Sys.VM
-	// Installing the observer also bumps the VM's translation epoch, so every
-	// Dalvik method drops back to the per-instruction interpreter — DroidScope
+	// Every executed Dalvik instruction calls the observer, so DroidScope
 	// pays the full reconstruction cost by construction.
 	vm.SetJavaStepFn(func(th *dvm.Thread, m *dex.Method, pc int, insn *dex.Insn) {
 		// Reconstruct the Dalvik-level view from raw guest memory: walk the

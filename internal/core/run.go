@@ -106,8 +106,8 @@ type RunResult struct {
 	FusedCalls   uint64
 	FuseDeopts   uint64
 
-	// Surface is the JNI surface map gathered by this attempt (nil when the
-	// observer was disabled). It is captured in the same deferred block as
+	// Surface is the JNI surface map gathered by this attempt (nil only if
+	// no analyzer ran). It is captured in the same deferred block as
 	// the other evidence, so Fault/Timeout verdicts keep the partial map
 	// built up to the stop point. Surface.Truncated is the typed,
 	// verdict-visible degradation signal for event-budget exhaustion.
@@ -202,41 +202,12 @@ const (
 	FuseOff
 )
 
-// SurfaceMode selects how the JNI surface observer runs.
-type SurfaceMode int
-
-// Surface settings for AnalyzeOptions.Surface.
-const (
-	// SurfaceDefault follows the analyzer default (observer on, throttled).
-	SurfaceDefault SurfaceMode = iota
-	// SurfaceOff detaches the observer entirely: the ablation baseline the
-	// parity suites compare against (verdicts and flow logs must be
-	// byte-identical with the observer on).
-	SurfaceOff
-	// SurfaceUnthrottled keeps the observer on but disables count bucketing:
-	// every crossing attempts an event. The flood baseline a RASP app
-	// demonstrably blows the event budget with.
-	SurfaceUnthrottled
-)
-
-// applySurface configures a freshly built analyzer per the surface option.
-func applySurface(a *Analyzer, m SurfaceMode) {
-	switch m {
-	case SurfaceOff:
-		a.DisableSurface()
-	case SurfaceUnthrottled:
-		a.Surface.Throttle = false
-	}
-}
-
 // AnalyzeOptions configures AnalyzeApp.
 type AnalyzeOptions struct {
 	// Mode is the starting analysis mode (default ModeNDroid).
 	Mode Mode
 	// Fuse controls cross-boundary trace fusion (default: on).
 	Fuse FuseMode
-	// Surface controls the JNI surface observer (default: on, throttled).
-	Surface SurfaceMode
 	// Budget overrides DefaultBudget when nonzero.
 	Budget uint64
 	// FlowLog enables flow-log capture on every attempt.

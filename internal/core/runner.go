@@ -224,7 +224,6 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	if opts.Fuse == FuseOff {
 		sys.VM.FuseNative = false
 	}
-	applySurface(a, opts.Surface)
 
 	res = a.Run(spec.EntryClass, spec.EntryMethod, nil, nil)
 	r.Stats.JNICrossings += res.JNICrossings

@@ -10,8 +10,8 @@ package core
 //     instructions and translated blocks on exactly the dirtied pages and
 //     keeps everything else warm across attempts.
 //   - arm.CPU, dvm.VM, kernel.Kernel, and libc.Libc rewind their host-side
-//     scalars and tables; the VM's translation epoch is bumped (never rewound)
-//     so nothing compiled during the discarded attempt can revalidate.
+//     scalars and tables; the VM's decode and chain epochs are bumped (never
+//     rewound) so nothing built during the discarded attempt can revalidate.
 //
 // Restore is itself a fault-injection site (SiteSnapshotRestore): an injected
 // restore corruption surfaces as a typed InternalError, which the degradation

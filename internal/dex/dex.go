@@ -210,14 +210,12 @@ type Method struct {
 	// Framework builtins (host Go):
 	Builtin interface{} // set by the VM layer; kept opaque here
 
-	// Compiled holds the VM's translated form of the instruction stream
-	// (a *compiledMethod on the dvm side); kept opaque here like Builtin.
-	// The slot is a cache: the VM validates ownership and its translation
-	// epoch before trusting it, so a stale value is only ever retranslated,
-	// never executed.
+	// Compiled holds the VM's decoded form of the instruction stream (a
+	// *decoded on the dvm side); kept opaque here like Builtin. The slot is
+	// a cache: the VM validates ownership and its decode epoch before
+	// trusting it, so a stale value is only ever decoded again, never
+	// executed.
 	Compiled interface{}
-
-	InsnCount uint64 // executed-instruction counter (profiling)
 
 	// fullName is FullName computed once by NewMethod. A Method built as a
 	// literal leaves it empty and FullName concatenates on every call.
@@ -229,12 +227,6 @@ type Method struct {
 func NewMethod(c *Class, name, shorty string, flags uint32) *Method {
 	return &Method{Class: c, Name: name, Shorty: shorty, Flags: flags, fullName: c.Name + "." + name}
 }
-
-// InvalidateCompiled drops the translated form. Anything that mutates the
-// method after first execution (Insns, Tries, NumRegs, flags) must call this
-// so the next invocation retranslates; epoch bumps on the VM side handle
-// environment changes (hooks, step functions) without touching each method.
-func (m *Method) InvalidateCompiled() { m.Compiled = nil }
 
 // IsStatic reports whether the method is static.
 func (m *Method) IsStatic() bool { return m.Flags&AccStatic != 0 }

@@ -41,8 +41,8 @@ func (vm *VM) RunGC() int {
 	for _, o := range vm.irt {
 		push(o)
 	}
-	// Roots: interned const-string objects (the interpreter and compiled
-	// code return them across collections).
+	// Roots: interned const-string objects (the executor returns them
+	// across collections).
 	for _, o := range vm.internedStrings {
 		push(o)
 	}

@@ -242,9 +242,8 @@ func jniGetFieldID(vm *VM, c *arm.CPU, ctx *CallCtx) {
 // const char *signature, void *fnPtr} — and (re)binds the named native
 // methods to the given entry points. Rebinding a bound method to a different
 // address is the classic hostile move against per-method instrumentation
-// state: translated code and fused chains baked the old entry address in, so
-// the rebind starts a new translation epoch and is surfaced to the analyzer
-// via OnRegisterNatives.
+// state: fused chains baked the old entry address in, so the rebind starts a
+// new chain epoch and is surfaced to the analyzer via OnRegisterNatives.
 func jniRegisterNatives(vm *VM, c *arm.CPU, ctx *CallCtx) {
 	clsObj := vm.DecodeRef(c.R[1])
 	tbl := c.R[2]

@@ -136,8 +136,8 @@ func (vm *VM) BindNative(className, methodName string, prog *arm.Program, label 
 	}
 	old := m.NativeAddr
 	if old != 0 && old != addr {
-		// Rebinding a bound method: translated code and fused chains baked
-		// the old entry address in (same invalidation as RegisterNatives).
+		// Rebinding a bound method: fused chains baked the old entry
+		// address in (same invalidation as RegisterNatives).
 		vm.transEpoch++
 	}
 	m.NativeAddr = addr

@@ -6,12 +6,12 @@ package dvm
 // that shadow them: the class registry, the object graph, reference tables,
 // hooks, flags, and counters.
 //
-// transEpoch is deliberately NOT part of the snapshot. The epoch is the
-// validity token baked into compiled methods, and restoring it backwards
-// could revalidate a method compiled against post-snapshot state (a hook or
-// class registered during the attempt). Restore instead bumps the epoch once:
-// compiled code from the warm boot re-translates lazily, and everything
-// compiled during the discarded attempt is dead by construction.
+// decodeEpoch and transEpoch are deliberately NOT part of the snapshot. They
+// are the validity tokens of method decodes and fused chains, and restoring
+// them backwards could revalidate one built against post-snapshot state (a
+// hook or class registered during the attempt). Restore instead bumps both
+// once: warm-boot methods decode again lazily, and everything built during
+// the discarded attempt is dead by construction.
 
 import (
 	"repro/internal/dex"
@@ -51,23 +51,20 @@ type VMSnapshot struct {
 
 	hooks map[string][]InternalHook
 
-	taintJava, gateJava, taintSeen   bool
-	interpretHookAll, noJavaTrans    bool
-	fuseNative                       bool
-	live                             *taint.Liveness
-	javaStepFn                       func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
-	javaLeakFn                       func(JavaLeak)
-	onRegisterNatives                func(m *dex.Method, old, new uint32)
-	onJNICall                        func(m *dex.Method)
-	onNativeBind                     func(m *dex.Method, old, new uint32, dynamic bool)
-	onReflectCall                    func(m *dex.Method)
-	onUnreleased                     func(m *dex.Method, site uint32)
-	nativeBudget, javaBudget         uint64
-	javaInsns, javaTransMethods      uint64
-	javaCleanFrames, javaTaintFrames uint64
-	javaGateBails, javaDeopts        uint64
-	jniCrossings, javaFusedChains    uint64
-	javaFusedCalls, javaFuseDeopts   uint64
+	taintJava, gateJava, taintSeen bool
+	interpretHookAll, fuseNative   bool
+	live                           *taint.Liveness
+	javaStepFn                     func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
+	javaLeakFn                     func(JavaLeak)
+	onRegisterNatives              func(m *dex.Method, old, new uint32)
+	onJNICall                      func(m *dex.Method)
+	onNativeBind                   func(m *dex.Method, old, new uint32, dynamic bool)
+	onReflectCall                  func(m *dex.Method)
+	onUnreleased                   func(m *dex.Method, site uint32)
+	nativeBudget, javaBudget       uint64
+	javaInsns, javaTransMethods    uint64
+	jniCrossings, javaFusedChains  uint64
+	javaFusedCalls, javaFuseDeopts uint64
 
 	interned map[*dex.Insn]*Object
 
@@ -127,7 +124,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		gateJava:          vm.GateJava,
 		taintSeen:         vm.taintSeen,
 		interpretHookAll:  vm.InterpretHookAll,
-		noJavaTrans:       vm.NoJavaTranslate,
 		fuseNative:        vm.FuseNative,
 		live:              vm.Live,
 		javaStepFn:        vm.javaStepFn,
@@ -141,10 +137,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		javaBudget:        vm.JavaBudget,
 		javaInsns:         vm.JavaInsnCount,
 		javaTransMethods:  vm.JavaTransMethods,
-		javaCleanFrames:   vm.JavaCleanFrames,
-		javaTaintFrames:   vm.JavaTaintFrames,
-		javaGateBails:     vm.JavaGateBails,
-		javaDeopts:        vm.JavaDeopts,
 		jniCrossings:      vm.JNICrossings,
 		javaFusedChains:   vm.JavaFusedChains,
 		javaFusedCalls:    vm.JavaFusedCalls,
@@ -219,8 +211,8 @@ func (vm *VM) Snapshot() *VMSnapshot {
 }
 
 // Restore rewinds the VM to s. Object copies held by the snapshot are
-// re-copied in, so a snapshot survives any number of restores. The
-// translation epoch is bumped, never rewound (see the file comment).
+// re-copied in, so a snapshot survives any number of restores. The decode
+// and chain epochs are bumped, never rewound (see the file comment).
 func (vm *VM) Restore(s *VMSnapshot) {
 	vm.classes = make(map[string]*dex.Class, len(s.classes))
 	for name, c := range s.classes {
@@ -284,7 +276,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.GateJava = s.gateJava
 	vm.taintSeen = s.taintSeen
 	vm.InterpretHookAll = s.interpretHookAll
-	vm.NoJavaTranslate = s.noJavaTrans
 	vm.FuseNative = s.fuseNative
 	vm.Live = s.live
 	vm.javaStepFn = s.javaStepFn
@@ -297,10 +288,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.NativeBudget, vm.JavaBudget = s.nativeBudget, s.javaBudget
 	vm.JavaInsnCount = s.javaInsns
 	vm.JavaTransMethods = s.javaTransMethods
-	vm.JavaCleanFrames = s.javaCleanFrames
-	vm.JavaTaintFrames = s.javaTaintFrames
-	vm.JavaGateBails = s.javaGateBails
-	vm.JavaDeopts = s.javaDeopts
 	vm.JNICrossings = s.jniCrossings
 	vm.JavaFusedChains = s.javaFusedChains
 	vm.JavaFusedCalls = s.javaFusedCalls
@@ -352,7 +339,8 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.nativeLibs = append(vm.nativeLibs[:0], s.nativeLibs...)
 	vm.nextLibBase = s.nextLibBase
 
-	// Monotonic: invalidate everything compiled during the attempt (and force
-	// lazy retranslation of warm-boot methods) instead of rewinding the epoch.
+	// Monotonic: invalidate every decode and chain built during the attempt
+	// (and decode warm-boot methods again lazily) instead of rewinding.
+	vm.decodeEpoch++
 	vm.transEpoch++
 }

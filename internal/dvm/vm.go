@@ -134,7 +134,7 @@ type InternalHook struct {
 	// specialize its Before/After bodies for one resolved method at fusion
 	// bind time (precomputed log lines, reusable policies, one-time entry-hook
 	// installation). Returning ok=false keeps the generic Before/After. Hook
-	// mutations bump the translation epoch, so stale bindings die with their
+	// mutations bump the fused-chain epoch, so stale bindings die with their
 	// chain.
 	BindJNI func(m *dex.Method) (before, after func(*CallCtx), ok bool)
 }
@@ -175,7 +175,7 @@ type VM struct {
 	// TaintJava enables TaintDroid's in-DVM propagation. Off = stock Android.
 	TaintJava bool
 	// GateJava enables the demand-driven fast path: while no taint has ever
-	// been introduced on the Java side (taintSeen latch off), the interpreter
+	// been introduced on the Java side (taintSeen latch off), the executor
 	// skips tag merging and the JNI bridge skips taint marshalling. Sound
 	// because all Java-side taint state is provably zero until the first
 	// NoteTaint — frames are pushed with zeroed slots, and every skipped
@@ -191,25 +191,20 @@ type VM struct {
 	// multilevel hooking exists to avoid (§V-B: "the overhead will be high
 	// if we hook these two functions whenever they are called").
 	InterpretHookAll bool
-	// javaStepFn observes every interpreted instruction (profiling and the
-	// DroidScope semantic-reconstruction cost model). Install via
-	// SetJavaStepFn: the setter bumps the translation epoch so compiled
-	// methods (which hoist the per-instruction nil check) are invalidated.
+	// javaStepFn observes every executed Dalvik instruction (profiling and
+	// the DroidScope semantic-reconstruction cost model); install it with
+	// SetJavaStepFn.
 	javaStepFn func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
 	// JavaLeakFn receives Java-context sink reports (TaintDroid sinks).
 	JavaLeakFn func(JavaLeak)
 
-	// NoJavaTranslate disables the method-granular translation engine and
-	// forces the per-instruction switch interpreter — the ablation knob for
-	// the Java rows of Fig. 10 and the reference side of parity tests.
-	NoJavaTranslate bool
-	// transEpoch is the Java translation epoch. Compiled methods record the
-	// epoch they were built under and are retranslated on mismatch; anything
-	// that changes what a translated step would have to observe per
-	// instruction or per resolution (step functions, internal hooks, class
-	// registration) bumps it — the DVM analog of the ARM engine's
-	// tracer-epoch check.
-	transEpoch uint64
+	// decodeEpoch is the validity token of method decodes (exec.go): class
+	// registration and snapshot restore, the two things that can change a
+	// decode-time resolution, bump it. transEpoch is the validity token of
+	// fused JNI chains (fuse.go): anything a chain binds in — internal
+	// hooks, class registration, native entry points, restores — bumps it.
+	decodeEpoch uint64
+	transEpoch  uint64
 
 	// NativeBudget bounds the instruction count of each JNI native call
 	// (0 = the 64M default). JavaBudget is an absolute ceiling on
@@ -220,20 +215,13 @@ type VM struct {
 	NativeBudget uint64
 	JavaBudget   uint64
 
-	// JavaInsnCount counts interpreted Dalvik instructions.
+	// JavaInsnCount counts executed Dalvik instructions.
 	JavaInsnCount uint64
-	// JavaTransMethods counts method translations (first invocations plus
-	// epoch retranslations).
+	// JavaTransMethods counts method decodes (first invocations plus
+	// re-decodes after a class registration or restore).
 	JavaTransMethods uint64
-	// JavaCleanFrames / JavaTaintFrames count translated frame entries that
-	// selected the clean (gate fast path) / tainting variant.
-	JavaCleanFrames uint64
-	JavaTaintFrames uint64
-	// JavaGateBails counts mid-method clean→tainting switches (the latch
-	// flipped inside a clean run).
-	JavaGateBails uint64
-	// JavaDeopts counts mid-method falls back to the interpreter after an
-	// epoch bump (a hook or step function appeared under a running frame).
+	// JavaDeopts is always 0: the one executor has nothing to fall back
+	// to. The field stays for readers of the older per-layer metrics.
 	JavaDeopts uint64
 
 	// FuseNative enables cross-boundary trace fusion: hot monomorphic
@@ -294,8 +282,8 @@ type VM struct {
 	envCtxs    []*CallCtx
 
 	// internedStrings interns one string object per const-string site, so
-	// loops stop allocating; entries are GC roots (interpreter and compiled
-	// code hold them across collections).
+	// loops stop allocating; entries are GC roots (frames hold them across
+	// collections).
 	internedStrings map[*dex.Insn]*Object
 
 	// framePool recycles Frame structs; scratchPool recycles the arg/taint
@@ -422,14 +410,7 @@ func (vm *VM) ResetTaintLatch() {
 	}
 }
 
-// tainting reports whether the interpreter must run taint propagation for
-// the current instruction: TaintJava is on and either the gate is disabled
-// or some taint has already entered the Java world.
-func (vm *VM) tainting() bool {
-	return vm.TaintJava && (vm.taintSeen || !vm.GateJava)
-}
-
-// NewThread allocates an interpreter thread with a guest stack region.
+// NewThread allocates a Dalvik thread with a guest stack region.
 func (vm *VM) NewThread(name string) *Thread {
 	const stackSize = 1 << 20
 	idx := uint32(0)
@@ -448,10 +429,11 @@ func (vm *VM) NewThread(name string) *Thread {
 	return th
 }
 
-// RegisterClass adds a class to the VM. Translated methods bake class and
-// method resolutions in, so registration starts a new translation epoch.
+// RegisterClass adds a class to the VM. Decodes and fused chains bake class
+// and method resolutions in, so registration invalidates both.
 func (vm *VM) RegisterClass(c *dex.Class) {
 	vm.classes[c.Name] = c
+	vm.decodeEpoch++
 	vm.transEpoch++
 }
 
@@ -474,9 +456,9 @@ func (vm *VM) Classes() []string {
 // LoadedLibs reports libraries loaded via System.loadLibrary.
 func (vm *VM) LoadedLibs() []string { return vm.loadedLibs }
 
-// HookInternal registers a hook on a libdvm-internal or JNI function and
-// invalidates compiled methods (via the epoch) so running frames observe the
-// hook before their next instruction.
+// HookInternal registers a hook on a libdvm-internal or JNI function. Hooks
+// are looked up per call, so they take effect at once; the epoch bump drops
+// the fused chains that pre-bound the old hook list.
 func (vm *VM) HookInternal(name string, h InternalHook) {
 	vm.hooks[name] = append(vm.hooks[name], h)
 	vm.transEpoch++
@@ -489,16 +471,13 @@ func (vm *VM) ClearInternalHooks() {
 }
 
 // SetJavaStepFn installs (or, with nil, clears) the per-instruction observer.
-// The translated fast path hoists the nil check out of the hot loop, so the
-// setter starts a new translation epoch; a running translated frame deopts to
-// the interpreter at its next post-call check, before the next instruction of
-// any frame entered afterwards.
+// Frames read it at entry and after every invoke, so a frame running when
+// it is installed observes from its next instruction on.
 func (vm *VM) SetJavaStepFn(fn func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)) {
 	vm.javaStepFn = fn
-	vm.transEpoch++
 }
 
-// TransEpoch reports the current Java translation epoch (test hook).
+// TransEpoch reports the fused-chain epoch (test hook).
 func (vm *VM) TransEpoch() uint64 { return vm.transEpoch }
 
 // PadDepth reports how many native calls are in progress (test hook).
@@ -528,8 +507,7 @@ func (vm *VM) getFrame() *Frame {
 func (vm *VM) putFrame(f *Frame) {
 	f.Method = nil
 	f.win = nil
-	f.thrown = nil
-	f.terr = nil
+	f.mem = nil
 	vm.framePool = append(vm.framePool, f)
 }
 
@@ -609,7 +587,7 @@ func (vm *VM) internalCall(name string, from uint32, ctx *CallCtx, body func()) 
 
 func (vm *VM) allocAddr(payload uint32) uint32 {
 	// Allocation has no error return (it is called from deep inside the
-	// interpreter, builtins, and JNI marshalling), so faults here — organic
+	// executor, builtins, and JNI marshalling), so faults here — organic
 	// heap exhaustion or an injected one — travel as panics carrying a typed
 	// fault; the InvokeByName containment boundary converts them back.
 	if f := fault.Hit(SiteHeapAlloc, 0); f != nil {
@@ -677,6 +655,12 @@ func (vm *VM) NewArray(kind byte, n int) *Object {
 	}
 	if kind == 'S' || kind == 'C' {
 		w = 2
+	}
+	if n < 0 || uint64(n)*uint64(w) > uint64(kernel.DvmHeapLimit-kernel.DvmHeapBase) {
+		// Larger than the whole heap window, where the payload size would
+		// also wrap the 32-bit allocator arithmetic: exhaustion, as in
+		// allocAddr.
+		panic(vm.faultf(fault.BudgetExceeded, nil, "heap exhausted (%d-element array)", n))
 	}
 	addr := vm.allocAddr(uint32(n) * w)
 	o := &Object{

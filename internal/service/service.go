@@ -394,8 +394,7 @@ func verdictKey(fp core.Fingerprint, o core.AnalyzeOptions) string {
 	return cas.DigestStrings(fp.App, mode.String(),
 		fmt.Sprintf("fuse=%d", int(o.Fuse)),
 		fmt.Sprintf("budget=%d", o.Budget),
-		fmt.Sprintf("flowlog=%t", o.FlowLog),
-		fmt.Sprintf("surface=%d", int(o.Surface)))
+		fmt.Sprintf("flowlog=%t", o.FlowLog))
 }
 
 func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {

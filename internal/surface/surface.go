@@ -123,9 +123,6 @@ func bucketed(n uint64) bool { return n&(n-1) == 0 }
 // and its raw counters advance even past the budget; only the registration
 // history entry is budget-bound.
 func (o *Observer) Register(name string, dynamic bool, old, new uint32) {
-	if o == nil {
-		return
-	}
 	b := o.boundaryFor(name)
 	b.regEvents++
 	if dynamic {
@@ -140,9 +137,6 @@ func (o *Observer) Register(name string, dynamic bool, old, new uint32) {
 // always increments; an event is attempted on every crossing unthrottled, or
 // at power-of-two counts when throttled.
 func (o *Observer) Call(name string) {
-	if o == nil {
-		return
-	}
 	b := o.boundaryFor(name)
 	b.calls++
 	if !o.Throttle || bucketed(b.calls) {
@@ -155,9 +149,6 @@ func (o *Observer) Call(name string) {
 // Reflect records a native->Java reflection-style dispatch (CallStaticXMethod
 // and friends) targeting Java method name, with the same bucketing as Call.
 func (o *Observer) Reflect(name string) {
-	if o == nil {
-		return
-	}
 	b := o.boundaryFor(name)
 	b.reflects++
 	if !o.Throttle || bucketed(b.reflects) {
@@ -173,9 +164,6 @@ func (o *Observer) Reflect(name string) {
 // loop cannot amplify. A pair whose event the budget refused is counted as
 // dropped on each repeat, as a registration past the budget is.
 func (o *Observer) Unreleased(name string, site uint32) {
-	if o == nil {
-		return
-	}
 	b := o.boundaryFor(name)
 	for i := range b.unreleased {
 		if b.unreleased[i].Site == site {
@@ -192,9 +180,6 @@ func (o *Observer) Unreleased(name string, site uint32) {
 // notify): self-modifying natives that rewrite their own hooks show up here.
 // Writes are deduplicated per page and bucketed like calls.
 func (o *Observer) CodeWrite(addr uint32) {
-	if o == nil {
-		return
-	}
 	o.codeWrites++
 	page := addr >> 12
 	o.pages[page]++
@@ -205,7 +190,7 @@ func (o *Observer) CodeWrite(addr uint32) {
 
 // Truncated reports whether the event budget was exhausted (or exhaustion
 // was injected at surface.overflow).
-func (o *Observer) Truncated() bool { return o != nil && o.truncated }
+func (o *Observer) Truncated() bool { return o.truncated }
 
 // Registration is one recorded binding event for a boundary.
 type Registration struct {
@@ -251,9 +236,6 @@ type Map struct {
 
 // Map renders the observer state as a sorted, comparable snapshot.
 func (o *Observer) Map() *Map {
-	if o == nil {
-		return nil
-	}
 	m := &Map{
 		UniqueBoundaries: len(o.boundaries),
 		Events:           o.events,
