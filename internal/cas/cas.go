@@ -12,18 +12,24 @@
 // Schema string — makes old entries unreachable rather than deserialized as
 // garbage.
 //
-// Every load is checksummed: a truncated or bit-flipped entry surfaces as a
-// typed *fault.Fault diagnostic (layer "cas"), is evicted from the store, and
-// the caller recomputes — corruption costs one recompute, never a wrong
-// result. SiteLoad wires the load path into the deterministic fault-injection
-// registry with the same absorbed semantics: an injected load fault behaves
-// exactly like a corrupt entry, and verdicts stay byte-identical.
+// The store moves bytes; each kind's owner encodes its payload. PutBytes and
+// GetBytes frame and check an opaque payload, and Put/Get are thin JSON
+// wrappers over them for kinds whose payload is plain JSON.
+//
+// Every load is checksummed (CRC-32C): a truncated or bit-flipped entry, or a
+// payload its owner cannot decode, surfaces as a typed *fault.Fault
+// diagnostic (layer "cas"), is evicted from the store, and the caller
+// recomputes — corruption costs one recompute, never a wrong result. SiteLoad
+// wires the load path into the deterministic fault-injection registry with
+// the same absorbed semantics: an injected load fault behaves exactly like a
+// corrupt entry, and verdicts stay byte-identical.
 package cas
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -34,8 +40,9 @@ import (
 
 // Version is the store format version. Bumping it invalidates every entry of
 // every kind (the fingerprint of each kind changes, so old paths are simply
-// never consulted again).
-const Version = 1
+// never consulted again). Version 2 moved the frame checksum from FNV-64a to
+// CRC-32C, so version-1 entries are clean misses.
+const Version = 2
 
 // SiteLoad guards the entry-load path: an injected fault here is handled as
 // a corrupt entry — evicted, counted, recomputed — and never changes a
@@ -107,29 +114,38 @@ func (s *Store) path(k Kind, digest string) string {
 	return filepath.Join(s.dir, k.fingerprint(), digest)
 }
 
-// entry framing: an 8-byte magic, an 8-byte little-endian FNV-64a checksum of
-// the payload, then the JSON payload.
-var magic = [8]byte{'N', 'D', 'C', 'A', 'S', 'v', '0', '1'}
+// entry framing: an 8-byte magic, a 4-byte little-endian CRC-32C
+// (Castagnoli) of the payload, then the payload.
+var magic = [8]byte{'N', 'D', 'C', 'A', 'S', 'v', '0', '2'}
 
-func checksum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
-}
+const headerSize = 12
 
-// Put serializes v under (kind, digest). The write goes through a temp file
-// and rename, so a concurrent reader sees either the old entry or the new
-// one, never a torn write.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+
+// Put stores v as a JSON payload under (kind, digest).
 func (s *Store) Put(k Kind, digest string, v interface{}) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("cas: marshal %s/%s: %w", k.Name, digest, err)
 	}
-	buf := make([]byte, 0, 16+len(payload))
-	buf = append(buf, magic[:]...)
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], checksum(payload))
-	buf = append(buf, sum[:]...)
+	return s.PutBytes(k, digest, payload)
+}
+
+// Get loads the JSON payload under (kind, digest) into out, with GetBytes'
+// results: a payload that is not valid JSON for out is a corrupt entry.
+func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
+	return s.GetBytes(k, digest, func(payload []byte) error { return json.Unmarshal(payload, out) })
+}
+
+// PutBytes frames payload and stores it under (kind, digest). The write goes
+// through a temp file and rename, so a concurrent reader sees either the old
+// entry or the new one, never a torn write.
+func (s *Store) PutBytes(k Kind, digest string, payload []byte) error {
+	buf := make([]byte, headerSize, headerSize+len(payload))
+	copy(buf, magic[:])
+	binary.LittleEndian.PutUint32(buf[8:], checksum(payload))
 	buf = append(buf, payload...)
 
 	path := s.path(k, digest)
@@ -159,12 +175,14 @@ func (s *Store) Put(k Kind, digest string, v interface{}) error {
 	return nil
 }
 
-// Get loads the entry under (kind, digest) into out. It returns (true, nil)
-// on a hit and (false, nil) on a clean miss. A corrupt entry — or an injected
-// SiteLoad fault — returns (false, *fault.Fault) after evicting the entry:
-// the caller treats it as a miss, recomputes, and may surface the fault as a
-// diagnostic counter.
-func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
+// GetBytes loads the entry under (kind, digest), checks its frame and hands
+// the payload to decode. The payload aliases a buffer read for this call
+// alone, so decode may keep it. GetBytes returns (true, nil) on a hit and
+// (false, nil) on a clean miss. A corrupt entry, a payload decode rejects,
+// or an injected SiteLoad fault returns (false, *fault.Fault) after evicting
+// the entry: the caller treats it as a miss, recomputes, and may surface the
+// fault as a diagnostic counter.
+func (s *Store) GetBytes(k Kind, digest string, decode func(payload []byte) error) (bool, error) {
 	if f := fault.Hit(SiteLoad, 0); f != nil {
 		s.evictCorrupt(k, digest)
 		return false, f
@@ -180,7 +198,7 @@ func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
 		s.evictCorrupt(k, digest)
 		return false, corruptFault(k, digest, "unreadable entry", err)
 	}
-	if f := decodeEntry(k, digest, data, out); f != nil {
+	if f := decodeEntry(k, digest, data, decode); f != nil {
 		s.evictCorrupt(k, digest)
 		return false, f
 	}
@@ -190,19 +208,19 @@ func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
 	return true, nil
 }
 
-// decodeEntry checks one entry's frame (magic and checksum) and decodes its
-// payload into out. It returns nil on a hit and a cas-layer *fault.Fault
-// naming the corruption otherwise. It touches no file, so Get's integrity
+// decodeEntry checks one entry's frame (magic and checksum) and hands its
+// payload to decode. It returns nil on a hit and a cas-layer *fault.Fault
+// naming the corruption otherwise. It touches no file, so GetBytes' integrity
 // rules can be fuzzed in memory (FuzzEntryDecode).
-func decodeEntry(k Kind, digest string, data []byte, out interface{}) *fault.Fault {
-	if len(data) < 16 || [8]byte(data[:8]) != magic {
+func decodeEntry(k Kind, digest string, data []byte, decode func([]byte) error) *fault.Fault {
+	if len(data) < headerSize || [8]byte(data[:8]) != magic {
 		return corruptFault(k, digest, "truncated or foreign entry", nil)
 	}
-	payload := data[16:]
-	if binary.LittleEndian.Uint64(data[8:16]) != checksum(payload) {
+	payload := data[headerSize:]
+	if binary.LittleEndian.Uint32(data[8:headerSize]) != checksum(payload) {
 		return corruptFault(k, digest, "checksum mismatch", nil)
 	}
-	if err := json.Unmarshal(payload, out); err != nil {
+	if err := decode(payload); err != nil {
 		return corruptFault(k, digest, "undecodable payload", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package cas_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -128,6 +129,33 @@ func TestCorruptionEvictsAndFaults(t *testing.T) {
 				t.Fatalf("recomputed entry Get = %v, %v", ok, err)
 			}
 		})
+	}
+}
+
+// TestRejectedPayloadEvicts: a well-framed entry whose payload its owner
+// cannot decode is a corrupt entry too — typed fault, eviction, counted.
+func TestRejectedPayloadEvicts(t *testing.T) {
+	s := open(t)
+	if err := s.PutBytes(testKind, "d1", []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	path := entryPath(t, s)
+	var got []byte
+	ok, err := s.GetBytes(testKind, "d1", func(p []byte) error {
+		got = p
+		return errors.New("short payload")
+	})
+	if f, isFault := fault.Of(err); ok || !isFault || f.Layer != "cas" {
+		t.Fatalf("rejected payload = %v, %v; want a cas fault", ok, err)
+	}
+	if string(got) != "\x01\x02\x03" {
+		t.Fatalf("decode saw %x, want the stored payload", got)
+	}
+	if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
+		t.Fatal("rejected entry not evicted")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Evictions != 1 || st.Hits != 0 {
+		t.Fatalf("stats %+v; want 1 corrupt, 1 eviction, no hit", st)
 	}
 }
 

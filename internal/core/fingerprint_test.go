@@ -212,3 +212,46 @@ func TestFingerprintHandOff(t *testing.T) {
 		}
 	})
 }
+
+// TestOldDexCheckSchemaRevalidates: a "valid" verdict cached under the
+// retired v1 dexcheck schema, which predates register-operand checks, is not
+// consulted; the class is validated again and its out-of-frame register
+// reported.
+func TestOldDexCheckSchemaRevalidates(t *testing.T) {
+	const cls = "Lcom/test/Regs;"
+	var built *dex.Class
+	spec := core.AppSpec{
+		Name: "regs", EntryClass: cls, EntryMethod: "run",
+		Install: func(sys *core.System) error {
+			cb := dex.NewClass(cls)
+			cb.Method("run", "V", dex.AccStatic, 1).Const(9, 7).ReturnVoid().Done()
+			built = cb.Build()
+			sys.VM.RegisterClass(built)
+			return nil
+		},
+	}
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.NewCachedRunner(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Fingerprint(spec); err != nil {
+		t.Fatal(err)
+	}
+	store.Evict(core.KindDexCheck, built.Digest())
+	v1 := cas.Kind{Name: core.KindDexCheck.Name, Schema: "v1 validate fault.Portable"}
+	if err := store.Put(v1, built.Digest(), struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+
+	_, diags, err := r.Fingerprint(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0], "register v9 outside a 1-register frame") {
+		t.Fatalf("diags = %q; want the out-of-frame register, not the stale v1 verdict", diags)
+	}
+}

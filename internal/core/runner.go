@@ -38,7 +38,9 @@ var (
 	// KindAsm holds arm.Program payloads keyed by hash(source, base).
 	KindAsm = cas.Kind{Name: "asmlib", Schema: "v1 arm.Program base,code,labels,writemask"}
 	// KindDexCheck holds dexCheckRecord payloads keyed by dex.Class digests.
-	KindDexCheck = cas.Kind{Name: "dexcheck", Schema: "v1 validate fault.Portable"}
+	// v2: Validate checks register operands, so a v1 "valid" verdict is
+	// re-checked.
+	KindDexCheck = cas.Kind{Name: "dexcheck", Schema: "v2 validate+operands fault.Portable"}
 )
 
 // dexCheckRecord caches one class's load-time validation verdict.

@@ -37,6 +37,9 @@ func (m *Method) Validate() error {
 		// stream — the static form of the interpreter's "pc out of range".
 		return m.malformed(fmt.Sprintf("body falls off the end (last op %s)", m.Insns[n-1].Op))
 	}
+	if ins := m.InsSize(); m.NumRegs < ins {
+		return m.malformed(fmt.Sprintf("%d registers cannot hold %d argument words", m.NumRegs, ins))
+	}
 	for pc := range m.Insns {
 		insn := &m.Insns[pc]
 		switch insn.Op {
@@ -45,6 +48,9 @@ func (m *Method) Validate() error {
 				return m.malformed(fmt.Sprintf("branch at pc %d targets %d, outside [0,%d)", pc, insn.Tgt, n))
 			}
 		}
+		if err := m.CheckOperands(pc); err != nil {
+			return err
+		}
 	}
 	for _, t := range m.Tries {
 		if t.Start < 0 || t.End > n || t.Start >= t.End || t.Handler < 0 || t.Handler >= n {
@@ -52,6 +58,82 @@ func (m *Method) Validate() error {
 		}
 	}
 	return m.validateCFG()
+}
+
+// Register operand shapes: none, one register, or a register pair.
+const (
+	regNone uint8 = iota
+	regOne
+	regPair
+)
+
+// regShapes gives the shapes of op's A, B and C operands, as the executor
+// reads them. Invoke arguments are single registers in Args.
+func regShapes(op Code) [3]uint8 {
+	switch op {
+	case Const, ConstString, MoveResult, MoveException, Return, NewInstance, Sget, Sput, IfTestZ, Throw:
+		return [3]uint8{regOne}
+	case ConstWide, MoveResultWide, ReturnWide, SgetWide, SputWide:
+		return [3]uint8{regPair}
+	case Move, NewArray, ArrayLength, Iget, Iput, IfTest, BinOpLit, IntToFloat, FloatToInt:
+		return [3]uint8{regOne, regOne}
+	case MoveWide:
+		return [3]uint8{regPair, regPair}
+	case IgetWide, IputWide, IntToDouble, IntToLong:
+		return [3]uint8{regPair, regOne}
+	case DoubleToInt, LongToInt:
+		return [3]uint8{regOne, regPair}
+	case Aget, Aput, BinOp, BinOpFloat, CmpFloat:
+		return [3]uint8{regOne, regOne, regOne}
+	case AgetWide, AputWide:
+		return [3]uint8{regPair, regOne, regOne}
+	case CmpDouble, CmpLong:
+		return [3]uint8{regOne, regPair, regPair}
+	case BinOpWide, BinOpDouble:
+		return [3]uint8{regPair, regPair, regPair}
+	}
+	return [3]uint8{}
+}
+
+// CheckOperands checks the operands of the instruction at pc that the
+// executor uses without a check: every register it names, and both halves
+// of every pair, lie inside the method's frame; an invoke-virtual has a
+// receiver; a new-array names its element kind. An operand past NumRegs
+// would otherwise panic the host or, in a frame that crosses a page, touch
+// the caller's registers. Validate runs it on every instruction, and the
+// executor's decode runs it too, so an unvalidated method faults the same
+// way when it reaches the instruction.
+func (m *Method) CheckOperands(pc int) error {
+	insn := &m.Insns[pc]
+	switch {
+	case insn.Op == InvokeVirtual && len(insn.Args) == 0:
+		return m.malformed(fmt.Sprintf("invoke-virtual at pc %d has no receiver", pc))
+	case insn.Op == NewArray && insn.Str == "":
+		return m.malformed(fmt.Sprintf("new-array at pc %d names no element kind", pc))
+	}
+	check := func(r int, shape uint8) error {
+		width := int(shape) // regOne is 1 register, regPair 2
+		if shape == regNone || (r >= 0 && r+width <= m.NumRegs) {
+			return nil
+		}
+		what := "register"
+		if shape == regPair {
+			what = "register pair"
+		}
+		return m.malformed(fmt.Sprintf("%s at pc %d names %s v%d outside a %d-register frame", insn.Op, pc, what, r, m.NumRegs))
+	}
+	shapes := regShapes(insn.Op)
+	for i, r := range [3]int{insn.A, insn.B, insn.C} {
+		if err := check(r, shapes[i]); err != nil {
+			return err
+		}
+	}
+	for _, r := range insn.Args {
+		if err := check(r, regOne); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // validateCFG runs the control-flow-derived checks: every instruction must

@@ -144,3 +144,56 @@ func TestValidateSkipsNative(t *testing.T) {
 		t.Fatalf("native method should be skipped: %v", err)
 	}
 }
+
+// TestValidateRejectsRegistersOutsideFrame: every register an instruction
+// names, and both halves of every pair, must lie inside the frame. The
+// executor indexes the frame unchecked, so `const v9` in a one-register frame
+// used to pass validation and then panic the host.
+func TestValidateRejectsRegistersOutsideFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		locals int
+		build  func(mb *MethodBuilder) *MethodBuilder
+		detail string
+	}{
+		{"const-past-frame", 1, func(mb *MethodBuilder) *MethodBuilder { return mb.Const(9, 7) }, "register v9 outside a 1-register frame"},
+		{"negative-register", 1, func(mb *MethodBuilder) *MethodBuilder { return mb.Move(0, -1) }, "register v-1"},
+		{"pair-straddles-end", 1, func(mb *MethodBuilder) *MethodBuilder { return mb.ConstWide(0, 7) }, "register pair v0 outside a 1-register frame"},
+		{"wide-source-pair", 3, func(mb *MethodBuilder) *MethodBuilder { return mb.LongToInt(0, 2) }, "register pair v2"},
+		{"aput-index", 2, func(mb *MethodBuilder) *MethodBuilder { return mb.Aput(0, 1, 2) }, "register v2"},
+		{"invoke-argument", 1, func(mb *MethodBuilder) *MethodBuilder {
+			return mb.InvokeStatic("Lcom/test/R;", "m", "VI", 4)
+		}, "register v4"},
+		{"invoke-virtual-no-receiver", 1, func(mb *MethodBuilder) *MethodBuilder {
+			return mb.InvokeVirtual("Lcom/test/R;", "m", "V")
+		}, "no receiver"},
+		{"new-array-no-kind", 2, func(mb *MethodBuilder) *MethodBuilder { return mb.NewArray(0, 1, "") }, "no element kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cb := NewClass("Lcom/test/R;")
+			tc.build(cb.Method("m", "V", AccStatic, tc.locals)).ReturnVoid().Done()
+			f, ok := fault.Of(cb.Build().Validate())
+			if !ok || f.Kind != fault.MalformedDex {
+				t.Fatalf("err = %v, want a malformed-dex fault", f)
+			}
+			if !strings.Contains(f.Detail, tc.detail) {
+				t.Errorf("detail = %q, want %q", f.Detail, tc.detail)
+			}
+		})
+	}
+
+	// The last register of the frame, and a pair ending on it, are fine.
+	cb := NewClass("Lcom/test/R;")
+	cb.Method("edge", "V", AccStatic, 3).Const(2, 1).ConstWide(1, 2).ReturnVoid().Done()
+	if err := cb.Build().Validate(); err != nil {
+		t.Fatalf("in-frame registers rejected: %v", err)
+	}
+
+	// A frame too small for the method's own arguments.
+	m := NewMethod(&Class{Name: "Lcom/test/R;"}, "args", "VJI", AccStatic)
+	m.NumRegs = 2
+	m.Insns = []Insn{{Op: ReturnVoid}}
+	if f, ok := fault.Of(m.Validate()); !ok || f.Kind != fault.MalformedDex || !strings.Contains(f.Detail, "3 argument words") {
+		t.Fatalf("undersized frame: %v", f)
+	}
+}

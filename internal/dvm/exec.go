@@ -150,6 +150,9 @@ func (vm *VM) decodedFor(m *dex.Method) *decoded {
 	d := &decoded{vm: vm, epoch: vm.decodeEpoch, ops: make([]jop, len(m.Insns))}
 	for pc := range m.Insns {
 		d.ops[pc] = vm.decode(&m.Insns[pc])
+		if m.CheckOperands(pc) != nil {
+			d.ops[pc].code = jBad
+		}
 	}
 	m.Compiled = d
 	vm.JavaTransMethods++
@@ -269,6 +272,9 @@ func (vm *VM) Invoke(th *Thread, m *dex.Method, args []uint32, taints []taint.Ta
 	}
 	if len(args) != m.InsSize() {
 		return 0, 0, nil, vm.faultf(fault.MalformedDex, m, "expects %d arg words, got %d", m.InsSize(), len(args))
+	}
+	if m.NumRegs < len(args) {
+		return 0, 0, nil, vm.faultf(fault.MalformedDex, m, "%d registers cannot hold %d arg words", m.NumRegs, len(args))
 	}
 	f, ferr := th.pushFrame(m, args, taints)
 	if ferr != nil {
@@ -905,8 +911,10 @@ loop:
 			}
 			thrown = o
 
-		default:
-			err = vm.faultf(fault.MalformedDex, m, "unimplemented op %s at pc %d", op.insn.Op, pc)
+		default: // jBad: an unimplemented op, or operands CheckOperands refuses
+			if err = m.CheckOperands(pc); err == nil {
+				err = vm.faultf(fault.MalformedDex, m, "unimplemented op %s at pc %d", op.insn.Op, pc)
+			}
 			break loop
 		}
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dex"
+	"repro/internal/fault"
 	"repro/internal/taint"
 )
 
@@ -457,5 +458,34 @@ func TestGateBailMidMethod(t *testing.T) {
 	}
 	if !vm.TaintSeen() {
 		t.Error("latch did not flip")
+	}
+}
+
+// TestUnvalidatedOperandsFault: a method that skipped dex.Validate and names
+// a register outside its frame, or whose frame cannot hold its arguments,
+// ends its run in a typed MalformedDex fault, not a recovered host panic.
+func TestUnvalidatedOperandsFault(t *testing.T) {
+	for _, tc := range []struct {
+		name, shorty string
+		regs         int
+		args         []uint32
+		insns        []dex.Insn
+	}{
+		{"const-v9", "V", 1, nil, []dex.Insn{{Op: dex.Const, A: 9, Lit: 7}, {Op: dex.ReturnVoid}}},
+		{"wide-straddle", "V", 2, nil, []dex.Insn{{Op: dex.ConstWide, A: 1, Lit: 7}, {Op: dex.ReturnVoid}}},
+		{"args-past-frame", "VJI", 2, []uint32{1, 2, 3}, []dex.Insn{{Op: dex.ReturnVoid}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vm := newVM(t)
+			cls := &dex.Class{Name: "Lcom/test/Bad;"}
+			m := dex.NewMethod(cls, "run", tc.shorty, dex.AccStatic)
+			m.NumRegs, m.Insns = tc.regs, tc.insns
+			cls.Methods = []*dex.Method{m}
+			vm.RegisterClass(cls)
+			_, _, _, err := vm.InvokeByName(cls.Name, "run", tc.args, nil)
+			if f, ok := fault.Of(err); !ok || f.Kind != fault.MalformedDex {
+				t.Fatalf("err = %v, want a malformed-dex fault", err)
+			}
+		})
 	}
 }

@@ -60,19 +60,26 @@ func registerFuzzHelper(vm *VM) {
 }
 
 // fuzzMethod decodes code into the body of F.run(II)I, four bytes per
-// instruction: an operation selector and three operand bytes. Registers are
-// always in range and wide operands always name a full pair, so any fault
-// the method raises is the guest's, never the host's. A final return ends
-// the body; flags bit 0 wraps it in a catch-all handler. The result may
-// still fail dex.Validate (unreachable code, say), and the caller skips it.
+// instruction: an operation selector and three operand bytes. A final return
+// ends the body; flags bit 0 wraps it in a catch-all handler. Registers are
+// in range and wide operands name a full pair, so any fault the method
+// raises is the guest's, never the host's — unless flags bit 1 is set: then
+// a register may lie up to two past the frame and a pair may straddle its
+// end, and the method runs unvalidated, so the executor itself must refuse
+// the operands with a typed fault. Without bit 1 the result may still fail
+// dex.Validate (unreachable code, say), and the caller skips it.
 func fuzzMethod(code []byte, flags uint8) *dex.Method {
 	var insns []dex.Insn
 	n := len(code) / 4
 	if n > 48 {
 		n = 48
 	}
-	reg := func(b byte) int { return int(b) % fuzzRegs }
-	pair := func(b byte) int { return int(b) % (fuzzRegs - 1) }
+	span := fuzzRegs
+	if flags&2 != 0 {
+		span += 2
+	}
+	reg := func(b byte) int { return int(b) % span }
+	pair := func(b byte) int { return int(b) % (span - 1) }
 	tgt := func(b byte) int { return int(b) % (n + 1) }
 	for i := 0; i < n; i++ {
 		op, x, y, z := code[4*i], code[4*i+1], code[4*i+2], code[4*i+3]
@@ -208,7 +215,8 @@ func heapDigest(vm *VM) string {
 
 // fuzzRun runs one method on a fresh VM under one configuration: a parity
 // method when which selects one, the decoded body otherwise. It returns
-// nil when the decoded body fails dex.Validate.
+// nil when the decoded body fails dex.Validate, unless flags bit 1 asks for
+// an unvalidated run.
 func fuzzRun(t *testing.T, which uint8, x, y uint32, code []byte, flags uint8, cfg func(*VM, *uint64)) (*fuzzOutcome, uint64) {
 	vm := newVM(t)
 	var steps uint64
@@ -222,7 +230,7 @@ func fuzzRun(t *testing.T, which uint8, x, y uint32, code []byte, flags uint8, c
 		class, method, args = "Lcom/parity/K;", pm.name, args[:pm.args]
 	} else {
 		m := fuzzMethod(code, flags)
-		if m.Validate() != nil {
+		if flags&2 == 0 && m.Validate() != nil {
 			return nil, 0
 		}
 		vm.RegisterClass(m.Class)

@@ -27,6 +27,7 @@
 package service
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -354,9 +355,10 @@ func (s *Service) emit(res Result) {
 
 // KindVerdict holds verdictRecord payloads: the final outcome of one app
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
-// app digest — mode, budget, fusion, flow-log capture, and the surface
-// observer all change what a run produces.
-var KindVerdict = cas.Kind{Name: "verdict", Schema: "v6 service.verdictRecord chain,final_log,leaks,counters,surface+unreleased"}
+// app digest — mode, budget, fusion and flow-log capture all change what a
+// run produces. The payload is a JSON head and a binary log block (see
+// encode).
+var KindVerdict = cas.Kind{Name: "verdict", Schema: "v7 service.verdictRecord json-head(chain,leaks,counters,surface+unreleased) log-block"}
 
 type attemptRecord struct {
 	Mode    string          `json:"mode"`
@@ -369,19 +371,149 @@ type attemptRecord struct {
 // computed one; intermediate chain attempts keep mode, verdict, and fault
 // (what ChainString and the study tallies consume).
 type verdictRecord struct {
-	Chain       []attemptRecord `json:"chain"`
-	Degraded    bool            `json:"degraded,omitempty"`
-	Thrown      bool            `json:"thrown,omitempty"`
-	FinalLog    []string        `json:"final_log,omitempty"`
-	LogHash     string          `json:"log_hash"`
-	Leaks       []core.Leak     `json:"leaks,omitempty"`
-	JavaInsns   uint64          `json:"java_insns"`
-	NativeInsns uint64          `json:"native_insns"`
+	Chain    []attemptRecord `json:"chain"`
+	Degraded bool            `json:"degraded,omitempty"`
+	Thrown   bool            `json:"thrown,omitempty"`
+	// FinalLog is not part of the JSON head: encode writes it as the
+	// record's log block.
+	FinalLog    []string    `json:"-"`
+	Leaks       []core.Leak `json:"leaks,omitempty"`
+	JavaInsns   uint64      `json:"java_insns"`
+	NativeInsns uint64      `json:"native_insns"`
 	// Surface is the final attempt's JNI surface map, persisted so a warm
 	// verdict replay emits the exact map the computed run produced even
 	// though the replay observes zero live crossings.
 	Surface      *surface.Map `json:"surface,omitempty"`
 	JNICrossings uint64       `json:"jni_crossings,omitempty"`
+}
+
+// encode lays the record out as its KindVerdict payload: a uvarint head
+// length, the JSON head (every field but the flow log), then the log block —
+// a uvarint line count followed by each line as a uvarint length and its
+// bytes. The log is nearly all of a record's bytes, and as a block it decodes
+// without a JSON scan.
+func (r *verdictRecord) encode() ([]byte, error) {
+	head, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	size := 2*binary.MaxVarintLen64 + len(head)
+	for _, l := range r.FinalLog {
+		size += 2 + len(l) // a line under 16 KiB takes a 2-byte length at most
+	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, uint64(len(head)))
+	buf = append(buf, head...)
+	buf = binary.AppendUvarint(buf, uint64(len(r.FinalLog)))
+	for _, l := range r.FinalLog {
+		buf = binary.AppendUvarint(buf, uint64(len(l)))
+		buf = append(buf, l...)
+	}
+	return buf, nil
+}
+
+// Ways a KindVerdict payload can be malformed. They are preallocated, so a
+// payload refused on its lengths allocates nothing.
+var (
+	errRecordHead  = errors.New("service: verdict head length overruns the payload")
+	errRecordCount = errors.New("service: verdict log line count overruns the payload")
+	errRecordLine  = errors.New("service: verdict log line overruns the payload")
+	errRecordTail  = errors.New("service: trailing bytes after the verdict log")
+)
+
+// decodeVerdictRecord is encode's inverse. Every length is checked against
+// the bytes that remain before anything is allocated or sliced. The log
+// block becomes one string and each line is a substring of it.
+func decodeVerdictRecord(p []byte) (verdictRecord, error) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return verdictRecord{}, errRecordHead
+	}
+	head, block := p[k:k+int(n)], p[k+int(n):]
+	count, k := binary.Uvarint(block)
+	// Every line takes at least its one-byte length, so a count past the
+	// remaining bytes cannot be honest.
+	if k <= 0 || count > uint64(len(block)-k) {
+		return verdictRecord{}, errRecordCount
+	}
+	block = block[k:]
+	// rec escapes into json.Unmarshal, so it is declared only past the
+	// length checks.
+	var rec verdictRecord
+	if err := json.Unmarshal(head, &rec); err != nil {
+		return verdictRecord{}, err
+	}
+	if count > 0 {
+		log := string(block)
+		rec.FinalLog = make([]string, count)
+		off := 0
+		for i := range rec.FinalLog {
+			l, k := binary.Uvarint(block[off:])
+			if k <= 0 || l > uint64(len(block)-off-k) {
+				return verdictRecord{}, errRecordLine
+			}
+			off += k
+			rec.FinalLog[i] = log[off : off+int(l)]
+			off += int(l)
+		}
+		block = block[off:]
+	}
+	if len(block) != 0 {
+		return verdictRecord{}, errRecordTail
+	}
+	return rec, nil
+}
+
+// newVerdictRecord captures what a replay of rep needs.
+func newVerdictRecord(rep core.AppReport) verdictRecord {
+	rec := verdictRecord{
+		Degraded:     rep.Degraded,
+		Thrown:       rep.Final.Result.Thrown,
+		FinalLog:     rep.Final.Result.LogLines,
+		Leaks:        rep.Final.Result.Leaks,
+		JavaInsns:    rep.Final.Result.JavaInsns,
+		NativeInsns:  rep.Final.Result.NativeInsns,
+		Surface:      rep.Final.Result.Surface,
+		JNICrossings: rep.Final.Result.JNICrossings,
+	}
+	for _, att := range rep.Chain {
+		rec.Chain = append(rec.Chain, attemptRecord{
+			Mode:    att.Mode.String(),
+			Verdict: att.Result.Verdict.String(),
+			Fault:   att.Result.Fault.Portable(),
+		})
+	}
+	return rec
+}
+
+// report replays the record as an AppReport. A record with no chain, or one
+// naming a mode or verdict this build does not know, is malformed.
+func (r *verdictRecord) report() (core.AppReport, error) {
+	if len(r.Chain) == 0 {
+		return core.AppReport{}, errors.New("service: verdict record without a chain")
+	}
+	rep := core.AppReport{Degraded: r.Degraded}
+	for _, ar := range r.Chain {
+		m, okm := core.ModeFromName(ar.Mode)
+		v, okv := core.VerdictFromName(ar.Verdict)
+		if !okm || !okv {
+			return core.AppReport{}, fmt.Errorf("service: verdict record names mode %q, verdict %q", ar.Mode, ar.Verdict)
+		}
+		rep.Chain = append(rep.Chain, core.Attempt{
+			Mode:   m,
+			Result: core.RunResult{Verdict: v, Fault: ar.Fault.Fault()},
+		})
+	}
+	final := &rep.Chain[len(rep.Chain)-1]
+	final.Result.Thrown = r.Thrown
+	final.Result.LogLines = r.FinalLog
+	final.Result.Leaks = r.Leaks
+	final.Result.JavaInsns = r.JavaInsns
+	final.Result.NativeInsns = r.NativeInsns
+	final.Result.Surface = r.Surface
+	final.Result.JNICrossings = r.JNICrossings
+	rep.Final = *final
+	return rep, nil
 }
 
 // verdictKey binds the app digest to every analysis option that can change
@@ -401,65 +533,32 @@ func (s *Service) storeVerdict(fp core.Fingerprint, rep core.AppReport) {
 	if s.opts.Cache == nil {
 		return
 	}
-	rec := verdictRecord{
-		Degraded:     rep.Degraded,
-		Thrown:       rep.Final.Result.Thrown,
-		FinalLog:     rep.Final.Result.LogLines,
-		LogHash:      cas.DigestStrings(rep.Final.Result.LogLines...),
-		Leaks:        rep.Final.Result.Leaks,
-		JavaInsns:    rep.Final.Result.JavaInsns,
-		NativeInsns:  rep.Final.Result.NativeInsns,
-		Surface:      rep.Final.Result.Surface,
-		JNICrossings: rep.Final.Result.JNICrossings,
-	}
-	for _, att := range rep.Chain {
-		rec.Chain = append(rec.Chain, attemptRecord{
-			Mode:    att.Mode.String(),
-			Verdict: att.Result.Verdict.String(),
-			Fault:   att.Result.Fault.Portable(),
-		})
+	rec := newVerdictRecord(rep)
+	payload, err := rec.encode()
+	if err != nil {
+		return
 	}
 	// Best-effort: a failed Put costs the short-circuit, nothing else.
-	_ = s.opts.Cache.Put(KindVerdict, verdictKey(fp, s.opts.Analyze), &rec)
+	_ = s.opts.Cache.PutBytes(KindVerdict, verdictKey(fp, s.opts.Analyze), payload)
 }
 
 // loadVerdict replays a cached verdict record as an AppReport. Any miss —
-// clean, corrupt (evicted and counted), or structurally unresolvable — sends
-// the submission on to analysis instead.
+// clean, or corrupt (a bad frame or a payload that does not decode; evicted
+// and counted) — sends the submission on to analysis instead.
 func (s *Service) loadVerdict(fp core.Fingerprint) (core.AppReport, bool) {
 	if s.opts.Cache == nil {
 		return core.AppReport{}, false
 	}
-	var rec verdictRecord
-	ok, err := s.opts.Cache.Get(KindVerdict, verdictKey(fp, s.opts.Analyze), &rec)
+	var rep core.AppReport
+	ok, err := s.opts.Cache.GetBytes(KindVerdict, verdictKey(fp, s.opts.Analyze), func(p []byte) error {
+		rec, err := decodeVerdictRecord(p)
+		if err == nil {
+			rep, err = rec.report()
+		}
+		return err
+	})
 	if err != nil {
 		s.bumpStat(func(st *Stats) { st.Runner.CacheFaults++ })
 	}
-	if !ok || len(rec.Chain) == 0 {
-		return core.AppReport{}, false
-	}
-	rep := core.AppReport{Degraded: rec.Degraded}
-	for _, ar := range rec.Chain {
-		m, okm := core.ModeFromName(ar.Mode)
-		v, okv := core.VerdictFromName(ar.Verdict)
-		if !okm || !okv {
-			// Unknown name: the record predates a rename. Treat as a miss.
-			s.opts.Cache.Evict(KindVerdict, verdictKey(fp, s.opts.Analyze))
-			return core.AppReport{}, false
-		}
-		rep.Chain = append(rep.Chain, core.Attempt{
-			Mode:   m,
-			Result: core.RunResult{Verdict: v, Fault: ar.Fault.Fault()},
-		})
-	}
-	final := &rep.Chain[len(rep.Chain)-1]
-	final.Result.Thrown = rec.Thrown
-	final.Result.LogLines = rec.FinalLog
-	final.Result.Leaks = rec.Leaks
-	final.Result.JavaInsns = rec.JavaInsns
-	final.Result.NativeInsns = rec.NativeInsns
-	final.Result.Surface = rec.Surface
-	final.Result.JNICrossings = rec.JNICrossings
-	rep.Final = *final
-	return rep, true
+	return rep, ok
 }

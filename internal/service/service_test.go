@@ -172,7 +172,11 @@ func TestVerdictShortCircuit(t *testing.T) {
 // verdict schema is a clean miss under the current one, so the service
 // recomputes the app instead of replaying the stale record. v4 still carried
 // a static pre-analysis record; v5 surface maps carried no unreleased-handle
-// findings, so a v5 replay of hostile-pinswap would hide its finding.
+// findings, so a v5 replay of hostile-pinswap would hide its finding; v6 was
+// all JSON, flow log and log hash included. Each old record is a well-framed
+// entry under its own schema's key, so the miss must be clean: a record the
+// current schema's key still reached would fail to decode and count as a
+// corrupt entry.
 func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	app := mustApp(t, "hostile-pinswap")
 	store, err := cas.Open(t.TempDir())
@@ -210,27 +214,35 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 	}
 	key := service.VerdictKey(fp, aOpts)
 	for _, old := range []struct {
-		schema string
-		static bool
+		schema     string
+		static     bool
+		unreleased bool
 	}{
-		{"v4 service.verdictRecord chain,final_log,leaks,counters,surface,static", true},
-		{"v5 service.verdictRecord chain,final_log,leaks,counters,surface", false},
+		{"v4 service.verdictRecord chain,final_log,leaks,counters,surface,static", true, false},
+		{"v5 service.verdictRecord chain,final_log,leaks,counters,surface", false, false},
+		{"v6 service.verdictRecord chain,final_log,leaks,counters,surface+unreleased", false, true},
 	} {
 		// Move the record to the old schema, as a store written before the
-		// bump holds it: a surface map without findings, and for v4 the
-		// static record it wrote.
+		// bump holds it: all JSON, with the flow log and its hash inline; a
+		// surface map without findings before v6, and for v4 the static
+		// record it wrote.
 		var rec map[string]json.RawMessage
-		if ok, err := store.Get(service.KindVerdict, key, &rec); !ok || err != nil {
+		if ok, err := store.GetBytes(service.KindVerdict, key, func(p []byte) (err error) {
+			rec, err = service.LegacyVerdictJSON(p)
+			return err
+		}); !ok || err != nil {
 			t.Fatalf("no current-schema record: %v, %v", ok, err)
 		}
-		var m surface.Map
-		if err := json.Unmarshal(rec["surface"], &m); err != nil {
-			t.Fatal(err)
+		if !old.unreleased {
+			var m surface.Map
+			if err := json.Unmarshal(rec["surface"], &m); err != nil {
+				t.Fatal(err)
+			}
+			for i := range m.Boundaries {
+				m.Boundaries[i].Unreleased = nil
+			}
+			rec["surface"] = m.Bytes()
 		}
-		for i := range m.Boundaries {
-			m.Boundaries[i].Unreleased = nil
-		}
-		rec["surface"] = m.Bytes()
 		if old.static {
 			rec["static"] = json.RawMessage(`{"methods":2,"native_funcs":2,"native_pages":1,"taint_free_pages":0,"taint_free":false,"taint_free_names":["Lcom/hostile/pinswap/Main;.checksum"]}`)
 		}
@@ -239,10 +251,15 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		corrupt := store.Stats().Corrupt
 		again, st := submit()
 		if again.Source != "computed" || st.VerdictHits != 0 || st.Computed != 1 {
 			t.Fatalf("%s: source %q with %d verdict hits, %d computed: an old record was replayed",
 				old.schema[:2], again.Source, st.VerdictHits, st.Computed)
+		}
+		if st.Runner.CacheFaults != 0 || store.Stats().Corrupt != corrupt {
+			t.Fatalf("%s: the old record was reached and rejected as corrupt (%d cache faults), not a clean miss",
+				old.schema[:2], st.Runner.CacheFaults)
 		}
 		if got, want := strings.Join(again.Report.Final.Result.LogLines, "\n"), strings.Join(cold.Report.Final.Result.LogLines, "\n"); got != want {
 			t.Errorf("%s: recomputed flow log differs from the first run's", old.schema[:2])
