@@ -94,8 +94,8 @@ func main() {
 	}
 	fmt.Printf("Fork servers: %d boots, %d resets; per-reset cost %.1f guest pages + %.1f taint pages copied.\n",
 		rs.Boots, rs.Resets, perReset, taintPerReset)
-	fmt.Printf("Artifacts: %d assembles, %d asm cache hits, %d dex validations, %d dex-check hits, %d cache faults absorbed.\n",
-		rs.AsmAssembles, rs.AsmCacheHits, rs.DexValidations, rs.DexCheckHits, rs.CacheFaults)
+	fmt.Printf("Artifacts: %d assembles, %d dex validations, %d cache faults absorbed.\n",
+		rs.AsmAssembles, rs.DexValidations, rs.CacheFaults)
 	if store != nil {
 		cs := store.Stats()
 		fmt.Printf("Store %s: %d hits, %d misses, %d puts, %d corrupt, %d evicted.\n",

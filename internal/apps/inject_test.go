@@ -9,6 +9,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/service"
 	"repro/internal/surface"
 )
 
@@ -75,17 +76,9 @@ func TestInjectionEverySiteContained(t *testing.T) {
 				}
 				aOpts.Runner = runner
 			case cas.SiteLoad:
-				// The cache-load site only exists on the artifact-cached
-				// path: the first native-lib install probes the store.
-				store, err := cas.Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				runner, err := core.NewCachedRunner(store)
-				if err != nil {
-					t.Fatal(err)
-				}
-				aOpts.Runner = runner
+				// The store is read only by the service's verdict load.
+				injectVerdictLoad(t, app)
+				return
 			}
 			if err := fault.Arm(site, fault.UnmappedAccess); err != nil {
 				t.Fatal(err)
@@ -93,21 +86,6 @@ func TestInjectionEverySiteContained(t *testing.T) {
 			r := core.AnalyzeApp(spec, aOpts)
 			if n := fault.Fired(site); n != 1 {
 				t.Fatalf("site fired %d times, want exactly 1 (chain %s)", n, r.ChainString())
-			}
-			if site == cas.SiteLoad {
-				// Cache corruption is absorbed: the poisoned entry is evicted
-				// and recomputed, the run's verdict and chain are untouched,
-				// and the only trace is a diagnostic counter.
-				if chainSawInjection(r, site) {
-					t.Fatalf("absorbed cache fault surfaced in chain %s", r.ChainString())
-				}
-				if r.Verdict() != core.VerdictLeak || r.Degraded {
-					t.Errorf("chain %s: cache fault must be invisible (want undegraded leak)", r.ChainString())
-				}
-				if aOpts.Runner.Stats.CacheFaults != 1 {
-					t.Errorf("CacheFaults = %d, want 1", aOpts.Runner.Stats.CacheFaults)
-				}
-				return
 			}
 			if site == surface.SiteOverflow {
 				// Surface-budget exhaustion is absorbed degradation: the map
@@ -171,6 +149,50 @@ func TestInjectionEverySiteContained(t *testing.T) {
 	}
 }
 
+// injectVerdictLoad is TestInjectionEverySiteContained's cas.load case. A
+// first submission stores case1's verdict; the site is armed; a resubmission
+// then hits the injected load fault. Cache corruption is absorbed: the
+// poisoned entry is evicted and recomputed, the verdict and chain are
+// untouched, and the only trace is the CacheFaults counter.
+func injectVerdictLoad(t *testing.T, app *apps.App) {
+	t.Helper()
+	store, err := cas.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.New(service.Options{
+		Cache:   store,
+		Analyze: core.AnalyzeOptions{Budget: testBudget, FlowLog: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if res := <-svc.Submit(app.Spec()); res.Source != "computed" {
+		t.Fatalf("first submission: source %q, want computed", res.Source)
+	}
+	if err := fault.Arm(cas.SiteLoad, fault.UnmappedAccess); err != nil {
+		t.Fatal(err)
+	}
+	res := <-svc.Submit(app.Spec())
+	if n := fault.Fired(cas.SiteLoad); n != 1 {
+		t.Fatalf("site fired %d times, want exactly 1", n)
+	}
+	r := res.Report
+	if res.Source != "computed" {
+		t.Errorf("resubmission: source %q, want computed past the faulted load", res.Source)
+	}
+	if chainSawInjection(r, cas.SiteLoad) {
+		t.Fatalf("absorbed cache fault surfaced in chain %s", r.ChainString())
+	}
+	if r.Verdict() != core.VerdictLeak || r.Degraded {
+		t.Errorf("chain %s: cache fault must be invisible (want undegraded leak)", r.ChainString())
+	}
+	if n := svc.Stats().Runner.CacheFaults; n != 1 {
+		t.Errorf("CacheFaults = %d, want 1", n)
+	}
+}
+
 // TestInjectionParity is the isolation proof: with injection armed at a
 // site, the fault is absorbed by the first app that passes it, and (a) every
 // other app in the same sweep produces a byte-identical flow log and verdict
@@ -202,12 +224,12 @@ func TestInjectionParity(t *testing.T) {
 				// The sweep runs through the service on one worker, so each
 				// site's first passage is deterministic. The worker's
 				// fingerprint step installs each app before analyzing it and
-				// consumes two injections, absorbing both: the restore (it
-				// rewinds first, then reboots and retries) and the cache load
-				// (its first install probes the store). Analyzing the first
-				// app consumes every other site's injection. The cache-load
-				// site only exists on the artifact-cached path, so its sweep
-				// runs against a fresh store.
+				// absorbs the restore injection (it rewinds first, then
+				// reboots and retries). The first app's verdict lookup
+				// absorbs the cache-load injection, which only exists with a
+				// store attached, so that sweep runs against a fresh store.
+				// Analyzing the first app consumes every other site's
+				// injection.
 				sOpts := apps.StudyOptions{Budget: testBudget, FlowLog: true}
 				if site == cas.SiteLoad {
 					store, err := cas.Open(t.TempDir())

@@ -95,11 +95,13 @@ func TestServiceParity(t *testing.T) {
 	}
 }
 
-// TestSharedLibVariantReusesAssembledImages: an app that shares its native
-// libraries with an already-analyzed app (but ships different dex) must be
-// served every assembled image from the store — zero assembler runs — while
-// all dex- and app-scoped artifacts are recomputed.
-func TestSharedLibVariantReusesAssembledImages(t *testing.T) {
+// TestSharedLibVariantParity: an app shipping byte-identical native
+// libraries under different dex content (one extra, never-run class) is a
+// new digest, so a store that judged the base app computes the variant
+// afresh; its verdict, chain and flow log equal the base app's. Each sweep
+// boots its own Runner and no image is stored, so both assemble the same
+// libraries in memory.
+func TestSharedLibVariantParity(t *testing.T) {
 	base, ok := apps.ByName("case1")
 	if !ok {
 		t.Fatal("case1 missing")
@@ -108,24 +110,26 @@ func TestSharedLibVariantReusesAssembledImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	cold, coldStats := runStudy(t, apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Cache: store, Apps: []*apps.App{base}}, 1)
-	if coldStats.Runner.AsmAssembles == 0 {
-		t.Fatal("cold run assembled nothing; the ablation has no baseline")
+	sweep := func(app *apps.App) (apps.StudyRow, service.Stats) {
+		rep, st := runStudy(t, apps.StudyOptions{
+			Budget: testBudget, FlowLog: true, Cache: store, Apps: []*apps.App{app}}, 1)
+		return rep.Rows[0], st
 	}
+	cold, coldStats := sweep(base)
+	row, st := sweep(apps.SharedLibVariant(base))
 
-	variant := apps.SharedLibVariant(base)
-	rep, st := runStudy(t, apps.StudyOptions{
-		Budget: testBudget, FlowLog: true, Cache: store, Apps: []*apps.App{variant}}, 1)
-
-	if st.Runner.AsmAssembles != 0 {
-		t.Errorf("shared-lib variant ran the assembler %d times, want 0", st.Runner.AsmAssembles)
+	if st.Computed != 1 || st.VerdictHits != 0 {
+		t.Errorf("variant computed=%d verdictHits=%d, want 1/0: the extra class must move the digest",
+			st.Computed, st.VerdictHits)
 	}
-	if st.Runner.AsmCacheHits == 0 {
-		t.Error("shared-lib variant never hit the assembled-image store")
+	if got, want := rowOutcome(row), rowOutcome(cold); got != want {
+		t.Errorf("variant verdict %v, base %v; or the flow logs differ", got.verdict, want.verdict)
 	}
-	if got, want := rep.Rows[0].Report.Verdict(), cold.Rows[0].Report.Verdict(); got != want {
-		t.Errorf("variant verdict %v, base %v — padding class changed behavior", got, want)
+	if got, want := row.Report.ChainString(), cold.Report.ChainString(); got != want {
+		t.Errorf("variant chain %s, base %s", got, want)
+	}
+	if n := st.Runner.AsmAssembles; n == 0 || n != coldStats.Runner.AsmAssembles {
+		t.Errorf("variant ran the assembler %d times, base %d; want the same nonzero count",
+			n, coldStats.Runner.AsmAssembles)
 	}
 }

@@ -121,10 +121,9 @@ func (rep *StudyReport) tally() {
 
 // SharedLibVariant derives an app shipping byte-identical native libraries
 // under different dex content: Install additionally registers a padding
-// class, so the app and dex digests both move while every LibPrint stays
-// the same. A warm-store run of the variant must therefore reuse all
-// assembled images (zero assembler runs) yet recompute everything dex- and
-// app-scoped — the shared-library leg of the cache ablation.
+// class that never runs, so the app digest moves while the analysis does
+// not. A store that judged the base app must therefore compute the variant
+// afresh, and its verdict, chain and flow log equal the base app's.
 func SharedLibVariant(app *App) *App {
 	v := *app
 	v.Name = app.Name + "+sharedlib"

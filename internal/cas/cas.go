@@ -1,9 +1,9 @@
-// Package cas implements the persistent content-addressed artifact store
-// behind the analysis service: every derived artifact — dex validation
-// results, assembled native-library images, and final verdict records — is
-// keyed by the content digest of its inputs, so a re-submitted identical app
-// (or a new app sharing only a native library) reuses work instead of
-// recomputing it.
+// Package cas implements the persistent content-addressed store behind the
+// analysis service. It holds one artifact kind, the service's verdict
+// records: the final outcome of one app digest under one analysis
+// configuration, so a re-submitted identical app is answered without running.
+// Dex validation and native-library assembly are cheaper than a store read,
+// so they run in memory on every install and are never stored.
 //
 // Keys are three-part: an artifact kind, the kind's schema fingerprint
 // (hash of a schema description string plus the store format version), and
@@ -13,8 +13,7 @@
 // garbage.
 //
 // The store moves bytes; each kind's owner encodes its payload. PutBytes and
-// GetBytes frame and check an opaque payload, and Put/Get are thin JSON
-// wrappers over them for kinds whose payload is plain JSON.
+// GetBytes frame and check an opaque payload.
 //
 // Every load is checksummed (CRC-32C): a truncated or bit-flipped entry, or a
 // payload its owner cannot decode, surfaces as a typed *fault.Fault
@@ -27,7 +26,6 @@ package cas
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -123,21 +121,6 @@ const headerSize = 12
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
-
-// Put stores v as a JSON payload under (kind, digest).
-func (s *Store) Put(k Kind, digest string, v interface{}) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("cas: marshal %s/%s: %w", k.Name, digest, err)
-	}
-	return s.PutBytes(k, digest, payload)
-}
-
-// Get loads the JSON payload under (kind, digest) into out, with GetBytes'
-// results: a payload that is not valid JSON for out is a corrupt entry.
-func (s *Store) Get(k Kind, digest string, out interface{}) (bool, error) {
-	return s.GetBytes(k, digest, func(payload []byte) error { return json.Unmarshal(payload, out) })
-}
 
 // PutBytes frames payload and stores it under (kind, digest). The write goes
 // through a temp file and rename, so a concurrent reader sees either the old

@@ -1,6 +1,7 @@
 package cas_test
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,6 +19,23 @@ type payload struct {
 
 var testKind = cas.Kind{Name: "test", Schema: "v1 name,vals,score"}
 
+// put and get store a payload as JSON through PutBytes and GetBytes: the
+// store moves bytes, and these tests' kind encodes its payload as JSON.
+func put(t testing.TB, s *cas.Store, k cas.Kind, digest string, v *payload) {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBytes(k, digest, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func get(s *cas.Store, k cas.Kind, digest string, out *payload) (bool, error) {
+	return s.GetBytes(k, digest, func(p []byte) error { return json.Unmarshal(p, out) })
+}
+
 func open(t *testing.T) *cas.Store {
 	t.Helper()
 	s, err := cas.Open(t.TempDir())
@@ -30,18 +48,16 @@ func open(t *testing.T) *cas.Store {
 func TestRoundTrip(t *testing.T) {
 	s := open(t)
 	in := payload{Name: "case1", Vals: []int{1, 2, 3}, Score: 4.5}
-	if err := s.Put(testKind, "abc123", &in); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, testKind, "abc123", &in)
 	var out payload
-	ok, err := s.Get(testKind, "abc123", &out)
+	ok, err := get(s, testKind, "abc123", &out)
 	if err != nil || !ok {
-		t.Fatalf("Get = %v, %v; want hit", ok, err)
+		t.Fatalf("get = %v, %v; want hit", ok, err)
 	}
 	if out.Name != in.Name || len(out.Vals) != 3 || out.Score != in.Score {
 		t.Fatalf("round trip mangled: %+v", out)
 	}
-	if ok, err := s.Get(testKind, "missing", &out); ok || err != nil {
+	if ok, err := get(s, testKind, "missing", &out); ok || err != nil {
 		t.Fatalf("miss = %v, %v; want clean miss", ok, err)
 	}
 	st := s.Stats()
@@ -55,17 +71,15 @@ func TestRoundTrip(t *testing.T) {
 // under a different one, because the schema fingerprint is part of the key.
 func TestSchemaInvalidation(t *testing.T) {
 	s := open(t)
-	if err := s.Put(testKind, "d1", &payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, testKind, "d1", &payload{Name: "x"})
 	bumped := cas.Kind{Name: testKind.Name, Schema: "v2 name,vals,score,extra"}
 	var out payload
-	ok, err := s.Get(bumped, "d1", &out)
+	ok, err := get(s, bumped, "d1", &out)
 	if ok || err != nil {
-		t.Fatalf("schema-bumped Get = %v, %v; want clean miss", ok, err)
+		t.Fatalf("schema-bumped get = %v, %v; want clean miss", ok, err)
 	}
 	// The original schema still resolves its entry.
-	if ok, _ := s.Get(testKind, "d1", &out); !ok {
+	if ok, _ := get(s, testKind, "d1", &out); !ok {
 		t.Fatal("original schema lost its entry")
 	}
 }
@@ -94,9 +108,7 @@ func TestCorruptionEvictsAndFaults(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := open(t)
-			if err := s.Put(testKind, "d1", &payload{Name: "x", Vals: []int{9}}); err != nil {
-				t.Fatal(err)
-			}
+			put(t, s, testKind, "d1", &payload{Name: "x", Vals: []int{9}})
 			path := entryPath(t, s)
 			data, err := os.ReadFile(path)
 			if err != nil {
@@ -106,7 +118,7 @@ func TestCorruptionEvictsAndFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out payload
-			ok, err := s.Get(testKind, "d1", &out)
+			ok, err := get(s, testKind, "d1", &out)
 			if ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
@@ -122,11 +134,9 @@ func TestCorruptionEvictsAndFaults(t *testing.T) {
 				t.Fatalf("stats %+v; want 1 corrupt, 1 eviction", st)
 			}
 			// The caller recomputes and re-stores; the entry is healthy again.
-			if err := s.Put(testKind, "d1", &payload{Name: "x", Vals: []int{9}}); err != nil {
-				t.Fatal(err)
-			}
-			if ok, err := s.Get(testKind, "d1", &out); !ok || err != nil {
-				t.Fatalf("recomputed entry Get = %v, %v", ok, err)
+			put(t, s, testKind, "d1", &payload{Name: "x", Vals: []int{9}})
+			if ok, err := get(s, testKind, "d1", &out); !ok || err != nil {
+				t.Fatalf("recomputed entry get = %v, %v", ok, err)
 			}
 		})
 	}
@@ -159,21 +169,19 @@ func TestRejectedPayloadEvicts(t *testing.T) {
 	}
 }
 
-// TestInjectedLoadFault arms the cas.load site: the next Get fails exactly
+// TestInjectedLoadFault arms the cas.load site: the next GetBytes fails exactly
 // like a corrupt entry (typed fault, eviction), and the one after succeeds —
 // the absorbed-semantics contract the service-level parity tests rely on.
 func TestInjectedLoadFault(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	s := open(t)
-	if err := s.Put(testKind, "d1", &payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
+	put(t, s, testKind, "d1", &payload{Name: "x"})
 	if err := fault.Arm(cas.SiteLoad, fault.InternalError); err != nil {
 		t.Fatal(err)
 	}
 	var out payload
-	ok, err := s.Get(testKind, "d1", &out)
+	ok, err := get(s, testKind, "d1", &out)
 	if ok {
 		t.Fatal("injected load served a hit")
 	}
@@ -185,14 +193,12 @@ func TestInjectedLoadFault(t *testing.T) {
 		t.Fatalf("site fired %d times", fault.Fired(cas.SiteLoad))
 	}
 	// Evicted by the injected corruption; a recompute repopulates.
-	if ok, err := s.Get(testKind, "d1", &out); ok || err != nil {
-		t.Fatalf("post-injection Get = %v, %v; want clean miss", ok, err)
+	if ok, err := get(s, testKind, "d1", &out); ok || err != nil {
+		t.Fatalf("post-injection get = %v, %v; want clean miss", ok, err)
 	}
-	if err := s.Put(testKind, "d1", &payload{Name: "x"}); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := s.Get(testKind, "d1", &out); !ok || err != nil {
-		t.Fatalf("repopulated Get = %v, %v", ok, err)
+	put(t, s, testKind, "d1", &payload{Name: "x"})
+	if ok, err := get(s, testKind, "d1", &out); !ok || err != nil {
+		t.Fatalf("repopulated get = %v, %v", ok, err)
 	}
 }
 

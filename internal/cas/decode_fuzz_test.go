@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// FuzzEntryDecode runs Get's frame check and payload decode on arbitrary
+// FuzzEntryDecode runs GetBytes' frame check and payload decode on arbitrary
 // bytes in memory, with no file I/O per exec. decodeEntry must return a hit
 // (nil) only for a well-framed entry, a cas-layer fault otherwise, and never
 // panic. Its committed seeds are FuzzStoreGet's.

@@ -9,8 +9,8 @@ import (
 	"repro/internal/fault"
 )
 
-// FuzzStoreGet writes arbitrary bytes as a store entry and loads it into a
-// small struct. Get must either hit with a nil error, or miss with a
+// FuzzStoreGet writes arbitrary bytes as a store entry and loads it, as
+// JSON, into a small struct. GetBytes must either hit with a nil error, or miss with a
 // cas-layer *fault.Fault and evict the entry; it must never panic. The
 // committed seeds are a valid frame, a truncated frame, a frame with bad
 // magic, a checksummed non-JSON payload, and a checksummed JSON null.
@@ -20,11 +20,9 @@ func FuzzStoreGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A real Put lays out the kind's directory; its path is where every
+	// A real put lays out the kind's directory; its path is where every
 	// fuzzed entry is written.
-	if err := s.Put(testKind, "fuzz", &payload{}); err != nil {
-		f.Fatal(err)
-	}
+	put(f, s, testKind, "fuzz", &payload{})
 	paths, err := filepath.Glob(filepath.Join(dir, "*", "fuzz"))
 	if err != nil || len(paths) != 1 {
 		f.Fatalf("entry path: %v, %v", paths, err)
@@ -36,7 +34,7 @@ func FuzzStoreGet(f *testing.F) {
 			t.Fatal(err)
 		}
 		var out payload
-		ok, err := s.Get(testKind, "fuzz", &out)
+		ok, err := get(s, testKind, "fuzz", &out)
 		if ok {
 			if err != nil {
 				t.Fatalf("hit with error %v", err)

@@ -1,7 +1,7 @@
 package cfbench
 
 // Ablation matrix: every speed-only mechanism with a knob (trace fusion and
-// the artifact store) is one or more arms of a single list. Each arm runs
+// the verdict store) is one or more arms of a single list. Each arm runs
 // the evaluation corpus under every analysis mode through the analysis
 // service, and one parity checker holds every (app, mode) cell to the
 // baseline arm's verdict, degradation chain, flow log and JNI surface map
@@ -33,14 +33,10 @@ type matrixArm struct {
 	// Opts is the analysis configuration; RunMatrix sets Mode, Budget and
 	// FlowLog per run.
 	Opts core.AnalyzeOptions
-	// Store runs the arm over the matrix's artifact store (one per mode).
+	// Store runs the arm over the matrix's verdict store (one per mode).
 	// Store arms share it in list order: the first finds it empty (cold),
 	// later ones find everything earlier ones wrote.
 	Store bool
-	// SharedLib submits apps.SharedLibVariant of every app: the same native
-	// libraries under new dex. Cells keep the base app's name and are
-	// compared against it.
-	SharedLib bool
 	// Check holds a claim beyond parity, given one run of the arm and the
 	// baseline run under the same mode.
 	Check func(run, base *ArmRun) error
@@ -61,13 +57,6 @@ var arms = []matrixArm{
 		Check: func(run, _ *ArmRun) error {
 			if run.Service.Computed != 0 {
 				return fmt.Errorf("recomputed %d apps; every verdict should replay", run.Service.Computed)
-			}
-			return nil
-		}},
-	{Name: "cache=sharedlib", Store: true, SharedLib: true,
-		Check: func(run, _ *ArmRun) error {
-			if n := run.Service.Runner.AsmAssembles; n != 0 {
-				return fmt.Errorf("ran the assembler %d times; shared images must replay", n)
 			}
 			return nil
 		}},
@@ -215,12 +204,8 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 	run := &ArmRun{Arm: a.Name, Mode: mode.String()}
 	var out []cellOutcome
 	for _, app := range apps.AllApps() {
-		sub := app
-		if a.SharedLib {
-			sub = apps.SharedLibVariant(app)
-		}
 		start := time.Now()
-		res := <-svc.Submit(sub.Spec())
+		res := <-svc.Submit(app.Spec())
 		secs := time.Since(start).Round(time.Microsecond).Seconds()
 		if res.Err != nil {
 			svc.Close()

@@ -490,16 +490,19 @@ func (a *Analyzer) onSetField(ctx *dvm.CallCtx, wide, isObj bool) {
 		return
 	}
 	a.Sys.VM.NoteTaint(t)
-	fld := ctx.Field
-	if ctx.FieldObj != nil {
-		ctx.FieldObj.FieldTaints[fld.Index] |= t
-		if wide && fld.Index+1 < len(ctx.FieldObj.FieldTaints) {
-			ctx.FieldObj.FieldTaints[fld.Index+1] |= t
+	// Taint the slot Set<Type>Field wrote; it refuses one past the table.
+	i := a.Sys.VM.FieldSlot(ctx.Field)
+	if o := ctx.FieldObj; o != nil {
+		if i < len(o.FieldTaints) {
+			o.FieldTaints[i] |= t
 		}
-	} else {
-		fld.Class.StaticTaints[fld.Index] |= uint32(t)
-		if wide && fld.Index+1 < len(fld.Class.StaticTaints) {
-			fld.Class.StaticTaints[fld.Index+1] |= uint32(t)
+		if wide && i+1 < len(o.FieldTaints) {
+			o.FieldTaints[i+1] |= t
+		}
+	} else if st := ctx.Field.Class.StaticTaints; i < len(st) {
+		st[i] |= uint32(t)
+		if wide && i+1 < len(st) {
+			st[i+1] |= uint32(t)
 		}
 	}
 	a.Log.Addf("%s: field %s taint=%v", ctx.Name, fieldName(ctx), t)

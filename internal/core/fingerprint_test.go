@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"bufio"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/cas"
 	"repro/internal/core"
 	"repro/internal/dex"
 )
@@ -22,10 +24,10 @@ func fingerprintOf(t *testing.T, r *core.Runner, spec core.AppSpec) core.Fingerp
 	return fp
 }
 
-// TestFingerprintScopes pins the artifact-scope split the service and the
-// store key by: the display name is excluded entirely, native-library prints
-// cover only the image content (so two apps sharing a lib share the print),
-// and the dex digest covers exactly what an Install registered.
+// TestFingerprintScopes pins what the app digest covers: the display name
+// is excluded entirely, re-fingerprinting on the restored System reproduces
+// the digest (the snapshot rewinds load bases), and a dex class added next
+// to the same native library moves it.
 func TestFingerprintScopes(t *testing.T) {
 	app, ok := apps.ByName("case1")
 	if !ok {
@@ -36,73 +38,37 @@ func TestFingerprintScopes(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := fingerprintOf(t, r, app.Spec())
-	if base.App == "" || base.Dex == "" || len(base.Libs) == 0 {
-		t.Fatalf("incomplete fingerprint: %+v", base)
+	if base.App == "" {
+		t.Fatal("empty app digest")
 	}
-
-	// Stability: re-fingerprinting the same spec on the restored System must
-	// reproduce every digest (the snapshot rewinds load bases).
-	if again := fingerprintOf(t, r, app.Spec()); again.App != base.App || again.Dex != base.Dex {
+	if again := fingerprintOf(t, r, app.Spec()); again != base {
 		t.Errorf("fingerprint unstable across restores: %+v vs %+v", again, base)
 	}
 
 	// Identical content under another display name is the same submission.
 	renamed := app.Spec()
 	renamed.Name = "case1-resubmitted-under-alias"
-	if got := fingerprintOf(t, r, renamed); got.App != base.App {
+	if got := fingerprintOf(t, r, renamed); got != base {
 		t.Errorf("display name leaked into the app digest: %s vs %s", got.App, base.App)
 	}
 
-	// Shared-lib variant: identical native library, one extra dex class. The
-	// library prints must be unchanged (that is what makes assembled images
-	// reusable across apps) while the dex and app digests must move.
-	variant := app.Spec()
-	inner := variant.Install
-	variant.Install = func(sys *core.System) error {
-		if err := inner(sys); err != nil {
-			return err
-		}
-		cb := dex.NewClass("Lcom/ndroid/extra/Pad;")
-		cb.Method("pad", "I", dex.AccStatic, 1).
-			Const(0, 7).
-			Return(0).
-			Done()
-		sys.VM.RegisterClass(cb.Build())
-		return nil
-	}
-	vfp := fingerprintOf(t, r, variant)
-	if vfp.Dex == base.Dex {
-		t.Error("dex digest missed the added class")
-	}
-	if vfp.App == base.App {
+	if vfp := fingerprintOf(t, r, apps.SharedLibVariant(app).Spec()); vfp == base {
 		t.Error("app digest missed the added class")
-	}
-	if len(vfp.Libs) != len(base.Libs) {
-		t.Fatalf("lib count changed: %d vs %d", len(vfp.Libs), len(base.Libs))
-	}
-	for i := range vfp.Libs {
-		if vfp.Libs[i].Digest != base.Libs[i].Digest {
-			t.Errorf("shared library %s changed print: %s vs %s",
-				vfp.Libs[i].Name, vfp.Libs[i].Digest, base.Libs[i].Digest)
-		}
 	}
 }
 
-// TestFingerprintDexCheckCached: validation verdicts are keyed by class
-// content digest in the artifact store, so re-fingerprinting identical
-// content replays them without re-running Validate.
-func TestFingerprintDexCheckCached(t *testing.T) {
-	store, err := cas.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := core.NewCachedRunner(store)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFingerprintValidatesEveryCall: dex validation runs in memory on every
+// fingerprint, once per installed class, with nothing replayed. The Runner
+// counts the VM's real assembler runs: case1's one library assembles on the
+// first install, and the VM's memo serves the second.
+func TestFingerprintValidatesEveryCall(t *testing.T) {
 	app, ok := apps.ByName("case1")
 	if !ok {
 		t.Fatal("case1 missing")
+	}
+	r, err := core.NewRunner()
+	if err != nil {
+		t.Fatal(err)
 	}
 	fingerprintOf(t, r, app.Spec())
 	v1 := r.Stats.DexValidations
@@ -110,21 +76,14 @@ func TestFingerprintDexCheckCached(t *testing.T) {
 		t.Fatal("first fingerprint ran no validations")
 	}
 	fingerprintOf(t, r, app.Spec())
-	if r.Stats.DexValidations != v1 {
-		t.Errorf("re-validated cached classes: %d -> %d", v1, r.Stats.DexValidations)
+	if r.Stats.DexValidations != 2*v1 {
+		t.Errorf("second fingerprint: %d validations in all, want %d", r.Stats.DexValidations, 2*v1)
 	}
-	if r.Stats.DexCheckHits == 0 {
-		t.Error("no validation verdicts served from the store")
+	if r.Stats.DexCheckHits != 0 || r.Stats.AsmCacheHits != 0 {
+		t.Errorf("replay counters moved: %+v", r.Stats)
 	}
-
-	// A second runner over the same store inherits the verdicts cold.
-	r2, err := core.NewCachedRunner(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fingerprintOf(t, r2, app.Spec())
-	if r2.Stats.DexValidations != 0 {
-		t.Errorf("fresh runner re-validated %d classes despite warm store", r2.Stats.DexValidations)
+	if n, vm := r.Stats.AsmAssembles, r.System().VM.AsmAssembles; n != 1 || uint64(n) != vm {
+		t.Errorf("Runner counted %d assembler runs, VM %d; want 1 each", n, vm)
 	}
 }
 
@@ -213,45 +172,82 @@ func TestFingerprintHandOff(t *testing.T) {
 	})
 }
 
-// TestOldDexCheckSchemaRevalidates: a "valid" verdict cached under the
-// retired v1 dexcheck schema, which predates register-operand checks, is not
-// consulted; the class is validated again and its out-of-frame register
-// reported.
-func TestOldDexCheckSchemaRevalidates(t *testing.T) {
+// TestFingerprintReportsOutOfFrameRegister: a class whose method names a
+// register past its frame fails validation, and every fingerprint reports it
+// as a load-time diagnostic.
+func TestFingerprintReportsOutOfFrameRegister(t *testing.T) {
 	const cls = "Lcom/test/Regs;"
-	var built *dex.Class
 	spec := core.AppSpec{
 		Name: "regs", EntryClass: cls, EntryMethod: "run",
 		Install: func(sys *core.System) error {
 			cb := dex.NewClass(cls)
 			cb.Method("run", "V", dex.AccStatic, 1).Const(9, 7).ReturnVoid().Done()
-			built = cb.Build()
-			sys.VM.RegisterClass(built)
+			sys.VM.RegisterClass(cb.Build())
 			return nil
 		},
 	}
-	store, err := cas.Open(t.TempDir())
+	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.NewCachedRunner(store)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		_, diags, err := r.Fingerprint(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) != 1 || !strings.Contains(diags[0], "register v9 outside a 1-register frame") {
+			t.Fatalf("fingerprint %d: diags = %q; want the out-of-frame register", i+1, diags)
+		}
 	}
-	if _, _, err := r.Fingerprint(spec); err != nil {
-		t.Fatal(err)
-	}
-	store.Evict(core.KindDexCheck, built.Digest())
-	v1 := cas.Kind{Name: core.KindDexCheck.Name, Schema: "v1 validate fault.Portable"}
-	if err := store.Put(v1, built.Digest(), struct{}{}); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	_, diags, err := r.Fingerprint(spec)
+var updateFingerprint = flag.Bool("update-fingerprint", false, "rewrite testdata/fingerprint_app.golden from this tree")
+
+const fingerprintGolden = "testdata/fingerprint_app.golden"
+
+// TestFingerprintAppGolden pins Fingerprint.App, the digest verdict keys are
+// built from, for every corpus app and its shared-library variant: a change
+// to what the fingerprint hashes would make every stored verdict a miss. The
+// golden was recorded while the fingerprint still carried per-class and
+// per-library scopes, so it also holds the digest to the bytes it hashed
+// then. Regenerate with -update-fingerprint only for an intended re-key.
+func TestFingerprintAppGolden(t *testing.T) {
+	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 1 || !strings.Contains(diags[0], "register v9 outside a 1-register frame") {
-		t.Fatalf("diags = %q; want the out-of-frame register, not the stale v1 verdict", diags)
+	var lines []string
+	for _, app := range apps.AllApps() {
+		for _, a := range []*apps.App{app, apps.SharedLibVariant(app)} {
+			fp, _, err := r.Fingerprint(a.Spec())
+			digest := fp.App
+			if err != nil {
+				digest = "install-fault"
+			}
+			lines = append(lines, a.Name+" "+digest)
+		}
+	}
+	if *updateFingerprint {
+		if err := os.WriteFile(fingerprintGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(fingerprintGolden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-fingerprint)", err)
+	}
+	defer f.Close()
+	var want []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		want = append(want, sc.Text())
+	}
+	if len(want) != len(lines) {
+		t.Fatalf("golden has %d apps, the corpus has %d", len(want), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Errorf("got %s, golden %s", lines[i], want[i])
+		}
 	}
 }

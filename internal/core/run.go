@@ -294,7 +294,7 @@ func AnalyzeApp(spec AppSpec, opts AnalyzeOptions) AppReport {
 	for {
 		r := opts.Runner
 		if r == nil {
-			r = newRunner(nil)
+			r = &Runner{} // unbooted: its first reset boots a fresh System
 		}
 		res := r.analyzeOnce(spec, mode, opts)
 		att := Attempt{Mode: mode, Result: res}

@@ -14,39 +14,19 @@ package core
 // site — poisons the Runner so the ladder's InternalError retry really does
 // get a freshly booted System.
 //
-// A Runner may additionally be wired to the persistent content-addressed
-// artifact store (NewCachedRunner): per-library assembled images and dex
-// validation verdicts are then keyed by content digest and shared across
-// Runners, service workers, and processes. Artifacts are a pure cost
-// optimisation — a cache hit replays exactly what a recompute would produce,
-// and a corrupt or injected-faulty entry is evicted, counted in
-// Stats.CacheFaults, and recomputed.
+// A Runner keeps no artifact store. Dex validation and native-library
+// assembly run in memory on every install; the VM's per-VM assembly memo
+// serves repeat installs of the same library, and the service's verdict
+// records are the only persistent artifact.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 
-	"repro/internal/arm"
 	"repro/internal/cas"
-	"repro/internal/dex"
 	"repro/internal/fault"
 )
-
-// Artifact kinds the Runner stores. The schema strings are hashed into every
-// key (along with cas.Version), so editing one cleanly invalidates the kind.
-var (
-	// KindAsm holds arm.Program payloads keyed by hash(source, base).
-	KindAsm = cas.Kind{Name: "asmlib", Schema: "v1 arm.Program base,code,labels,writemask"}
-	// KindDexCheck holds dexCheckRecord payloads keyed by dex.Class digests.
-	// v2: Validate checks register operands, so a v1 "valid" verdict is
-	// re-checked.
-	KindDexCheck = cas.Kind{Name: "dexcheck", Schema: "v2 validate+operands fault.Portable"}
-)
-
-// dexCheckRecord caches one class's load-time validation verdict.
-type dexCheckRecord struct {
-	Fault *fault.Portable `json:"fault,omitempty"` // nil: class validated clean
-}
 
 // RunnerStats counts the work a Runner has done.
 type RunnerStats struct {
@@ -67,12 +47,17 @@ type RunnerStats struct {
 	// zero here — the counter-assertion the warm-replay tests pin.
 	JNICrossings uint64
 
-	// Artifact-store traffic (all zero on an uncached Runner).
 	DexValidations int // per-class Validate executions during Fingerprint
-	DexCheckHits   int // validation verdicts served from the artifact store
-	AsmCacheHits   int // assembled images served from the artifact store
-	AsmAssembles   int // real assembler runs
-	CacheFaults    int // corrupt or injected cache loads absorbed (recomputed)
+	AsmAssembles   int // real assembler runs during installs
+	CacheFaults    int // corrupt or injected verdict loads absorbed (recomputed)
+
+	// DexCheckHits and AsmCacheHits are always 0: the artifact store keeps
+	// verdicts only, so no validation result or assembled image is replayed.
+	// They are kept only until a benchmark change drops ndbench's
+	// dex.check_hits_per_app and asm.cache_hits_per_app per-layer metrics,
+	// which read them.
+	DexCheckHits int
+	AsmCacheHits int
 
 	// SummarySynths is always 0: native taint summaries were deleted. It is
 	// kept only until a benchmark change drops ndbench's summary.* per-layer
@@ -108,9 +93,6 @@ type Runner struct {
 	// the app fingerprint covers exactly what an Install added.
 	bootClasses map[string]bool
 
-	// cache is the persistent artifact store (nil on an uncached Runner).
-	cache *cas.Store
-
 	// needReboot poisons the Runner after a failed restore: the System may be
 	// half-rewound, so the next attempt boots fresh.
 	needReboot bool
@@ -127,21 +109,12 @@ type Runner struct {
 }
 
 // NewRunner boots the warm System and captures its snapshot.
-func NewRunner() (*Runner, error) { return NewCachedRunner(nil) }
-
-// NewCachedRunner is NewRunner wired to a persistent artifact store; a nil
-// store yields a plain uncached Runner.
-func NewCachedRunner(store *cas.Store) (*Runner, error) {
-	r := newRunner(store)
+func NewRunner() (*Runner, error) {
+	r := &Runner{}
 	if err := r.boot(); err != nil {
 		return nil, err
 	}
 	return r, nil
-}
-
-// newRunner returns an unbooted Runner: its first reset boots the System.
-func newRunner(store *cas.Store) *Runner {
-	return &Runner{cache: store}
 }
 
 func (r *Runner) boot() error {
@@ -150,9 +123,6 @@ func (r *Runner) boot() error {
 		return err
 	}
 	r.sys = sys
-	if r.cache != nil {
-		sys.VM.SetAsmCache(&runnerAsmCache{r})
-	}
 	r.bootClasses = make(map[string]bool)
 	for _, name := range sys.VM.Classes() {
 		r.bootClasses[name] = true
@@ -199,7 +169,7 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	var err error
 	if r.installed != installKey(spec) {
 		if err = r.reset(); err == nil {
-			err = spec.Install(r.sys)
+			err = r.install(spec)
 		}
 	}
 	r.installed = ""
@@ -232,26 +202,13 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 	return res
 }
 
-// LibPrint fingerprints one loaded native-library image: the content digest
-// covers the load base and the assembled bytes, deliberately not the library
-// or app name — two apps shipping the same code share the print, which is
-// what makes library-level artifacts reusable across apps.
-type LibPrint struct {
-	Name   string // reporting only; not part of Digest
-	Base   uint32
-	Digest string
-}
-
-// Fingerprint identifies what an Install added to the warm System, split by
-// artifact scope: Dex covers the structural content of every non-framework
-// class, each LibPrint covers one native image, and App, the submission
-// identity the service dedups by, binds both to the entry point. The
-// submission's display name is excluded throughout — identical content
-// under two names is one app.
+// Fingerprint identifies what an Install added to the warm System. App, the
+// submission identity the service dedups and keys verdicts by, digests the
+// entry point, the structural content of every non-framework class and each
+// loaded native image (load base and assembled bytes). The submission's
+// display name is excluded — identical content under two names is one app.
 type Fingerprint struct {
-	App  string
-	Dex  string
-	Libs []LibPrint
+	App string
 }
 
 // fingerprintInstalled digests the currently-installed app (Install must
@@ -267,22 +224,13 @@ func (r *Runner) fingerprintInstalled(spec AppSpec) Fingerprint {
 			c.WriteDigest(dh)
 		}
 	}
-	var fp Fingerprint
-	fp.Dex = hex64(dh.Sum64())
+	parts := []string{spec.EntryClass, spec.EntryMethod, fmt.Sprintf("%016x", dh.Sum64())}
 	for _, lib := range vm.NativeLibs() {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], lib.Prog.Base)
-		fp.Libs = append(fp.Libs, LibPrint{
-			Name: lib.Name, Base: lib.Prog.Base,
-			Digest: cas.DigestBytes(b[:], lib.Prog.Code),
-		})
+		parts = append(parts, cas.DigestBytes(b[:], lib.Prog.Code))
 	}
-	parts := []string{spec.EntryClass, spec.EntryMethod, fp.Dex}
-	for _, l := range fp.Libs {
-		parts = append(parts, l.Digest)
-	}
-	fp.App = cas.DigestStrings(parts...)
-	return fp
+	return Fingerprint{App: cas.DigestStrings(parts...)}
 }
 
 // installKey names a spec for the Fingerprint hand-off.
@@ -292,10 +240,8 @@ func installKey(spec AppSpec) string {
 
 // Fingerprint rewinds the warm System, installs the app, and returns its
 // content fingerprint plus load-time dex validation diagnostics (one rendered
-// fault per structurally-broken class). Validation verdicts are cached in the
-// artifact store by class content digest, so a digest-identical class —
-// resubmitted, or shared between apps — validates once per store lifetime.
-// No analysis runs; a service worker uses this to dedup and short-circuit a
+// fault per structurally-broken class; every class is validated on every
+// call). No analysis runs; a service worker uses this to dedup and short-circuit a
 // submission before spending any execution budget. The next attempt on this
 // Runner, if it is for the same spec (name and entry point), runs on this
 // installation; any other attempt, and every later ladder rung, resets.
@@ -317,7 +263,7 @@ func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err 
 		err = r.reset()
 	}
 	if err == nil {
-		err = spec.Install(r.sys)
+		err = r.install(spec)
 	}
 	if err != nil {
 		return Fingerprint{}, nil, fault.AsFault(err, "core")
@@ -333,73 +279,20 @@ func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err 
 		if !ok {
 			continue
 		}
-		if f := r.validateClass(c); f != nil {
-			diags = append(diags, f.Error())
+		r.Stats.DexValidations++
+		if err := c.Validate(); err != nil {
+			diags = append(diags, fault.AsFault(err, "dex").Error())
 		}
 	}
 	r.installed = installKey(spec)
 	return fp, diags, nil
 }
 
-// validateClass runs (or replays) one class's structural validation.
-func (r *Runner) validateClass(c *dex.Class) *fault.Fault {
-	if r.cache == nil {
-		r.Stats.DexValidations++
-		return fault.AsFault(c.Validate(), "dex")
-	}
-	key := c.Digest()
-	var rec dexCheckRecord
-	ok, err := r.cache.Get(KindDexCheck, key, &rec)
-	if err != nil {
-		r.Stats.CacheFaults++
-	}
-	if ok {
-		r.Stats.DexCheckHits++
-		return rec.Fault.Fault()
-	}
-	r.Stats.DexValidations++
-	f := fault.AsFault(c.Validate(), "dex")
-	_ = r.cache.Put(KindDexCheck, key, &dexCheckRecord{Fault: f.Portable()})
-	return f
-}
-
-// runnerAsmCache adapts the artifact store to the VM's assembly-cache hook.
-// Each Load decodes a private Program copy, so nothing is aliased between
-// VMs; a corrupt or injected-faulty entry counts as an absorbed cache fault
-// and reads as a miss (the VM assembles and re-stores).
-type runnerAsmCache struct{ r *Runner }
-
-func asmCacheKey(source string, base uint32) string {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], base)
-	return cas.DigestBytes([]byte(source), b[:])
-}
-
-func (a *runnerAsmCache) Load(source string, base uint32) (*arm.Program, bool) {
-	var p arm.Program
-	ok, err := a.r.cache.Get(KindAsm, asmCacheKey(source, base), &p)
-	if err != nil {
-		a.r.Stats.CacheFaults++
-	}
-	if !ok {
-		return nil, false
-	}
-	a.r.Stats.AsmCacheHits++
-	return &p, true
-}
-
-func (a *runnerAsmCache) Store(source string, base uint32, prog *arm.Program) {
-	// Store always follows a real assembler run on the cached path.
-	a.r.Stats.AsmAssembles++
-	_ = a.r.cache.Put(KindAsm, asmCacheKey(source, base), prog)
-}
-
-func hex64(sum uint64) string {
-	const hexDigits = "0123456789abcdef"
-	var out [16]byte
-	for i := 0; i < 16; i++ {
-		out[15-i] = hexDigits[sum&0xf]
-		sum >>= 4
-	}
-	return string(out[:])
+// install runs spec's Install on the live System and folds the assembler
+// runs it cost into Stats.AsmAssembles.
+func (r *Runner) install(spec AppSpec) error {
+	vm := r.sys.VM
+	before := vm.AsmAssembles
+	defer func() { r.Stats.AsmAssembles += int(vm.AsmAssembles - before) }()
+	return spec.Install(r.sys)
 }

@@ -181,7 +181,11 @@ type Field struct {
 	Name   string
 	Wide   bool
 	Static bool
-	Index  int // slot in the instance/static field table
+	// Index is the field's slot in its class's own static table, or among
+	// the instance fields its class declares (numbered from 0 in every
+	// class; the VM lays a subclass's instance slots out after its
+	// superclass's).
+	Index int
 }
 
 // TryEntry is one try/catch range (instruction indices, end exclusive).
@@ -303,7 +307,8 @@ func (c *Class) FieldByName(name string) (*Field, bool) {
 	return nil, false
 }
 
-// InstanceSlots returns how many 32-bit slots instances of c need.
+// InstanceSlots returns how many 32-bit slots the instance fields c itself
+// declares take; an instance also holds its superclasses' slots.
 func (c *Class) InstanceSlots() int {
 	n := 0
 	for _, f := range c.InstanceFields {

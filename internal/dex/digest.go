@@ -2,8 +2,6 @@ package dex
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/fnv"
 	"io"
 )
 
@@ -27,7 +25,7 @@ func (d *digestWriter) i64(v int64) {
 // WriteDigest streams the class's full structural content — name, hierarchy,
 // field layout, and every method's signature, flags, bytecode, and try
 // table — into h. Two classes with equal digests are structurally identical
-// as far as loading, validation, static analysis, and execution care.
+// as far as loading, validation and execution care.
 //
 // Native binding addresses (Method.NativeAddr) are deliberately included:
 // they capture which library label each native method resolves to, which
@@ -75,12 +73,4 @@ func (c *Class) WriteDigest(h io.Writer) {
 			d.str(t.Type)
 		}
 	}
-}
-
-// Digest returns the class's structural content digest in the fixed-width
-// hex form cache keys use.
-func (c *Class) Digest() string {
-	h := fnv.New64a()
-	c.WriteDigest(h)
-	return fmt.Sprintf("%016x", h.Sum64())
 }

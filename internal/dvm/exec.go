@@ -123,6 +123,7 @@ const (
 type jop struct {
 	code    jcode
 	ar      dex.Arith // wide, float and double binops, and jBin/jBinLit
+	slot    int32     // instance-field slot (VM.FieldSlot); new-instance slot count
 	a, b, c int       // registers
 	tgt     int       // branch target
 	lit     uint64    // const, const-wide and binop/lit literal (low 32 bits but for const-wide)
@@ -187,14 +188,16 @@ func (vm *VM) decode(insn *dex.Insn) jop {
 	}
 	switch insn.Op {
 	case dex.NewInstance:
-		op.cls = vm.classes[insn.ClassName]
+		if op.cls = vm.classes[insn.ClassName]; op.cls != nil {
+			op.slot = int32(vm.instanceSlots(op.cls))
+		}
 	case dex.Iget, dex.IgetWide, dex.Iput, dex.IputWide:
 		if insn.ResolvedField == nil {
-			if cls, ok := vm.classes[insn.ClassName]; ok {
-				insn.ResolvedField, _ = cls.FieldByName(insn.MemberName)
-			}
+			insn.ResolvedField, _ = vm.lookupField(vm.classes[insn.ClassName], insn.MemberName)
 		}
-		op.fld = insn.ResolvedField
+		if op.fld = insn.ResolvedField; op.fld != nil {
+			op.slot = int32(vm.FieldSlot(op.fld))
+		}
 	case dex.Sget, dex.SgetWide, dex.Sput, dex.SputWide:
 		op.cls, op.fld, _ = vm.staticField(insn)
 	case dex.InvokeStatic, dex.InvokeDirect:
@@ -440,7 +443,7 @@ loop:
 				err = vm.faultf(fault.MalformedDex, m, "unknown class %s", op.insn.ClassName)
 				break loop
 			}
-			f.setReg(A, vm.NewInstance(op.cls).Addr)
+			f.setReg(A, vm.newInstance(op.cls, int(op.slot)).Addr)
 			if !clean {
 				f.setTag(A, 0)
 			}
@@ -501,12 +504,12 @@ loop:
 			}
 
 		case jIget, jIgetWide, jIput, jIputWide:
-			o, fld, ferr := vm.instanceField(m, f.reg(B), op)
+			o, ferr := vm.instanceField(m, f.reg(B), op)
 			if ferr != nil {
 				thrown = vm.makeThrowable(th, npeClass, ferr.Error())
 				break
 			}
-			i := fld.Index
+			i := int(op.slot)
 			if i+op.width() > len(o.Fields) {
 				err = vm.misfit(m, pc, op, fmt.Sprintf("an object with %d field slots", len(o.Fields)))
 				break loop
@@ -982,22 +985,22 @@ func (vm *VM) element(th *Thread, f *Frame, m *dex.Method, arrReg, idxReg int) (
 	return arr, idx, nil
 }
 
-// instanceField resolves a field op's object and field; a field the decode
+// instanceField resolves a field op's object; a field the decode
 // could not resolve reports why here, after the null check, as the first
 // execution always did.
-func (vm *VM) instanceField(m *dex.Method, addr uint32, op *jop) (*Object, *dex.Field, error) {
+func (vm *VM) instanceField(m *dex.Method, addr uint32, op *jop) (*Object, error) {
 	o, ok := vm.objects[addr]
 	if !ok {
-		return nil, nil, fmt.Errorf("%s: field access on null/invalid object %#x", m.FullName(), addr)
+		return nil, fmt.Errorf("%s: field access on null/invalid object %#x", m.FullName(), addr)
 	}
 	if op.fld == nil {
 		insn := op.insn
 		if _, ok := vm.classes[insn.ClassName]; !ok {
-			return nil, nil, fmt.Errorf("unknown class %s", insn.ClassName)
+			return nil, fmt.Errorf("unknown class %s", insn.ClassName)
 		}
-		return nil, nil, fmt.Errorf("unknown field %s.%s", insn.ClassName, insn.MemberName)
+		return nil, fmt.Errorf("unknown field %s.%s", insn.ClassName, insn.MemberName)
 	}
-	return o, op.fld, nil
+	return o, nil
 }
 
 func (vm *VM) staticField(insn *dex.Insn) (*dex.Class, *dex.Field, error) {

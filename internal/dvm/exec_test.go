@@ -27,7 +27,7 @@ func registerParityClasses(vm *VM) {
 	vm.RegisterClass(bb.Build())
 
 	sb := dex.NewClass(sub).Super(base)
-	sb.InstanceField("x", false)
+	sb.InstanceField("y", false)
 	sb.Method("weight", "I", 0, 1).
 		Const(0, 77).
 		Return(0).
@@ -107,7 +107,8 @@ func registerParityClasses(vm *VM) {
 		Return(2).
 		Done()
 
-	// Instance fields + const-string + virtual dispatch on both classes.
+	// Instance fields (Sub.x resolves to the inherited Base.x) + const-string
+	// + virtual dispatch on both classes.
 	cb.Method("objs", "II", dex.AccStatic, 4).
 		NewInstance(0, sub).
 		InvokeDirect(sub, "<init>", "V", 0).
@@ -122,6 +123,17 @@ func registerParityClasses(vm *VM) {
 		Bin(dex.Add, 1, 1, 3).
 		Return(1).
 		Done()
+	// Inherited-field layout: Sub's own fields follow Base's, so a store to
+	// Base.x on a Sub, and its taint, never reach Sub.y.
+	cb.Method("inherit", "II", dex.AccStatic, 3).
+		NewInstance(0, sub).
+		Const(1, 5).
+		Iput(1, 0, sub, "y").
+		Iput(3, 0, base, "x").
+		Iget(2, 0, sub, "y").
+		Return(2).
+		Done()
+
 	// Sub needs a direct <init>.
 	subCls, _ := vm.Class(sub)
 	ib := dex.NewClass("Lcom/parity/tmp;") // builder only; method moved below
@@ -252,6 +264,8 @@ func TestTranslateParity(t *testing.T) {
 		{"excep", []uint32{20, 0}, []taint.Tag{taint.SMS, 0}, out{ret: 1006, insns: 15}, 0},
 		{"objs", []uint32{5}, []taint.Tag{taint.IMEI}, out{ret: 88, insns: 15}, taint.IMEI},
 		{"fp", []uint32{12}, []taint.Tag{taint.SMS}, out{ret: 1431, insns: 19}, taint.SMS},
+		{"inherit", []uint32{9}, nil, out{ret: 5, insns: 6}, 0},
+		{"inherit", []uint32{9}, []taint.Tag{taint.IMEI}, out{ret: 5, insns: 6}, 0},
 	}
 	for _, c := range parityConfigs {
 		for _, tc := range cases {

@@ -69,8 +69,7 @@ func registerFramework(vm *VM) {
 		"Ljava/lang/ArithmeticException;",
 		"Ljava/lang/ArrayIndexOutOfBoundsException;",
 	} {
-		sub := dex.NewClass(name).Super("Ljava/lang/Exception;").
-			InstanceField("message", false).Build()
+		sub := dex.NewClass(name).Super("Ljava/lang/Exception;").Build()
 		vm.RegisterClass(sub)
 	}
 

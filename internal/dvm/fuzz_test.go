@@ -261,6 +261,7 @@ var parityMethods = []struct {
 	args int
 }{
 	{"arith", 1}, {"fp", 1}, {"arrays", 1}, {"objs", 1}, {"excep", 2}, {"uncaught", 0}, {"badcall", 0},
+	{"inherit", 1},
 }
 
 // FuzzDalvikEngine runs fuzzed methods under every executor configuration

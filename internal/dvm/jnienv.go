@@ -229,7 +229,7 @@ func jniGetFieldID(vm *VM, c *arm.CPU, ctx *CallCtx) {
 		c.R[0] = 0
 		return
 	}
-	if f, ok := clsObj.ClassRef.FieldByName(name); ok {
+	if f, ok := vm.lookupField(clsObj.ClassRef, name); ok {
 		ctx.Field = f
 		c.R[0] = vm.newFieldID(f)
 		return
@@ -718,12 +718,13 @@ func makeGetField(kind byte, static bool) jniImpl {
 			data = o.Fields
 			taints = o.FieldTaints
 		}
-		if fld.Index >= len(data) {
+		i := vm.FieldSlot(fld)
+		if i >= len(data) {
 			c.R[0] = 0
 			return
 		}
-		v := data[fld.Index]
-		ctx.ValueTag = taints[fld.Index]
+		v := data[i]
+		ctx.ValueTag = taints[i]
 		switch kind {
 		case 'L':
 			if o, ok := vm.objects[v]; ok {
@@ -736,9 +737,9 @@ func makeGetField(kind byte, static bool) jniImpl {
 			ctx.Value = uint64(v)
 		case 'J', 'D':
 			hi := uint32(0)
-			if fld.Index+1 < len(data) {
-				hi = data[fld.Index+1]
-				ctx.ValueTag |= taints[fld.Index+1]
+			if i+1 < len(data) {
+				hi = data[i+1]
+				ctx.ValueTag |= taints[i+1]
 			}
 			c.R[0], c.R[1] = v, hi
 			ctx.Value = uint64(v) | uint64(hi)<<32
@@ -768,27 +769,28 @@ func makeSetField(kind byte, static bool) jniImpl {
 			ctx.FieldObj = o
 			data = o.Fields
 		}
-		if fld.Index >= len(data) {
+		i := vm.FieldSlot(fld)
+		if i >= len(data) {
 			return
 		}
 		v := c.R[3]
 		switch kind {
 		case 'L':
 			if target := vm.DecodeRef(v); target != nil {
-				data[fld.Index] = target.Addr
+				data[i] = target.Addr
 				ctx.Value = uint64(target.Addr)
 			} else {
-				data[fld.Index] = 0
+				data[i] = 0
 			}
 		case 'J', 'D':
 			hi := c.Arg(4)
-			data[fld.Index] = v
-			if fld.Index+1 < len(data) {
-				data[fld.Index+1] = hi
+			data[i] = v
+			if i+1 < len(data) {
+				data[i+1] = hi
 			}
 			ctx.Value = uint64(v) | uint64(hi)<<32
 		default:
-			data[fld.Index] = v
+			data[i] = v
 			ctx.Value = uint64(v)
 		}
 		// Plain TaintDroid does not see native writes: field taints stay

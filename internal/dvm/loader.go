@@ -14,21 +14,6 @@ type asmKey struct {
 	base   uint32
 }
 
-// AsmCache is the cross-VM assembly cache consulted on an asmMemo miss,
-// typically backed by the persistent content-addressed store: a shared native
-// library already assembled under one app (or one fork-server shard, or a
-// previous process) is reused under every other. Load must return a Program
-// private to the caller (or immutable); a miss for any reason — including a
-// corrupt entry the cache absorbed — returns false and the VM assembles.
-type AsmCache interface {
-	Load(source string, base uint32) (*arm.Program, bool)
-	Store(source string, base uint32, prog *arm.Program)
-}
-
-// SetAsmCache wires an assembly cache into the VM. Like asmMemo, the cache is
-// content-addressed warm state: it survives snapshot restores untouched.
-func (vm *VM) SetAsmCache(c AsmCache) { vm.asmCache = c }
-
 // LoadNativeLib assembles ARM/Thumb source, loads it into the app code
 // region, registers it in the task's memory map (so the OS-level view
 // reconstructor can attribute its addresses), and returns the program. The
@@ -38,6 +23,8 @@ func (vm *VM) SetAsmCache(c AsmCache) { vm.asmCache = c }
 // VM serves many installs of the same app from a snapshot-restored state, and
 // the restore rewinds nextLibBase, so a repeat install resolves to an
 // identical (source, base) pair and reuses the image instead of re-assembling.
+// The memo is the only assembly cache: a library new to this VM is assembled,
+// and no image is persisted.
 func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	base := vm.nextLibBase
 	if base == 0 {
@@ -45,12 +32,6 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	}
 	key := asmKey{source, base}
 	prog := vm.asmMemo[key]
-	if prog == nil && vm.asmCache != nil {
-		if p, ok := vm.asmCache.Load(source, base); ok {
-			prog = p
-			vm.AsmCacheHits++
-		}
-	}
 	if prog == nil {
 		if vm.externs == nil {
 			vm.externs = vm.Libc.Syms()
@@ -65,9 +46,6 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 			return nil, fmt.Errorf("dvm: assembling %s: %w", name, err)
 		}
 		vm.AsmAssembles++
-		if vm.asmCache != nil {
-			vm.asmCache.Store(source, base, prog)
-		}
 	}
 	vm.memoizeAsm(key, prog)
 	vm.Mem.WriteBytes(prog.Base, prog.Code)
@@ -79,7 +57,7 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 			Name: "/data/app-lib/" + name,
 		})
 	}
-	vm.nativeLibs = append(vm.nativeLibs, LoadedLib{Name: name, Prog: prog})
+	vm.nativeLibs = append(vm.nativeLibs, LoadedLib{Name: name, Source: source, Prog: prog})
 	return prog, nil
 }
 
@@ -110,8 +88,9 @@ func (vm *VM) memoizeAsm(key asmKey, prog *arm.Program) {
 
 // LoadedLib records one loaded native library image.
 type LoadedLib struct {
-	Name string
-	Prog *arm.Program
+	Name   string
+	Source string // the assembly source the image was built from
+	Prog   *arm.Program
 }
 
 // NativeLibs returns the loaded native library images.

@@ -302,20 +302,15 @@ type VM struct {
 
 	// asmMemo caches assembled native-lib images by (source, base), at most
 	// asmMemoCap of them, oldest first out (asmOrder, asmNext); it is
-	// content-addressed warm state, deliberately outside VMSnapshot. asmCache,
-	// when set, extends the memo across VMs (and processes) through the
-	// persistent artifact store. externs is the libc plus JNI symbol table
-	// native libraries link against, fixed once the framework is up.
-	// AsmAssembles counts real assembler runs; AsmCacheHits counts images
-	// served by asmCache.
+	// content-addressed warm state, deliberately outside VMSnapshot. externs
+	// is the libc plus JNI symbol table native libraries link against, fixed
+	// once the framework is up. AsmAssembles counts real assembler runs.
 	asmMemo  map[asmKey]*arm.Program
 	asmOrder []asmKey
 	asmNext  int
-	asmCache AsmCache
 	externs  map[string]uint32
 
 	AsmAssembles uint64
-	AsmCacheHits uint64
 }
 
 // internalFuncs lists every hookable libdvm-internal function, in a fixed
@@ -672,7 +667,47 @@ func (vm *VM) NewArray(kind byte, n int) *Object {
 
 // NewInstance allocates a class instance.
 func (vm *VM) NewInstance(c *dex.Class) *Object {
-	slots := c.InstanceSlots()
+	return vm.newInstance(c, vm.instanceSlots(c))
+}
+
+// instanceSlots is how many slots an instance of c holds: every class
+// numbers its own instance fields from 0 (dex.Field.Index), and an instance
+// lays out its superclasses' fields before its class's, so an inherited
+// field keeps its slot in every subclass. The walk stops at the first
+// unregistered class, and a cyclic hierarchy (which no verifier admits)
+// after one lap of the registered classes.
+func (vm *VM) instanceSlots(c *dex.Class) int {
+	n := 0
+	for i := 0; c != nil && i <= len(vm.classes); i++ {
+		n += c.InstanceSlots()
+		c = vm.classes[c.Super]
+	}
+	return n
+}
+
+// FieldSlot is the slot f occupies: its index in its class's static table,
+// or, for an instance field, in the object's fields. The executor, the JNI
+// field functions and the taint hooks on them all address a field by it.
+func (vm *VM) FieldSlot(f *dex.Field) int {
+	if f.Static {
+		return f.Index
+	}
+	return vm.instanceSlots(vm.classes[f.Class.Super]) + f.Index
+}
+
+// lookupField resolves a field by name on cls or, as Dalvik's field
+// resolution does, on its nearest superclass declaring it.
+func (vm *VM) lookupField(cls *dex.Class, name string) (*dex.Field, bool) {
+	for i := 0; cls != nil && i <= len(vm.classes); i++ {
+		if f, ok := cls.FieldByName(name); ok {
+			return f, true
+		}
+		cls = vm.classes[cls.Super]
+	}
+	return nil, false
+}
+
+func (vm *VM) newInstance(c *dex.Class, slots int) *Object {
 	addr := vm.allocAddr(uint32(slots) * 8)
 	o := &Object{
 		Addr: addr, Class: c,

@@ -14,10 +14,10 @@
 //  4. Otherwise analyze: the first attempt of core.AnalyzeApp runs on the
 //     System the fingerprint just installed.
 //
-// The Runners share the artifact store, so assembled library images and dex
-// validation verdicts flow between workers and across process lifetimes.
-// Backpressure is the queue: when the workers fall behind, Submit blocks
-// rather than buffering unboundedly.
+// The store holds verdict records only, and only the service touches it:
+// Runners validate classes and assemble libraries in memory on every
+// install. Backpressure is the queue: when the workers fall behind, Submit
+// blocks rather than buffering unboundedly.
 //
 // Results stream: as each submission completes, one JSON line is written to
 // Options.Out (when set) and the submitter's channel is fulfilled. Caching
@@ -45,7 +45,7 @@ type Options struct {
 	// Workers is the worker count; each worker owns one fork-server Runner.
 	// Defaults to 1.
 	Workers int
-	// Cache is the persistent artifact store shared by every worker. Nil runs
+	// Cache is the persistent verdict store shared by every worker. Nil runs
 	// the service fully in-memory: dedup still works, verdict
 	// short-circuiting does not.
 	Cache *cas.Store
@@ -68,10 +68,10 @@ type Stats struct {
 	VerdictHits int // submissions answered from a cached verdict record
 	Deduped     int // submissions that joined an in-flight twin
 
-	// Runner aggregates fork-server and artifact traffic across every
-	// worker's Runner (snapshot resets, asm/dex cache hits, absorbed
-	// cache faults). The Runner counters are folded in on Close; before
-	// that, Runner holds only the verdict loads' absorbed cache faults.
+	// Runner aggregates fork-server traffic across every worker's Runner
+	// (snapshot resets, dex validations, assembler runs) plus the verdict
+	// loads' absorbed cache faults. The Runner counters are folded in on
+	// Close; before that, Runner holds only those cache faults.
 	Runner core.RunnerStats
 }
 
@@ -135,8 +135,8 @@ type Service struct {
 	testFlightGap func(digest string)
 }
 
-// New boots one Runner per worker, all wired to opts.Cache, and starts the
-// workers. It fails if any Runner fails to boot.
+// New boots one Runner per worker and starts the workers. It fails if any
+// Runner fails to boot.
 func New(opts Options) (*Service, error) {
 	if opts.Workers < 1 {
 		opts.Workers = 1
@@ -153,7 +153,7 @@ func New(opts Options) (*Service, error) {
 		boots.Add(1)
 		go func(i int) {
 			defer boots.Done()
-			s.runners[i], errs[i] = core.NewCachedRunner(opts.Cache)
+			s.runners[i], errs[i] = core.NewRunner()
 		}(i)
 	}
 	boots.Wait()

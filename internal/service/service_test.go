@@ -247,7 +247,11 @@ func TestOldVerdictSchemaRecomputes(t *testing.T) {
 			rec["static"] = json.RawMessage(`{"methods":2,"native_funcs":2,"native_pages":1,"taint_free_pages":0,"taint_free":false,"taint_free_names":["Lcom/hostile/pinswap/Main;.checksum"]}`)
 		}
 		store.Evict(service.KindVerdict, key)
-		if err := store.Put(cas.Kind{Name: service.KindVerdict.Name, Schema: old.schema}, key, rec); err != nil {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutBytes(cas.Kind{Name: service.KindVerdict.Name, Schema: old.schema}, key, payload); err != nil {
 			t.Fatal(err)
 		}
 
