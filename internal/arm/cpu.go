@@ -71,6 +71,10 @@ type CPU struct {
 	SVC func(c *CPU, num uint32) error
 
 	addrHooks map[uint32]AddrHook
+	// hookUndo is the hook undo log: the hook each address Hook or Unhook
+	// touched since the last Snapshot held then, which Restore puts back. It
+	// is nil until the first Snapshot, so an unsnapshotted CPU journals nothing.
+	hookUndo map[uint32]hookPrior
 	// checkHook gates the hook-table lookup: hooks sit at function entries,
 	// which are only reached through control transfers, so the lookup runs
 	// after branches rather than on every instruction (the analog of QEMU
@@ -250,14 +254,18 @@ func (c *CPU) SetRegTaint(i int, t taint.Tag) {
 // hooked addresses, and hooks are added mid-run (the multilevel hooking
 // engine and the SourcePolicy entry hooks both do so).
 func (c *CPU) Hook(addr uint32, fn AddrHook) {
-	c.addrHooks[addr&^1] = fn
-	c.invalidatePageBlocks((addr &^ 1) >> 12)
+	addr &^= 1
+	c.journalHook(addr)
+	c.addrHooks[addr] = fn
+	c.invalidatePageBlocks(addr >> 12)
 }
 
 // Unhook removes any hook at addr and invalidates the page's blocks.
 func (c *CPU) Unhook(addr uint32) {
-	delete(c.addrHooks, addr&^1)
-	c.invalidatePageBlocks((addr &^ 1) >> 12)
+	addr &^= 1
+	c.journalHook(addr)
+	delete(c.addrHooks, addr)
+	c.invalidatePageBlocks(addr >> 12)
 }
 
 // HookedAddrs reports how many addresses currently carry hooks.

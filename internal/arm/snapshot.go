@@ -10,7 +10,9 @@ package arm
 // onMemWrite already invalidates exactly those pages' decoded instructions
 // and blocks. Restore therefore never flushes the caches wholesale — it only
 // invalidates blocks on pages whose *non-byte* translation inputs changed
-// (address hooks, baked into blocks at translation time). Tracer changes
+// (address hooks, baked into blocks at translation time). Hooks are not
+// copied: Restore replays an undo log of the addresses the attempt touched,
+// so its cost does not grow with the boot's hook count. Tracer changes
 // are reconciled by RunUntilHint's boundTracer check, the same path that
 // handles a tracer swap mid-session.
 
@@ -30,7 +32,6 @@ type CPUSnapshot struct {
 	branchWatchLo, branchWatchHi uint32
 	svc                          func(c *CPU, num uint32) error
 
-	addrHooks map[uint32]AddrHook
 	checkHook bool
 
 	useDecodeCache bool
@@ -54,10 +55,31 @@ type CPUSnapshot struct {
 	insnCount uint64
 }
 
+// hookPrior is one hook undo entry: the hook an address held at the last
+// Snapshot, or had=false when it held none.
+type hookPrior struct {
+	fn  AddrHook
+	had bool
+}
+
+// journalHook records addr's current hook in the undo log, once per address
+// per snapshot, before Hook or Unhook overwrites it.
+func (c *CPU) journalHook(addr uint32) {
+	if c.hookUndo == nil {
+		return
+	}
+	if _, logged := c.hookUndo[addr]; !logged {
+		fn, had := c.addrHooks[addr]
+		c.hookUndo[addr] = hookPrior{fn, had}
+	}
+}
+
 // Snapshot captures the CPU's mutable state. Translation caches are NOT
 // copied — they are forward-valid caches over guest bytes plus hook and
 // tracer inputs, and Restore invalidates exactly the entries whose inputs
-// changed instead of recapturing them.
+// changed instead of recapturing them. The hook table is not copied: the
+// undo log is emptied, so the current hooks become the baseline. Only the
+// latest snapshot is restorable, as with mem.Memory.Snapshot.
 func (c *CPU) Snapshot() *CPUSnapshot {
 	s := &CPUSnapshot{
 		r: c.R,
@@ -72,7 +94,6 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 		branchWatchHi: c.branchWatchHi,
 		svc:           c.SVC,
 
-		addrHooks: make(map[uint32]AddrHook, len(c.addrHooks)),
 		checkHook: c.checkHook,
 
 		useDecodeCache: c.UseDecodeCache,
@@ -95,39 +116,34 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 		exitCode:  c.ExitCode,
 		insnCount: c.InsnCount,
 	}
-	for a, h := range c.addrHooks {
-		s.addrHooks[a] = h
+	if c.hookUndo == nil {
+		c.hookUndo = make(map[uint32]hookPrior)
 	}
+	clear(c.hookUndo)
 	return s
 }
 
-// Restore rewinds the CPU to s. Blocks on pages whose hook set differs from
-// the snapshot are invalidated (hooks are baked into blocks at translation
-// time); everything else in the decode and block caches is kept
-// — pages the attempt wrote were already invalidated by the write-notify
-// path when memory was restored. A restored Tracer that differs from the
-// bound one is reconciled by the next RunUntilHint dispatch.
+// Restore rewinds the CPU to s, which must be its latest snapshot. It walks
+// the hook undo log only, putting back each touched address's prior hook.
+// Blocks on a page are invalidated where hook presence differs from the
+// prior value (hooks are baked into blocks at translation time); everything
+// else in the decode and block caches is kept — pages the attempt wrote were
+// already invalidated by the write-notify path when memory was restored. A
+// restored Tracer that differs from the bound one is reconciled by the next
+// RunUntilHint dispatch.
 func (c *CPU) Restore(s *CPUSnapshot) {
-	// Invalidate blocks on pages whose hook presence changed.
-	changed := make(map[uint32]bool)
-	for a := range c.addrHooks {
-		if _, ok := s.addrHooks[a]; !ok {
-			changed[a>>12] = true
+	for a, p := range c.hookUndo {
+		_, has := c.addrHooks[a]
+		if p.had {
+			c.addrHooks[a] = p.fn
+		} else {
+			delete(c.addrHooks, a)
+		}
+		if has != p.had {
+			c.invalidatePageBlocks(a >> 12)
 		}
 	}
-	for a := range s.addrHooks {
-		if _, ok := c.addrHooks[a]; !ok {
-			changed[a>>12] = true
-		}
-	}
-	for pn := range changed {
-		c.invalidatePageBlocks(pn)
-	}
-
-	clear(c.addrHooks) // the map keeps its buckets for the next attempt's hooks
-	for a, h := range s.addrHooks {
-		c.addrHooks[a] = h
-	}
+	clear(c.hookUndo)
 
 	c.R = s.r
 	c.N, c.Z, c.C, c.V, c.Thumb = s.n, s.z, s.cf, s.v, s.thumb

@@ -212,14 +212,12 @@ type Fingerprint struct {
 }
 
 // fingerprintInstalled digests the currently-installed app (Install must
-// already have run on the live System).
-func (r *Runner) fingerprintInstalled(spec AppSpec) Fingerprint {
+// already have run on the live System); appClasses names its classes, the
+// ones registered after boot, sorted.
+func (r *Runner) fingerprintInstalled(spec AppSpec, appClasses []string) Fingerprint {
 	vm := r.sys.VM
 	dh := fnv.New64a()
-	for _, name := range vm.Classes() {
-		if r.bootClasses[name] {
-			continue
-		}
+	for _, name := range appClasses {
 		if c, ok := vm.Class(name); ok {
 			c.WriteDigest(dh)
 		}
@@ -268,13 +266,10 @@ func (r *Runner) Fingerprint(spec AppSpec) (fp Fingerprint, diags []string, err 
 	if err != nil {
 		return Fingerprint{}, nil, fault.AsFault(err, "core")
 	}
-	fp = r.fingerprintInstalled(spec)
-
 	vm := r.sys.VM
-	for _, name := range vm.Classes() {
-		if r.bootClasses[name] {
-			continue
-		}
+	appClasses := vm.ClassesExcept(r.bootClasses)
+	fp = r.fingerprintInstalled(spec, appClasses)
+	for _, name := range appClasses {
 		c, ok := vm.Class(name)
 		if !ok {
 			continue

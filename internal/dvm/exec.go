@@ -1058,13 +1058,11 @@ func (vm *VM) virtualTarget(th *Thread, f *Frame, op *jop) (*dex.Method, *Object
 	if cls != nil && cls == op.cls {
 		return op.meth, nil
 	}
-	for walk := cls; walk != nil; walk = vm.classes[walk.Super] {
-		if m, ok := walk.Method(insn.MemberName); ok {
-			if cls != nil {
-				op.cls, op.meth = cls, m
-			}
-			return m, nil
+	if m, ok := vm.lookupMethod(cls, insn.MemberName); ok {
+		if cls != nil {
+			op.cls, op.meth = cls, m
 		}
+		return m, nil
 	}
 	return nil, vm.makeThrowable(th, npeClass,
 		fmt.Sprintf("unresolvable method %s.%s", insn.ClassName, insn.MemberName))
@@ -1088,7 +1086,7 @@ func (vm *VM) makeThrowable(th *Thread, class, msg string) *Object {
 }
 
 // findHandler locates a catch handler for thrown at pc in m, walking the
-// class hierarchy for type matches.
+// class hierarchy for type matches (one lap at most, as lookupField).
 func findHandler(vm *VM, m *dex.Method, pc int, thrown *Object) (int, bool) {
 	for _, t := range m.Tries {
 		if pc < t.Start || pc >= t.End {
@@ -1098,7 +1096,7 @@ func findHandler(vm *VM, m *dex.Method, pc int, thrown *Object) (int, bool) {
 			return t.Handler, true
 		}
 		cls := thrown.Class
-		for cls != nil {
+		for i := 0; cls != nil && i <= len(vm.classes); i++ {
 			if cls.Name == t.Type {
 				return t.Handler, true
 			}

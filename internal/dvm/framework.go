@@ -120,18 +120,13 @@ func registerFramework(vm *VM) {
 
 	// --- java/lang/System ---
 	sysCls := dex.NewClass("Ljava/lang/System;").Build()
-	addBuiltin(vm, sysCls, "loadLibrary", "VL", dex.AccStatic, func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
-		if o, ok := vm.objects[args[0]]; ok {
-			vm.loadedLibs = append(vm.loadedLibs, o.Str)
-		}
+	// An app's libraries are loaded by its install (LoadNativeLib), so the
+	// Java-side calls do nothing.
+	loadLib := func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
 		return 0, 0, nil
-	})
-	addBuiltin(vm, sysCls, "load", "VL", dex.AccStatic, func(vm *VM, th *Thread, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object) {
-		if o, ok := vm.objects[args[0]]; ok {
-			vm.loadedLibs = append(vm.loadedLibs, o.Str)
-		}
-		return 0, 0, nil
-	})
+	}
+	addBuiltin(vm, sysCls, "loadLibrary", "VL", dex.AccStatic, loadLib)
+	addBuiltin(vm, sysCls, "load", "VL", dex.AccStatic, loadLib)
 	vm.RegisterClass(sysCls)
 
 	// --- sources: telephony ---

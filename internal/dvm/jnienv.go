@@ -210,14 +210,10 @@ func jniGetMethodID(vm *VM, c *arm.CPU, ctx *CallCtx) {
 		c.R[0] = 0
 		return
 	}
-	cls := clsObj.ClassRef
-	for cls != nil {
-		if m, ok := cls.Method(name); ok {
-			ctx.JavaMethod = m
-			c.R[0] = vm.newMethodID(m)
-			return
-		}
-		cls = vm.classes[cls.Super]
+	if m, ok := vm.lookupMethod(clsObj.ClassRef, name); ok {
+		ctx.JavaMethod = m
+		c.R[0] = vm.newMethodID(m)
+		return
 	}
 	c.R[0] = 0
 }

@@ -72,7 +72,6 @@ type VMSnapshot struct {
 	curThread *Thread
 	padDepth  int
 
-	loadedLibs  []string
 	nativeLibs  []LoadedLib
 	nextLibBase uint32
 }
@@ -147,7 +146,6 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		curThread: vm.curThread,
 		padDepth:  vm.padDepth,
 
-		loadedLibs:  append([]string(nil), vm.loadedLibs...),
 		nativeLibs:  append([]LoadedLib(nil), vm.nativeLibs...),
 		nextLibBase: vm.nextLibBase,
 	}
@@ -335,7 +333,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	vm.curThread = s.curThread
 	vm.padDepth = s.padDepth
 
-	vm.loadedLibs = append(vm.loadedLibs[:0], s.loadedLibs...)
 	vm.nativeLibs = append(vm.nativeLibs[:0], s.nativeLibs...)
 	vm.nextLibBase = s.nextLibBase
 

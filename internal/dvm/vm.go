@@ -296,7 +296,6 @@ type VM struct {
 	curThread  *Thread
 
 	padDepth    int
-	loadedLibs  []string
 	nativeLibs  []LoadedLib
 	nextLibBase uint32
 
@@ -439,17 +438,19 @@ func (vm *VM) Class(name string) (*dex.Class, bool) {
 }
 
 // Classes returns all registered class names, sorted.
-func (vm *VM) Classes() []string {
-	out := make([]string, 0, len(vm.classes))
+func (vm *VM) Classes() []string { return vm.ClassesExcept(nil) }
+
+// ClassesExcept returns the registered class names not in skip, sorted.
+func (vm *VM) ClassesExcept(skip map[string]bool) []string {
+	out := make([]string, 0, max(len(vm.classes)-len(skip), 0))
 	for n := range vm.classes {
-		out = append(out, n)
+		if !skip[n] {
+			out = append(out, n)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
-
-// LoadedLibs reports libraries loaded via System.loadLibrary.
-func (vm *VM) LoadedLibs() []string { return vm.loadedLibs }
 
 // HookInternal registers a hook on a libdvm-internal or JNI function. Hooks
 // are looked up per call, so they take effect at once; the epoch bump drops
@@ -701,6 +702,18 @@ func (vm *VM) lookupField(cls *dex.Class, name string) (*dex.Field, bool) {
 	for i := 0; cls != nil && i <= len(vm.classes); i++ {
 		if f, ok := cls.FieldByName(name); ok {
 			return f, true
+		}
+		cls = vm.classes[cls.Super]
+	}
+	return nil, false
+}
+
+// lookupMethod resolves a method by name on cls or its nearest superclass
+// declaring it, within the same one-lap bound as lookupField.
+func (vm *VM) lookupMethod(cls *dex.Class, name string) (*dex.Method, bool) {
+	for i := 0; cls != nil && i <= len(vm.classes); i++ {
+		if m, ok := cls.Method(name); ok {
+			return m, true
 		}
 		cls = vm.classes[cls.Super]
 	}

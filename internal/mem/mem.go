@@ -51,7 +51,16 @@ type Memory struct {
 	dirty       map[uint32]*[pageSize]byte
 	snapRegions []Region
 	snapNotify  int
+
+	// free holds pages Restore took back (private copies and pages created
+	// after the snapshot), at most freeCap of them, for unshare and page
+	// creation to reuse instead of allocating.
+	free []*[pageSize]byte
 }
+
+// freeCap bounds the recycled-page list, so one attempt that dirties many
+// pages cannot pin their memory for the life of the Memory.
+const freeCap = 32
 
 // Region describes a named address range (a module mapping, a stack, a heap).
 // Regions are advisory metadata consumed by the kernel's memory-map tables
@@ -97,7 +106,7 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 		if !create {
 			return nil
 		}
-		p = new([pageSize]byte)
+		p = m.fresh(nil)
 		m.pages[pn] = p
 		if m.snapActive {
 			if _, logged := m.dirty[pn]; !logged {
@@ -120,13 +129,34 @@ func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
 // array, the live map gets a private copy, and the baseline pointer is logged
 // so Restore can swap it back.
 func (m *Memory) unshare(pn uint32, base *[pageSize]byte) *[pageSize]byte {
-	p := new([pageSize]byte)
-	*p = *base
+	p := m.fresh(base)
 	m.pages[pn] = p
 	delete(m.shared, pn)
 	if _, logged := m.dirty[pn]; !logged {
 		m.dirty[pn] = base
 	}
+	return p
+}
+
+var zeroPage [pageSize]byte
+
+// fresh returns a page holding a copy of src, or zeros when src is nil,
+// taking it from the free list when that has one.
+func (m *Memory) fresh(src *[pageSize]byte) *[pageSize]byte {
+	n := len(m.free)
+	if n == 0 {
+		p := new([pageSize]byte)
+		if src != nil {
+			*p = *src
+		}
+		return p
+	}
+	p := m.free[n-1]
+	m.free = m.free[:n-1]
+	if src == nil {
+		src = &zeroPage
+	}
+	*p = *src
 	return p
 }
 
@@ -357,12 +387,20 @@ func (m *Memory) DirtyPages() int { return len(m.dirty) }
 // snapshot state, and the page memo is invalidated so a stale pointer to a
 // swapped page can never be served. The snapshot stays in place for the next
 // Restore.
+//
+// The pages taken out of the live map go to the free list for reuse, so no
+// slice into one may outlive this call: the memo is reset here, and the only
+// other aliases, the Windows of dvm frames pushed during the attempt, are
+// released with those frames by dvm.VM.Restore before anything runs.
 func (m *Memory) Restore() int {
 	if !m.snapActive {
 		return 0
 	}
 	n := len(m.dirty)
 	for pn, base := range m.dirty {
+		if p := m.pages[pn]; p != nil && len(m.free) < freeCap {
+			m.free = append(m.free, p)
+		}
 		if base != nil {
 			m.pages[pn] = base
 			m.shared[pn] = true
@@ -377,6 +415,6 @@ func (m *Memory) Restore() int {
 	for pn := range m.dirty {
 		m.notifyWrite(pn<<pageShift, pageSize)
 	}
-	m.dirty = make(map[uint32]*[pageSize]byte)
+	clear(m.dirty)
 	return n
 }

@@ -147,3 +147,63 @@ func TestSnapshotRebase(t *testing.T) {
 		t.Fatalf("rebased restore = %d, want 2", got)
 	}
 }
+
+// TestRecycledPagesCarryNoStaleBytes: Restore recycles the pages it takes
+// out of the live map. A page created after the snapshot, restored and
+// created again must read all zeros, and a recycled page reused as another
+// page's private copy must hold that page's baseline.
+func TestRecycledPagesCarryNoStaleBytes(t *testing.T) {
+	m := New()
+	m.Write32(0x2000, 0x22222222)
+	m.Snapshot()
+
+	junk := make([]byte, pageSize)
+	for i := range junk {
+		junk[i] = 0xff
+	}
+	m.WriteBytes(0x9000, junk) // created after the snapshot
+	m.Restore()
+	if len(m.free) != 1 {
+		t.Fatalf("free list holds %d pages after restoring one, want 1", len(m.free))
+	}
+	m.Write8(0x9000, 1)
+	got := m.ReadBytes(0x9000, pageSize)
+	for i, b := range got[1:] {
+		if b != 0 {
+			t.Fatalf("recreated page byte %#x = %#x, want 0", 0x9001+i, b)
+		}
+	}
+
+	m.Restore()
+	m.Write8(0x2004, 7) // copy-on-write into the recycled page
+	if got := m.Read32(0x2000); got != 0x22222222 {
+		t.Fatalf("private copy from a recycled page = %#x, want the baseline 0x22222222", got)
+	}
+	if got := m.Read32(0x9000); got != 0 {
+		t.Fatalf("restored-away page reads %#x, want 0", got)
+	}
+}
+
+// TestFreeListCapped: an attempt that dirties more pages than freeCap leaves
+// at most freeCap of them on the free list.
+func TestFreeListCapped(t *testing.T) {
+	m := New()
+	for i := uint32(0); i < freeCap; i++ {
+		m.Write32(i<<pageShift, i)
+	}
+	m.Snapshot()
+	for i := uint32(0); i < 3*freeCap; i++ {
+		m.Write32(i<<pageShift+4, 1) // dirties freeCap baseline pages, creates the rest
+	}
+	if n := m.Restore(); n != 3*freeCap {
+		t.Fatalf("Restore reset %d pages, want %d", n, 3*freeCap)
+	}
+	if len(m.free) != freeCap {
+		t.Fatalf("free list holds %d pages, want the cap %d", len(m.free), freeCap)
+	}
+	for i := uint32(0); i < freeCap; i++ {
+		if got := m.Read32(i<<pageShift + 4); got != 0 {
+			t.Fatalf("page %d word 1 = %d after restore, want 0", i, got)
+		}
+	}
+}
