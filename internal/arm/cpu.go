@@ -36,16 +36,64 @@ type Tracer interface {
 // hooking (Fig. 5) is built on this event stream.
 type BranchFunc func(c *CPU, from, to uint32)
 
-// CPU is the emulated guest processor.
+// CPU is the emulated guest processor. The embedded cpuState is exactly what
+// Snapshot captures and Restore rewinds; the fields below it are kept across
+// a restore, each for the reason its comment gives.
 type CPU struct {
+	cpuState
+
+	Mem *mem.Memory
+
+	// addrHooks is rewound by replaying hookUndo, not by copying.
+	addrHooks map[uint32]AddrHook
+	// hookUndo is the hook undo log: the hook each address Hook or Unhook
+	// touched since the last Snapshot held then, which Restore puts back. It
+	// is nil until the first Snapshot, so an unsnapshotted CPU journals nothing.
+	hookUndo map[uint32]hookPrior
+
+	// The decode and block caches are forward-valid over guest bytes plus
+	// hook and tracer inputs, so they survive a restore: the write-notify
+	// path and the hook undo log invalidate exactly the stale entries.
+	decodeCache  map[uint32]*decodePage
+	lastPageKey  uint32
+	lastPage     *decodePage
+	blockCache   map[uint32]*Block
+	blocksByPage map[uint32][]*Block
+	// codePages is a 2^20-bit page bitmap marking pages that hold cached
+	// translations; the Memory write-notify consults it to keep stores to
+	// non-code pages nearly free. Allocated lazily on first translation.
+	codePages []uint32
+	// codeExt records, per marked page, the [lo, hi) byte range actually
+	// decoded or translated. Stores to a marked page but outside its code
+	// extent cannot touch cached state, so the notify ignores them — this
+	// is what keeps data that shares a page with code (small images place
+	// .data right after .text) from forcing retranslation on every write.
+	codeExt map[uint32][2]uint32
+	// boundTracer is the Tracer the cached blocks were translated under;
+	// RunUntilHint compares it with Tracer, so a restored Tracer is
+	// reconciled on the next dispatch.
+	boundTracer Tracer
+
+	// CodeEpoch increments on every block invalidation — hooks added or
+	// removed, self-modifying stores into code extents, tracer swaps,
+	// snapshot restores that changed code pages. It is monotonic (never
+	// rewound, even across Restore) so a cached chain that captured an
+	// epoch can validate with one compare: equal epoch ⇒ no translation
+	// anywhere was invalidated since. The fused JNI bridge keys its traces
+	// off it.
+	CodeEpoch uint64
+}
+
+// cpuState is the CPU's rewindable state: registers and flags, the observers
+// and handlers the analyzer installs, the cache and gate switches with their
+// counters, and the run status. Snapshot and Restore copy it whole.
+type cpuState struct {
 	R     [16]uint32 // R13=SP, R14=LR, R15=PC
 	N     bool
 	Z     bool
 	C     bool
 	V     bool
 	Thumb bool
-
-	Mem *mem.Memory
 
 	// RegTaint is the shadow register file maintained by the taint engine
 	// (§V-E, "NDroid maintains shadow registers").
@@ -70,11 +118,6 @@ type CPU struct {
 	// SVC handles supervisor calls (the kernel syscall interface).
 	SVC func(c *CPU, num uint32) error
 
-	addrHooks map[uint32]AddrHook
-	// hookUndo is the hook undo log: the hook each address Hook or Unhook
-	// touched since the last Snapshot held then, which Restore puts back. It
-	// is nil until the first Snapshot, so an unsnapshotted CPU journals nothing.
-	hookUndo map[uint32]hookPrior
 	// checkHook gates the hook-table lookup: hooks sit at function entries,
 	// which are only reached through control transfers, so the lookup runs
 	// after branches rather than on every instruction (the analog of QEMU
@@ -85,9 +128,6 @@ type CPU struct {
 	// hot instructions and the corresponding handlers"). The cache is paged
 	// with a one-entry page memo, exploiting code locality.
 	UseDecodeCache bool
-	decodeCache    map[uint32]*decodePage
-	lastPageKey    uint32
-	lastPage       *decodePage
 	// CacheHits/CacheMisses feed the decode-cache ablation benchmark.
 	CacheHits   uint64
 	CacheMisses uint64
@@ -97,19 +137,6 @@ type CPU struct {
 	// pre-decoded micro-ops instead of the per-instruction
 	// fetch/decode/dispatch loop. Step() always uses the interpreter.
 	UseBlockCache bool
-	blockCache    map[uint32]*Block
-	blocksByPage  map[uint32][]*Block
-	// codePages is a 2^20-bit page bitmap marking pages that hold cached
-	// translations; the Memory write-notify consults it to keep stores to
-	// non-code pages nearly free. Allocated lazily on first translation.
-	codePages []uint32
-	// codeExt records, per marked page, the [lo, hi) byte range actually
-	// decoded or translated. Stores to a marked page but outside its code
-	// extent cannot touch cached state, so the notify ignores them — this
-	// is what keeps data that shares a page with code (small images place
-	// .data right after .text) from forcing retranslation on every write.
-	codeExt     map[uint32][2]uint32
-	boundTracer Tracer
 	// BlockHits counts block executions served from the cache (including
 	// chained successors); BlockMisses counts translations.
 	BlockHits   uint64
@@ -138,14 +165,6 @@ type CPU struct {
 	GateFastBlocks uint64
 	GateSlowBlocks uint64
 
-	// CodeEpoch increments on every block invalidation — hooks added or
-	// removed, self-modifying stores into code extents, cache resets,
-	// snapshot restores that changed code pages. It is monotonic (never
-	// rewound, even across Restore) so a cached chain that captured an epoch
-	// can validate with one compare: equal epoch ⇒ no translation anywhere
-	// was invalidated since. The fused JNI bridge keys its traces off it.
-	CodeEpoch uint64
-
 	// OnCodeWrite observes guest stores that land inside a translated code
 	// extent — the self-modifying-code events that force retranslation. The
 	// JNI surface observer subscribes to it to catch natives that rewrite
@@ -167,12 +186,11 @@ type decodePage [2048]Insn
 // pages invalidate the decoded-instruction and block caches.
 func New(m *mem.Memory) *CPU {
 	c := &CPU{
-		Mem:           m,
-		branchWatchHi: math.MaxUint32,
-		addrHooks:     make(map[uint32]AddrHook),
-		decodeCache:   make(map[uint32]*decodePage),
-		checkHook:     true,
-		lastPageKey:   ^uint32(0),
+		cpuState:    cpuState{branchWatchHi: math.MaxUint32, checkHook: true},
+		Mem:         m,
+		addrHooks:   make(map[uint32]AddrHook),
+		decodeCache: make(map[uint32]*decodePage),
+		lastPageKey: ^uint32(0),
 	}
 	m.AddWriteNotify(c.onMemWrite)
 	return c
@@ -298,18 +316,6 @@ func (c *CPU) Arg(i int) uint32 {
 		return c.R[i]
 	}
 	return c.Mem.Read32(c.R[SP] + uint32(i-4)*4)
-}
-
-// ArgTaint returns the shadow taint of the i-th AAPCS argument. Stack
-// arguments are resolved through the provided memory-taint map.
-func (c *CPU) ArgTaint(i int, mt *taint.MemTaint) taint.Tag {
-	if i < 4 {
-		return c.RegTaint[i]
-	}
-	if mt == nil {
-		return taint.Clear
-	}
-	return mt.Get32(c.R[SP] + uint32(i-4)*4)
 }
 
 // SetThumbPC sets PC (and the Thumb state) from an interworking address.
@@ -823,24 +829,4 @@ func (c *CPU) runInterp(stop uint32, maxInsns uint64) error {
 		}
 	}
 	return nil
-}
-
-// ResetDecodeCache clears every translation cache — the hot-instruction
-// cache, the translated-block cache — and their statistics.
-func (c *CPU) ResetDecodeCache() {
-	c.decodeCache = make(map[uint32]*decodePage)
-	c.lastPageKey = ^uint32(0)
-	c.lastPage = nil
-	c.CacheHits = 0
-	c.CacheMisses = 0
-	c.invalidateAllBlocks()
-	c.codePages = nil
-	c.codeExt = nil
-	c.BlockHits = 0
-	c.BlockMisses = 0
-	c.GateFlips = 0
-	c.GateFastBlocks = 0
-	c.GateSlowBlocks = 0
-	c.gateBail = false
-	c.gateWasLive = false
 }

@@ -233,17 +233,3 @@ func (i Insn) WriteRegs() uint32 {
 	// CMP/CMN/TST/TEQ, STR/STRB/STRH, B, BX, SVC, NOP, HLT write no GPRs.
 	return m
 }
-
-// IsBranch reports whether the instruction can redirect control flow.
-func (i Insn) IsBranch() bool {
-	switch i.Op {
-	case OpB, OpBL, OpBX, OpBLX:
-		return true
-	case OpLDM:
-		return i.RegList&(1<<PC) != 0
-	}
-	return false
-}
-
-// IsCall reports whether the instruction is a call (sets LR).
-func (i Insn) IsCall() bool { return i.Op == OpBL || i.Op == OpBLX }

@@ -1,9 +1,10 @@
 package arm
 
 // This file implements the CPU side of the copy-on-write System snapshot
-// (core.Snapshot): capture and restore of every mutable scalar the analyzer
-// or the guest can change between attempts, designed so the translation
-// caches survive a restore wherever they are still valid.
+// (core.Snapshot). What is rewound is exactly the embedded cpuState, copied
+// in one assignment each way; everything else in CPU is kept across a
+// restore (see the CPU type), designed so the translation caches survive a
+// restore wherever they are still valid.
 //
 // The division of labor with mem.Memory.Restore matters: guest pages the
 // attempt dirtied fire write-notify when they are swapped back, and
@@ -16,43 +17,10 @@ package arm
 // are reconciled by RunUntilHint's boundTracer check, the same path that
 // handles a tracer swap mid-session.
 
-import "repro/internal/taint"
-
 // CPUSnapshot holds the captured CPU state. Opaque to callers; produced by
 // Snapshot and consumed by Restore on the same CPU.
 type CPUSnapshot struct {
-	r                  [16]uint32
-	n, z, cf, v, thumb bool
-	regTaint           [16]taint.Tag
-
-	tracer                       Tracer
-	decodeHook                   func(pc uint32, thumb bool, insn Insn)
-	branchFn                     BranchFunc
-	onCodeWrite                  func(addr uint32)
-	branchWatchLo, branchWatchHi uint32
-	svc                          func(c *CPU, num uint32) error
-
-	checkHook bool
-
-	useDecodeCache bool
-	cacheHits      uint64
-	cacheMisses    uint64
-
-	useBlockCache bool
-	blockHits     uint64
-	blockMisses   uint64
-
-	useTaintGate bool
-	live         *taint.Liveness
-	gateBail     bool
-	gateWasLive  bool
-	gateFlips    uint64
-	gateFast     uint64
-	gateSlow     uint64
-
-	halted    bool
-	exitCode  int32
-	insnCount uint64
+	state cpuState
 }
 
 // hookPrior is one hook undo entry: the hook an address held at the last
@@ -81,41 +49,7 @@ func (c *CPU) journalHook(addr uint32) {
 // undo log is emptied, so the current hooks become the baseline. Only the
 // latest snapshot is restorable, as with mem.Memory.Snapshot.
 func (c *CPU) Snapshot() *CPUSnapshot {
-	s := &CPUSnapshot{
-		r: c.R,
-		n: c.N, z: c.Z, cf: c.C, v: c.V, thumb: c.Thumb,
-		regTaint: c.RegTaint,
-
-		tracer:        c.Tracer,
-		decodeHook:    c.DecodeHook,
-		branchFn:      c.BranchFn,
-		onCodeWrite:   c.OnCodeWrite,
-		branchWatchLo: c.branchWatchLo,
-		branchWatchHi: c.branchWatchHi,
-		svc:           c.SVC,
-
-		checkHook: c.checkHook,
-
-		useDecodeCache: c.UseDecodeCache,
-		cacheHits:      c.CacheHits,
-		cacheMisses:    c.CacheMisses,
-
-		useBlockCache: c.UseBlockCache,
-		blockHits:     c.BlockHits,
-		blockMisses:   c.BlockMisses,
-
-		useTaintGate: c.UseTaintGate,
-		live:         c.Live,
-		gateBail:     c.gateBail,
-		gateWasLive:  c.gateWasLive,
-		gateFlips:    c.GateFlips,
-		gateFast:     c.GateFastBlocks,
-		gateSlow:     c.GateSlowBlocks,
-
-		halted:    c.Halted,
-		exitCode:  c.ExitCode,
-		insnCount: c.InsnCount,
-	}
+	s := &CPUSnapshot{state: c.cpuState}
 	if c.hookUndo == nil {
 		c.hookUndo = make(map[uint32]hookPrior)
 	}
@@ -144,31 +78,5 @@ func (c *CPU) Restore(s *CPUSnapshot) {
 		}
 	}
 	clear(c.hookUndo)
-
-	c.R = s.r
-	c.N, c.Z, c.C, c.V, c.Thumb = s.n, s.z, s.cf, s.v, s.thumb
-	c.RegTaint = s.regTaint
-
-	c.Tracer = s.tracer
-	c.DecodeHook = s.decodeHook
-	c.BranchFn = s.branchFn
-	c.OnCodeWrite = s.onCodeWrite
-	c.branchWatchLo, c.branchWatchHi = s.branchWatchLo, s.branchWatchHi
-	c.SVC = s.svc
-	c.checkHook = s.checkHook
-
-	c.UseDecodeCache = s.useDecodeCache
-	c.CacheHits, c.CacheMisses = s.cacheHits, s.cacheMisses
-
-	c.UseBlockCache = s.useBlockCache
-	c.BlockHits, c.BlockMisses = s.blockHits, s.blockMisses
-
-	c.UseTaintGate = s.useTaintGate
-	c.Live = s.live
-	c.gateBail, c.gateWasLive = s.gateBail, s.gateWasLive
-	c.GateFlips, c.GateFastBlocks, c.GateSlowBlocks = s.gateFlips, s.gateFast, s.gateSlow
-
-	c.Halted = s.halted
-	c.ExitCode = s.exitCode
-	c.InsnCount = s.insnCount
+	c.cpuState = s.state
 }

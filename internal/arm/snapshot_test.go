@@ -2,6 +2,7 @@ package arm
 
 import (
 	"maps"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -151,4 +152,44 @@ func FuzzHookRestore(f *testing.F) {
 			}
 		}
 	})
+}
+
+// keptAcrossRestore lists every CPU field outside the rewound cpuState, each
+// with the reason a restore leaves it alone.
+var keptAcrossRestore = map[string]string{
+	"Mem":          "guest memory restores itself (mem.Memory.Restore)",
+	"addrHooks":    "rewound by replaying hookUndo, not by copying",
+	"hookUndo":     "the undo log itself; Snapshot and Restore empty it",
+	"decodeCache":  "forward-valid; the write-notify drops stale pages",
+	"lastPageKey":  "one-entry memo over decodeCache",
+	"lastPage":     "one-entry memo over decodeCache",
+	"blockCache":   "forward-valid; the write-notify and the hook undo drop stale blocks",
+	"blocksByPage": "per-page index of blockCache",
+	"codePages":    "marks the pages that hold cached translations",
+	"codeExt":      "code extents of the cached translations",
+	"boundTracer":  "the tracer cached blocks were bound under; RunUntilHint reconciles it",
+	"CodeEpoch":    "monotonic chain validity token; rewinding it could revalidate a stale chain",
+}
+
+// TestEveryCPUFieldPicksASide: each CPU field is either in cpuState, which
+// Restore rewinds, or listed with a reason in keptAcrossRestore, so a new
+// field cannot be silently left out of a rewind.
+func TestEveryCPUFieldPicksASide(t *testing.T) {
+	typ := reflect.TypeOf(CPU{})
+	seen := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Anonymous && f.Type == reflect.TypeOf(cpuState{}) {
+			continue
+		}
+		seen[f.Name] = true
+		if _, ok := keptAcrossRestore[f.Name]; !ok {
+			t.Errorf("CPU.%s is neither in cpuState nor listed in keptAcrossRestore", f.Name)
+		}
+	}
+	for name := range keptAcrossRestore {
+		if !seen[name] {
+			t.Errorf("keptAcrossRestore lists %s, which is not a CPU field outside cpuState", name)
+		}
+	}
 }

@@ -35,10 +35,10 @@ import (
 // "nothing to do") replaces the TraceInsn dynamic dispatch in translated
 // blocks, moving range checks and handler lookup out of the hot loop.
 //
-// Bindings are captured per block; a binder whose behavior for an already
-// translated address changes (e.g. a re-scoped trace range) must be paired
-// with CPU.InvalidateBlocks. Replacing CPU.Tracer wholesale is detected
-// automatically and invalidates all blocks.
+// Bindings are captured per block, so a binder's behavior for an already
+// translated address must not change while it is installed. Replacing
+// CPU.Tracer wholesale is detected automatically and invalidates all blocks;
+// that is the way to change what a binding does.
 type InsnBinder interface {
 	Tracer
 	BindInsn(addr uint32, insn Insn) func(c *CPU)
@@ -181,12 +181,6 @@ func (c *CPU) invalidateAllBlocks() {
 	c.blockCache = make(map[uint32]*Block)
 	c.blocksByPage = make(map[uint32][]*Block)
 }
-
-// InvalidateBlocks drops every translated block. Callers that mutate
-// translation inputs behind the engine's back (e.g. re-scoping a tracer's
-// range after execution started) must call it; writes to code memory and
-// Hook/Unhook invalidate automatically.
-func (c *CPU) InvalidateBlocks() { c.invalidateAllBlocks() }
 
 // RunUntilHint is RunUntil with a translated-block entry hint: the fused JNI
 // bridge caches the entry block of its chain's native method and seeds the

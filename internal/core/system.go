@@ -64,12 +64,3 @@ func NewSystem() (*System, error) {
 	return &System{Mem: m, CPU: c, Kern: k, Task: task, Libc: lc, VM: vm,
 		Taint: taint.NewMemTaint()}, nil
 }
-
-// MustNewSystem is NewSystem for fixtures.
-func MustNewSystem() *System {
-	s, err := NewSystem()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

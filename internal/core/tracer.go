@@ -127,13 +127,6 @@ func (tr *Tracer) TraceInsn(c *arm.CPU, addr uint32, insn arm.Insn) {
 	}
 }
 
-// ResetStats clears counters and the handler cache.
-func (tr *Tracer) ResetStats() {
-	tr.Traced, tr.Skipped = 0, 0
-	tr.PerOp = [64]uint64{}
-	tr.cache = make(map[uint32]handlerFunc)
-}
-
 // handlerFor maps an operation to its Table V taint rule.
 func handlerFor(op arm.Op) handlerFunc {
 	switch op {

@@ -251,27 +251,23 @@ func TestJNIGlobalRefSurvivesLocalFrame(t *testing.T) {
 	}
 }
 
-// TestSmaliEndToEnd: a class written in the smali dialect runs on the VM and
-// leaks through the framework sink, tying dex.AssembleClass to the stack.
+// TestSmaliEndToEnd: a class built the way the smali dialect reads (static
+// invoke, move-result, const-string) runs on the VM and leaks through the
+// framework sink.
 func TestSmaliEndToEnd(t *testing.T) {
 	vm := newVM(t)
 	var leaks []JavaLeak
 	vm.JavaLeakFn = func(l JavaLeak) { leaks = append(leaks, l) }
 
-	cls, err := dex.AssembleClass(`
-.class Lcom/smali/Spy;
-.method static run()V
-    .locals 2
-    invoke-static {}, Landroid/telephony/TelephonyManager;->getDeviceId()L
-    move-result v0
-    const-string v1, "smali.example.net"
-    invoke-static {v1, v0}, Landroid/net/Network;->send(LL)V
-    return-void
-.end method
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := dex.NewClass("Lcom/smali/Spy;")
+	cb.Method("run", "V", dex.AccPublic|dex.AccStatic, 2).
+		InvokeStatic("Landroid/telephony/TelephonyManager;", "getDeviceId", "L").
+		MoveResult(0).
+		ConstString(1, "smali.example.net").
+		InvokeStatic("Landroid/net/Network;", "send", "VLL", 1, 0).
+		ReturnVoid().
+		Done()
+	cls := cb.Build()
 	vm.RegisterClass(cls)
 	_, _, thrown, err := vm.InvokeByName("Lcom/smali/Spy;", "run", nil, nil)
 	if err != nil || thrown != nil {
@@ -285,27 +281,22 @@ func TestSmaliEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSmaliExceptionFlow: smali try/catch with a divide-by-zero.
+// TestSmaliExceptionFlow: try/catch with a divide-by-zero.
 func TestSmaliExceptionFlow(t *testing.T) {
 	vm := newVM(t)
-	cls, err := dex.AssembleClass(`
-.class Lcom/smali/Catcher;
-.method static safeDiv(II)I
-    .locals 2
-:try_start
-    div-int v0, v2, v3
-:try_end
-    return v0
-:handler
-    move-exception v1
-    const v0, -1
-    return v0
-    .catch Ljava/lang/ArithmeticException; :try_start :try_end :handler
-.end method
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := dex.NewClass("Lcom/smali/Catcher;")
+	cb.Method("safeDiv", "III", dex.AccPublic|dex.AccStatic, 2).
+		Label("try_start").
+		Bin(dex.Div, 0, 2, 3).
+		Label("try_end").
+		Return(0).
+		Label("handler").
+		MoveException(1).
+		Const(0, -1).
+		Return(0).
+		Try("try_start", "try_end", "handler", "Ljava/lang/ArithmeticException;").
+		Done()
+	cls := cb.Build()
 	vm.RegisterClass(cls)
 	ret, _ := invoke(t, vm, "Lcom/smali/Catcher;", "safeDiv", 10, 2)
 	if int32(ret) != 5 {
@@ -320,21 +311,16 @@ func TestSmaliExceptionFlow(t *testing.T) {
 // TestLongArithmetic covers the BinOpWide/IntToLong/CmpLong paths.
 func TestLongArithmetic(t *testing.T) {
 	vm := newVM(t)
-	cls, err := dex.AssembleClass(`
-.class Lcom/smali/Longs;
-.method static big(I)I
-    .locals 6
-    int-to-long v0, v6
-    const-wide v2, 1000000
-    mul-long v0, v0, v2
-    const-wide v2, 1000000000000
-    cmp-long v4, v0, v2
-    return v4
-.end method
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cb := dex.NewClass("Lcom/smali/Longs;")
+	cb.Method("big", "II", dex.AccPublic|dex.AccStatic, 6).
+		IntToLong(0, 6).
+		ConstWide(2, 1000000).
+		BinWide(dex.Mul, 0, 0, 2).
+		ConstWide(2, 1000000000000).
+		CmpLongOp(4, 0, 2).
+		Return(4).
+		Done()
+	cls := cb.Build()
 	vm.RegisterClass(cls)
 	ret, _ := invoke(t, vm, "Lcom/smali/Longs;", "big", 2000000)
 	if int32(ret) != 1 { // 2e12 > 1e12

@@ -3,8 +3,12 @@ package dvm
 // VM snapshot/restore for the copy-on-write System snapshot (core.Snapshot).
 // Guest-memory contents (frame slots, object headers, stacks) are handled by
 // mem.Memory's page-level COW; this file rewinds the host-side VM structures
-// that shadow them: the class registry, the object graph, reference tables,
-// hooks, flags, and counters.
+// that shadow them. The scalars, flags, callbacks and counters are the
+// embedded vmState, copied in one assignment each way; what needs real work
+// is done field by field: the class registry and static slots, the object
+// graph and the reference tables that point into it, hook lists, method and
+// field IDs, loaded libraries and thread stacks. Fields outside both are kept
+// across a restore (see the VM type).
 //
 // decodeEpoch and transEpoch are deliberately NOT part of the snapshot. They
 // are the validity tokens of method decodes and fused chains, and restoring
@@ -30,50 +34,26 @@ type threadSnap struct {
 
 // VMSnapshot holds the captured VM state.
 type VMSnapshot struct {
+	state vmState
+
 	classes      map[string]*dex.Class
 	staticData   map[*dex.Class][]uint32
 	staticTaints map[*dex.Class][]uint32
 
-	objects    map[uint32]*Object
-	heapCursor uint32
-	allocCount int
-	gcThresh   int
-	gcCount    int
-	onGCMove   func(old, new uint32, o *Object)
-
-	irt       map[uint32]*Object
-	nextLocal uint32
-	nextGlob  uint32
-	locals    [][]uint32
+	objects map[uint32]*Object
+	irt     map[uint32]*Object
+	locals  [][]uint32
 
 	methodIDs []*dex.Method
 	fieldIDs  []*dex.Field
 
 	hooks map[string][]InternalHook
 
-	taintJava, gateJava, taintSeen bool
-	interpretHookAll, fuseNative   bool
-	live                           *taint.Liveness
-	javaStepFn                     func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
-	javaLeakFn                     func(JavaLeak)
-	onRegisterNatives              func(m *dex.Method, old, new uint32)
-	onJNICall                      func(m *dex.Method)
-	onNativeBind                   func(m *dex.Method, old, new uint32, dynamic bool)
-	onReflectCall                  func(m *dex.Method)
-	onUnreleased                   func(m *dex.Method, site uint32)
-	nativeBudget, javaBudget       uint64
-	javaInsns, javaTransMethods    uint64
-	jniCrossings, javaFusedChains  uint64
-	javaFusedCalls, javaFuseDeopts uint64
-
 	interned map[*dex.Insn]*Object
 
-	threads   []threadSnap
-	curThread *Thread
-	padDepth  int
+	threads []threadSnap
 
-	nativeLibs  []LoadedLib
-	nextLibBase uint32
+	nativeLibs []LoadedLib
 }
 
 // copyObject makes an isolated copy of o (slices included). Class pointers
@@ -99,55 +79,23 @@ func copyObject(o *Object) *Object {
 // for their mutable static-field slots, which are copied.
 func (vm *VM) Snapshot() *VMSnapshot {
 	s := &VMSnapshot{
+		state: vm.vmState,
+
 		classes:      make(map[string]*dex.Class, len(vm.classes)),
 		staticData:   make(map[*dex.Class][]uint32),
 		staticTaints: make(map[*dex.Class][]uint32),
 
-		objects:    make(map[uint32]*Object, len(vm.objects)),
-		heapCursor: vm.heapCursor,
-		allocCount: vm.allocCount,
-		gcThresh:   vm.GCThreshold,
-		gcCount:    vm.GCCount,
-		onGCMove:   vm.OnGCMove,
-
-		irt:       make(map[uint32]*Object, len(vm.irt)),
-		nextLocal: vm.nextLocal,
-		nextGlob:  vm.nextGlob,
+		objects: make(map[uint32]*Object, len(vm.objects)),
+		irt:     make(map[uint32]*Object, len(vm.irt)),
 
 		methodIDs: append([]*dex.Method(nil), vm.methodIDs...),
 		fieldIDs:  append([]*dex.Field(nil), vm.fieldIDs...),
 
 		hooks: make(map[string][]InternalHook, len(vm.hooks)),
 
-		taintJava:         vm.TaintJava,
-		gateJava:          vm.GateJava,
-		taintSeen:         vm.taintSeen,
-		interpretHookAll:  vm.InterpretHookAll,
-		fuseNative:        vm.FuseNative,
-		live:              vm.Live,
-		javaStepFn:        vm.javaStepFn,
-		javaLeakFn:        vm.JavaLeakFn,
-		onRegisterNatives: vm.OnRegisterNatives,
-		onJNICall:         vm.OnJNICall,
-		onNativeBind:      vm.OnNativeBind,
-		onReflectCall:     vm.OnReflectCall,
-		onUnreleased:      vm.OnUnreleased,
-		nativeBudget:      vm.NativeBudget,
-		javaBudget:        vm.JavaBudget,
-		javaInsns:         vm.JavaInsnCount,
-		javaTransMethods:  vm.JavaTransMethods,
-		jniCrossings:      vm.JNICrossings,
-		javaFusedChains:   vm.JavaFusedChains,
-		javaFusedCalls:    vm.JavaFusedCalls,
-		javaFuseDeopts:    vm.JavaFuseDeopts,
-
 		interned: make(map[*dex.Insn]*Object, len(vm.internedStrings)),
 
-		curThread: vm.curThread,
-		padDepth:  vm.padDepth,
-
-		nativeLibs:  append([]LoadedLib(nil), vm.nativeLibs...),
-		nextLibBase: vm.nextLibBase,
+		nativeLibs: append([]LoadedLib(nil), vm.nativeLibs...),
 	}
 
 	for name, c := range vm.classes {
@@ -234,11 +182,7 @@ func (vm *VM) Restore(s *VMSnapshot) {
 		ident[o] = c
 		vm.objects[addr] = c
 	}
-	vm.heapCursor = s.heapCursor
-	vm.allocCount = s.allocCount
-	vm.GCThreshold = s.gcThresh
-	vm.GCCount = s.gcCount
-	vm.OnGCMove = s.onGCMove
+	vm.vmState = s.state
 
 	vm.irt = make(map[uint32]*Object, len(s.irt))
 	for ref, o := range s.irt {
@@ -248,7 +192,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 			vm.irt[ref] = o
 		}
 	}
-	vm.nextLocal, vm.nextGlob = s.nextLocal, s.nextGlob
 	vm.locals = make([][]uint32, len(s.locals))
 	for i, frame := range s.locals {
 		vm.locals[i] = append([]uint32(nil), frame...)
@@ -269,27 +212,6 @@ func (vm *VM) Restore(s *VMSnapshot) {
 			vm.hooks[name] = append([]InternalHook(nil), hs...)
 		}
 	}
-
-	vm.TaintJava = s.taintJava
-	vm.GateJava = s.gateJava
-	vm.taintSeen = s.taintSeen
-	vm.InterpretHookAll = s.interpretHookAll
-	vm.FuseNative = s.fuseNative
-	vm.Live = s.live
-	vm.javaStepFn = s.javaStepFn
-	vm.JavaLeakFn = s.javaLeakFn
-	vm.OnRegisterNatives = s.onRegisterNatives
-	vm.OnJNICall = s.onJNICall
-	vm.OnNativeBind = s.onNativeBind
-	vm.OnReflectCall = s.onReflectCall
-	vm.OnUnreleased = s.onUnreleased
-	vm.NativeBudget, vm.JavaBudget = s.nativeBudget, s.javaBudget
-	vm.JavaInsnCount = s.javaInsns
-	vm.JavaTransMethods = s.javaTransMethods
-	vm.JNICrossings = s.jniCrossings
-	vm.JavaFusedChains = s.javaFusedChains
-	vm.JavaFusedCalls = s.javaFusedCalls
-	vm.JavaFuseDeopts = s.javaFuseDeopts
 
 	// Fusion state does not survive a restore: chains and heat counters are
 	// keyed by method pointers from the discarded attempt, and the epoch bump
@@ -330,11 +252,8 @@ func (vm *VM) Restore(s *VMSnapshot) {
 			th.Exception = ts.exc
 		}
 	}
-	vm.curThread = s.curThread
-	vm.padDepth = s.padDepth
 
 	vm.nativeLibs = append(vm.nativeLibs[:0], s.nativeLibs...)
-	vm.nextLibBase = s.nextLibBase
 
 	// Monotonic: invalidate every decode and chain built during the attempt
 	// (and decode warm-boot methods again lazily) instead of rewinding.

@@ -139,7 +139,11 @@ type InternalHook struct {
 	BindJNI func(m *dex.Method) (before, after func(*CallCtx), ok bool)
 }
 
-// VM is the Dalvik virtual machine instance.
+// VM is the Dalvik virtual machine instance. The embedded vmState is what
+// Snapshot copies and Restore puts back in one assignment; every other field
+// is either rewound by real work in Restore (the registry, the heap, the
+// reference tables, hook lists and threads) or kept across a restore, as
+// its comment says.
 type VM struct {
 	Mem  *mem.Memory
 	CPU  *arm.CPU
@@ -147,56 +151,24 @@ type VM struct {
 	Task *kernel.Task
 	Libc *libc.Libc
 
+	vmState
+
 	classes map[string]*dex.Class
 
-	objects    map[uint32]*Object
-	heapCursor uint32
-	allocCount int
-	// GCThreshold triggers a collection every N allocations (0 disables).
-	GCThreshold int
-	GCCount     int
-	// OnGCMove is invoked for every object relocation (old, new address);
-	// NDroid's taint engine subscribes to keep its maps coherent.
-	OnGCMove func(old, new uint32, o *Object)
+	objects map[uint32]*Object
 
-	irt       map[uint32]*Object
-	nextLocal uint32
-	nextGlob  uint32
-	locals    [][]uint32 // per-JNI-call local ref frames
+	irt    map[uint32]*Object
+	locals [][]uint32 // per-JNI-call local ref frames
 
 	methodIDs []*dex.Method
 	fieldIDs  []*dex.Field
 
+	// internalAddrs, internalNames and libdvmEnd are the libdvm layout,
+	// fixed at New.
 	internalAddrs map[string]uint32
 	internalNames map[uint32]string
 	hooks         map[string][]InternalHook
 	libdvmEnd     uint32
-
-	// TaintJava enables TaintDroid's in-DVM propagation. Off = stock Android.
-	TaintJava bool
-	// GateJava enables the demand-driven fast path: while no taint has ever
-	// been introduced on the Java side (taintSeen latch off), the executor
-	// skips tag merging and the JNI bridge skips taint marshalling. Sound
-	// because all Java-side taint state is provably zero until the first
-	// NoteTaint — frames are pushed with zeroed slots, and every skipped
-	// write would have written zero.
-	GateJava bool
-	// Live, when attached, receives the SrcJava contribution of the latch.
-	Live *taint.Liveness
-	// taintSeen latches up on the first nonzero tag entering the Java world
-	// and is released only by ResetTaintLatch (conservative but sound).
-	taintSeen bool
-	// InterpretHookAll fires the dvmInterpret hooks on *every* interpreted
-	// invocation, not just native-originated ones — the costly baseline that
-	// multilevel hooking exists to avoid (§V-B: "the overhead will be high
-	// if we hook these two functions whenever they are called").
-	InterpretHookAll bool
-	// javaStepFn observes every executed Dalvik instruction (profiling and
-	// the DroidScope semantic-reconstruction cost model); install it with
-	// SetJavaStepFn.
-	javaStepFn func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
-	// JavaLeakFn receives Java-context sink reports (TaintDroid sinks).
-	JavaLeakFn func(JavaLeak)
 
 	// decodeEpoch is the validity token of method decodes (exec.go): class
 	// registration and snapshot restore, the two things that can change a
@@ -206,56 +178,9 @@ type VM struct {
 	decodeEpoch uint64
 	transEpoch  uint64
 
-	// NativeBudget bounds the instruction count of each JNI native call
-	// (0 = the 64M default). JavaBudget is an absolute ceiling on
-	// JavaInsnCount for the whole run (0 = unlimited). Both are deterministic
-	// step counts, never wall-clock: the analyzer's watchdog sets them so
-	// runaway guest loops surface as BudgetExceeded faults (Timeout verdict)
-	// at reproducible points.
-	NativeBudget uint64
-	JavaBudget   uint64
-
-	// JavaInsnCount counts executed Dalvik instructions.
-	JavaInsnCount uint64
-	// JavaTransMethods counts method decodes (first invocations plus
-	// re-decodes after a class registration or restore).
-	JavaTransMethods uint64
 	// JavaDeopts is always 0: the one executor has nothing to fall back
 	// to. The field stays for readers of the older per-layer metrics.
 	JavaDeopts uint64
-
-	// FuseNative enables cross-boundary trace fusion: hot monomorphic
-	// Dalvik→JNI→ARM chains are compiled into specialized host closures with
-	// the per-call bridge work (shorty decoding, hook dispatch setup, full
-	// CPU snapshot/restore, class-object lookup) hoisted to bind time.
-	FuseNative bool
-	// JNICrossings counts Java→native JNI calls (fused and unfused).
-	JNICrossings uint64
-	// JavaFusedChains counts fused-chain builds; JavaFusedCalls counts
-	// crossings served by a fused chain; JavaFuseDeopts counts chains
-	// invalidated back to the unfused bridge (epoch mismatch, re-registration,
-	// SMC, or an injected fused-deopt fault).
-	JavaFusedChains uint64
-	JavaFusedCalls  uint64
-	JavaFuseDeopts  uint64
-	// OnRegisterNatives observes mid-run native-method re-registration
-	// (JNIEnv->RegisterNatives rebinding a bound method to a new entry point).
-	OnRegisterNatives func(m *dex.Method, old, new uint32)
-	// OnJNICall observes every Java->native crossing at the top of the JNI
-	// bridge, before the fused/unfused split, so both paths report
-	// identically. OnNativeBind observes every native-method binding:
-	// dynamic=true for guest RegisterNatives (all of them, not just rebinds),
-	// false for loader-time BindNative. OnReflectCall observes native->Java
-	// reflection-style dispatch (CallStatic*Method resolving a jmethodID).
-	// All three feed the JNI surface observer and must stay off the flow log.
-	OnJNICall     func(m *dex.Method)
-	OnNativeBind  func(m *dex.Method, old, new uint32, dynamic bool)
-	OnReflectCall func(m *dex.Method)
-	// OnUnreleased observes a native method returning with a buffer that
-	// GetStringUTFChars handed it still unreleased: site is the call
-	// instruction of that Get, once per such buffer. It fires on the fused
-	// and the unfused bridge alike and must stay off the flow log too.
-	OnUnreleased func(m *dex.Method, site uint32)
 
 	// utfOpen lists the GetStringUTFChars buffers not yet released, oldest
 	// first; utfBase is where the innermost native crossing's own entries
@@ -293,11 +218,8 @@ type VM struct {
 
 	MainThread *Thread
 	threads    []*Thread
-	curThread  *Thread
 
-	padDepth    int
-	nativeLibs  []LoadedLib
-	nextLibBase uint32
+	nativeLibs []LoadedLib
 
 	// asmMemo caches assembled native-lib images by (source, base), at most
 	// asmMemoCap of them, oldest first out (asmOrder, asmNext); it is
@@ -310,6 +232,102 @@ type VM struct {
 	externs  map[string]uint32
 
 	AsmAssembles uint64
+}
+
+// vmState is the VM's rewindable scalar state: the heap cursor and GC
+// settings, the reference counters, the taint and gate switches, the
+// analyzer's callbacks, the budgets and counters, and the current thread,
+// pad depth and library cursor. Snapshot and Restore copy it whole.
+type vmState struct {
+	heapCursor uint32
+	allocCount int
+	// GCThreshold triggers a collection every N allocations (0 disables).
+	GCThreshold int
+	GCCount     int
+	// OnGCMove is invoked for every object relocation (old, new address);
+	// NDroid's taint engine subscribes to keep its maps coherent.
+	OnGCMove func(old, new uint32, o *Object)
+
+	nextLocal uint32
+	nextGlob  uint32
+
+	// TaintJava enables TaintDroid's in-DVM propagation. Off = stock Android.
+	TaintJava bool
+	// GateJava enables the demand-driven fast path: while no taint has ever
+	// been introduced on the Java side (taintSeen latch off), the executor
+	// skips tag merging and the JNI bridge skips taint marshalling. Sound
+	// because all Java-side taint state is provably zero until the first
+	// NoteTaint — frames are pushed with zeroed slots, and every skipped
+	// write would have written zero.
+	GateJava bool
+	// Live, when attached, receives the SrcJava contribution of the latch.
+	Live *taint.Liveness
+	// taintSeen latches up on the first nonzero tag entering the Java world
+	// and is released only by a snapshot restore (conservative but sound).
+	taintSeen bool
+	// InterpretHookAll fires the dvmInterpret hooks on *every* interpreted
+	// invocation, not just native-originated ones — the costly baseline that
+	// multilevel hooking exists to avoid (§V-B: "the overhead will be high
+	// if we hook these two functions whenever they are called").
+	InterpretHookAll bool
+	// javaStepFn observes every executed Dalvik instruction (profiling and
+	// the DroidScope semantic-reconstruction cost model); install it with
+	// SetJavaStepFn.
+	javaStepFn func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)
+	// JavaLeakFn receives Java-context sink reports (TaintDroid sinks).
+	JavaLeakFn func(JavaLeak)
+
+	// NativeBudget bounds the instruction count of each JNI native call
+	// (0 = the 64M default). JavaBudget is an absolute ceiling on
+	// JavaInsnCount for the whole run (0 = unlimited). Both are deterministic
+	// step counts, never wall-clock: the analyzer's watchdog sets them so
+	// runaway guest loops surface as BudgetExceeded faults (Timeout verdict)
+	// at reproducible points.
+	NativeBudget uint64
+	JavaBudget   uint64
+
+	// JavaInsnCount counts executed Dalvik instructions.
+	JavaInsnCount uint64
+	// JavaTransMethods counts method decodes (first invocations plus
+	// re-decodes after a class registration or restore).
+	JavaTransMethods uint64
+
+	// FuseNative enables cross-boundary trace fusion: hot monomorphic
+	// Dalvik→JNI→ARM chains are compiled into specialized host closures with
+	// the per-call bridge work (shorty decoding, hook dispatch setup, full
+	// CPU snapshot/restore, class-object lookup) hoisted to bind time.
+	FuseNative bool
+	// JNICrossings counts Java→native JNI calls (fused and unfused).
+	JNICrossings uint64
+	// JavaFusedChains counts fused-chain builds; JavaFusedCalls counts
+	// crossings served by a fused chain; JavaFuseDeopts counts chains
+	// invalidated back to the unfused bridge (epoch mismatch, re-registration,
+	// SMC, or an injected fused-deopt fault).
+	JavaFusedChains uint64
+	JavaFusedCalls  uint64
+	JavaFuseDeopts  uint64
+	// OnRegisterNatives observes mid-run native-method re-registration
+	// (JNIEnv->RegisterNatives rebinding a bound method to a new entry point).
+	OnRegisterNatives func(m *dex.Method, old, new uint32)
+	// OnJNICall observes every Java->native crossing at the top of the JNI
+	// bridge, before the fused/unfused split, so both paths report
+	// identically. OnNativeBind observes every native-method binding:
+	// dynamic=true for guest RegisterNatives (all of them, not just rebinds),
+	// false for loader-time BindNative. OnReflectCall observes native->Java
+	// reflection-style dispatch (CallStatic*Method resolving a jmethodID).
+	// All three feed the JNI surface observer and must stay off the flow log.
+	OnJNICall     func(m *dex.Method)
+	OnNativeBind  func(m *dex.Method, old, new uint32, dynamic bool)
+	OnReflectCall func(m *dex.Method)
+	// OnUnreleased observes a native method returning with a buffer that
+	// GetStringUTFChars handed it still unreleased: site is the call
+	// instruction of that Get, once per such buffer. It fires on the fused
+	// and the unfused bridge alike and must stay off the flow log too.
+	OnUnreleased func(m *dex.Method, site uint32)
+
+	curThread   *Thread
+	padDepth    int
+	nextLibBase uint32
 }
 
 // internalFuncs lists every hookable libdvm-internal function, in a fixed
@@ -337,12 +355,10 @@ func New(m *mem.Memory, c *arm.CPU, k *kernel.Kernel, t *kernel.Task, lc *libc.L
 		Kern:          k,
 		Task:          t,
 		Libc:          lc,
+		vmState:       vmState{heapCursor: kernel.DvmHeapBase, nextLocal: 1, nextGlob: 1},
 		classes:       make(map[string]*dex.Class),
 		objects:       make(map[uint32]*Object),
-		heapCursor:    kernel.DvmHeapBase,
 		irt:           make(map[uint32]*Object),
-		nextLocal:     1,
-		nextGlob:      1,
 		internalAddrs: make(map[string]uint32),
 		internalNames: make(map[uint32]string),
 		hooks:         make(map[string][]InternalHook),
@@ -391,18 +407,6 @@ func (vm *VM) NoteTaint(t taint.Tag) {
 
 // TaintSeen reports whether the Java-side latch has fired.
 func (vm *VM) TaintSeen() bool { return vm.taintSeen }
-
-// ResetTaintLatch releases the latch between analysis runs. The caller must
-// guarantee all Java-side taint state has actually been discarded.
-func (vm *VM) ResetTaintLatch() {
-	if !vm.taintSeen {
-		return
-	}
-	vm.taintSeen = false
-	if vm.Live != nil {
-		vm.Live.Adjust(taint.SrcJava, -1)
-	}
-}
 
 // NewThread allocates a Dalvik thread with a guest stack region.
 func (vm *VM) NewThread(name string) *Thread {
@@ -457,12 +461,6 @@ func (vm *VM) ClassesExcept(skip map[string]bool) []string {
 // the fused chains that pre-bound the old hook list.
 func (vm *VM) HookInternal(name string, h InternalHook) {
 	vm.hooks[name] = append(vm.hooks[name], h)
-	vm.transEpoch++
-}
-
-// ClearInternalHooks removes all hooks (between analysis runs).
-func (vm *VM) ClearInternalHooks() {
-	vm.hooks = make(map[string][]InternalHook)
 	vm.transEpoch++
 }
 
@@ -813,12 +811,6 @@ func (vm *VM) popLocalFrame() {
 		delete(vm.irt, ref)
 	}
 	vm.locals = vm.locals[:n-1]
-}
-
-// nextPad returns a unique return-pad address for nested native calls.
-func (vm *VM) nextPad() uint32 {
-	pad := kernel.ReturnPadBase + uint32(vm.padDepth)*16
-	return pad
 }
 
 func (vm *VM) errorf(format string, args ...interface{}) error {

@@ -33,7 +33,6 @@ type Libc struct {
 	Task *kernel.Task
 
 	syms      map[string]uint32
-	names     map[uint32]string
 	impls     map[string]Impl
 	asmBacked map[string]bool
 
@@ -65,7 +64,6 @@ func New(m *mem.Memory, k *kernel.Kernel, t *kernel.Task) (*Libc, error) {
 		Kern:      k,
 		Task:      t,
 		syms:      make(map[string]uint32),
-		names:     make(map[uint32]string),
 		impls:     make(map[string]Impl),
 		asmBacked: make(map[string]bool),
 		arenaNext: arenaBase,
@@ -84,7 +82,6 @@ func New(m *mem.Memory, k *kernel.Kernel, t *kernel.Task) (*Libc, error) {
 	m.WriteBytes(prog.Base, prog.Code)
 	for name, addr := range prog.Labels {
 		l.syms[name] = addr
-		l.names[addr&^1] = name
 		l.asmBacked[name] = true
 	}
 
@@ -104,7 +101,6 @@ func New(m *mem.Memory, k *kernel.Kernel, t *kernel.Task) (*Libc, error) {
 			continue
 		}
 		l.syms[name] = cursor
-		l.names[cursor] = name
 		// A real BX LR sits in the slot so that, if a hook is ever removed,
 		// calls degrade to no-ops instead of running off into zeroes.
 		w, _ := arm.Encode(arm.Insn{Op: arm.OpBX, Cond: arm.CondAL, Rm: arm.LR, Rd: arm.RegNone, Rn: arm.RegNone})
@@ -120,7 +116,6 @@ func New(m *mem.Memory, k *kernel.Kernel, t *kernel.Task) (*Libc, error) {
 	mcursor := kernel.LibmBase
 	for _, name := range libmNames {
 		l.syms[name] = mcursor
-		l.names[mcursor] = name
 		l.impls[name] = mathImpls[name]
 		w, _ := arm.Encode(arm.Insn{Op: arm.OpBX, Cond: arm.CondAL, Rm: arm.LR, Rd: arm.RegNone, Rn: arm.RegNone})
 		m.Write32(mcursor, w)
@@ -172,12 +167,6 @@ func (l *Libc) Syms() map[string]uint32 {
 	return out
 }
 
-// NameAt resolves an address back to its symbol, if any.
-func (l *Libc) NameAt(addr uint32) (string, bool) {
-	n, ok := l.names[addr&^1]
-	return n, ok
-}
-
 // CallImpl runs the Go implementation of name against the current CPU state.
 // The system-lib hook engine uses this to execute the real behaviour after
 // applying a taint model.
@@ -188,12 +177,6 @@ func (l *Libc) CallImpl(name string, c *arm.CPU) error {
 	}
 	impl(l, c)
 	return nil
-}
-
-// HasImpl reports whether name is Go-implemented (as opposed to asm-bodied).
-func (l *Libc) HasImpl(name string) bool {
-	_, ok := l.impls[name]
-	return ok
 }
 
 // Malloc carves n bytes from the arena (8-byte aligned, 4-byte size header).

@@ -21,12 +21,6 @@ func (l *Libc) openFile(fd int32) uint32 {
 	return fp
 }
 
-// FileFD resolves a guest FILE* to its descriptor.
-func (l *Libc) FileFD(fp uint32) (int32, bool) {
-	fd, ok := l.files[fp]
-	return fd, ok
-}
-
 // FilePath reports the path behind a guest FILE*, for leak reports.
 func (l *Libc) FilePath(fp uint32) (string, bool) {
 	fd, ok := l.files[fp]
