@@ -462,13 +462,11 @@ func BenchmarkJNIRoundTrip(b *testing.B) {
 // NDroid with the taint-presence gate on. The clean row crosses the boundary
 // with zero live taint anywhere (marshalling walks skipped, native blocks run
 // bare); the tainted row carries IMEI taint through the same machinery. Their
-// ratio is the boundary cost the gate removes. clean-nogate is the PR 1
-// always-instrumented configuration for reference. The -fused rows serve the
-// same crossings from compiled trace chains (shorty pre-decoded, hooks
-// pre-bound, masked CPU restore); their ratio against the unfused rows is the
-// dispatch cost trace fusion removes.
+// ratio is the boundary cost the gate removes. clean-nogate is the
+// always-instrumented configuration for reference. Every row reuses the
+// analyzer's per-method JNI-entry binding after the warm runs.
 func BenchmarkJNIBoundary(b *testing.B) {
-	bench := func(appName string, gate, fuse bool) func(b *testing.B) {
+	bench := func(appName string, gate bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			app, ok := apps.ByName(appName)
 			if !ok {
@@ -486,9 +484,8 @@ func BenchmarkJNIBoundary(b *testing.B) {
 			} else {
 				core.NewAnalyzerNoGate(sys, core.ModeNDroid)
 			}
-			sys.VM.FuseNative = fuse
-			// Warm run: get past the heat threshold so the fused rows
-			// measure steady-state chain dispatch, not chain building.
+			// Warm runs: bind the native method and translate its blocks,
+			// so the rows measure the steady-state crossing.
 			for i := 0; i < 8; i++ {
 				if err := app.Run(sys); err != nil {
 					b.Fatal(err)
@@ -500,16 +497,11 @@ func BenchmarkJNIBoundary(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if fuse && sys.VM.JavaFusedCalls == 0 {
-				b.Fatal("fused row never served a crossing from a chain")
-			}
 		}
 	}
-	b.Run("clean", bench("benign", true, false))
-	b.Run("clean-nogate", bench("benign", false, false))
-	b.Run("clean-fused", bench("benign", true, true))
-	b.Run("tainted", bench("case1", true, false))
-	b.Run("tainted-fused", bench("case1", true, true))
+	b.Run("clean", bench("benign", true))
+	b.Run("clean-nogate", bench("benign", false))
+	b.Run("tainted", bench("case1", true))
 }
 
 // BenchmarkGCCompaction measures a mark-compact cycle over a populated heap

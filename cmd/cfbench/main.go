@@ -1,7 +1,7 @@
 // Command cfbench reproduces the paper's Fig. 10: it runs the CF-Bench-style
 // workload suite under the analysis modes and prints the per-row overhead
 // table (vanilla score plus the slowdown factor of each instrumented mode),
-// then the ablation matrix (fusion and store arms through the
+// then the ablation matrix (baseline and store arms through the
 // analysis service) and the contained corpus verdict counts of its baseline
 // run. It exits 1 if the matrix finds a parity break.
 //

@@ -635,19 +635,19 @@ host:
 	}
 }
 
-// RebindApp attacks per-method specialization state with RegisterNatives
+// RebindApp attacks per-method instrumentation state with RegisterNatives
 // re-registration: `process` starts bound to a benign identity implementation
-// and is called in a loop until the analyzer's trace-fusion layer compiles the
-// crossing into a fused chain. A later native call then re-registers `process`
-// to a second implementation that leaks its argument through sendto. A sound
-// analyzer must deopt the stale chain on the rebind (the translation epoch
-// bump) and still catch the leak on the very next crossing; an unsound one
-// would keep dispatching the fused benign chain.
+// and is called in a loop, so the analyzer's JNI-entry binding for it is
+// reused. A later native call then re-registers `process` to a second
+// implementation that leaks its argument through sendto. A sound analyzer
+// must rebind on the next crossing (the entry line, the SourcePolicy and the
+// entry hook all at the new address) and catch the leak there; an unsound
+// one would keep applying the policy at the benign implementation's address.
 func RebindApp() *App {
 	const cls = "Lcom/hostile/rebind/Main;"
 	return &App{
 		Name:        "rebind",
-		Desc:        "RegisterNatives re-registration: benign impl gets hot+fused, rebind swaps in a leaking impl",
+		Desc:        "RegisterNatives re-registration: benign impl runs hot, rebind swaps in a leaking impl",
 		Case:        "2",
 		EntryClass:  cls,
 		EntryMethod: "run",
@@ -719,7 +719,7 @@ njm:
 				InvokeStatic(cls, "checksum", "I").
 				InvokeStatic("Landroid/telephony/TelephonyManager;", "getDeviceId", "L").
 				MoveResult(0).
-				// Hot loop: five crossings of the benign impl, enough to fuse.
+				// Hot loop: five crossings of the benign impl.
 				Const(1, 5).
 				Label("loop").
 				IfZ(1, dex.Le, "swap").

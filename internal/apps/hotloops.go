@@ -15,7 +15,7 @@ import (
 // of the run's traced native instructions comes from register-to-register
 // Table V handlers (ALU sources unioned into the destination shadow) running
 // inside translated blocks with tainted registers live, and the repeated
-// crossing is a fused chain.
+// crossing reuses the JNI-entry binding its first crossing made.
 
 // SummixApp: a 400-iteration pure integer ALU loop behind JNI, called 64
 // times. Every instruction is register-to-register or immediate, so the

@@ -103,18 +103,6 @@ func TestInjectionEverySiteContained(t *testing.T) {
 				}
 				return
 			}
-			if site == core.SiteFusedDeopt {
-				// Fused-deopt corruption is absorbed, not surfaced: the
-				// crossing falls back to the unfused bridge and the run
-				// completes as if nothing happened.
-				if chainSawInjection(r, site) {
-					t.Fatalf("absorbed deopt surfaced as a fault in chain %s", r.ChainString())
-				}
-				if r.Verdict() != core.VerdictLeak || r.Degraded {
-					t.Errorf("chain %s: deopt must be invisible (want undegraded leak)", r.ChainString())
-				}
-				return
-			}
 			if !chainSawInjection(r, site) {
 				t.Fatalf("injected fault not recorded in chain %s", r.ChainString())
 			}
@@ -242,16 +230,12 @@ func TestInjectionParity(t *testing.T) {
 				if n := fault.Fired(site); n != 1 {
 					t.Fatalf("site fired %d times across the sweep, want 1", n)
 				}
-				// The fused-deopt site absorbs its injection (the crossing
-				// reruns unfused), so no app's chain records it — and the app
-				// that consumed it must ALSO match the baseline byte for byte,
-				// which is the deopt-parity proof.
+				// Absorbed sites leave no trace in any app's chain, and the app
+				// that consumed one must ALSO match the baseline byte for byte.
 				wantAbsorbed := 1
-				if site == core.SiteFusedDeopt || site == cas.SiteLoad ||
-					site == surface.SiteOverflow || site == core.SiteSnapshotRestore {
-					// Absorbed sites leave no trace in any chain: the deopt
-					// reruns unfused, the cache fault evicts and recomputes,
-					// the surface overflow truncates only the map, and the
+				if site == cas.SiteLoad || site == surface.SiteOverflow || site == core.SiteSnapshotRestore {
+					// The cache fault evicts and recomputes, the surface
+					// overflow truncates only the map, and the
 					// fingerprint step reboots past the failed restore. The
 					// restore row counted one absorbing app while the removed
 					// StudyOptions.Snapshot sweep let a study Runner consume it

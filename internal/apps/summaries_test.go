@@ -20,7 +20,7 @@ import (
 // Summaries were deleted; what they had to preserve still stands, and these
 // tests hold it without them.
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/summary_parity.golden from this tree")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens of the tests that run from this tree")
 
 const parityGolden = "testdata/summary_parity.golden"
 
@@ -33,11 +33,13 @@ func outcomeDigest(r core.AppReport) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func readGolden(t *testing.T) map[string]string {
+// readGolden reads a "name value" per line golden file; test names the test
+// whose -update run regenerates it.
+func readGolden(t *testing.T, path, test string) map[string]string {
 	t.Helper()
-	f, err := os.Open(parityGolden)
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with go test ./internal/apps -run TestSummaryParityAllAppsAllModes -update)", err)
+		t.Fatalf("%v (regenerate with go test ./internal/apps -run %s -update)", err, test)
 	}
 	defer f.Close()
 	want := map[string]string{}
@@ -45,7 +47,7 @@ func readGolden(t *testing.T) map[string]string {
 	for sc.Scan() {
 		name, sum, ok := strings.Cut(sc.Text(), " ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", parityGolden, sc.Text())
+			t.Fatalf("%s: malformed line %q", path, sc.Text())
 		}
 		want[name] = sum
 	}
@@ -65,7 +67,7 @@ func readGolden(t *testing.T) map[string]string {
 func TestSummaryParityAllAppsAllModes(t *testing.T) {
 	var want map[string]string
 	if !*updateGolden {
-		want = readGolden(t)
+		want = readGolden(t, parityGolden, "TestSummaryParityAllAppsAllModes")
 	}
 	var lines []string
 	for _, app := range apps.AllApps() {

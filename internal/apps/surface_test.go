@@ -2,8 +2,9 @@ package apps_test
 
 // The surface-map determinism and flood-resistance suite. The invariant
 // throughout: the JNI surface map is a *derived artifact* of the analysis —
-// it must be byte-identical across execution strategies (fused/unfused,
-// snapshot-served, parallel worker counts, warm service replays) and bounded
+// it must be byte-identical across execution strategies (with or without a
+// flow log, snapshot-served, parallel worker counts, warm service replays)
+// and bounded
 // under hostile flooding, and it must never perturb verdicts or flow logs.
 
 import (
@@ -83,18 +84,15 @@ func TestRaspFloodBoundedUnderThrottling(t *testing.T) {
 }
 
 // TestPinswapVoidsStalePins (name kept from the pin era): the leak behind
-// the mid-run RegisterNatives swap is caught under both fusion settings.
+// the mid-run RegisterNatives swap is caught.
 func TestPinswapVoidsStalePins(t *testing.T) {
 	app, ok := apps.ByName("hostile-pinswap")
 	if !ok {
 		t.Fatal("hostile-pinswap missing")
 	}
-	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
-		r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{
-			Budget: testBudget, FlowLog: true, Fuse: fuse})
-		if r.Verdict() != core.VerdictLeak {
-			t.Errorf("fuse=%d: verdict = %v, want leak (chain %s)", fuse, r.Verdict(), r.ChainString())
-		}
+	r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, FlowLog: true})
+	if r.Verdict() != core.VerdictLeak {
+		t.Errorf("verdict = %v, want leak (chain %s)", r.Verdict(), r.ChainString())
 	}
 }
 
@@ -166,16 +164,17 @@ func joinLines(rep core.AppReport) string {
 	return strings.Join(rep.Final.Result.LogLines, "\n")
 }
 
-// TestSurfaceMapFuseParity: fused and unfused execution discover the same
-// boundaries with the same counts, byte for byte, for every corpus app.
+// TestSurfaceMapFuseParity (name kept from the trace-fusion era): a run
+// without a flow log discovers the boundaries, with the counts, that
+// testdata/bridge_parity.golden records for every corpus app, byte for byte.
 func TestSurfaceMapFuseParity(t *testing.T) {
+	want := readGolden(t, bridgeGolden, "TestFusionParityAllAppsAllModes")
 	for _, app := range apps.AllApps() {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
-			on := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, Fuse: core.FuseDefault})
-			off := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget, Fuse: core.FuseOff})
-			if got, want := surfaceBytes(t, off), surfaceBytes(t, on); got != want {
-				t.Errorf("surface map diverges across fusion:\nfused:   %s\nunfused: %s", want, got)
+			r := core.AnalyzeApp(app.Spec(), core.AnalyzeOptions{Budget: testBudget})
+			if got, w := surfaceDigest(r), bridgeField(want[app.Name+"/ndroid"], "surface"); got != w {
+				t.Errorf("surface map digest %s, golden %s:\n%s", got, w, surfaceBytes(t, r))
 			}
 		})
 	}

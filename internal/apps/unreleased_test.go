@@ -107,9 +107,9 @@ get:
 `, n)
 }
 
-// handleFindings runs spec under NDroid fused and unfused, each on a fresh
-// System and twice on a restored Runner, requires every run to produce the
-// same surface map, and returns f's findings.
+// handleFindings runs spec under NDroid on a fresh System and twice on a
+// restored Runner, requires every run to produce the same surface map, and
+// returns f's findings.
 func handleFindings(t *testing.T, spec core.AppSpec) ([]surface.Unreleased, *surface.Map) {
 	t.Helper()
 	runner, err := core.NewRunner()
@@ -117,18 +117,16 @@ func handleFindings(t *testing.T, spec core.AppSpec) ([]surface.Unreleased, *sur
 		t.Fatal(err)
 	}
 	var first *surface.Map
-	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
-		for _, r := range []*core.Runner{nil, runner, runner} {
-			rep := core.AnalyzeApp(spec, core.AnalyzeOptions{Budget: testBudget, Fuse: fuse, Runner: r})
-			if rep.Verdict() != core.VerdictClean || len(rep.Chain) != 1 {
-				t.Fatalf("fuse=%d: verdict %v chain %s, want clean on the first attempt", fuse, rep.Verdict(), rep.ChainString())
-			}
-			m := rep.Final.Result.Surface
-			if first == nil {
-				first = m
-			} else if !m.Equal(first) {
-				t.Fatalf("fuse=%d: surface map diverges:\n%s\nfirst:\n%s", fuse, m.Bytes(), first.Bytes())
-			}
+	for _, r := range []*core.Runner{nil, runner, runner} {
+		rep := core.AnalyzeApp(spec, core.AnalyzeOptions{Budget: testBudget, Runner: r})
+		if rep.Verdict() != core.VerdictClean || len(rep.Chain) != 1 {
+			t.Fatalf("verdict %v chain %s, want clean on the first attempt", rep.Verdict(), rep.ChainString())
+		}
+		m := rep.Final.Result.Surface
+		if first == nil {
+			first = m
+		} else if !m.Equal(first) {
+			t.Fatalf("surface map diverges:\n%s\nfirst:\n%s", m.Bytes(), first.Bytes())
 		}
 	}
 	for _, b := range first.Boundaries {
@@ -142,7 +140,7 @@ func handleFindings(t *testing.T, spec core.AppSpec) ([]surface.Unreleased, *sur
 
 // TestSurfaceUnreleasedHandle: a native method that returns holding the
 // chars of its one Get reports one finding at that Get, counted once per
-// crossing (six, enough to fuse f).
+// crossing (six).
 func TestSurfaceUnreleasedHandle(t *testing.T) {
 	var site uint32
 	got, _ := handleFindings(t, handleApp(unreleasedSrc, 6, &site))

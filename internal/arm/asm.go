@@ -11,12 +11,6 @@ type Program struct {
 	Base   uint32
 	Code   []byte
 	Labels map[string]uint32 // absolute; Thumb labels carry bit 0
-
-	// WriteMask is the union of WriteRegs over every encoded instruction: a
-	// static bound on the general registers any execution of this image can
-	// write. The fused JNI bridge saves only these (plus the AAPCS
-	// caller-saved set) instead of the full CPU state.
-	WriteMask uint32
 }
 
 // Size returns the image size in bytes.
@@ -78,7 +72,7 @@ func Assemble(source string, base uint32, extern map[string]uint32) (*Program, e
 		}
 		labels[name] = v
 	}
-	return &Program{Base: base, Code: a.out, Labels: labels, WriteMask: a.writeMask}, nil
+	return &Program{Base: base, Code: a.out, Labels: labels}, nil
 }
 
 // MustAssemble is Assemble for fixture code that is known to be valid.
@@ -107,14 +101,13 @@ type stmt struct {
 }
 
 type assembler struct {
-	base      uint32
-	pc        uint32
-	thumb     bool
-	syms      map[string]symbol
-	extern    map[string]uint32
-	stmts     []stmt
-	out       []byte
-	writeMask uint32
+	base   uint32
+	pc     uint32
+	thumb  bool
+	syms   map[string]symbol
+	extern map[string]uint32
+	stmts  []stmt
+	out    []byte
 }
 
 func (a *assembler) errf(lineNo int, format string, args ...interface{}) error {
@@ -360,7 +353,6 @@ func (a *assembler) emitInsn(st stmt, off uint32) error {
 	}
 	pos := off
 	for _, insn := range insns {
-		a.writeMask |= insn.WriteRegs()
 		if st.thumb {
 			hws, err := EncodeThumb(insn)
 			if err != nil {

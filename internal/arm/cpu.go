@@ -70,17 +70,15 @@ type CPU struct {
 	// .data right after .text) from forcing retranslation on every write.
 	codeExt map[uint32][2]uint32
 	// boundTracer is the Tracer the cached blocks were translated under;
-	// RunUntilHint compares it with Tracer, so a restored Tracer is
+	// RunUntil compares it with Tracer, so a restored Tracer is
 	// reconciled on the next dispatch.
 	boundTracer Tracer
 
 	// CodeEpoch increments on every block invalidation — hooks added or
 	// removed, self-modifying stores into code extents, tracer swaps,
 	// snapshot restores that changed code pages. It is monotonic (never
-	// rewound, even across Restore) so a cached chain that captured an
-	// epoch can validate with one compare: equal epoch ⇒ no translation
-	// anywhere was invalidated since. The fused JNI bridge keys its traces
-	// off it.
+	// rewound, even across Restore): equal epochs mean no translation
+	// anywhere was invalidated in between.
 	CodeEpoch uint64
 }
 
@@ -802,15 +800,6 @@ func popCount(v uint16) uint32 {
 // executed (0 means a generous default of 256M).
 func (c *CPU) Run(maxInsns uint64) error {
 	return c.RunUntil(0xffffffff, maxInsns)
-}
-
-// RunUntil executes until PC reaches stop, the CPU halts, an error occurs,
-// or maxInsns instructions have been executed. It is the primitive that the
-// JNI call bridge uses to run a native method to completion: the bridge sets
-// LR to a return pad and runs until the pad is reached.
-func (c *CPU) RunUntil(stop uint32, maxInsns uint64) error {
-	_, err := c.RunUntilHint(stop, maxInsns, nil)
-	return err
 }
 
 // runInterp is RunUntil on the per-instruction interpreter (block engine off):

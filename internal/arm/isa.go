@@ -194,42 +194,3 @@ type Insn struct {
 	// Thumb BL pair).
 	Size uint32
 }
-
-// WriteRegs returns the bitmask of general registers the instruction can
-// write (architecturally, ignoring the condition code). Flags are not
-// included: callers that care about NZCV must save them separately. The mask
-// is the substrate of the fused-bridge clobber-set save — a union over a
-// program's instructions bounds what any execution of it can touch.
-func (i Insn) WriteRegs() uint32 {
-	var m uint32
-	switch i.Op {
-	case OpADD, OpSUB, OpRSB, OpADC, OpSBC, OpAND, OpORR, OpEOR, OpBIC,
-		OpLSL, OpLSR, OpASR, OpROR, OpMUL, OpSDIV, OpUDIV,
-		OpMOV, OpMVN, OpMOVW, OpMOVT,
-		OpLDR, OpLDRB, OpLDRH,
-		OpSITOF, OpFTOSI, OpDTOSI,
-		OpFADDS, OpFSUBS, OpFMULS, OpFDIVS:
-		if i.Rd != RegNone {
-			m |= 1 << uint(i.Rd)
-		}
-	case OpFADDD, OpFSUBD, OpFMULD, OpFDIVD, OpSITOD:
-		// Double-precision results land in the even/odd pair (Rd, Rd+1).
-		if i.Rd != RegNone {
-			m |= 1 << uint(i.Rd)
-			m |= 1 << uint(i.Rd+1)
-		}
-	case OpLDM:
-		m |= uint32(i.RegList)
-		if i.Writeback && i.Rn != RegNone {
-			m |= 1 << uint(i.Rn)
-		}
-	case OpSTM:
-		if i.Writeback && i.Rn != RegNone {
-			m |= 1 << uint(i.Rn)
-		}
-	case OpBL, OpBLX:
-		m |= 1 << LR
-	}
-	// CMP/CMN/TST/TEQ, STR/STRB/STRH, B, BX, SVC, NOP, HLT write no GPRs.
-	return m
-}

@@ -14,7 +14,7 @@ package arm
 // (address hooks, baked into blocks at translation time). Hooks are not
 // copied: Restore replays an undo log of the addresses the attempt touched,
 // so its cost does not grow with the boot's hook count. Tracer changes
-// are reconciled by RunUntilHint's boundTracer check, the same path that
+// are reconciled by RunUntil's boundTracer check, the same path that
 // handles a tracer swap mid-session.
 
 // CPUSnapshot holds the captured CPU state. Opaque to callers; produced by
@@ -64,7 +64,7 @@ func (c *CPU) Snapshot() *CPUSnapshot {
 // else in the decode and block caches is kept — pages the attempt wrote were
 // already invalidated by the write-notify path when memory was restored. A
 // restored Tracer that differs from the bound one is reconciled by the next
-// RunUntilHint dispatch.
+// RunUntil dispatch.
 func (c *CPU) Restore(s *CPUSnapshot) {
 	for a, p := range c.hookUndo {
 		_, has := c.addrHooks[a]

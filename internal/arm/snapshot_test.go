@@ -167,8 +167,8 @@ var keptAcrossRestore = map[string]string{
 	"blocksByPage": "per-page index of blockCache",
 	"codePages":    "marks the pages that hold cached translations",
 	"codeExt":      "code extents of the cached translations",
-	"boundTracer":  "the tracer cached blocks were bound under; RunUntilHint reconciles it",
-	"CodeEpoch":    "monotonic chain validity token; rewinding it could revalidate a stale chain",
+	"boundTracer":  "the tracer cached blocks were bound under; RunUntil reconciles it",
+	"CodeEpoch":    "monotonic: rewinding it could make two different code states look equal",
 }
 
 // TestEveryCPUFieldPicksASide: each CPU field is either in cpuState, which

@@ -154,9 +154,7 @@ func (c *CPU) invalidatePage(pn uint32) {
 // invalidatePageBlocks drops only the translated blocks on page pn (Hook and
 // Unhook use this: hooks change block boundaries but not decoded bytes). The
 // epoch bump is unconditional — even when the page holds no translations yet —
-// so that hook mutations are always visible to CodeEpoch observers (the
-// fused JNI bridge treats any bump as "the translation world may have
-// changed" and falls back to its conservative path).
+// so that hook mutations are always visible to CodeEpoch observers.
 func (c *CPU) invalidatePageBlocks(pn uint32) {
 	c.CodeEpoch++
 	if c.blocksByPage == nil {
@@ -182,20 +180,17 @@ func (c *CPU) invalidateAllBlocks() {
 	c.blocksByPage = make(map[uint32][]*Block)
 }
 
-// RunUntilHint is RunUntil with a translated-block entry hint: the fused JNI
-// bridge caches the entry block of its chain's native method and seeds the
-// first dispatch with it, so the per-call cache-map lookup disappears. The
-// executed entry block is returned for the caller to cache (nil when the run
-// never dispatched a block — immediate stop, hook redirection, or the block
-// engine being off). The hint is only an accelerator: a stale or mismatched
-// hint is re-validated against key and validity exactly like a chained
-// successor, so a wrong hint costs one lookup, never correctness.
-func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, error) {
+// RunUntil executes until PC reaches stop, the CPU halts, an error occurs,
+// or maxInsns instructions have been executed (0 means a generous default of
+// 256M). It is the primitive that the JNI call bridge uses to run a native
+// method to completion: the bridge sets LR to a return pad and runs until the
+// pad is reached.
+func (c *CPU) RunUntil(stop uint32, maxInsns uint64) error {
 	if maxInsns == 0 {
 		maxInsns = 256 << 20
 	}
 	if !c.UseBlockCache {
-		return nil, c.runInterp(stop, maxInsns)
+		return c.runInterp(stop, maxInsns)
 	}
 	// Blocks capture tracer bindings at translation time; a replaced tracer
 	// invalidates them all (the epoch check QEMU does with tb_flush). The
@@ -215,26 +210,14 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 	if limit < maxInsns {
 		limit = math.MaxUint64
 	}
-	entryKey := pcKey(c.R[PC], c.Thumb)
-	if hint != nil && (hint.key != entryKey || !hint.valid) {
-		hint = nil
-	}
-	entry, b, first := hint, hint, true
+	var b *Block
 	for !c.Halted && c.R[PC] != stop {
 		if f := fault.Hit(SiteDispatch, c.R[PC]); f != nil {
-			return entry, f
+			return f
 		}
 		nb, err := c.stepBlock(b, limit)
 		if err != nil {
-			return entry, err
-		}
-		if first {
-			first = false
-			if entry == nil {
-				if eb := c.blockCache[entryKey]; eb != nil && eb.valid {
-					entry = eb
-				}
-			}
+			return err
 		}
 		// The chained fast path: run cached successors back-to-back until a
 		// dispatch boundary needs the slow step — a missing successor, the
@@ -252,15 +235,15 @@ func (c *CPU) RunUntilHint(stop uint32, maxInsns uint64, hint *Block) (*Block, e
 			}
 			c.BlockHits++
 			if nb, err = c.execBlock(nb, limit); err != nil {
-				return entry, err
+				return err
 			}
 		}
 		b = nb
 		if c.InsnCount > limit {
-			return entry, c.budgetFault(maxInsns)
+			return c.budgetFault(maxInsns)
 		}
 	}
-	return entry, nil
+	return nil
 }
 
 // stepBlock is the dispatch loop's slow step. It runs the hook check at the

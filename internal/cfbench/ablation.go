@@ -1,7 +1,7 @@
 package cfbench
 
-// Ablation matrix: every speed-only mechanism with a knob (trace fusion and
-// the verdict store) is one or more arms of a single list. Each arm runs
+// Ablation matrix: every speed-only mechanism with a knob (the verdict store)
+// is one or more arms of a single list. Each arm runs
 // the evaluation corpus under every analysis mode through the analysis
 // service, and one parity checker holds every (app, mode) cell to the
 // baseline arm's verdict, degradation chain, flow log and JNI surface map
@@ -30,9 +30,6 @@ import (
 // matrixArm is one configuration of the ablation matrix.
 type matrixArm struct {
 	Name string
-	// Opts is the analysis configuration; RunMatrix sets Mode, Budget and
-	// FlowLog per run.
-	Opts core.AnalyzeOptions
 	// Store runs the arm over the matrix's verdict store (one per mode).
 	// Store arms share it in list order: the first finds it empty (cold),
 	// later ones find everything earlier ones wrote.
@@ -46,12 +43,11 @@ type matrixArm struct {
 const floodApp = "hostile-rasp"
 
 // arms is the matrix, baseline first. The baseline runs the production
-// defaults (fusion on, no store); every other arm changes one knob. The
-// store arms run the baseline options, so the store's own cost is
-// cache=cold against the baseline.
+// defaults (no store); every other arm changes one knob. The store arms run
+// the baseline options, so the store's own cost is cache=cold against the
+// baseline.
 var arms = []matrixArm{
 	{Name: "baseline"},
-	{Name: "fuse=off", Opts: core.AnalyzeOptions{Fuse: core.FuseOff}},
 	{Name: "cache=cold", Store: true},
 	{Name: "cache=warm", Store: true,
 		Check: func(run, _ *ArmRun) error {
@@ -75,10 +71,6 @@ type Cell struct {
 	Seconds  float64 `json:"seconds"`
 
 	Crossings   uint64 `json:"crossings,omitempty"`
-	FusedChains uint64 `json:"fused_chains,omitempty"`
-	FusedCalls  uint64 `json:"fused_calls,omitempty"`
-	FuseDeopts  uint64 `json:"fuse_deopts,omitempty"`
-
 	TracedInsns uint64 `json:"traced_insns,omitempty"`
 
 	// Surface map: unique boundaries, recorded and dropped events, raw
@@ -188,8 +180,7 @@ func RunMatrix(budget uint64) (*Matrix, error) {
 // runArm submits the corpus to a one-worker service configured by a and
 // mode, one app at a time so each submission is timed alone.
 func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRun, []cellOutcome, error) {
-	opts := a.Opts
-	opts.Mode, opts.Budget, opts.FlowLog = mode, budget, true
+	opts := core.AnalyzeOptions{Mode: mode, Budget: budget, FlowLog: true}
 	var store *cas.Store
 	if a.Store {
 		var err error
@@ -222,8 +213,7 @@ func runArm(a matrixArm, mode core.Mode, budget uint64, storeDir string) (*ArmRu
 		r := rep.Final.Result
 		cell := Cell{
 			App: app.Name, Verdict: rep.Verdict().String(), Attempts: len(rep.Chain), Degraded: rep.Degraded, Seconds: secs,
-			Crossings: r.JNICrossings, FusedChains: r.FusedChains, FusedCalls: r.FusedCalls, FuseDeopts: r.FuseDeopts,
-			TracedInsns: r.TracedInsns,
+			Crossings: r.JNICrossings, TracedInsns: r.TracedInsns,
 		}
 		if s := r.Surface; s != nil {
 			cell.Boundaries, cell.Events, cell.Dropped, cell.Calls, cell.Truncated =
@@ -268,15 +258,14 @@ func parity(base, got []cellOutcome) error {
 // verdict.
 func (m *Matrix) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-20s %-10s %4s %8s %8s %8s %5s %5s %9s %9s %9s %6s %7s %5s %5s\n",
+	fmt.Fprintf(&b, "%-20s %-10s %4s %8s %8s %8s %5s %5s %9s %9s %6s %7s %5s %5s\n",
 		"arm", "mode", "apps", "seconds", "apps/s", "bound_s", "comp", "hits",
-		"crossings", "fused", "traced", "events", "dropped", "asm", "puts")
+		"crossings", "traced", "events", "dropped", "asm", "puts")
 	for _, r := range m.Runs {
-		var crossings, fused, traced, dropped uint64
+		var crossings, traced, dropped uint64
 		var events int
 		for _, c := range r.Cells {
 			crossings += c.Crossings
-			fused += c.FusedCalls
 			traced += c.TracedInsns
 			events += c.Events
 			dropped += c.Dropped
@@ -285,9 +274,9 @@ func (m *Matrix) String() string {
 		if r.Store != nil {
 			puts = r.Store.Puts
 		}
-		fmt.Fprintf(&b, "%-20s %-10s %4d %8.3f %8.1f %8.3f %5d %5d %9d %9d %9d %6d %7d %5d %5d\n",
+		fmt.Fprintf(&b, "%-20s %-10s %4d %8.3f %8.1f %8.3f %5d %5d %9d %9d %6d %7d %5d %5d\n",
 			r.Arm, r.Mode, r.Apps, r.Seconds, float64(r.Apps)/r.Seconds, r.BudgetBoundSeconds,
-			r.Service.Computed, r.Service.VerdictHits, crossings, fused, traced,
+			r.Service.Computed, r.Service.VerdictHits, crossings, traced,
 			events, dropped, r.Service.Runner.AsmAssembles, puts)
 	}
 	if on := m.cell("baseline", core.ModeNDroid, floodApp); on != nil {

@@ -43,19 +43,6 @@ func TestAblationMatrix(t *testing.T) {
 		t.Fatalf("baseline/ndroid: %d budget-bound apps, want only hostile-spin", r.BudgetBoundApps)
 	}
 
-	t.Run("fuse", func(t *testing.T) {
-		if c := m.cell("baseline", nd, "summix"); c == nil || c.FusedCalls == 0 {
-			t.Error("baseline never served summix's hot chain fused")
-		}
-		for _, mode := range matrixModes {
-			for _, c := range m.find("fuse=off", mode).Cells {
-				if c.FusedCalls != 0 || c.FusedChains != 0 {
-					t.Errorf("fuse=off/%s: %s served %d fused calls", mode, c.App, c.FusedCalls)
-				}
-			}
-		}
-	})
-
 	t.Run("surface", func(t *testing.T) {
 		on := m.cell("baseline", nd, floodApp)
 		if on.Calls < 24576 || !on.Truncated {

@@ -102,9 +102,9 @@ func (fl *FlowLog) Addf(format string, args ...interface{}) {
 	fl.Lines = append(fl.Lines, fmt.Sprintf(format, args...))
 }
 
-// Add appends a preformatted line when logging is enabled. Fused JNI chains
-// precompute their invariant log lines at bind time and emit them through
-// here, bypassing Sprintf on the hot path.
+// Add appends a preformatted line when logging is enabled. The JNI entry hook
+// formats each native method's entry line once per attempt and emits it
+// through here, bypassing Sprintf on the hot path.
 func (fl *FlowLog) Add(line string) {
 	if !fl.Enabled {
 		return
@@ -160,18 +160,12 @@ type Analyzer struct {
 	// actually ran (the quantity multilevel hooking reduces).
 	InstrumentationCalls uint64
 
-	// entryBound memoizes native entry addresses whose SourcePolicy hook is
-	// already installed, for the fused JNI path: re-hooking an address
-	// invalidates its page's translated blocks, so the bound entry closure
-	// installs each hook once per analyzer instead of once per crossing.
-	entryBound map[uint32]bool
+	// jniEntries holds onJNIEntry's per-method binding for this attempt.
+	jniEntries map[*dex.Method]*jniEntry
 
 	// javaVMIWalks counts DroidScope-mode per-instruction reconstructions.
 	javaVMIWalks uint64
 }
-
-// SiteFusedDeopt re-exports the fused-chain deopt injection site.
-const SiteFusedDeopt = dvm.SiteFusedDeopt
 
 // NewAnalyzer attaches an analysis mode to a system, with the zero-taint
 // fast path (gate) enabled. Call after the app's classes and native
@@ -188,21 +182,17 @@ func NewAnalyzerNoGate(sys *System, mode Mode) *Analyzer {
 }
 
 func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
-	// Bind to the System's shadow-taint map when it has one (snapshot restore
-	// rewinds that map); hand-built Systems in tests fall back to a fresh map.
-	engine := NewTaintEngine(sys.CPU)
-	if sys.Taint != nil {
-		engine = NewTaintEngineOn(sys.CPU, sys.Taint)
-	}
+	// The engine binds the System's shadow-taint map, which snapshot restore
+	// rewinds.
 	a := &Analyzer{
 		Sys:      sys,
 		Mode:     mode,
-		Engine:   engine,
+		Engine:   NewTaintEngineOn(sys.CPU, sys.Taint),
 		Policies: NewPolicyMap(),
 		Recon:    &Reconstructor{Mem: sys.Mem, InitTaskAddr: sys.Kern.InitTaskAddr},
 	}
 	// Re-registration of an already-bound native method is an observable
-	// event in every mode: it invalidates fused chains and translated code.
+	// event in every mode.
 	sys.VM.OnRegisterNatives = func(m *dex.Method, old, new uint32) {
 		a.Log.Addf("RegisterNatives %s 0x%x -> 0x%x", m.FullName(), old, new)
 	}
@@ -222,11 +212,6 @@ func newAnalyzer(sys *System, mode Mode, gate bool) *Analyzer {
 	sys.VM.OnUnreleased = func(m *dex.Method, site uint32) { a.Surface.Unreleased(m.FullName(), site) }
 	sys.CPU.OnCodeWrite = a.Surface.CodeWrite
 	if gate {
-		// Hot Dalvik→JNI→ARM crossing chains compile to fused closures; the
-		// ablation path (AnalyzeOptions.Fuse = FuseOff) switches this back
-		// off. The ungated variant stays the frozen PR 1 configuration the
-		// Fig. 10 shape assertions measure, so it never fuses.
-		sys.VM.FuseNative = true
 		a.Live = taint.NewLiveness()
 		a.Engine.AttachLiveness(a.Live)
 		sys.VM.AttachLiveness(a.Live)

@@ -19,9 +19,6 @@ func (a *Analyzer) installDVMHooks() {
 	vm.HookInternal("dvmCallJNIMethod", dvm.InternalHook{
 		Before: func(ctx *dvm.CallCtx) { a.onJNIEntry(ctx) },
 		After:  func(ctx *dvm.CallCtx) { a.onJNIReturn(ctx) },
-		BindJNI: func(m *dex.Method) (func(*dvm.CallCtx), func(*dvm.CallCtx), bool) {
-			return a.bindJNIEntry(m), func(ctx *dvm.CallCtx) { a.onJNIReturn(ctx) }, true
-		},
 	})
 
 	// ---- (2) JNI exit: dvmCallMethod* + dvmInterpret ---------------------
@@ -109,19 +106,54 @@ func (a *Analyzer) installDVMHooks() {
 	}
 }
 
+// jniEntry is onJNIEntry's binding of one native method for one attempt:
+// the address it was bound at, the preformatted flow-log line, and the
+// SourcePolicy every crossing refills. The policy can be shared because
+// Put and Take are synchronous within a crossing: the entry hook takes it at
+// the method's first instruction, before any nested crossing can refill it.
+type jniEntry struct {
+	addr   uint32
+	line   string
+	policy *SourcePolicy
+}
+
 // onJNIEntry builds and installs the SourcePolicy for a Java-to-native call
-// (§V-B "JNI Entry", Fig. 6 step 1, Fig. 8 step 0).
+// (§V-B "JNI Entry", Fig. 6 step 1, Fig. 8 step 0). The first crossing of a
+// method in an attempt binds it: the entry line is formatted, the policy
+// allocated and the entry hook installed, once. Installing a hook
+// invalidates the translated blocks of its page, so doing it per crossing
+// would retranslate the method every call. A binding whose address differs
+// from the method's current one (a RegisterNatives rebind) is rebuilt; the
+// Analyzer is per attempt, so no binding outlives a snapshot restore.
 func (a *Analyzer) onJNIEntry(ctx *dvm.CallCtx) {
 	a.InstrumentationCalls++
 	m := ctx.Method
-	a.Log.Addf("dvmCallJNIMethod: name=%s shorty=%s class=%s insnAddr=0x%x",
-		m.Name, m.Shorty, m.Class.Name, m.NativeAddr)
-
-	p := &SourcePolicy{
-		MethodAddress: m.NativeAddr,
-		MethodShorty:  m.Shorty,
-		AccessFlags:   m.Flags,
+	e := a.jniEntries[m]
+	if e == nil || e.addr != m.NativeAddr {
+		e = &jniEntry{
+			addr: m.NativeAddr,
+			line: fmt.Sprintf("dvmCallJNIMethod: name=%s shorty=%s class=%s insnAddr=0x%x",
+				m.Name, m.Shorty, m.Class.Name, m.NativeAddr),
+			policy: &SourcePolicy{
+				MethodAddress: m.NativeAddr,
+				MethodShorty:  m.Shorty,
+				AccessFlags:   m.Flags,
+			},
+		}
+		base := defaultHandler(a.Engine)
+		e.policy.Handler = func(sp *SourcePolicy, c *arm.CPU) {
+			base(sp, c)
+			a.Log.Addf("SourceHandler @0x%x", sp.MethodAddress)
+		}
+		a.installMethodEntryHook(m.NativeAddr)
+		if a.jniEntries == nil {
+			a.jniEntries = make(map[*dex.Method]*jniEntry)
+		}
+		a.jniEntries[m] = e
 	}
+	a.Log.Add(e.line)
+
+	p := e.policy
 	taints := ctx.ArgTaints
 	get := func(i int) taint.Tag {
 		if i < len(taints) {
@@ -130,14 +162,11 @@ func (a *Analyzer) onJNIEntry(ctx *dvm.CallCtx) {
 		return 0
 	}
 	p.TR0, p.TR1, p.TR2, p.TR3 = get(0), get(1), get(2), get(3)
+	p.StackArgsNum = 0
+	p.StackArgsTaints = p.StackArgsTaints[:0]
 	if len(taints) > 4 {
 		p.StackArgsNum = len(taints) - 4
-		p.StackArgsTaints = append([]taint.Tag(nil), taints[4:]...)
-	}
-	base := defaultHandler(a.Engine)
-	p.Handler = func(sp *SourcePolicy, c *arm.CPU) {
-		base(sp, c)
-		a.Log.Addf("SourceHandler @0x%x", sp.MethodAddress)
+		p.StackArgsTaints = append(p.StackArgsTaints, taints[4:]...)
 	}
 
 	// Taint-map entries for object arguments at their direct addresses and
@@ -162,7 +191,6 @@ func (a *Analyzer) onJNIEntry(ctx *dvm.CallCtx) {
 	}
 
 	a.Policies.Put(p)
-	a.installMethodEntryHook(m.NativeAddr)
 }
 
 // installMethodEntryHook arranges for the SourcePolicy to be applied at the
@@ -174,81 +202,6 @@ func (a *Analyzer) installMethodEntryHook(addr uint32) {
 		}
 		return arm.ActionContinue
 	})
-}
-
-// installMethodEntryHookOnce is the bound-chain variant: Hook invalidates the
-// address's page of translated blocks, so a fused chain must not re-install
-// per crossing (that retranslation is a dominant unfused cost, and two fused
-// methods sharing a page would ping-pong each other's blocks).
-func (a *Analyzer) installMethodEntryHookOnce(addr uint32) {
-	if a.entryBound[addr] {
-		return
-	}
-	if a.entryBound == nil {
-		a.entryBound = make(map[uint32]bool)
-	}
-	a.entryBound[addr] = true
-	a.installMethodEntryHook(addr)
-}
-
-// bindJNIEntry specializes onJNIEntry for one resolved method: the log line
-// is preformatted, the SourcePolicy is allocated once and refilled per call
-// (Put→Take is synchronous within a crossing), and the entry hook installs
-// once. The per-call closure must replay onJNIEntry's observable effects —
-// the log lines, the taint-map/ref-shadow writes, the policy handled at the
-// method's first instruction — byte for byte.
-func (a *Analyzer) bindJNIEntry(m *dex.Method) func(*dvm.CallCtx) {
-	entryLine := fmt.Sprintf("dvmCallJNIMethod: name=%s shorty=%s class=%s insnAddr=0x%x",
-		m.Name, m.Shorty, m.Class.Name, m.NativeAddr)
-	p := &SourcePolicy{
-		MethodAddress: m.NativeAddr,
-		MethodShorty:  m.Shorty,
-		AccessFlags:   m.Flags,
-	}
-	base := defaultHandler(a.Engine)
-	p.Handler = func(sp *SourcePolicy, c *arm.CPU) {
-		base(sp, c)
-		a.Log.Addf("SourceHandler @0x%x", sp.MethodAddress)
-	}
-	a.installMethodEntryHookOnce(m.NativeAddr)
-
-	return func(ctx *dvm.CallCtx) {
-		a.InstrumentationCalls++
-		a.Log.Add(entryLine)
-
-		taints := ctx.ArgTaints
-		get := func(i int) taint.Tag {
-			if i < len(taints) {
-				return taints[i]
-			}
-			return 0
-		}
-		p.TR0, p.TR1, p.TR2, p.TR3 = get(0), get(1), get(2), get(3)
-		p.StackArgsNum = 0
-		p.StackArgsTaints = p.StackArgsTaints[:0]
-		if len(taints) > 4 {
-			p.StackArgsNum = len(taints) - 4
-			p.StackArgsTaints = append(p.StackArgsTaints, taints[4:]...)
-		}
-
-		if !a.crossingClean() {
-			for i, o := range ctx.ArgObjs {
-				t := get(i)
-				if o == nil {
-					continue
-				}
-				t |= o.Taint
-				if t == 0 {
-					continue
-				}
-				a.Engine.Mem.Set32(o.Addr, t)
-				a.Engine.AddRefTaint(ctx.CPUArgs[i], t)
-				a.Log.Addf("args[%d]@0x%x taint: %v", i, o.Addr, t)
-			}
-		}
-
-		a.Policies.Put(p)
-	}
 }
 
 // onJNIReturn overrides the JNI return taint with the shadow state — the

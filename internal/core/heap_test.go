@@ -11,7 +11,7 @@ import (
 
 // heapGenApp is app i of a stream of distinct apps: its own class name and
 // its own native library (the XOR key differs), a tainted argument, eight
-// JNI crossings (enough to build a fused chain) and a Network.send sink.
+// JNI crossings and a Network.send sink.
 func heapGenApp(i int) core.AppSpec {
 	class := fmt.Sprintf("Lcom/ndroid/heap/App%d;", i)
 	source := fmt.Sprintf(`

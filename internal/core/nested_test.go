@@ -20,8 +20,8 @@ const nestedGolden = "testdata/nested_crossing.golden"
 
 // nestedApp crosses JNI twice deep on every round: run calls native outer,
 // which calls the Java method innerJava through CallStaticIntMethod, which
-// calls native inner. Six rounds fuse both native methods (the fusion
-// threshold is four crossings). The IMEI-derived argument carries taint
+// calls native inner, for six rounds, so both native methods are crossed
+// again after their first binding. The IMEI-derived argument carries taint
 // through both levels; outer adds it to innerJava's result natively, so the
 // value reaching Network.send is tainted through native data flow.
 func nestedApp() core.AppSpec { return nestedAppAdding("R6") }
@@ -114,31 +114,25 @@ func readNestedGolden(t *testing.T) string {
 	return string(want)
 }
 
-// TestNestedCrossingGolden runs the two-deep crossing fused and unfused, on
-// a fresh System and on a restored Runner, and holds every flow log
-// byte-identical to the golden recorded before the bridge pooled its call
-// contexts by pad depth.
+// TestNestedCrossingGolden runs the two-deep crossing on a fresh System and
+// twice on a restored Runner, and holds every flow log byte-identical to the
+// golden recorded before the bridge pooled its call contexts by pad depth.
 func TestNestedCrossingGolden(t *testing.T) {
 	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var logs []string
-	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
-		for _, runner := range []*core.Runner{nil, r, r} {
-			rep := core.AnalyzeApp(nestedApp(), core.AnalyzeOptions{Fuse: fuse, Runner: runner, FlowLog: true})
-			res := rep.Final.Result
-			if rep.Verdict() != core.VerdictLeak || rep.Degraded {
-				t.Fatalf("fuse=%d: verdict %v chain %s, want a leak on the first attempt", fuse, rep.Verdict(), rep.ChainString())
-			}
-			if res.JNICrossings != 12 {
-				t.Errorf("fuse=%d: %d crossings, want 12", fuse, res.JNICrossings)
-			}
-			if fuse == core.FuseDefault && res.FusedChains != 2 {
-				t.Errorf("fused run built %d chains, want 2 (outer and inner)", res.FusedChains)
-			}
-			logs = append(logs, strings.Join(res.LogLines, "\n")+"\n")
+	for _, runner := range []*core.Runner{nil, r, r} {
+		rep := core.AnalyzeApp(nestedApp(), core.AnalyzeOptions{Runner: runner, FlowLog: true})
+		res := rep.Final.Result
+		if rep.Verdict() != core.VerdictLeak || rep.Degraded {
+			t.Fatalf("verdict %v chain %s, want a leak on the first attempt", rep.Verdict(), rep.ChainString())
 		}
+		if res.JNICrossings != 12 {
+			t.Errorf("%d crossings, want 12", res.JNICrossings)
+		}
+		logs = append(logs, strings.Join(res.LogLines, "\n")+"\n")
 	}
 	if *updateNested {
 		if err := os.WriteFile(nestedGolden, []byte(logs[0]), 0o644); err != nil {
@@ -160,22 +154,19 @@ func TestNestedCrossingGolden(t *testing.T) {
 // its tainted argument, the only taint in its return value is innerJava's
 // int return, which crosses Java -> native through CallStaticIntMethod. The
 // dvmCallMethod* After hook puts that return taint on R0's shadow, so the
-// leak is caught fused and unfused, fresh and restored, on the first
-// attempt.
+// leak is caught fresh and restored, on the first attempt.
 func TestNestedPrimitiveReturnTaint(t *testing.T) {
 	r, err := core.NewRunner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fuse := range []core.FuseMode{core.FuseDefault, core.FuseOff} {
-		for _, runner := range []*core.Runner{nil, r, r} {
-			rep := core.AnalyzeApp(nestedAppAdding("#1"), core.AnalyzeOptions{Fuse: fuse, Runner: runner})
-			if rep.Verdict() != core.VerdictLeak || len(rep.Chain) != 1 {
-				t.Fatalf("fuse=%d: verdict %v chain %s, want a leak on the first attempt", fuse, rep.Verdict(), rep.ChainString())
-			}
-			if !rep.Final.Result.Leaks.Detected(taint.IMEI) {
-				t.Errorf("fuse=%d: leaks %v, want the IMEI", fuse, rep.Final.Result.Leaks)
-			}
+	for _, runner := range []*core.Runner{nil, r, r} {
+		rep := core.AnalyzeApp(nestedAppAdding("#1"), core.AnalyzeOptions{Runner: runner})
+		if rep.Verdict() != core.VerdictLeak || len(rep.Chain) != 1 {
+			t.Fatalf("verdict %v chain %s, want a leak on the first attempt", rep.Verdict(), rep.ChainString())
+		}
+		if !rep.Final.Result.Leaks.Detected(taint.IMEI) {
+			t.Errorf("leaks %v, want the IMEI", rep.Final.Result.Leaks)
 		}
 	}
 }

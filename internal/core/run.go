@@ -98,13 +98,13 @@ type RunResult struct {
 	JavaInsns   uint64 // Dalvik instructions retired by this run
 	NativeInsns uint64 // ARM instructions retired by this run
 
-	// Trace-fusion activity: JNI crossings retired, fused chains built,
-	// crossings served by a fused chain, and chains dropped by deopt. All
-	// zero when the run had fusion off.
+	// JNICrossings counts the Java->native crossings this run retired.
 	JNICrossings uint64
-	FusedChains  uint64
-	FusedCalls   uint64
-	FuseDeopts   uint64
+	// FusedCalls and FuseDeopts are always 0: the JNI bridge has one path.
+	// They are kept only until a benchmark change drops ndbench's
+	// jni.fused_share and jni.fuse_deopts_per_app metrics, which read them.
+	FusedCalls uint64
+	FuseDeopts uint64
 
 	// Surface is the JNI surface map gathered by this attempt (nil only if
 	// no analyzer ran). It is captured in the same deferred block as
@@ -142,9 +142,6 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 	startJava := vm.JavaInsnCount
 	startNative := a.Sys.CPU.InsnCount
 	startCross := vm.JNICrossings
-	startChains := vm.JavaFusedChains
-	startFused := vm.JavaFusedCalls
-	startDeopts := vm.JavaFuseDeopts
 	defer func() {
 		if r := recover(); r != nil {
 			res.Fault = fault.FromPanic("core", r)
@@ -155,9 +152,6 @@ func (a *Analyzer) Run(class, method string, args []uint32, taints []taint.Tag) 
 		res.JavaInsns = vm.JavaInsnCount - startJava
 		res.NativeInsns = a.Sys.CPU.InsnCount - startNative
 		res.JNICrossings = vm.JNICrossings - startCross
-		res.FusedChains = vm.JavaFusedChains - startChains
-		res.FusedCalls = vm.JavaFusedCalls - startFused
-		res.FuseDeopts = vm.JavaFuseDeopts - startDeopts
 		res.Surface = a.Surface.Map()
 		if a.Tracer != nil {
 			res.TracedInsns = a.Tracer.Traced
@@ -190,24 +184,10 @@ type AppSpec struct {
 	Install     func(sys *System) error
 }
 
-// FuseMode selects whether hot JNI crossing chains compile to fused closures.
-type FuseMode int
-
-// Fusion settings for AnalyzeOptions.Fuse.
-const (
-	// FuseDefault follows the analyzer default (fusion on).
-	FuseDefault FuseMode = iota
-	// FuseOff disables trace fusion: every crossing takes the unfused bridge.
-	// The ablation/parity baseline.
-	FuseOff
-)
-
 // AnalyzeOptions configures AnalyzeApp.
 type AnalyzeOptions struct {
 	// Mode is the starting analysis mode (default ModeNDroid).
 	Mode Mode
-	// Fuse controls cross-boundary trace fusion (default: on).
-	Fuse FuseMode
 	// Budget overrides DefaultBudget when nonzero.
 	Budget uint64
 	// FlowLog enables flow-log capture on every attempt.

@@ -193,10 +193,6 @@ func (r *Runner) analyzeOnce(spec AppSpec, mode Mode, opts AnalyzeOptions) (res 
 			r.logBuf = a.Log.Lines[:0]
 		}
 	}()
-	if opts.Fuse == FuseOff {
-		sys.VM.FuseNative = false
-	}
-
 	res = a.Run(spec.EntryClass, spec.EntryMethod, nil, nil)
 	r.Stats.JNICrossings += res.JNICrossings
 	return res

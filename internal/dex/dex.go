@@ -214,11 +214,12 @@ type Method struct {
 	// Framework builtins (host Go):
 	Builtin interface{} // set by the VM layer; kept opaque here
 
-	// Compiled holds the VM's decoded form of the instruction stream (a
-	// *decoded on the dvm side); kept opaque here like Builtin. The slot is
-	// a cache: the VM validates ownership and its decode epoch before
-	// trusting it, so a stale value is only ever decoded again, never
-	// executed.
+	// Compiled holds the VM's decoded form of the method, kept opaque here
+	// like Builtin: for bytecode the decoded instruction stream (a *decoded
+	// on the dvm side), which the VM validates by owner and decode epoch
+	// before trusting it, so a stale value is only ever decoded again,
+	// never executed; for a JNI native method the decoded shorty the JNI
+	// bridge marshals by (a *marshalPlan).
 	Compiled interface{}
 
 	// fullName is FullName computed once by NewMethod. A Method built as a

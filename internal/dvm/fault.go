@@ -16,19 +16,12 @@ const (
 	// SiteHeapAlloc is probed at every heap allocation (fires as a panic,
 	// exercising the containment path: allocation has no error return).
 	SiteHeapAlloc = "dvm.heap.alloc"
-	// SiteFusedDeopt is probed at every fused-chain validation: an armed
-	// fault corrupts the epoch check, forcing a deopt to the unfused bridge.
-	// The deopt is absorbed, not raised — the injection parity test proves
-	// the forced fallback lands in a state byte-identical to the unfused
-	// path, which is the whole deopt-soundness argument.
-	SiteFusedDeopt = "dvm.jni.fused-deopt"
 )
 
 func init() {
 	fault.RegisterSite(SiteInvoke, "dvm")
 	fault.RegisterSite(SiteJNIBridge, "dvm")
 	fault.RegisterSite(SiteHeapAlloc, "dvm")
-	fault.RegisterSite(SiteFusedDeopt, "dvm")
 }
 
 // faultf builds a typed DVM-layer guest fault with method context.

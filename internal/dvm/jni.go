@@ -1,8 +1,6 @@
 package dvm
 
 import (
-	"math/bits"
-
 	"repro/internal/arm"
 	"repro/internal/dex"
 	"repro/internal/fault"
@@ -44,20 +42,6 @@ func (s *savedCPU) restore(c *arm.CPU) {
 	c.RegTaint = s.RegTaint
 }
 
-// restoreMasked restores only the registers in mask (value and taint lanes).
-// Flags and the Thumb bit are always restored: WriteRegs does not model them.
-// Sound only when everything that ran is covered by the mask — the fused
-// bridge falls back to a full restore when the code epoch moved mid-call.
-func (s *savedCPU) restoreMasked(c *arm.CPU, mask uint32) {
-	for m := mask; m != 0; m &= m - 1 {
-		i := bits.TrailingZeros32(m)
-		c.R[i] = s.R[i]
-		c.RegTaint[i] = s.RegTaint[i]
-	}
-	c.N, c.Z, c.C, c.V = s.N, s.Z, s.C, s.V
-	c.Thumb = s.Thumb
-}
-
 // getSavedCPU hands out the snapshot buffer for the current pad depth. Calls
 // nest strictly (padDepth is incremented after the capture and decremented
 // before the restore completes), so one buffer per depth suffices.
@@ -97,11 +81,7 @@ func (vm *VM) releaseCtxPools() {
 }
 
 // marshalPlan is the pre-decoded shorty: one step byte per argument position
-// plus the widths and return kind the bridge needs. A plan derives only from
-// the method's shorty and whether it is static, so plans are memoized by that
-// pair and shared by the fused and unfused paths and by every method with the
-// same signature shape. Keying by method pointer instead would keep every
-// app's classes reachable across snapshot restores.
+// plus the widths and return kind the bridge needs.
 type marshalPlan struct {
 	steps   []byte // per shorty arg: 'L' object, 'W' wide pair, 'P' prim word
 	nWords  int    // AAPCS words incl. env + receiver
@@ -110,18 +90,16 @@ type marshalPlan struct {
 	retWide bool
 }
 
-// planKey addresses one marshalPlan.
-type planKey struct {
-	shorty string
-	static bool
-}
-
-func (vm *VM) planFor(m *dex.Method) *marshalPlan {
-	k := planKey{m.Shorty, m.IsStatic()}
-	if p, ok := vm.marshalPlans[k]; ok {
+// planFor returns m's marshalling plan, decoding the shorty on m's first
+// crossing. The plan is kept in m.Compiled, which a native method has no
+// other use for. It derives only from the shorty and the static flag, so it
+// is valid for any VM and pins nothing: the method owns it, not the VM, and
+// it goes with the method's class.
+func planFor(m *dex.Method) *marshalPlan {
+	if p, ok := m.Compiled.(*marshalPlan); ok {
 		return p
 	}
-	p := &marshalPlan{static: k.static, retKind: m.Shorty[0], retWide: m.RetWide()}
+	p := &marshalPlan{static: m.IsStatic(), retKind: m.Shorty[0], retWide: m.RetWide()}
 	n := 2 // JNIEnv + receiver (this or class object)
 	for i := 1; i < len(m.Shorty); i++ {
 		switch m.Shorty[i] {
@@ -137,10 +115,7 @@ func (vm *VM) planFor(m *dex.Method) *marshalPlan {
 		}
 	}
 	p.nWords = n
-	if vm.marshalPlans == nil {
-		vm.marshalPlans = make(map[planKey]*marshalPlan)
-	}
-	vm.marshalPlans[k] = p
+	m.Compiled = p
 	return p
 }
 
@@ -181,18 +156,15 @@ func (vm *VM) putJNIScratch(sc *jniScratch) {
 // JNI call: env, receiver ref, then the plan's steps over the Dalvik argument
 // words. Objects become local indirect references — the exact AddLocalRef
 // sequence is part of the bridge's observable behavior (ref numbering feeds
-// guest memory), so fused and unfused paths share this one implementation.
-// clsObj is the receiver class object for static methods (nil = look it up).
-func (vm *VM) marshalJNIArgs(plan *marshalPlan, m *dex.Method, clsObj *Object, args []uint32, taints []taint.Tag, sc *jniScratch) ([]uint32, []taint.Tag, []*Object) {
+// guest memory).
+func (vm *VM) marshalJNIArgs(plan *marshalPlan, m *dex.Method, args []uint32, taints []taint.Tag, sc *jniScratch) ([]uint32, []taint.Tag, []*Object) {
 	cpuArgs := append(sc.cpuArgs, kernel.JNIEnvBase)
 	argTaints := append(sc.argTaints, 0)
 	argObjs := append(sc.argObjs, nil)
 
 	idx := 0
 	if plan.static {
-		if clsObj == nil {
-			clsObj = vm.classObject(m.Class)
-		}
+		clsObj := vm.classObject(m.Class)
 		cpuArgs = append(cpuArgs, vm.AddLocalRef(clsObj))
 		argTaints = append(argTaints, 0)
 		argObjs = append(argObjs, clsObj)
@@ -335,17 +307,14 @@ func (vm *VM) jniRetDecode(retKind byte, r0, r1 uint32) uint64 {
 // arguments into the AAPCS (objects become local indirect references), runs
 // the native method on the CPU, and applies the JNI return-taint policy —
 // TaintDroid's "return tainted iff any parameter tainted" unless an NDroid
-// hook overrides it (§V-B "JNI Entry"). Hot crossings dispatch to a fused
-// chain (fuse.go) in which the per-call bridge work is specialized away.
+// hook overrides it (§V-B "JNI Entry"). It is the one path from Java into
+// native code; what a crossing can reuse across calls (the shorty decode,
+// the receiver class object, the hooks' own per-method state) is memoized
+// by its owner.
 func (vm *VM) callJNIMethod(th *Thread, m *dex.Method, args []uint32, taints []taint.Tag) (uint64, taint.Tag, *Object, error) {
 	vm.JNICrossings++
 	if vm.OnJNICall != nil {
 		vm.OnJNICall(m)
-	}
-	if vm.FuseNative {
-		if fc := vm.fuseLookup(m); fc != nil {
-			return vm.callFused(fc, th, m, args, taints)
-		}
 	}
 	if f := fault.Hit(SiteJNIBridge, m.NativeAddr); f != nil {
 		f.Method = m.FullName()
@@ -357,13 +326,13 @@ func (vm *VM) callJNIMethod(th *Thread, m *dex.Method, args []uint32, taints []t
 		// bridge is a guest fault, not a crash.
 		return 0, 0, nil, vm.faultf(fault.JNIMisuse, m, "native method has no bound implementation")
 	}
-	plan := vm.planFor(m)
+	plan := planFor(m)
 	vm.pushLocalFrame()
 	defer vm.popLocalFrame()
 
 	sc := vm.getJNIScratch(plan.nWords)
 	defer vm.putJNIScratch(sc)
-	cpuArgs, argTaints, argObjs := vm.marshalJNIArgs(plan, m, nil, args, taints, sc)
+	cpuArgs, argTaints, argObjs := vm.marshalJNIArgs(plan, m, args, taints, sc)
 
 	ctx := vm.ctxAt(&vm.bridgeCtxs)
 	ctx.Thread = th
@@ -373,7 +342,7 @@ func (vm *VM) callJNIMethod(th *Thread, m *dex.Method, args []uint32, taints []t
 	var r0, r1 uint32
 	var sh0, sh1 taint.Tag
 	var runErr error
-	vm.internalCall("dvmCallJNIMethod", vm.callsiteOf("dvmInterpret"), ctx, func() {
+	vm.callInternal(vm.jniBridge, vm.jniFrom, ctx, func() {
 		base := vm.openUTF()
 		r0, r1, sh0, sh1, runErr = vm.callNative(m.NativeAddr, cpuArgs)
 		vm.closeUTF(m, base, runErr == nil)

@@ -22,9 +22,10 @@ var jniTypes = []struct {
 	{"Float", 'F'}, {"Double", 'D'},
 }
 
-// installJNIEnv assigns guest addresses to every JNI function, registers the
-// CPU trampolines, and writes the JNIEnv structure into guest memory.
-func (vm *VM) installJNIEnv(cursor uint32) {
+// installJNIEnv assigns guest addresses to every JNI function, after the
+// libdvm-internal ones, registers the CPU trampolines, and writes the JNIEnv
+// structure into guest memory.
+func (vm *VM) installJNIEnv() {
 	type entry struct {
 		name string
 		impl jniImpl
@@ -124,22 +125,20 @@ func (vm *VM) installJNIEnv(cursor uint32) {
 	tableAddr := kernel.JNIEnvBase + 16
 	vm.Mem.Write32(kernel.JNIEnvBase, tableAddr)
 	for i, e := range entries {
-		addr := cursor
-		cursor += 16
-		vm.internalAddrs[e.name] = addr
-		vm.internalNames[addr] = e.name
-		vm.Mem.Write32(tableAddr+uint32(4*i), addr)
-		name, impl := e.name, e.impl
-		vm.CPU.Hook(addr, func(c *arm.CPU) arm.HookAction {
+		f := vm.addInternal(e.name)
+		vm.Mem.Write32(tableAddr+uint32(4*i), f.addr)
+		impl := e.impl
+		vm.CPU.Hook(f.addr, func(c *arm.CPU) arm.HookAction {
 			ctx := vm.ctxAt(&vm.envCtxs)
-			ctx.VM, ctx.Name, ctx.Thread = vm, name, vm.thread()
-			for _, h := range vm.hooks[name] {
+			ctx.VM, ctx.Name, ctx.Thread = vm, f.name, vm.thread()
+			hooks := f.hooks
+			for _, h := range hooks {
 				if h.Before != nil {
 					h.Before(ctx)
 				}
 			}
 			impl(vm, c, ctx)
-			for _, h := range vm.hooks[name] {
+			for _, h := range hooks {
 				if h.After != nil {
 					h.After(ctx)
 				}
@@ -147,6 +146,7 @@ func (vm *VM) installJNIEnv(cursor uint32) {
 			return arm.ActionReturn
 		})
 	}
+	cursor := kernel.LibdvmBase + uint32(16*len(vm.fns))
 	vm.libdvmEnd = cursor
 	if vm.Task != nil {
 		vm.Kern.AddVMA(vm.Task, kernel.VMA{
@@ -238,8 +238,7 @@ func jniGetFieldID(vm *VM, c *arm.CPU, ctx *CallCtx) {
 // const char *signature, void *fnPtr} — and (re)binds the named native
 // methods to the given entry points. Rebinding a bound method to a different
 // address is the classic hostile move against per-method instrumentation
-// state: fused chains baked the old entry address in, so the rebind starts a
-// new chain epoch and is surfaced to the analyzer via OnRegisterNatives.
+// state, so the rebind is surfaced to the analyzer via OnRegisterNatives.
 func jniRegisterNatives(vm *VM, c *arm.CPU, ctx *CallCtx) {
 	clsObj := vm.DecodeRef(c.R[1])
 	tbl := c.R[2]
@@ -263,11 +262,8 @@ func jniRegisterNatives(vm *VM, c *arm.CPU, ctx *CallCtx) {
 		if vm.OnNativeBind != nil {
 			vm.OnNativeBind(m, old, fn, true)
 		}
-		if old != 0 && old != fn {
-			vm.transEpoch++
-			if vm.OnRegisterNatives != nil {
-				vm.OnRegisterNatives(m, old, fn)
-			}
+		if old != 0 && old != fn && vm.OnRegisterNatives != nil {
+			vm.OnRegisterNatives(m, old, fn)
 		}
 	}
 	c.R[0] = 0

@@ -35,8 +35,8 @@ func (vm *VM) LoadNativeLib(name, source string) (*arm.Program, error) {
 	if prog == nil {
 		if vm.externs == nil {
 			vm.externs = vm.Libc.Syms()
-			for name, addr := range vm.internalAddrs {
-				vm.externs[name] = addr
+			for name, f := range vm.internals {
+				vm.externs[name] = f.addr
 			}
 			vm.externs["JNIEnv"] = kernel.JNIEnvBase
 		}
@@ -114,11 +114,6 @@ func (vm *VM) BindNative(className, methodName string, prog *arm.Program, label 
 		return err
 	}
 	old := m.NativeAddr
-	if old != 0 && old != addr {
-		// Rebinding a bound method: fused chains baked the old entry
-		// address in (same invalidation as RegisterNatives).
-		vm.transEpoch++
-	}
 	m.NativeAddr = addr
 	if vm.OnNativeBind != nil {
 		vm.OnNativeBind(m, old, addr, false)

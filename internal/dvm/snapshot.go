@@ -10,12 +10,11 @@ package dvm
 // field IDs, loaded libraries and thread stacks. Fields outside both are kept
 // across a restore (see the VM type).
 //
-// decodeEpoch and transEpoch are deliberately NOT part of the snapshot. They
-// are the validity tokens of method decodes and fused chains, and restoring
-// them backwards could revalidate one built against post-snapshot state (a
-// hook or class registered during the attempt). Restore instead bumps both
-// once: warm-boot methods decode again lazily, and everything built during
-// the discarded attempt is dead by construction.
+// decodeEpoch is deliberately NOT part of the snapshot. It is the validity
+// token of method decodes, and restoring it backwards could revalidate one
+// built against post-snapshot state (a class registered during the attempt).
+// Restore instead bumps it once: warm-boot methods decode again lazily, and
+// every decode made during the discarded attempt is dead by construction.
 
 import (
 	"repro/internal/dex"
@@ -47,7 +46,7 @@ type VMSnapshot struct {
 	methodIDs []*dex.Method
 	fieldIDs  []*dex.Field
 
-	hooks map[string][]InternalHook
+	hooks [][]InternalHook // per internal function, in vm.fns order
 
 	interned map[*dex.Insn]*Object
 
@@ -91,7 +90,7 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		methodIDs: append([]*dex.Method(nil), vm.methodIDs...),
 		fieldIDs:  append([]*dex.Field(nil), vm.fieldIDs...),
 
-		hooks: make(map[string][]InternalHook, len(vm.hooks)),
+		hooks: make([][]InternalHook, len(vm.fns)),
 
 		interned: make(map[*dex.Insn]*Object, len(vm.internedStrings)),
 
@@ -135,8 +134,10 @@ func (vm *VM) Snapshot() *VMSnapshot {
 		s.locals[i] = append([]uint32(nil), frame...)
 	}
 
-	for name, hs := range vm.hooks {
-		s.hooks[name] = append([]InternalHook(nil), hs...)
+	for i, f := range vm.fns {
+		if len(f.hooks) > 0 {
+			s.hooks[i] = append([]InternalHook(nil), f.hooks...)
+		}
 	}
 
 	for _, th := range vm.threads {
@@ -158,7 +159,7 @@ func (vm *VM) Snapshot() *VMSnapshot {
 
 // Restore rewinds the VM to s. Object copies held by the snapshot are
 // re-copied in, so a snapshot survives any number of restores. The decode
-// and chain epochs are bumped, never rewound (see the file comment).
+// epoch is bumped, never rewound (see the file comment).
 func (vm *VM) Restore(s *VMSnapshot) {
 	vm.classes = make(map[string]*dex.Class, len(s.classes))
 	for name, c := range s.classes {
@@ -203,23 +204,16 @@ func (vm *VM) Restore(s *VMSnapshot) {
 	// Hook lists keep their backing arrays across restores, so the next
 	// attempt's analyzer re-registers without allocating; clear drops the
 	// discarded attempt's closures (and the analyzer they capture).
-	for name, hs := range vm.hooks {
-		clear(hs)
-		vm.hooks[name] = append(hs[:0], s.hooks[name]...)
-	}
-	for name, hs := range s.hooks {
-		if _, ok := vm.hooks[name]; !ok {
-			vm.hooks[name] = append([]InternalHook(nil), hs...)
+	for i, f := range vm.fns {
+		if len(f.hooks) > 0 || len(s.hooks[i]) > 0 {
+			clear(f.hooks)
+			f.hooks = append(f.hooks[:0], s.hooks[i]...)
 		}
 	}
 
-	// Fusion state does not survive a restore: chains and heat counters are
-	// keyed by method pointers from the discarded attempt, and the epoch bump
-	// below would invalidate every chain anyway. Marshalling plans are kept:
-	// they are keyed by shorty, so they pin no method. The pooled call
-	// contexts are zeroed for the same reason.
-	vm.fused = nil
-	vm.fuseHeat = nil
+	// The class-object memo points into the discarded heap, and the pooled
+	// call contexts are zeroed so none pins the attempt's objects.
+	clear(vm.classObjs)
 	vm.releaseCtxPools()
 	// Open UTF buffers belong to the discarded attempt's guest heap.
 	vm.utfOpen, vm.utfBase = vm.utfOpen[:0], 0
@@ -255,8 +249,7 @@ func (vm *VM) Restore(s *VMSnapshot) {
 
 	vm.nativeLibs = append(vm.nativeLibs[:0], s.nativeLibs...)
 
-	// Monotonic: invalidate every decode and chain built during the attempt
-	// (and decode warm-boot methods again lazily) instead of rewinding.
+	// Monotonic: invalidate every decode made during the attempt (and decode
+	// warm-boot methods again lazily) instead of rewinding.
 	vm.decodeEpoch++
-	vm.transEpoch++
 }

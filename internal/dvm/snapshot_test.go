@@ -20,27 +20,25 @@ var outsideState = map[string]string{
 	"locals":          "rewound: frames copied back",
 	"methodIDs":       "rewound into the same backing array",
 	"fieldIDs":        "rewound into the same backing array",
-	"hooks":           "rewound: lists copied back into their backing arrays",
 	"internedStrings": "rewound: remapped onto the copied heap",
 	"threads":         "rewound: later threads dropped, stacks unwound",
 	"nativeLibs":      "rewound into the same backing array",
 
-	"internalAddrs": "libdvm layout, fixed at New",
-	"internalNames": "libdvm layout, fixed at New",
-	"libdvmEnd":     "libdvm layout, fixed at New",
-	"MainThread":    "fixed at New; its stack is rewound with threads",
-	"externs":       "link table, fixed once the framework is up",
+	"fns":        "libdvm layout, fixed at New; hook lists rewound into their backing arrays",
+	"internals":  "libdvm layout, fixed at New (the same functions as fns, by name)",
+	"libdvmEnd":  "libdvm layout, fixed at New",
+	"jniBridge":  "libdvm layout, fixed at New",
+	"jniFrom":    "libdvm layout, fixed at New",
+	"MainThread": "fixed at New; its stack is rewound with threads",
+	"externs":    "link table, fixed once the framework is up",
 
 	"decodeEpoch": "monotonic: Restore bumps it, rewinding could revalidate a stale decode",
-	"transEpoch":  "monotonic: Restore bumps it, rewinding could revalidate a stale chain",
-	"fused":       "dropped by Restore: keyed by the attempt's methods",
-	"fuseHeat":    "dropped by Restore: keyed by the attempt's methods",
+	"classObjs":   "cleared by Restore: points into the attempt's heap",
 	"utfOpen":     "emptied by Restore; the backing array is kept",
 	"utfBase":     "zeroed by Restore",
 	"bridgeCtxs":  "pool, zeroed by Restore (releaseCtxPools)",
 	"envCtxs":     "pool, zeroed by Restore (releaseCtxPools)",
 
-	"marshalPlans":   "keyed by shorty, pins no method",
 	"jniScratchPool": "pool of argument buffers, refilled per crossing",
 	"savedCPUStack":  "pool of register buffers, refilled per crossing",
 	"framePool":      "pool; Restore returns the attempt's frames to it",

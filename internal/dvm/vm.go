@@ -129,14 +129,14 @@ type ArgSrc struct {
 type InternalHook struct {
 	Before func(*CallCtx)
 	After  func(*CallCtx)
+}
 
-	// BindJNI, when non-nil on a dvmCallJNIMethod hook, lets the hook owner
-	// specialize its Before/After bodies for one resolved method at fusion
-	// bind time (precomputed log lines, reusable policies, one-time entry-hook
-	// installation). Returning ok=false keeps the generic Before/After. Hook
-	// mutations bump the fused-chain epoch, so stale bindings die with their
-	// chain.
-	BindJNI func(m *dex.Method) (before, after func(*CallCtx), ok bool)
+// internalFn is one hookable libdvm-internal or JNIEnv function: its name,
+// its guest entry address and the hooks registered on it.
+type internalFn struct {
+	name  string
+	addr  uint32
+	hooks []InternalHook
 }
 
 // VM is the Dalvik virtual machine instance. The embedded vmState is what
@@ -163,20 +163,21 @@ type VM struct {
 	methodIDs []*dex.Method
 	fieldIDs  []*dex.Field
 
-	// internalAddrs, internalNames and libdvmEnd are the libdvm layout,
-	// fixed at New.
-	internalAddrs map[string]uint32
-	internalNames map[uint32]string
-	hooks         map[string][]InternalHook
-	libdvmEnd     uint32
+	// fns lists the internal functions in layout order, fn i at
+	// kernel.LibdvmBase+16*i, and internals finds them by name; with
+	// libdvmEnd they are the libdvm layout, fixed at New. Only the hook
+	// lists change. jniBridge is dvmCallJNIMethod and jniFrom its call site
+	// in dvmInterpret, resolved once for the JNI bridge.
+	fns       []*internalFn
+	internals map[string]*internalFn
+	libdvmEnd uint32
+	jniBridge *internalFn
+	jniFrom   uint32
 
 	// decodeEpoch is the validity token of method decodes (exec.go): class
 	// registration and snapshot restore, the two things that can change a
-	// decode-time resolution, bump it. transEpoch is the validity token of
-	// fused JNI chains (fuse.go): anything a chain binds in — internal
-	// hooks, class registration, native entry points, restores — bumps it.
+	// decode-time resolution, bump it.
 	decodeEpoch uint64
-	transEpoch  uint64
 
 	// JavaDeopts is always 0: the one executor has nothing to fall back
 	// to. The field stays for readers of the older per-layer metrics.
@@ -189,14 +190,11 @@ type VM struct {
 	utfOpen []utfHandle
 	utfBase int
 
-	// fused maps resolved methods to their compiled chains; fuseHeat counts
-	// unfused crossings per method toward the fusion threshold. Both are
-	// keyed by method pointer and cleared on snapshot restore.
-	fused    map[*dex.Method]*fusedChain
-	fuseHeat map[*dex.Method]uint32
-	// marshalPlans memoizes shorty decoding for both bridge paths, keyed by
-	// (shorty, static) so no entry pins an app's method.
-	marshalPlans map[planKey]*marshalPlan
+	// classObjs memoizes classObject's answer per class. An entry is checked
+	// against the object table on each use (the collector may free a class
+	// object; it keeps a moved one's pointer) and the memo is cleared on
+	// snapshot restore, which replaces the heap.
+	classObjs map[*dex.Class]*Object
 	// jniScratchPool recycles the argument/taint/object slices of the JNI
 	// bridge; savedCPUStack recycles register-snapshot buffers by pad depth.
 	jniScratchPool []*jniScratch
@@ -292,26 +290,17 @@ type vmState struct {
 	// re-decodes after a class registration or restore).
 	JavaTransMethods uint64
 
-	// FuseNative enables cross-boundary trace fusion: hot monomorphic
-	// Dalvik→JNI→ARM chains are compiled into specialized host closures with
-	// the per-call bridge work (shorty decoding, hook dispatch setup, full
-	// CPU snapshot/restore, class-object lookup) hoisted to bind time.
-	FuseNative bool
-	// JNICrossings counts Java→native JNI calls (fused and unfused).
+	// JNICrossings counts Java→native JNI calls.
 	JNICrossings uint64
-	// JavaFusedChains counts fused-chain builds; JavaFusedCalls counts
-	// crossings served by a fused chain; JavaFuseDeopts counts chains
-	// invalidated back to the unfused bridge (epoch mismatch, re-registration,
-	// SMC, or an injected fused-deopt fault).
-	JavaFusedChains uint64
-	JavaFusedCalls  uint64
-	JavaFuseDeopts  uint64
+	// JavaFusedCalls and JavaFuseDeopts are always 0: the JNI bridge has one
+	// path. They stay for readers of the older per-layer metrics.
+	JavaFusedCalls uint64
+	JavaFuseDeopts uint64
 	// OnRegisterNatives observes mid-run native-method re-registration
 	// (JNIEnv->RegisterNatives rebinding a bound method to a new entry point).
 	OnRegisterNatives func(m *dex.Method, old, new uint32)
 	// OnJNICall observes every Java->native crossing at the top of the JNI
-	// bridge, before the fused/unfused split, so both paths report
-	// identically. OnNativeBind observes every native-method binding:
+	// bridge. OnNativeBind observes every native-method binding:
 	// dynamic=true for guest RegisterNatives (all of them, not just rebinds),
 	// false for loader-time BindNative. OnReflectCall observes native->Java
 	// reflection-style dispatch (CallStatic*Method resolving a jmethodID).
@@ -321,8 +310,8 @@ type vmState struct {
 	OnReflectCall func(m *dex.Method)
 	// OnUnreleased observes a native method returning with a buffer that
 	// GetStringUTFChars handed it still unreleased: site is the call
-	// instruction of that Get, once per such buffer. It fires on the fused
-	// and the unfused bridge alike and must stay off the flow log too.
+	// instruction of that Get, once per such buffer. It must stay off the
+	// flow log too.
 	OnUnreleased func(m *dex.Method, site uint32)
 
 	curThread   *Thread
@@ -350,30 +339,27 @@ var internalFuncs = []string{
 // New creates a VM wired to the given CPU, kernel task, and libc.
 func New(m *mem.Memory, c *arm.CPU, k *kernel.Kernel, t *kernel.Task, lc *libc.Libc) *VM {
 	vm := &VM{
-		Mem:           m,
-		CPU:           c,
-		Kern:          k,
-		Task:          t,
-		Libc:          lc,
-		vmState:       vmState{heapCursor: kernel.DvmHeapBase, nextLocal: 1, nextGlob: 1},
-		classes:       make(map[string]*dex.Class),
-		objects:       make(map[uint32]*Object),
-		irt:           make(map[uint32]*Object),
-		internalAddrs: make(map[string]uint32),
-		internalNames: make(map[uint32]string),
-		hooks:         make(map[string][]InternalHook),
+		Mem:       m,
+		CPU:       c,
+		Kern:      k,
+		Task:      t,
+		Libc:      lc,
+		vmState:   vmState{heapCursor: kernel.DvmHeapBase, nextLocal: 1, nextGlob: 1},
+		classes:   make(map[string]*dex.Class),
+		objects:   make(map[uint32]*Object),
+		irt:       make(map[uint32]*Object),
+		internals: make(map[string]*internalFn),
 
 		internedStrings: make(map[*dex.Insn]*Object),
 	}
 
 	// Assign libdvm addresses: 16 bytes per internal function.
-	cursor := kernel.LibdvmBase
 	for _, name := range internalFuncs {
-		vm.internalAddrs[name] = cursor
-		vm.internalNames[cursor] = name
-		cursor += 16
+		vm.addInternal(name)
 	}
-	vm.installJNIEnv(cursor)
+	vm.installJNIEnv()
+	vm.jniBridge = vm.internals["dvmCallJNIMethod"]
+	vm.jniFrom = vm.callsiteOf("dvmInterpret")
 
 	vm.MainThread = vm.NewThread("main")
 	registerFramework(vm)
@@ -427,12 +413,11 @@ func (vm *VM) NewThread(name string) *Thread {
 	return th
 }
 
-// RegisterClass adds a class to the VM. Decodes and fused chains bake class
-// and method resolutions in, so registration invalidates both.
+// RegisterClass adds a class to the VM. Decodes bake class and method
+// resolutions in, so registration invalidates them.
 func (vm *VM) RegisterClass(c *dex.Class) {
 	vm.classes[c.Name] = c
 	vm.decodeEpoch++
-	vm.transEpoch++
 }
 
 // Class looks up a registered class.
@@ -456,12 +441,21 @@ func (vm *VM) ClassesExcept(skip map[string]bool) []string {
 	return out
 }
 
+// addInternal lays out the next internal function, 16 bytes after the last.
+func (vm *VM) addInternal(name string) *internalFn {
+	f := &internalFn{name: name, addr: kernel.LibdvmBase + uint32(16*len(vm.fns))}
+	vm.fns = append(vm.fns, f)
+	vm.internals[name] = f
+	return f
+}
+
 // HookInternal registers a hook on a libdvm-internal or JNI function. Hooks
-// are looked up per call, so they take effect at once; the epoch bump drops
-// the fused chains that pre-bound the old hook list.
+// are looked up per call, so they take effect from the next call on. A name
+// that is no such function has no calls, so its hook is not kept.
 func (vm *VM) HookInternal(name string, h InternalHook) {
-	vm.hooks[name] = append(vm.hooks[name], h)
-	vm.transEpoch++
+	if f := vm.internals[name]; f != nil {
+		f.hooks = append(f.hooks, h)
+	}
 }
 
 // SetJavaStepFn installs (or, with nil, clears) the per-instruction observer.
@@ -470,9 +464,6 @@ func (vm *VM) HookInternal(name string, h InternalHook) {
 func (vm *VM) SetJavaStepFn(fn func(th *Thread, m *dex.Method, pc int, insn *dex.Insn)) {
 	vm.javaStepFn = fn
 }
-
-// TransEpoch reports the fused-chain epoch (test hook).
-func (vm *VM) TransEpoch() uint64 { return vm.transEpoch }
 
 // PadDepth reports how many native calls are in progress (test hook).
 func (vm *VM) PadDepth() int { return vm.padDepth }
@@ -543,38 +534,53 @@ func (vm *VM) internString(insn *dex.Insn) *Object {
 }
 
 // InternalAddr returns the guest address of an internal/JNI function.
-func (vm *VM) InternalAddr(name string) uint32 { return vm.internalAddrs[name] }
+func (vm *VM) InternalAddr(name string) uint32 {
+	if f := vm.internals[name]; f != nil {
+		return f.addr
+	}
+	return 0
+}
 
-// InternalName resolves a libdvm address back to its function name.
+// InternalName resolves a libdvm entry address back to its function name.
 func (vm *VM) InternalName(addr uint32) (string, bool) {
-	n, ok := vm.internalNames[addr]
-	return n, ok
+	off := addr - kernel.LibdvmBase
+	if addr < kernel.LibdvmBase || off%16 != 0 || off/16 >= uint32(len(vm.fns)) {
+		return "", false
+	}
+	return vm.fns[off/16].name, true
 }
 
 // callsiteOf returns the synthetic call-site address inside an internal
 // function (the "A"/"B"/"C" addresses of Fig. 5).
-func (vm *VM) callsiteOf(name string) uint32 { return vm.internalAddrs[name] + 8 }
+func (vm *VM) callsiteOf(name string) uint32 { return vm.InternalAddr(name) + 8 }
 
 // internalCall emits the branch events and hook invocations for a call into
-// an internal function. from is the caller's call-site address; body performs
-// the actual work.
+// the named internal function. from is the caller's call-site address; body
+// performs the actual work.
 func (vm *VM) internalCall(name string, from uint32, ctx *CallCtx, body func()) {
-	entry := vm.internalAddrs[name]
+	vm.callInternal(vm.internals[name], from, ctx, body)
+}
+
+// callInternal is internalCall on a resolved function. The hook list is read
+// once: a hook registered while body runs fires from the next call on,
+// Before and After alike.
+func (vm *VM) callInternal(f *internalFn, from uint32, ctx *CallCtx, body func()) {
+	hooks := f.hooks
 	ctx.VM = vm
-	ctx.Name = name
-	vm.CPU.EmitBranch(from, entry)
-	for _, h := range vm.hooks[name] {
+	ctx.Name = f.name
+	vm.CPU.EmitBranch(from, f.addr)
+	for _, h := range hooks {
 		if h.Before != nil {
 			h.Before(ctx)
 		}
 	}
 	body()
-	for _, h := range vm.hooks[name] {
+	for _, h := range hooks {
 		if h.After != nil {
 			h.After(ctx)
 		}
 	}
-	vm.CPU.EmitBranch(entry+4, from+4)
+	vm.CPU.EmitBranch(f.addr+4, from+4)
 }
 
 // --- heap ---------------------------------------------------------------
@@ -729,15 +735,27 @@ func (vm *VM) newInstance(c *dex.Class, slots int) *Object {
 }
 
 // classObject returns (allocating on demand) the pseudo-object for a class.
+// The memo answers while its object is still the one the table holds at that
+// address; otherwise the heap is scanned as before and the memo refilled.
 func (vm *VM) classObject(c *dex.Class) *Object {
+	if o := vm.classObjs[c]; o != nil && vm.objects[o.Addr] == o {
+		return o
+	}
+	var found *Object
 	for _, o := range vm.objects {
 		if o.IsClass && o.ClassRef == c {
-			return o
+			found = o
+			break
 		}
 	}
-	addr := vm.allocAddr(0)
-	o := &Object{Addr: addr, IsClass: true, ClassRef: c}
-	return vm.registerObject(o)
+	if found == nil {
+		found = vm.registerObject(&Object{Addr: vm.allocAddr(0), IsClass: true, ClassRef: c})
+	}
+	if vm.classObjs == nil {
+		vm.classObjs = make(map[*dex.Class]*Object)
+	}
+	vm.classObjs[c] = found
+	return found
 }
 
 // ObjectAt resolves a direct pointer to its object.

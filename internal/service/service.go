@@ -355,8 +355,8 @@ func (s *Service) emit(res Result) {
 
 // KindVerdict holds verdictRecord payloads: the final outcome of one app
 // digest under one analysis configuration. Keyed by verdictKey, not the bare
-// app digest — mode, budget, fusion and flow-log capture all change what a
-// run produces. The payload is a JSON head and a binary log block (see
+// app digest — mode, budget and flow-log capture all change what a run
+// produces. The payload is a JSON head and a binary log block (see
 // encode).
 var KindVerdict = cas.Kind{Name: "verdict", Schema: "v7 service.verdictRecord json-head(chain,leaks,counters,surface+unreleased) log-block"}
 
@@ -524,7 +524,6 @@ func verdictKey(fp core.Fingerprint, o core.AnalyzeOptions) string {
 		mode = core.ModeNDroid
 	}
 	return cas.DigestStrings(fp.App, mode.String(),
-		fmt.Sprintf("fuse=%d", int(o.Fuse)),
 		fmt.Sprintf("budget=%d", o.Budget),
 		fmt.Sprintf("flowlog=%t", o.FlowLog))
 }

@@ -22,8 +22,8 @@
 //
 // Everything the observer does is deterministic in the guest's instruction
 // stream and writes nothing to the flow log, so surface maps are
-// byte-identical across fused/unfused execution, snapshot restores, parallel
-// workers, and warm service-cache replays — properties the parity suites
+// byte-identical with or without a flow log, across snapshot restores,
+// parallel workers, and warm service-cache replays — properties the parity suites
 // enforce.
 package surface
 
